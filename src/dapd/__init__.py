@@ -56,7 +56,6 @@ from .deterministic import (
     SolverSchedule,
     dapd_iterate,
     geometric_schedule,
-    init_state,
     make_schedule,
     run_dapd,
     schedule_for_problem,
@@ -65,7 +64,6 @@ from .deterministic import (
 from .stochastic import (
     StochasticParams,
     StochasticState,
-    init_stochastic,
     params_for_problem,
     perturb_problem,
     run_sdapd,
@@ -75,7 +73,6 @@ from .stochastic import (
 from .sparse_engine import (
     LazyState,
     finalize_x,
-    init_lazy,
     lazy_primal_coord,
     materialize_s,
     rebase,

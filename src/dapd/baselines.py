@@ -29,12 +29,11 @@ every resolved constant is returned for the experiment manifest.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError
 from .matrix import matvec
 from .proxlib import (
     CompositeProblem,
@@ -42,16 +41,11 @@ from .proxlib import (
     dual_prox,
     loss_grad_at,
     loss_grads,
-    primal_objective,
     problem_constants,
     prox_conjugate,
     prox_reg,
 )
-from .traces import RunResult, TraceRecord, nnz_fraction
-
-DETERMINISTIC_METHODS = ("pdhg", "apgm", "da")
-STOCHASTIC_METHODS = ("rda", "proxsgd", "proxsvrg", "spdc")
-BASELINE_METHODS = DETERMINISTIC_METHODS + STOCHASTIC_METHODS
+from .traces import RunResult, Tracer
 
 
 @dataclass(frozen=True)
@@ -97,35 +91,7 @@ def _loss_gradient(problem, x):
     )
 
 
-class _Tracer:
-    """Shared per-epoch trace bookkeeping."""
-
-    def __init__(self, problem, reference_value, wall_clock):
-        self.problem = problem
-        self.reference = reference_value
-        self.wall_clock = wall_clock
-        self.records = []
-        self.touches = 0
-        self.start = time.perf_counter()
-
-    def record(self, epoch, x):
-        value = primal_objective(self.problem, x)
-        if not np.isfinite(value):
-            raise DivergenceError(f"non-finite objective at epoch {epoch}", iteration=epoch)
-        subopt = value - self.reference if self.reference is not None else np.nan
-        self.records.append(
-            TraceRecord(
-                epoch=epoch,
-                primal_value=value,
-                suboptimality=subopt,
-                nnz_fraction=nnz_fraction(x),
-                touches=self.touches,
-                elapsed_seconds=time.perf_counter() - self.start if self.wall_clock else 0.0,
-            )
-        )
-
-
-def _run_pdhg(problem, epochs, steps, tracer):
+def _run_pdhg(problem, epochs, steps, seed, tracer):
     A = problem.matrix
     reg = problem.reg
     gamma_f = composite_gamma(problem)
@@ -152,6 +118,7 @@ def _run_pdhg(problem, epochs, steps, tracer):
     x = np.zeros(d)
     y = np.zeros(n)
     x_ext = x.copy()
+    touches = 0
     for t in range(epochs):
         y = dual_prox(problem.loss, problem.loss_scale, sigma, y + sigma * matvec(A, x_ext))
         x_new = prox_reg(reg, tau, x - tau * matvec(A, y, transpose=True))
@@ -163,12 +130,12 @@ def _run_pdhg(problem, epochs, steps, tracer):
             sigma, tau = theta * sigma, tau / theta
         x_ext = x_new + theta * (x_new - x)
         x = x_new
-        tracer.touches += 2 * A.nnz + 2 * d + n
-        tracer.record(t + 1, x)
+        touches += 2 * A.nnz + 2 * d + n
+        tracer.record(t + 1, x, touches)
     return x, {"variant": variant, "tau": tau, "sigma": sigma, "theta": theta}
 
 
-def _run_apgm(problem, epochs, steps, tracer):
+def _run_apgm(problem, epochs, steps, seed, tracer):
     gamma_f = composite_gamma(problem)
     if gamma_f <= 0:
         raise ConfigurationError("apgm requires a smooth loss (gamma > 0)")
@@ -180,6 +147,7 @@ def _run_apgm(problem, epochs, steps, tracer):
     t_k = 1.0
     x = np.zeros(problem.dim)
     z = x.copy()
+    touches = 0
     for t in range(epochs):
         grad = _loss_gradient(problem, z)
         x_new = prox_reg(problem.reg, 1.0 / zeta, z - grad / zeta)
@@ -190,22 +158,23 @@ def _run_apgm(problem, epochs, steps, tracer):
             z = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
             t_k = t_next
         x = x_new
-        tracer.touches += 2 * problem.matrix.nnz + 3 * problem.dim
-        tracer.record(t + 1, x)
+        touches += 2 * problem.matrix.nnz + 3 * problem.dim
+        tracer.record(t + 1, x, touches)
     return x, {"zeta": zeta, "momentum": momentum_kind}
 
 
-def _run_da(problem, epochs, steps, tracer):
+def _run_da(problem, epochs, steps, seed, tracer):
     x0 = np.zeros(problem.dim)
     g0 = _loss_gradient(problem, x0) + _reg_subgradient(problem.reg, x0)
     gamma_hat = steps.get("gamma_hat", max(float(np.linalg.norm(g0)), 1e-12))
     x = x0.copy()
     s = np.zeros(problem.dim)
+    touches = 0
     for t in range(epochs):
         s += _loss_gradient(problem, x) + _reg_subgradient(problem.reg, x)
         x = x0 - s / (gamma_hat * np.sqrt(t + 1.0))
-        tracer.touches += 2 * problem.matrix.nnz + 3 * problem.dim
-        tracer.record(t + 1, x)
+        touches += 2 * problem.matrix.nnz + 3 * problem.dim
+        tracer.record(t + 1, x, touches)
     return x, {"gamma_hat": gamma_hat}
 
 
@@ -226,6 +195,7 @@ def _run_rda(problem, epochs, steps, seed, tracer):
     lipschitz_loss = np.isfinite(problem.loss.lipschitz) or problem.loss.smoothness_gamma == 0
     variant = "strongly_convex" if (mu > 0 and lipschitz_loss) else "sqrt_t"
     iterations = epochs * n
+    touches = 0
     for t in range(1, iterations + 1):
         i = int(rng.integers(n))
         cols, vals = problem.matrix.row(i)
@@ -239,9 +209,9 @@ def _run_rda(problem, epochs, steps, seed, tracer):
         else:
             step = np.sqrt(t) / gamma_hat
             x = prox_reg(problem.reg, step, x0 - step * gbar)
-        tracer.touches += 2 * problem.dim + 2 * vals.size
+        touches += 2 * problem.dim + 2 * vals.size
         if t % n == 0:
-            tracer.record(t // n, x)
+            tracer.record(t // n, x, touches)
     return x, {"gamma_hat": gamma_hat, "variant": variant}
 
 
@@ -261,6 +231,7 @@ def _run_proxsgd(problem, epochs, steps, seed, tracer):
     x = np.zeros(problem.dim)
     rule = "inverse_mu_t" if mu > 0 else "inverse_sqrt_t"
     iterations = epochs * n
+    touches = 0
     for t in range(iterations):
         i = int(rng.integers(n))
         cols, vals = problem.matrix.row(i)
@@ -271,9 +242,9 @@ def _run_proxsgd(problem, epochs, steps, seed, tracer):
         if vals.size:
             step_vec[cols] -= alpha * gi * vals
         x = prox_reg(problem.reg, alpha, step_vec)
-        tracer.touches += 2 * problem.dim + 2 * vals.size
+        touches += 2 * problem.dim + 2 * vals.size
         if (t + 1) % n == 0:
-            tracer.record((t + 1) // n, x)
+            tracer.record((t + 1) // n, x, touches)
     return x, {"rule": rule, "alpha0": alpha0}
 
 
@@ -288,18 +259,18 @@ def _run_proxsvrg(problem, epochs, steps, seed, tracer):
     m = steps.get("m", 2 * n)
     rng = np.random.default_rng(seed)
     x = np.zeros(problem.dim)
-    accesses = 0
+    accesses = touches = 0
     budget = epochs * n
     while accesses < budget:
         x_snap = x.copy()
         u_snap = matvec(problem.matrix, x_snap)
         grads_snap = loss_grads(problem.loss, u_snap)
         full = problem.loss_scale * matvec(problem.matrix, grads_snap, transpose=True)
-        tracer.touches += 2 * problem.matrix.nnz + problem.dim
+        touches += 2 * problem.matrix.nnz + problem.dim
         for _ in range(n):  # snapshot costs one access per row
             accesses += 1
             if accesses % n == 0:
-                tracer.record(accesses // n, x)
+                tracer.record(accesses // n, x, touches)
         for _ in range(m):
             i = int(rng.integers(n))
             cols, vals = problem.matrix.row(i)
@@ -310,9 +281,9 @@ def _run_proxsvrg(problem, epochs, steps, seed, tracer):
                 v[cols] += (sample_factor / n) * (gi - grads_snap[i]) * vals
             x = prox_reg(problem.reg, eta, x - eta * v)
             accesses += 1
-            tracer.touches += 3 * problem.dim + 2 * vals.size
+            touches += 3 * problem.dim + 2 * vals.size
             if accesses % n == 0:
-                tracer.record(accesses // n, x)
+                tracer.record(accesses // n, x, touches)
             if accesses >= budget:
                 break
     return x, {"eta": eta, "m": m}
@@ -335,6 +306,7 @@ def _run_spdc(problem, epochs, steps, seed, tracer):
     y = np.zeros(n)
     u = matvec(problem.matrix, y, transpose=True) / n
     iterations = epochs * n
+    touches = 0
     for t in range(iterations):
         i = int(rng.integers(n))
         cols, vals = problem.matrix.row(i)
@@ -350,10 +322,27 @@ def _run_spdc(problem, epochs, steps, seed, tracer):
             u[cols] += (dy / n) * vals
         x_ext = x_new + theta * (x_new - x)
         x = x_new
-        tracer.touches += 4 * d + 3 * vals.size
+        touches += 4 * d + 3 * vals.size
         if (t + 1) % n == 0:
-            tracer.record((t + 1) // n, x)
+            tracer.record((t + 1) // n, x, touches)
     return x, {"tau": tau, "sigma": sigma, "theta": theta}
+
+
+# name -> (runner, seeded).  Every runner is called as
+# runner(problem, epochs, steps, seed, tracer), records each epoch on the
+# tracer and returns (x, resolved constants); unseeded runners ignore seed.
+BASELINES = {
+    "pdhg": (_run_pdhg, False),
+    "apgm": (_run_apgm, False),
+    "da": (_run_da, False),
+    "rda": (_run_rda, True),
+    "proxsgd": (_run_proxsgd, True),
+    "proxsvrg": (_run_proxsvrg, True),
+    "spdc": (_run_spdc, True),
+}
+BASELINE_METHODS = tuple(BASELINES)
+DETERMINISTIC_METHODS = tuple(m for m, (_, seeded) in BASELINES.items() if not seeded)
+STOCHASTIC_METHODS = tuple(m for m, (_, seeded) in BASELINES.items() if seeded)
 
 
 def run_baseline(
@@ -363,25 +352,10 @@ def run_baseline(
     wall_clock: bool = True,
 ) -> RunResult:
     """Run the configured baseline; deterministic methods ignore the seed."""
-    tracer = _Tracer(problem, reference_value, wall_clock)
-    method = config.method
-    if method == "pdhg":
-        x, resolved = _run_pdhg(problem, config.epochs, config.steps, tracer)
-    elif method == "apgm":
-        x, resolved = _run_apgm(problem, config.epochs, config.steps, tracer)
-    elif method == "da":
-        x, resolved = _run_da(problem, config.epochs, config.steps, tracer)
-    elif method == "rda":
-        x, resolved = _run_rda(problem, config.epochs, config.steps, config.seed, tracer)
-    elif method == "proxsgd":
-        x, resolved = _run_proxsgd(problem, config.epochs, config.steps, config.seed, tracer)
-    elif method == "proxsvrg":
-        x, resolved = _run_proxsvrg(problem, config.epochs, config.steps, config.seed, tracer)
-    else:
-        x, resolved = _run_spdc(problem, config.epochs, config.steps, config.seed, tracer)
-    resolved = {"method": method, "epochs": config.epochs, **resolved}
-    if method in STOCHASTIC_METHODS:
+    runner, seeded = BASELINES[config.method]
+    tracer = Tracer(problem, reference_value, wall_clock)
+    x, resolved = runner(problem, config.epochs, config.steps, config.seed, tracer)
+    resolved = {"method": config.method, "epochs": config.epochs, **resolved}
+    if seeded:
         resolved["seed"] = config.seed
-    if not tracer.records:
-        tracer.record(1, x)
     return RunResult(x=x, trace=tracer.records, resolved=resolved)

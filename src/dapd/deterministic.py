@@ -21,12 +21,13 @@ can be checked numerically with ``validate_schedule``.
 Geometrically growing beta_t would overflow doubles on long runs, so the
 solver stores (grad_sum, B, beta) divided by a running scale factor whose
 log is tracked separately; primal recovery goes through
-``recover_primal``, which is exact for any scale.
+``recover_primal``, which is exact for any scale.  ``rescale`` is the one
+rule that moves growth into that factor; SDAPD and the lazy sparse engine
+keep their sums the same way and call it too.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,15 +40,16 @@ from .proxlib import (
     composite_gamma,
     composite_lipschitz,
     dual_prox,
-    primal_objective,
     problem_constants,
     prox_reg,
     recover_primal,
 )
-from .traces import RunResult, TraceRecord, nnz_fraction
+from .traces import RunResult, Tracer, check_output_mode, select_output
 
 REGIMES = ("sc_smooth", "smooth_only", "sc_only", "neither")
 
+# stored beta_hat above which ``rescale`` runs; far from overflow, so the
+# products beta_hat * gradient stay finite
 RESCALE_THRESHOLD = 1e150
 
 
@@ -121,7 +123,6 @@ def make_schedule(
             params=params,
         )
     if mu > 0:
-        params.update()
         return SolverSchedule(
             "sc_only",
             eta=lambda t: 4.0 / (mu * (t + 1)),
@@ -258,17 +259,24 @@ class IterateState:
         """log of the true B_{t-1} (safe for any scale)."""
         return float(np.log(self.B_hat) + self.log_scale)
 
-    def _rescale(self, beta0: float):
-        factor = self.beta_hat / beta0
-        self.s_hat /= factor
-        self.B_hat /= factor
-        self.beta_hat = beta0
-        self.log_scale += np.log(factor)
-        self.inv_scale = np.exp(-self.log_scale)
 
+def rescale(state, s_hat: np.ndarray, beta0: float) -> float:
+    """Move the growth of a scaled dual-averaging sum into its scale factor.
 
-def init_state(problem, schedule, x0=None, y0=None) -> IterateState:
-    return IterateState(problem, schedule, x0=x0, y0=y0)
+    ``s_hat`` (the state's stored gradient sum), ``state.B_hat`` and
+    ``state.beta_hat`` are stored divided by exp(``state.log_scale``).  They
+    are divided in place by factor = beta_hat / beta0, so beta_hat returns to
+    beta0, and log(factor) is added to ``log_scale`` (``inv_scale`` follows).
+    ``recover_primal`` gives the same point before and after, up to roundoff.
+    Returns the factor, for any further quantity the caller stores scaled.
+    """
+    factor = state.beta_hat / beta0
+    s_hat /= factor
+    state.B_hat /= factor
+    state.beta_hat = beta0
+    state.log_scale += np.log(factor)
+    state.inv_scale = np.exp(-state.log_scale)
+    return factor
 
 
 def dapd_iterate(state: IterateState, schedule: SolverSchedule, problem: CompositeProblem):
@@ -307,7 +315,7 @@ def dapd_iterate(state: IterateState, schedule: SolverSchedule, problem: Composi
     state.beta_hat *= schedule.beta_ratio(t)
     state.t += 1
     if state.beta_hat > RESCALE_THRESHOLD:
-        state._rescale(schedule.beta0)
+        rescale(state, state.s_hat, schedule.beta0)
     return state
 
 
@@ -330,31 +338,12 @@ def run_dapd(
     """
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
-    if output not in ("last", "ergodic", "both"):
-        raise ConfigurationError(f"unknown output mode {output!r}")
-    state = init_state(problem, schedule, x0=x0, y0=y0)
-    trace = []
-    start = time.perf_counter()
+    check_output_mode(output)
+    state = IterateState(problem, schedule, x0=x0, y0=y0)
+    tracer = Tracer(problem, reference_value, wall_clock)
     for t in range(iterations):
         dapd_iterate(state, schedule, problem)
         if (t + 1) % record_every == 0 or t + 1 == iterations:
-            value = primal_objective(problem, state.x)
-            subopt = value - reference_value if reference_value is not None else np.nan
-            trace.append(
-                TraceRecord(
-                    epoch=t + 1,
-                    primal_value=value,
-                    suboptimality=subopt,
-                    nnz_fraction=nnz_fraction(state.x),
-                    touches=state.touch_counter,
-                    elapsed_seconds=time.perf_counter() - start if wall_clock else 0.0,
-                )
-            )
-    resolved = {"regime": schedule.regime, **schedule.params}
-    result = RunResult(x=state.x, trace=trace, y=state.y, resolved=resolved)
-    if output in ("ergodic", "both"):
-        result.x_ergodic = state.ergodic_x.copy()
-    if output == "ergodic":
-        result.x = state.ergodic_x.copy()
-    result.resolved["iterations"] = iterations
-    return result
+            tracer.record(t + 1, state.x, state.touch_counter)
+    resolved = {"regime": schedule.regime, **schedule.params, "iterations": iterations}
+    return select_output(state, output, tracer.records, resolved)

@@ -16,10 +16,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .baselines import BASELINE_METHODS, BaselineConfig, run_baseline
+from .baselines import BASELINE_METHODS, STOCHASTIC_METHODS, BaselineConfig, run_baseline
 from .datasets import Dataset, load_libsvm, synth_ridge, synth_sparse_classification
 from .deterministic import run_dapd, schedule_for_problem, validate_schedule
 from .errors import CertificationError, ConfigurationError, DivergenceError
@@ -47,13 +48,6 @@ from .traces import write_trace
 
 DATA_DIR_ENV = "DAPD_DATA_DIR"
 
-NATIVE_METHODS = ("dapd", "sdapd", "sdapd_sparse")
-ALL_METHODS = NATIVE_METHODS + BASELINE_METHODS
-
-# methods that require smoothness/strong convexity and therefore receive the
-# perturbed problem when an epsilon target is configured
-PERTURBATION_METHODS = ("sdapd", "sdapd_sparse", "spdc", "apgm", "proxsvrg")
-
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -73,6 +67,11 @@ def _is_ridge_form(problem: CompositeProblem) -> bool:
 
 
 def _direct_ridge_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSolution:
+    if not _is_ridge_form(problem):
+        raise ConfigurationError(
+            "the direct reference solves ridge-form problems only "
+            "(squared loss, l2 regularizer, no perturbation)"
+        )
     dense = problem.matrix.to_dense()
     c = problem.loss_scale
     lam = problem.reg.lam
@@ -154,11 +153,6 @@ def _cvxpy_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSol
 def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSolution:
     """High-accuracy run of the native deterministic solver, duality-gap
     certified.  Used when cvxpy is unavailable."""
-    if problem.reg.kind == "kl":
-        # _certify needs feasible_dual_point, which has no construction for kl
-        raise CertificationError(
-            "no feasible dual point exists for kl; a native kl reference cannot be certified"
-        )
     schedule = schedule_for_problem(problem)
     iterations = 2000
     last_exc = None
@@ -186,25 +180,34 @@ def compute_reference(
     Any other problem is solved by cvxpy when it can be imported, and
     otherwise by a native high-accuracy DAPD run; either result is certified
     by the same feasible-dual-point duality gap, so ``dapd run`` and
-    ``dapd reference`` work on hinge/l1 configs with numpy alone.  ``kl``
-    problems cannot be certified (``feasible_dual_point`` rejects them)."""
+    ``dapd reference`` work on hinge/l1 configs with numpy alone.
+    ``method="direct"`` accepts ridge-form problems only.  ``kl`` problems
+    cannot be certified (``feasible_dual_point`` rejects them), so every
+    method refuses them before solving anything."""
     if accuracy <= 0:
         raise ConfigurationError("accuracy must be positive")
+    if problem.reg.kind == "kl":
+        raise CertificationError(
+            "no feasible dual point exists for kl; a kl reference cannot be certified"
+        )
     if method == "auto":
         if _is_ridge_form(problem):
-            return _direct_ridge_reference(problem, accuracy)
-        try:
-            import cvxpy  # noqa: F401
-        except ImportError:
-            return _solver_reference(problem, accuracy)
-        return _cvxpy_reference(problem, accuracy)
-    if method == "direct":
-        return _direct_ridge_reference(problem, accuracy)
-    if method == "cvxpy":
-        return _cvxpy_reference(problem, accuracy)
-    if method == "solver":
-        return _solver_reference(problem, accuracy)
-    raise ConfigurationError(f"unknown reference method {method!r}")
+            method = "direct"
+        else:
+            try:
+                import cvxpy  # noqa: F401
+            except ImportError:
+                method = "solver"
+            else:
+                method = "cvxpy"
+    solvers = {
+        "direct": _direct_ridge_reference,
+        "cvxpy": _cvxpy_reference,
+        "solver": _solver_reference,
+    }
+    if method not in solvers:
+        raise ConfigurationError(f"unknown reference method {method!r}")
+    return solvers[method](problem, accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -344,34 +347,63 @@ def build_problem(config: RunConfig) -> CompositeProblem:
 # ---------------------------------------------------------------------------
 
 
-def _run_native(method, problem, epochs, seed, reference, output_mode, wall_clock,
-                case_iv_tau):
-    if method == "dapd":
-        schedule = schedule_for_problem(problem, case_iv_tau=case_iv_tau)
-        violations = validate_schedule(
-            schedule,
-            composite_gamma(problem),
-            problem_constants(problem)[1],
-            problem.stats.spectral_norm,
-            horizon=min(epochs, 1000),
-        )
-        if violations:
-            raise ConfigurationError(f"schedule infeasible: {violations[:3]}")
-        return run_dapd(
-            problem, schedule, epochs,
-            output=output_mode, reference_value=reference, wall_clock=wall_clock,
-        )
-    params = params_for_problem(problem)
-    iterations = epochs * problem.n
-    if method == "sdapd":
-        return run_sdapd(
-            problem, params, iterations, seed,
-            output=output_mode, reference_value=reference, wall_clock=wall_clock,
-        )
-    return run_sparse(
-        problem, params, iterations, seed,
-        reference_value=reference, wall_clock=wall_clock,
+# Cell runners: runner(method, problem, epochs, seed, solver, output_mode,
+# reference_value=..., wall_clock=...) with ``solver`` the config's solver
+# section.
+
+
+def _run_dapd_cell(method, problem, epochs, seed, solver, output_mode, **trace):
+    schedule = schedule_for_problem(problem, case_iv_tau=solver["case_iv_tau"])
+    violations = validate_schedule(
+        schedule,
+        composite_gamma(problem),
+        problem_constants(problem)[1],
+        problem.stats.spectral_norm,
+        horizon=min(epochs, 1000),
     )
+    if violations:
+        raise ConfigurationError(f"schedule infeasible: {violations[:3]}")
+    return run_dapd(problem, schedule, epochs, output=output_mode, **trace)
+
+
+def _run_sdapd_cell(method, problem, epochs, seed, solver, output_mode, **trace):
+    params = params_for_problem(problem)
+    return run_sdapd(problem, params, epochs * problem.n, seed, output=output_mode, **trace)
+
+
+def _run_sparse_cell(method, problem, epochs, seed, solver, output_mode, **trace):
+    # the lazy engine returns the last iterate whatever the output mode
+    params = params_for_problem(problem)
+    return run_sparse(problem, params, epochs * problem.n, seed, **trace)
+
+
+def _run_baseline_cell(method, problem, epochs, seed, solver, output_mode, **trace):
+    steps = solver["overrides"].get(method, {})
+    return run_baseline(BaselineConfig(method, epochs, seed, steps), problem, **trace)
+
+
+class MethodSpec(NamedTuple):
+    runner: Callable
+    seeded: bool  # one cell per configured seed; otherwise one cell in all
+    perturbed: bool  # solves the perturbed problem when solver.epsilon is set
+
+
+# baselines that need smoothness and strong convexity (``perturb_problem``)
+_PERTURBED_BASELINES = ("apgm", "proxsvrg", "spdc")
+
+METHODS = {
+    "dapd": MethodSpec(_run_dapd_cell, seeded=False, perturbed=False),
+    "sdapd": MethodSpec(_run_sdapd_cell, seeded=True, perturbed=True),
+    "sdapd_sparse": MethodSpec(_run_sparse_cell, seeded=True, perturbed=True),
+    **{
+        name: MethodSpec(
+            _run_baseline_cell, name in STOCHASTIC_METHODS, name in _PERTURBED_BASELINES
+        )
+        for name in BASELINE_METHODS
+    },
+}
+ALL_METHODS = tuple(METHODS)
+PERTURBATION_METHODS = tuple(name for name, spec in METHODS.items() if spec.perturbed)
 
 
 @dataclass
@@ -428,30 +460,16 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
     trace_paths = []
     failures = {}
     for method in config.solver["methods"]:
-        seeds = config.solver["seeds"]
-        if method in ("dapd", "pdhg", "apgm", "da"):
-            seeds = [None]  # deterministic: seed list collapses to one run
-        cell_problem = problem
-        if perturbed is not None and method in PERTURBATION_METHODS:
-            cell_problem = perturbed
+        spec = METHODS[method]
+        seeds = config.solver["seeds"] if spec.seeded else [None]
+        cell_problem = perturbed if perturbed is not None and spec.perturbed else problem
         for seed in seeds:
             cell = method if seed is None else f"{method}_seed{seed}"
             try:
-                if method in NATIVE_METHODS:
-                    res = _run_native(
-                        method, cell_problem, epochs, seed or 0, reference.value,
-                        output_mode, wall_clock, config.solver["case_iv_tau"],
-                    )
-                else:
-                    res = run_baseline(
-                        BaselineConfig(
-                            method, epochs=epochs, seed=seed or 0,
-                            steps=config.solver["overrides"].get(method, {}),
-                        ),
-                        cell_problem,
-                        reference_value=reference.value,
-                        wall_clock=wall_clock,
-                    )
+                res = spec.runner(
+                    method, cell_problem, epochs, seed or 0, config.solver, output_mode,
+                    reference_value=reference.value, wall_clock=wall_clock,
+                )
             except (DivergenceError, ConfigurationError) as exc:
                 failures[cell] = str(exc)
                 manifest[f"cell.{cell}.error"] = str(exc)
@@ -460,8 +478,6 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
             write_trace(res.trace, path)
             trace_paths.append(path)
             for key, value in sorted(res.resolved.items()):
-                if key == "samples":
-                    continue
                 manifest[f"cell.{cell}.{key}"] = value
     manifest_path = outdir / "manifest.txt"
     with open(manifest_path, "w") as fh:

@@ -22,7 +22,8 @@ KL divergence, where repeated-prox shortcuts are unavailable).
 
 beta_t and B_t grow geometrically without bound.  ``rebase`` divides
 (v, beta, B) by the current growth factor and accumulates its log in
-``log_scale``; w needs no scaling (w is identically u/(1-theta) once seeded).
+``log_scale``, through the solvers' shared ``deterministic.rescale``; w needs
+no scaling (w is identically u/(1-theta) once seeded).
 Recoveries evaluate the prox in rescaled form via ``recover_primal``, so no
 stored quantity ever overflows, while recovered coordinates are unchanged.
 
@@ -34,22 +35,15 @@ path.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+from .deterministic import RESCALE_THRESHOLD, rescale
 from .errors import ConfigurationError, DivergenceError, StructuralError
 from .matrix import SparseRowMatrix, matvec
-from .proxlib import (
-    CompositeProblem,
-    primal_objective,
-    prox_conjugate,
-    recover_primal,
-)
+from .proxlib import CompositeProblem, prox_conjugate, recover_primal
 from .stochastic import StochasticParams
-from .traces import RunResult, TraceRecord, nnz_fraction
+from .traces import RunResult, Tracer
 
-DEFAULT_REBASE_THRESHOLD = 1e150
 DEFAULT_REBASE_PERIOD = 2**20
 
 
@@ -59,11 +53,12 @@ class LazyState:
     ``v`` and the scalars ``beta_hat`` (beta_t), ``beta_prev_hat``
     (beta_{t-1}) and ``B_hat`` (B_{t-1}) are stored divided by
     exp(log_scale); ``w`` and ``u`` are unscaled.  Only coordinates in the
-    sampled row's support are written per iteration.
+    sampled row's support are written per iteration.  Seeding costs one
+    O(nnz) product A^T y^0, and no work when y^0 = 0.
     """
 
     def __init__(self, x0, y0, A: SparseRowMatrix, params: StochasticParams, seed=0,
-                 rebase_threshold=DEFAULT_REBASE_THRESHOLD,
+                 rebase_threshold=RESCALE_THRESHOLD,
                  rebase_period=DEFAULT_REBASE_PERIOD):
         theta = params.theta
         if not 0.0 < theta < 1.0:
@@ -99,12 +94,6 @@ class LazyState:
         self.rebase_period = rebase_period
         self.rng = np.random.default_rng(seed)
         self.last_sample = -1
-
-
-def init_lazy(x0, y0, A: SparseRowMatrix, params: StochasticParams, **kwargs) -> LazyState:
-    """Seed the decomposition; the single O(nnz) setup cost is A^T y^0
-    (zero work when y^0 = 0)."""
-    return LazyState(x0, y0, A, params, **kwargs)
 
 
 def _recover_coords(state: LazyState, reg, cols):
@@ -181,16 +170,7 @@ def rebase(state: LazyState) -> LazyState:
     """Rescale (v, beta, B) by the accumulated growth so stored values stay
     bounded; recovered coordinates are unchanged (to roundoff) because the
     recovery divides the same factor back out via ``inv_scale``."""
-    factor = state.beta_hat / state.beta0
-    if factor == 1.0:
-        state.rebase_count += 1
-        return state
-    state.v /= factor
-    state.B_hat /= factor
-    state.beta_hat = state.beta0
-    state.beta_prev_hat /= factor
-    state.log_scale += np.log(factor)
-    state.inv_scale = np.exp(-state.log_scale)
+    state.beta_prev_hat /= rescale(state, state.v, state.beta0)
     state.rebase_count += 1
     return state
 
@@ -212,7 +192,7 @@ def run_sparse(
     y0=None,
     reference_value: float | None = None,
     wall_clock: bool = True,
-    rebase_threshold: float = DEFAULT_REBASE_THRESHOLD,
+    rebase_threshold: float = RESCALE_THRESHOLD,
     rebase_period: int = DEFAULT_REBASE_PERIOD,
 ) -> RunResult:
     """Drive the lazy engine; per-epoch traces, last-iterate output only."""
@@ -221,28 +201,15 @@ def run_sparse(
     d, n = problem.dim, problem.n
     x0 = np.zeros(d) if x0 is None else x0
     y0 = np.zeros(n) if y0 is None else y0
-    state = init_lazy(
+    state = LazyState(
         x0, y0, problem.matrix, params, seed=seed,
         rebase_threshold=rebase_threshold, rebase_period=rebase_period,
     )
-    trace = []
-    start = time.perf_counter()
+    tracer = Tracer(problem, reference_value, wall_clock)
     for t in range(iterations):
         sparse_iterate(state, problem, params)
         if (t + 1) % n == 0 or t + 1 == iterations:
-            x_now = finalize_x(state, problem.reg)
-            value = primal_objective(problem, x_now)
-            subopt = value - reference_value if reference_value is not None else np.nan
-            trace.append(
-                TraceRecord(
-                    epoch=(t + n) // n,
-                    primal_value=value,
-                    suboptimality=subopt,
-                    nnz_fraction=nnz_fraction(x_now),
-                    touches=state.touch_counter,
-                    elapsed_seconds=time.perf_counter() - start if wall_clock else 0.0,
-                )
-            )
+            tracer.record((t + n) // n, finalize_x(state, problem.reg), state.touch_counter)
     x_final = finalize_x(state, problem.reg)
     resolved = {
         "eta": params.eta,
@@ -256,4 +223,4 @@ def run_sparse(
         "delta1": problem.loss.dual_perturbation,
         "delta2": problem.reg.primal_perturbation,
     }
-    return RunResult(x=x_final, trace=trace, y=state.y, resolved=resolved)
+    return RunResult(x=x_final, trace=tracer.records, y=state.y, resolved=resolved)

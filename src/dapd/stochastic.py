@@ -20,30 +20,28 @@ problems lacking one, ``perturb_problem`` adds the quadratic perturbations
 delta1/delta2 proportional to the target accuracy.
 
 The same rescaled (grad_sum, B, beta) bookkeeping as the deterministic
-solver keeps geometric growth finite on arbitrarily long runs.
+solver (``deterministic.rescale``) keeps geometric growth finite on
+arbitrarily long runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .deterministic import RESCALE_THRESHOLD, rescale
 from .errors import ConfigurationError, DivergenceError
 from .matrix import matvec
 from .proxlib import (
     CompositeProblem,
-    primal_objective,
     problem_constants,
     prox_conjugate,
     prox_reg,
     recover_primal,
 )
-from .traces import RunResult, TraceRecord, nnz_fraction
-
-RESCALE_THRESHOLD = 1e150
+from .traces import RunResult, Tracer, check_output_mode, select_output
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def perturb_problem(
 class StochasticState:
     """Mutable SDAPD state with the scaled dual-averaging bookkeeping."""
 
-    def __init__(self, problem, params, seed, x0=None, y0=None, log_samples=False):
+    def __init__(self, problem, params, seed, x0=None, y0=None):
         d, n = problem.dim, problem.n
         self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.x = self.x0.copy()
@@ -126,19 +124,6 @@ class StochasticState:
         self.touch_counter = 0
         self.ergodic_x = np.zeros(d)
         self.last_sample = -1
-        self.sample_log = [] if log_samples else None
-
-    def _rescale(self, beta0: float):
-        factor = self.beta_hat / beta0
-        self.s_hat /= factor
-        self.B_hat /= factor
-        self.beta_hat = beta0
-        self.log_scale += np.log(factor)
-        self.inv_scale = np.exp(-self.log_scale)
-
-
-def init_stochastic(problem, params, seed, x0=None, y0=None, log_samples=False):
-    return StochasticState(problem, params, seed, x0=x0, y0=y0, log_samples=log_samples)
 
 
 def sdapd_iterate_dense(
@@ -149,8 +134,6 @@ def sdapd_iterate_dense(
     reg = problem.reg
     i = int(state.rng.integers(n))
     state.last_sample = i
-    if state.sample_log is not None:
-        state.sample_log.append(i)
 
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = prox_reg(reg, params.eta, state.x - params.eta * state.u)
@@ -180,7 +163,7 @@ def sdapd_iterate_dense(
     state.beta_hat *= params.xi
     state.t += 1
     if state.beta_hat > RESCALE_THRESHOLD:
-        state._rescale(params.beta0)
+        rescale(state, state.s_hat, params.beta0)
     return state
 
 
@@ -194,35 +177,21 @@ def run_sdapd(
     x0=None,
     y0=None,
     wall_clock: bool = True,
-    log_samples: bool = False,
 ) -> RunResult:
     """Seeded, reproducible SDAPD run; one trace record per epoch (n
     iterations), plus a final record when the horizon is not a multiple."""
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
-    if output not in ("last", "ergodic", "both"):
-        raise ConfigurationError(f"unknown output mode {output!r}")
+    check_output_mode(output)
     if params.n != problem.n:
         raise ConfigurationError("params were built for a different sample count")
-    state = init_stochastic(problem, params, seed, x0=x0, y0=y0, log_samples=log_samples)
+    state = StochasticState(problem, params, seed, x0=x0, y0=y0)
     n = problem.n
-    trace = []
-    start = time.perf_counter()
+    tracer = Tracer(problem, reference_value, wall_clock)
     for t in range(iterations):
         sdapd_iterate_dense(state, params, problem)
         if (t + 1) % n == 0 or t + 1 == iterations:
-            value = primal_objective(problem, state.x)
-            subopt = value - reference_value if reference_value is not None else np.nan
-            trace.append(
-                TraceRecord(
-                    epoch=(t + 1 + n - 1) // n,
-                    primal_value=value,
-                    suboptimality=subopt,
-                    nnz_fraction=nnz_fraction(state.x),
-                    touches=state.touch_counter,
-                    elapsed_seconds=time.perf_counter() - start if wall_clock else 0.0,
-                )
-            )
+            tracer.record((t + n) // n, state.x, state.touch_counter)
     resolved = {
         "eta": params.eta,
         "tau": params.tau,
@@ -233,11 +202,4 @@ def run_sdapd(
         "delta1": problem.loss.dual_perturbation,
         "delta2": problem.reg.primal_perturbation,
     }
-    result = RunResult(x=state.x, trace=trace, y=state.y, resolved=resolved)
-    if output in ("ergodic", "both"):
-        result.x_ergodic = state.ergodic_x.copy()
-    if output == "ergodic":
-        result.x = state.ergodic_x.copy()
-    if log_samples:
-        result.resolved["samples"] = list(state.sample_log)
-    return result
+    return select_output(state, output, tracer.records, resolved)

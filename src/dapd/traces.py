@@ -1,12 +1,17 @@
-"""Per-epoch trace records, CSV serialization, and the shared run result."""
+"""Per-epoch trace records, the tracer every solver records them with, CSV
+serialization, and the shared run result."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ConfigurationError, DivergenceError, StructuralError
+from .proxlib import primal_objective
+
+OUTPUT_MODES = ("last", "ergodic", "both")
 
 TRACE_HEADER = "epoch,primal_value,suboptimality,nnz_fraction,touches,elapsed_seconds"
 
@@ -48,6 +53,55 @@ def nnz_fraction(x: np.ndarray, tol: float = NNZ_TOLERANCE) -> float:
     if x.size == 0:
         return 0.0
     return float(np.count_nonzero(np.abs(x) > tol)) / x.size
+
+
+class Tracer:
+    """Per-epoch trace of one run.
+
+    Owns the run's wall clock (started at construction) and the evaluation of
+    each recorded point.  Every solver fails the same way on a point whose
+    objective is not finite: ``DivergenceError`` naming the epoch.
+    """
+
+    def __init__(self, problem, reference_value: float | None, wall_clock: bool):
+        self.problem = problem
+        self.reference = reference_value
+        self.wall_clock = wall_clock
+        self.records = []
+        self.start = time.perf_counter()
+
+    def record(self, epoch: int, x: np.ndarray, touches: int) -> None:
+        # called through this module's global names: the benchmark's call
+        # tracing (perfbench/tracing.py) patches those names to time them
+        value = primal_objective(self.problem, x)
+        if not np.isfinite(value):
+            raise DivergenceError(f"non-finite objective at epoch {epoch}", iteration=epoch)
+        subopt = value - self.reference if self.reference is not None else np.nan
+        self.records.append(
+            TraceRecord(
+                epoch=epoch,
+                primal_value=value,
+                suboptimality=subopt,
+                nnz_fraction=nnz_fraction(x),
+                touches=touches,
+                elapsed_seconds=time.perf_counter() - self.start if self.wall_clock else 0.0,
+            )
+        )
+
+
+def check_output_mode(output: str) -> None:
+    """Reject an ``output`` mode before a run starts; see ``select_output``."""
+    if output not in OUTPUT_MODES:
+        raise ConfigurationError(f"unknown output mode {output!r}")
+
+
+def select_output(state, output: str, trace: list, resolved: dict) -> RunResult:
+    """The run result for ``output``: "last" returns the last iterate
+    ``state.x``, "ergodic" the beta-weighted average ``state.ergodic_x``, and
+    "both" the last iterate with the average in ``x_ergodic``."""
+    x_ergodic = state.ergodic_x.copy() if output != "last" else None
+    x = state.ergodic_x.copy() if output == "ergodic" else state.x
+    return RunResult(x=x, trace=trace, x_ergodic=x_ergodic, y=state.y, resolved=resolved)
 
 
 def write_trace(records, path) -> None:

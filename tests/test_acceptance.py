@@ -13,8 +13,8 @@ import pytest
 
 from dapd.baselines import BaselineConfig, run_baseline
 from dapd.deterministic import (
+    IterateState,
     dapd_iterate,
-    init_state,
     make_schedule,
     run_dapd,
     schedule_for_problem,
@@ -42,9 +42,9 @@ from dapd.proxlib import (
     svm_problem,
 )
 from dapd.harness import compute_reference
-from dapd.sparse_engine import init_lazy, materialize_s, run_sparse, sparse_iterate
+from dapd.sparse_engine import LazyState, materialize_s, run_sparse, sparse_iterate
 from dapd.stochastic import (
-    init_stochastic,
+    StochasticState,
     params_for_problem,
     perturb_problem,
     run_sdapd,
@@ -94,7 +94,7 @@ class TestCriterion1:
         for _ in range(20):
             prob, x_star, y_star = deterministic_ridge_instance(rng)
             sched = schedule_for_problem(prob)
-            state = init_state(prob, sched)
+            state = IterateState(prob, sched)
             numerator = (sched.beta(0) / (2 * sched.tau(0))) * float(y_star @ y_star)
             numerator += 0.5 * float(x_star @ x_star)
             f_star = saddle_value(prob, x_star, y_star)
@@ -130,7 +130,7 @@ class TestCriterion2:
             R = prob.stats.spectral_norm
             xi = 1.0 + np.sqrt(mu * gamma) / R
             sched = schedule_for_problem(prob)
-            state = init_state(prob, sched)
+            state = IterateState(prob, sched)
             numerator = float(x_star @ x_star) + (gamma / mu) * float(y_star @ y_star)
             # squared distances cannot be resolved below (ulp * ||x*||)^2
             floor = (1e-12 * (1.0 + np.linalg.norm(x_star))) ** 2
@@ -210,7 +210,7 @@ class TestCriterion4:
         rng = np.random.default_rng(1004)
         prob = sparse_instance(rng, 100, 200, 0.05, l2_reg(0.1))
         params = params_for_problem(prob)
-        lazy = init_lazy(np.zeros(200), np.zeros(100), prob.matrix, params, seed=77)
+        lazy = LazyState(np.zeros(200), np.zeros(100), prob.matrix, params, seed=77)
         # dense shadow with the identical sample stream
         shadow_rng = np.random.default_rng(77)
         from dapd.proxlib import prox_reg, recover_primal
@@ -268,12 +268,12 @@ class TestCriterion6:
         params = params_for_problem(prob)
         row_nnz = np.diff(prob.matrix.row_offsets)
         mean_nnz = float(row_nnz.mean())
-        state = init_lazy(np.zeros(d), np.zeros(n), prob.matrix, params, seed=4)
+        state = LazyState(np.zeros(d), np.zeros(n), prob.matrix, params, seed=4)
         iterations = 2000
         for _ in range(iterations):
             sparse_iterate(state, prob, params)
         mean_touches = state.touch_counter / iterations
-        dense_state = init_stochastic(prob, params, seed=4)
+        dense_state = StochasticState(prob, params, seed=4)
         for _ in range(50):
             before = dense_state.touch_counter
             sdapd_iterate_dense(dense_state, params, prob)
@@ -445,7 +445,7 @@ class TestCriterion10:
 
         # DAPD run until suboptimality <= 1e-8
         sched = schedule_for_problem(prob)
-        state = init_state(prob, sched)
+        state = IterateState(prob, sched)
         dapd_x = None
         for t in range(100_000):
             dapd_iterate(state, sched, prob)
@@ -457,7 +457,7 @@ class TestCriterion10:
         # SDAPD on the perturbed problem, last iterate at 1e-8 on the original
         pert = perturb_problem(prob, 1e-5, c1=0.1, c2=1.0)
         params = params_for_problem(pert)
-        sstate = init_stochastic(pert, params, seed=3)
+        sstate = StochasticState(pert, params, seed=3)
         sdapd_x = None
         for t in range(1_000_000):
             sdapd_iterate_dense(sstate, params, pert)
@@ -473,7 +473,7 @@ class TestCriterion10:
         sgd_subopt = sgd.trace[-1].suboptimality
         sgd_nnz = nnz_fraction(sgd.x)
         # native iterates at the matched (coarser) suboptimality level
-        match_state = init_state(prob, sched)
+        match_state = IterateState(prob, sched)
         matched_nnz = None
         for t in range(100_000):
             dapd_iterate(match_state, sched, prob)
@@ -529,7 +529,7 @@ class TestCriterion11:
             for eps in (1e-2, 1e-3, 1e-4):
                 pert = perturb_problem(prob, eps, c1=0.1, c2=0.1)
                 params = params_for_problem(pert)
-                state = init_stochastic(pert, params, seed=5)
+                state = StochasticState(pert, params, seed=5)
                 hit = None
                 for t in range(2_000_000):
                     sdapd_iterate_dense(state, params, pert)

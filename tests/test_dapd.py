@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dapd.deterministic import (
+    IterateState,
     dapd_iterate,
     geometric_schedule,
-    init_state,
     make_schedule,
     run_dapd,
     schedule_for_problem,
@@ -46,7 +46,7 @@ class TestIterate:
     def test_one_d_hand_iteration(self):
         prob = one_d_problem()
         sched = make_schedule(gamma=1.0, mu=1.0, R=1.0)
-        state = init_state(prob, sched)
+        state = IterateState(prob, sched)
         dapd_iterate(state, sched, prob)
         assert state.xbar[0] == 0.0
         assert state.y[0] == pytest.approx(-0.5, abs=0)
@@ -59,7 +59,7 @@ class TestIterate:
         )
         sched = geometric_schedule(eta=1.0, tau=1.0, beta0=1.0, xi=2.0)
         x0 = np.array([1.0, -2.0, 3.0])
-        state = init_state(prob, sched, x0=x0)
+        state = IterateState(prob, sched, x0=x0)
         dapd_iterate(state, sched, prob)
         # dual decouples to a pure conjugate prox, primal to a g-prox of x0
         want_y = [prox_conjugate(prob.loss, i, 1.0, 0.0) for i in range(2)]
@@ -70,7 +70,7 @@ class TestIterate:
         rng = np.random.default_rng(8)
         prob, _, _ = random_ridge(rng, 6, 4, mu=0.3)
         sched = schedule_for_problem(prob)
-        state = init_state(prob, sched)
+        state = IterateState(prob, sched)
         ys = []
         for _ in range(40):
             dapd_iterate(state, sched, prob)
@@ -85,7 +85,7 @@ class TestIterate:
         rng = np.random.default_rng(9)
         prob, _, _ = random_ridge(rng, 5, 3, mu=0.2)
         sched = schedule_for_problem(prob)
-        state = init_state(prob, sched)
+        state = IterateState(prob, sched)
         from dapd.proxlib import recover_primal
 
         for _ in range(25):
@@ -113,7 +113,7 @@ class TestRun:
         rng = np.random.default_rng(10)
         prob, _, _ = random_ridge(rng, 6, 4, mu=0.4)
         sched = schedule_for_problem(prob)
-        state = init_state(prob, sched)
+        state = IterateState(prob, sched)
         xbars, betas = [], []
         for t in range(30):
             dapd_iterate(state, sched, prob)
@@ -143,9 +143,12 @@ class TestRun:
         # grossly infeasible steps: eta*tau*R^2 >> 1
         bad = geometric_schedule(eta=50.0, tau=50.0, beta0=1.0, xi=2.0)
         assert validate_schedule(bad, 1.0, 0.2, prob.stats.spectral_norm, 3)
-        with pytest.raises(DivergenceError) as info:
-            run_dapd(prob, bad, iterations=2000)
-        assert info.value.iteration is not None
+        # after 148 iterations x is still finite but its objective is not: the
+        # run fails there too instead of tracing an infinite primal value
+        for iterations in (2000, 148):
+            with pytest.raises(DivergenceError) as info:
+                run_dapd(prob, bad, iterations=iterations)
+            assert info.value.iteration is not None
 
 
 class TestTheoremBounds:
@@ -155,7 +158,7 @@ class TestTheoremBounds:
         for trial in range(3):
             prob, x_star, y_star = random_ridge(rng, 8, 8, mu=0.1)
             sched = schedule_for_problem(prob)
-            state = init_state(prob, sched)
+            state = IterateState(prob, sched)
             numerator = (sched.beta(0) / (2 * sched.tau(0))) * np.dot(y_star, y_star)
             numerator += 0.5 * np.dot(x_star, x_star)
             f_star = saddle_value(prob, x_star, y_star)
@@ -176,7 +179,7 @@ class TestTheoremBounds:
         R = prob.stats.spectral_norm
         xi = 1.0 + np.sqrt(mu * gamma) / R
         sched = schedule_for_problem(prob)
-        state = init_state(prob, sched)
+        state = IterateState(prob, sched)
         numerator = np.dot(x_star, x_star) + (gamma / mu) * np.dot(y_star, y_star)
         dists = []
         for t in range(1, 301):

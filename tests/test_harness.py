@@ -7,6 +7,8 @@ import pytest
 from dapd.cli import main as cli_main
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
 from dapd.harness import (
+    ALL_METHODS,
+    PERTURBATION_METHODS,
     ReferenceSolution,
     RunConfig,
     build_problem,
@@ -112,16 +114,25 @@ class TestReference:
         with pytest.raises(CertificationError, match="cvxpy is not installed"):
             compute_reference(small_lasso_problem(), 1e-7, method="cvxpy")
 
-    def test_native_kl_reference_refused_before_iterating(self, monkeypatch):
-        def no_iterations(*args, **kwargs):
-            raise AssertionError("run_dapd called for an uncertifiable kl problem")
+    @pytest.mark.parametrize("method", ["solver", "cvxpy", "auto"])
+    def test_native_kl_reference_refused_before_iterating(self, monkeypatch, method):
+        def never(*args, **kwargs):
+            raise AssertionError("an uncertifiable kl problem was solved")
 
-        monkeypatch.setitem(sys.modules, "cvxpy", None)
-        monkeypatch.setattr("dapd.harness.run_dapd", no_iterations)
+        monkeypatch.setattr("dapd.harness.run_dapd", never)
+        monkeypatch.setattr("dapd.harness._cvxpy_reference", never)
         A = build_matrix([(0, 0, 1.0), (1, 1, 2.0)], 2, 2)
         prob = make_problem(A, squared_loss([1.0, 1.0]), kl_reg(0.5), "finite_sum")
         with pytest.raises(CertificationError, match="no feasible dual point exists for kl"):
-            compute_reference(prob, 1e-6)
+            compute_reference(prob, 1e-6, method=method)
+
+    def test_direct_refuses_non_ridge_form(self):
+        # a lasso is not ridge-form; the direct solve would ignore its l1 term
+        rng = np.random.default_rng(5)
+        triplets = [(i, j, rng.normal()) for i in range(30) for j in range(10)]
+        prob = lasso_problem(build_matrix(triplets, 30, 10), rng.normal(size=30), 0.5)
+        with pytest.raises(ConfigurationError, match="ridge-form"):
+            compute_reference(prob, 1e-9, method="direct")
 
     def test_zero_accuracy_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -174,12 +185,34 @@ def base_config(tmp_path, methods, seeds, epochs=3):
     }
 
 
+HINGE_L2 = {
+    "source": {"kind": "synth_sparse_classification", "n": 12, "d": 6, "density": 0.5, "seed": 4},
+    "loss": "hinge",
+    "regularizer": {"kind": "l2", "lam": 0.5},
+}
+
+
 class TestRunExperiment:
-    def test_cell_counts(self, tmp_path):
-        cfg = base_config(tmp_path, ["sdapd", "proxsgd"], seeds=[1, 2, 3])
+    # every method runs once per seed, or once when deterministic; hinge + l2
+    # is neither smooth nor perturbed without epsilon, so exactly the methods
+    # that get the perturbed problem fail then
+    @pytest.mark.parametrize(
+        "problem, methods, seeds, epsilon, traces, failed",
+        [
+            ({}, ["sdapd", "proxsgd"], [1, 2, 3], None, 6, set()),
+            (HINGE_L2, ALL_METHODS, [1, 2], 1e-3, 4 + 6 * 2, set()),
+            (HINGE_L2, ALL_METHODS, [1, 2], None, 3 + 2 * 2, set(PERTURBATION_METHODS)),
+        ],
+        ids=["ridge", "all_methods", "all_methods_unperturbed"],
+    )
+    def test_cell_counts(self, tmp_path, problem, methods, seeds, epsilon, traces, failed):
+        cfg = base_config(tmp_path, list(methods), seeds=seeds)
+        cfg["problem"].update(problem)
+        cfg["solver"]["epsilon"] = epsilon
         result = run_experiment(RunConfig.from_dict(cfg))
-        assert result.ok
-        assert len(result.trace_paths) == 6
+        assert {cell.split("_seed")[0] for cell in result.failures} == failed
+        assert result.ok == (not failed)
+        assert len(result.trace_paths) == traces
         assert result.manifest_path.exists()
 
     def test_deterministic_ignores_seed_list(self, tmp_path):

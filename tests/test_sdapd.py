@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dapd.deterministic import geometric_schedule, init_state, dapd_iterate
+from dapd.deterministic import IterateState, dapd_iterate, geometric_schedule
 from dapd.errors import ConfigurationError, DivergenceError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
@@ -18,7 +18,7 @@ from dapd.proxlib import (
     svm_problem,
 )
 from dapd.stochastic import (
-    init_stochastic,
+    StochasticState,
     params_for_problem,
     perturb_problem,
     run_sdapd,
@@ -94,7 +94,7 @@ class TestSingleSample:
     def test_first_iterate_matches_dapd(self):
         prob = one_d_unit_problem()
         params = sdapd_params(1, 1.0, 1.0, 1.0)
-        state = init_stochastic(prob, params, seed=0)
+        state = StochasticState(prob, params, seed=0)
         sdapd_iterate_dense(state, params, prob)
         assert state.xbar[0] == 0.0
         assert state.y[0] == pytest.approx(-0.5, abs=0)
@@ -104,8 +104,8 @@ class TestSingleSample:
         prob = one_d_unit_problem()
         params = sdapd_params(1, 1.0, 1.0, 1.0)
         sched = geometric_schedule(params.eta, params.tau, params.beta0, params.xi)
-        s_state = init_stochastic(prob, params, seed=3)
-        d_state = init_state(prob, sched)
+        s_state = StochasticState(prob, params, seed=3)
+        d_state = IterateState(prob, sched)
         for _ in range(60):
             sdapd_iterate_dense(s_state, params, prob)
             dapd_iterate(d_state, sched, prob)
@@ -118,7 +118,7 @@ class TestIterate:
         rng = np.random.default_rng(4)
         prob, _, _ = finite_sum_ridge(rng, 12, 6, mu=0.2)
         params = params_for_problem(prob)
-        state = init_stochastic(prob, params, seed=7)
+        state = StochasticState(prob, params, seed=7)
         for _ in range(1000):
             sdapd_iterate_dense(state, params, prob)
         fresh = matvec(prob.matrix, state.y, transpose=True) / prob.n
@@ -128,7 +128,7 @@ class TestIterate:
         rng = np.random.default_rng(5)
         prob, _, _ = finite_sum_ridge(rng, 10, 8, mu=0.3)
         params = params_for_problem(prob)
-        state = init_stochastic(prob, params, seed=1)
+        state = StochasticState(prob, params, seed=1)
         d = prob.dim
         for _ in range(50):
             before = state.touch_counter
@@ -144,7 +144,7 @@ class TestIterate:
         rng = np.random.default_rng(6)
         prob, _, _ = finite_sum_ridge(rng, 5, 3, mu=0.4)
         params = params_for_problem(prob)
-        state = init_stochastic(prob, params, seed=2)
+        state = StochasticState(prob, params, seed=2)
         for _ in range(3):
             sdapd_iterate_dense(state, params, prob)
         n = prob.n
@@ -167,7 +167,7 @@ class TestIterate:
         rng = np.random.default_rng(7)
         prob, _, _ = finite_sum_ridge(rng, 6, 4, mu=0.5)
         params = params_for_problem(prob)
-        state = init_stochastic(prob, params, seed=0)
+        state = StochasticState(prob, params, seed=0)
         prev = state.beta_hat
         for _ in range(100):
             sdapd_iterate_dense(state, params, prob)
@@ -184,14 +184,6 @@ class TestRun:
         b = run_sdapd(prob, params_for_problem(prob), 200, seed=42, wall_clock=False)
         assert np.array_equal(a.x, b.x)
         assert a.trace == b.trace
-
-    def test_sample_log(self):
-        rng = np.random.default_rng(9)
-        prob, _, _ = finite_sum_ridge(rng, 7, 4, mu=0.3)
-        res = run_sdapd(prob, params_for_problem(prob), 25, seed=5, log_samples=True)
-        samples = res.resolved["samples"]
-        assert len(samples) == 25
-        assert all(0 <= i < 7 for i in samples)
 
     def test_zero_iterations_rejected(self):
         rng = np.random.default_rng(10)

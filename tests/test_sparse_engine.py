@@ -13,8 +13,8 @@ from dapd.proxlib import (
     squared_loss,
 )
 from dapd.sparse_engine import (
+    LazyState,
     finalize_x,
-    init_lazy,
     lazy_primal_coord,
     materialize_s,
     rebase,
@@ -23,7 +23,7 @@ from dapd.sparse_engine import (
 )
 from dapd.stochastic import (
     StochasticParams,
-    init_stochastic,
+    StochasticState,
     params_for_problem,
     perturb_problem,
     run_sdapd,
@@ -50,27 +50,27 @@ def unit_params(n=1, xi=2.0):
 class TestInit:
     def test_zero_dual_start(self):
         A = build_matrix([(0, 0, 1.0)], 1, 1)
-        state = init_lazy(np.zeros(1), np.zeros(1), A, unit_params())
+        state = LazyState(np.zeros(1), np.zeros(1), A, unit_params())
         assert state.v[0] == 0.0 and state.w[0] == 0.0 and state.u[0] == 0.0
 
     def test_nonzero_dual_seeds_constants(self):
         # theta = 0.5, beta0 = 1, n = 1, A = [1], y0 = 1:
         # v = -beta0*theta/(n(1-theta)) = -1,  w = 1/(n(1-theta)) = 2
         A = build_matrix([(0, 0, 1.0)], 1, 1)
-        state = init_lazy(np.zeros(1), np.ones(1), A, unit_params())
+        state = LazyState(np.zeros(1), np.ones(1), A, unit_params())
         assert state.v[0] == pytest.approx(-1.0, abs=0)
         assert state.w[0] == pytest.approx(2.0, abs=0)
         assert state.u[0] == pytest.approx(1.0, abs=0)
 
     def test_materialize_empty_sum_is_zero(self):
         A = build_matrix([(0, 0, 1.0)], 1, 1)
-        state = init_lazy(np.zeros(1), np.ones(1), A, unit_params())
+        state = LazyState(np.zeros(1), np.ones(1), A, unit_params())
         assert np.allclose(materialize_s(state), 0.0, atol=1e-15)
 
     def test_invalid_theta_rejected(self):
         A = build_matrix([(0, 0, 1.0)], 1, 1)
         with pytest.raises(ConfigurationError):
-            init_lazy(np.zeros(1), np.zeros(1), A, StochasticParams(1.0, 1.0, 1.0, 1.0, 1))
+            LazyState(np.zeros(1), np.zeros(1), A, StochasticParams(1.0, 1.0, 1.0, 1.0, 1))
 
 
 class TestLemmaBaseCase:
@@ -79,7 +79,7 @@ class TestLemmaBaseCase:
         # s1 = 1.2 = (beta0/n) * ybar^1
         A = build_matrix([(0, 0, 1.0)], 1, 1)
         prob = make_problem(A, squared_loss([-0.4]), l2_reg(1.0), "finite_sum")
-        state = init_lazy(np.array([3.0]), np.array([1.0]), A, unit_params())
+        state = LazyState(np.array([3.0]), np.array([1.0]), A, unit_params())
         sparse_iterate(state, prob, unit_params())
         assert state.y[0] == pytest.approx(1.2, abs=1e-15)
         assert state.v[0] == pytest.approx(-1.2, abs=1e-14)
@@ -91,14 +91,14 @@ class TestLazyRecovery:
     def test_fresh_state_identity(self):
         A = build_matrix([(0, 0, 1.0), (0, 1, 2.0)], 1, 2)
         reg = l1_reg(0.5)
-        state = init_lazy(np.array([1.5, -2.0]), np.zeros(1), A, unit_params())
+        state = LazyState(np.array([1.5, -2.0]), np.zeros(1), A, unit_params())
         x0_j, _ = lazy_primal_coord(state, 0, reg)
         assert x0_j == 1.5  # B_{-1} = 0 serves x0 directly
         assert state.touch_counter == 2
 
     def test_out_of_range(self):
         A = build_matrix([(0, 0, 1.0)], 1, 1)
-        state = init_lazy(np.zeros(1), np.zeros(1), A, unit_params())
+        state = LazyState(np.zeros(1), np.zeros(1), A, unit_params())
         with pytest.raises(StructuralError):
             lazy_primal_coord(state, 5, l1_reg(0.1))
 
@@ -107,8 +107,8 @@ class TestLazyRecovery:
         prob = sparse_problem(rng, 8, 12, 0.4, l1_reg(0.05))
         prob = perturb_problem(prob, 0.01)
         params = params_for_problem(prob)
-        dense = init_stochastic(prob, params, seed=11)
-        lazy = init_lazy(np.zeros(12), np.zeros(8), prob.matrix, params, seed=11)
+        dense = StochasticState(prob, params, seed=11)
+        lazy = LazyState(np.zeros(12), np.zeros(8), prob.matrix, params, seed=11)
         for _ in range(300):
             sdapd_iterate_dense(dense, params, prob)
             sparse_iterate(lazy, prob, params)
@@ -121,7 +121,7 @@ class TestLazyRecovery:
         prob = sparse_problem(rng, 6, 10, 0.5, l1_reg(50.0))
         prob = perturb_problem(prob, 1e-3)
         params = params_for_problem(prob)
-        lazy = init_lazy(np.zeros(10), np.zeros(6), prob.matrix, params, seed=0)
+        lazy = LazyState(np.zeros(10), np.zeros(6), prob.matrix, params, seed=0)
         for _ in range(200):
             sparse_iterate(lazy, prob, params)
         assert np.all(finalize_x(lazy, prob.reg) == 0.0)
@@ -136,7 +136,7 @@ class TestSparseIterate:
         A = build_matrix([(0, 10, 1.0), (0, 500_000, -2.0), (0, d - 1, 0.5)], 1, d)
         prob = make_problem(A, squared_loss([1.0]), l2_reg(0.1), "finite_sum")
         params = params_for_problem(prob)
-        state = init_lazy(np.zeros(d), np.zeros(1), A, params, seed=0)
+        state = LazyState(np.zeros(d), np.zeros(1), A, params, seed=0)
         before = state.touch_counter
         sparse_iterate(state, prob, params)
         assert state.touch_counter - before <= 8 * 3 + 4
@@ -145,7 +145,7 @@ class TestSparseIterate:
         A = build_matrix([], 1, 3)
         prob = make_problem(A, squared_loss([2.0]), l2_reg(0.3), "finite_sum")
         params = unit_params(n=1)
-        state = init_lazy(np.zeros(3), np.zeros(1), A, params, seed=0)
+        state = LazyState(np.zeros(3), np.zeros(1), A, params, seed=0)
         sparse_iterate(state, prob, params)
         assert state.y[0] != 0.0
         assert np.all(state.v == 0) and np.all(state.w == 0) and np.all(state.u == 0)
@@ -154,7 +154,7 @@ class TestSparseIterate:
         rng = np.random.default_rng(5)
         prob = sparse_problem(rng, 10, 30, 0.15, l2_reg(0.2))
         params = params_for_problem(prob)
-        state = init_lazy(np.zeros(30), np.zeros(10), prob.matrix, params, seed=9)
+        state = LazyState(np.zeros(30), np.zeros(10), prob.matrix, params, seed=9)
         for _ in range(40):
             v0, w0, u0 = state.v.copy(), state.w.copy(), state.u.copy()
             sparse_iterate(state, prob, params)
@@ -171,7 +171,7 @@ class TestMaterialize:
         rng = np.random.default_rng(6)
         prob = sparse_problem(rng, 10, 15, 0.3, l2_reg(0.4))
         params = params_for_problem(prob)
-        lazy = init_lazy(np.zeros(15), np.zeros(10), prob.matrix, params, seed=21)
+        lazy = LazyState(np.zeros(15), np.zeros(10), prob.matrix, params, seed=21)
         # dense shadow accumulates s directly with the same sample stream
         rng_shadow = np.random.default_rng(21)
         y = np.zeros(10)
@@ -206,7 +206,7 @@ class TestRebase:
     def test_rebase_right_after_init_is_noop(self):
         A = build_matrix([(0, 0, 1.0)], 1, 1)
         reg = l2_reg(0.5)
-        state = init_lazy(np.array([2.0]), np.zeros(1), A, unit_params())
+        state = LazyState(np.array([2.0]), np.zeros(1), A, unit_params())
         before = lazy_primal_coord(state, 0, reg)
         rebase(state)
         assert lazy_primal_coord(state, 0, reg) == before
@@ -218,7 +218,7 @@ class TestRebase:
             prob = perturb_problem(prob, 1e-3)
             params = params_for_problem(prob)
             x0 = np.ones(12) if reg.kind == "kl" else np.zeros(12)
-            state = init_lazy(x0, np.zeros(8), prob.matrix, params, seed=3)
+            state = LazyState(x0, np.zeros(8), prob.matrix, params, seed=3)
             for _ in range(137):
                 sparse_iterate(state, prob, params)
             before = finalize_x(state, prob.reg)
@@ -247,7 +247,7 @@ class TestRebase:
         rng = np.random.default_rng(12)
         prob = sparse_problem(rng, 4, 5, 0.6, l2_reg(0.3))
         params = StochasticParams(eta=0.5, tau=0.5, beta0=0.5, xi=1.001, n=4)
-        state = init_lazy(np.zeros(5), np.zeros(4), prob.matrix, params, seed=6,
+        state = LazyState(np.zeros(5), np.zeros(4), prob.matrix, params, seed=6,
                           rebase_threshold=1e20, rebase_period=0)
         checkpoints = {200_000, 400_000, 800_000}
         for t in range(800_000):
@@ -264,7 +264,7 @@ class TestRebase:
 class TestFinalize:
     def test_t0_identity(self):
         A = build_matrix([(0, 0, 1.0)], 1, 2)
-        state = init_lazy(np.array([0.7, -0.2]), np.zeros(1), A, unit_params())
+        state = LazyState(np.array([0.7, -0.2]), np.zeros(1), A, unit_params())
         assert np.array_equal(finalize_x(state, l1_reg(0.5)), [0.7, -0.2])
 
     def test_matches_dense_last_iterate(self):
