@@ -23,6 +23,7 @@ from .datasets import load_libsvm
 from .deterministic import schedule_for_problem, validate_schedule
 from .errors import CertificationError, ConfigurationError, DivergenceError, ParseError
 from .harness import RunConfig, build_problem, compute_reference, run_experiment
+from .matrix import backend
 from .matrix import stats as matrix_stats
 from .proxlib import composite_gamma, problem_constants
 
@@ -100,6 +101,7 @@ def _cmd_stats(args) -> int:
     print(f"density: {st.density:.6g}")
     print(f"spectral_norm (R): {st.spectral_norm:.12g}")
     print(f"max_row_norm (Rbar): {st.max_row_norm:.12g}")
+    print(f"matrix.backend: {backend()}")
     if not st.spectral_norm_converged:
         print("warning: power iteration did not converge; R is a best estimate")
     return 0

@@ -139,8 +139,15 @@ def synth_ridge(n: int, d: int, cov="identity", noise_sigma: float = 0.1, seed: 
             rows[:, j] = r * rows[:, j - 1] + scale * z[:, j]
         cov_name = f"ar1({r})"
     noise = noise_sigma * rng.standard_normal(n)
-    triplets = [(i, j, rows[i, j]) for i in range(n) for j in range(d)]
-    matrix = build_matrix(triplets, n, d)
+    # every entry stored, in row-major order: the arrays build_matrix makes
+    # from the n*d triplets (i, j, rows[i, j]), without building them
+    matrix = SparseRowMatrix(
+        n,
+        d,
+        np.arange(n + 1, dtype=np.int64) * d,
+        np.tile(np.arange(d, dtype=np.int64), n),
+        rows.reshape(-1).copy(),
+    )
     # evaluate the model through the same kernel solvers use, so the
     # zero-noise residual is exactly zero
     b = matvec(matrix, x_true) + noise

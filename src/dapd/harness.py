@@ -22,9 +22,15 @@ import numpy as np
 
 from .baselines import BASELINE_METHODS, STOCHASTIC_METHODS, BaselineConfig, run_baseline
 from .datasets import Dataset, load_libsvm, synth_ridge, synth_sparse_classification
-from .deterministic import run_dapd, schedule_for_problem, validate_schedule
+from .deterministic import (
+    IterateState,
+    dapd_iterate,
+    run_dapd,
+    schedule_for_problem,
+    validate_schedule,
+)
 from .errors import CertificationError, ConfigurationError, DivergenceError
-from .matrix import matvec
+from .matrix import backend, matvec
 from .proxlib import (
     CompositeProblem,
     Regularizer,
@@ -150,24 +156,32 @@ def _cvxpy_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSol
     return _certify(problem, x_val, y_candidate, accuracy, "cvxpy")
 
 
+# cumulative iteration counts at which the native reference tries to certify
+REFERENCE_CHECKPOINTS = tuple(2000 * 2**k for k in range(8))
+
+
 def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSolution:
     """High-accuracy run of the native deterministic solver, duality-gap
-    certified.  Used when cvxpy is unavailable."""
+    certified.  Used when cvxpy is unavailable.
+
+    One run is continued and certified after each of ``REFERENCE_CHECKPOINTS``
+    iterations; DAPD is deterministic, so the point at a checkpoint is the one
+    a fresh run of that length would return."""
     schedule = schedule_for_problem(problem)
-    iterations = 2000
+    state = IterateState(problem, schedule)
     last_exc = None
-    for _ in range(8):
-        res = run_dapd(problem, schedule, iterations, record_every=iterations)
+    for checkpoint in REFERENCE_CHECKPOINTS:
+        while state.t < checkpoint:
+            dapd_iterate(state, schedule, problem)
         if problem.loss.kind == "squared":
-            u = matvec(problem.matrix, res.x)
+            u = matvec(problem.matrix, state.x)
             y_candidate = problem.loss_scale * (u - problem.loss.targets)
         else:
-            y_candidate = res.y
+            y_candidate = state.y
         try:
-            return _certify(problem, res.x, y_candidate, accuracy, "dapd_run")
+            return _certify(problem, state.x, y_candidate, accuracy, "dapd_run")
         except CertificationError as exc:
             last_exc = exc
-            iterations *= 2
     raise last_exc
 
 
@@ -438,6 +452,7 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
         "problem.gamma": gamma,
         "problem.mu": mu,
         "problem.spectral_norm_converged": problem.stats.spectral_norm_converged,
+        "matrix.backend": backend(),
     }
     reference = compute_reference(problem, config.output["reference_accuracy"])
     manifest["reference.value"] = reference.value

@@ -1,0 +1,119 @@
+"""Build-on-demand C kernels (``kernels.c``), loaded through ctypes.
+
+``library()`` compiles ``kernels.c`` on first use with the system C compiler
+(``cc``, else ``gcc``, found on PATH) and caches the shared library in
+``$XDG_CACHE_HOME/dapd``, or ``~/.cache/dapd`` when that variable is unset.
+The file is named by a hash of the source, the flags and the compiler, so a
+changed source or compiler builds a new file next to the old one.  Each build
+writes a temporary file and renames it into place, so processes that build
+at the same time never load a half-written library.
+
+Any failure (no compiler, a compile error, a cache directory that cannot be
+created or that another user can write, a load error) makes ``library()``
+return None for the rest of the process; callers then use their numpy code.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import stat
+import subprocess
+import tempfile
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("kernels.c")
+# no -ffast-math or -march=native: the kernels must round exactly as numpy
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+COMPILERS = ("cc", "gcc")
+COMPILE_TIMEOUT_S = 120
+
+_PTR = ctypes.c_void_p
+SIGNATURES = {
+    "csr_matvec": (ctypes.c_int64, _PTR, _PTR, _PTR, _PTR, _PTR),
+    "csr_rmatvec": (ctypes.c_int64, ctypes.c_int64, _PTR, _PTR, _PTR, _PTR, _PTR),
+}
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/dapd``; ``~/.cache/dapd`` when the variable is unset
+    or not an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "dapd"
+
+
+def _find_compiler() -> str | None:
+    for name in COMPILERS:
+        path = shutil.which(name)
+        if path is not None:
+            return os.path.realpath(path)
+    return None
+
+
+def _library_name(compiler: str) -> str:
+    info = os.stat(compiler)
+    key = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), " ".join(FLAGS).encode(), compiler.encode(),
+                 f"{info.st_size}:{info.st_mtime_ns}".encode()):
+        key.update(part)
+        key.update(b"\0")
+    return f"kernels-{key.hexdigest()[:20]}.so"
+
+
+def _private_dir(path: Path) -> Path:
+    """Create ``path`` if needed; refuse it unless this user owns it and no
+    other user can write to it (a library loaded from it runs as this user)."""
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = path.stat()
+    if info.st_uid != os.getuid() or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise PermissionError(f"{path} is not a directory private to this user")
+    return path
+
+
+def _build(compiler: str, target: Path) -> None:
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, *FLAGS, "-o", tmp, str(SOURCE)],
+            check=True, capture_output=True, timeout=COMPILE_TIMEOUT_S,
+        )
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _load() -> ctypes.CDLL | None:
+    compiler = _find_compiler()
+    if compiler is None:
+        return None
+    target = _private_dir(_cache_dir()) / _library_name(compiler)
+    if not target.exists():
+        _build(compiler, target)
+    lib = ctypes.CDLL(str(target))
+    for name, argtypes in SIGNATURES.items():
+        func = getattr(lib, name)
+        func.argtypes = argtypes
+        func.restype = None
+    return lib
+
+
+@functools.cache
+def library() -> ctypes.CDLL | None:
+    """The compiled kernels, or None when they cannot be built or loaded.
+
+    Decided once per process; ``library.cache_clear()`` forgets the decision.
+    """
+    try:
+        return _load()
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        # OSError: cache directory, compiler or dlopen; AttributeError: a
+        # kernel missing from the library
+        return None

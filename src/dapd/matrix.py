@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import StructuralError
 
 POWER_ITERATION_SEED = 20
@@ -31,14 +32,44 @@ class SparseRowMatrix:
     col_indices: np.ndarray
     values: np.ndarray
     row_ids: np.ndarray = field(init=False, repr=False)
+    _pointers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        lengths = np.diff(self.row_offsets)
-        object.__setattr__(
-            self, "row_ids", np.repeat(np.arange(self.n_rows, dtype=np.int64), lengths)
-        )
-        for arr in (self.row_offsets, self.col_indices, self.values, self.row_ids):
+        # the compiled kernels index without bounds checks; these invariants,
+        # checked once here, are what makes that safe
+        if self.n_rows < 0 or self.n_cols < 0:
+            raise StructuralError("matrix dimensions must be nonnegative")
+        offsets = _owned(self.row_offsets, np.int64, "row_offsets")
+        cols = _owned(self.col_indices, np.int64, "col_indices")
+        values = _owned(self.values, np.float64, "values")
+        nnz = values.size
+        if values.ndim != 1 or cols.shape != values.shape:
+            raise StructuralError(
+                f"col_indices {cols.shape} and values {values.shape} must be 1-D and of "
+                "equal length"
+            )
+        if (
+            offsets.shape != (self.n_rows + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != nnz
+            or (np.diff(offsets) < 0).any()
+        ):
+            raise StructuralError(
+                f"row_offsets must have {self.n_rows + 1} entries, start at 0, never "
+                f"decrease and end at nnz={nnz}"
+            )
+        if nnz and (cols.min() < 0 or cols.max() >= self.n_cols):
+            bad = cols[(cols < 0) | (cols >= self.n_cols)][0]
+            raise StructuralError(f"column index {bad} out of range for {self.n_cols} columns")
+        row_ids = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(offsets))
+        for name, arr in (("row_offsets", offsets), ("col_indices", cols), ("values", values),
+                          ("row_ids", row_ids)):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        # raw addresses for the kernels; the arrays are frozen and owned
+        object.__setattr__(
+            self, "_pointers", (offsets.ctypes.data, cols.ctypes.data, values.ctypes.data)
+        )
 
     @property
     def nnz(self) -> int:
@@ -61,6 +92,17 @@ class SparseRowMatrix:
         out = np.zeros((self.n_rows, self.n_cols))
         out[self.row_ids, self.col_indices] = self.values
         return out
+
+
+def _owned(arr, dtype, name: str) -> np.ndarray:
+    """``arr`` as a C-contiguous array of ``dtype`` that owns its data,
+    copied unless it already is one."""
+    arr = np.asarray(arr)
+    if dtype is np.int64 and arr.size and arr.dtype.kind not in "iu":
+        raise StructuralError(f"{name} must hold integers, not {arr.dtype}")
+    if arr.dtype != dtype or not arr.flags.c_contiguous or not arr.flags.owndata:
+        arr = np.array(arr, dtype=dtype, order="C")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -100,9 +142,7 @@ def build_matrix(triplets, n_rows: int, n_cols: int) -> SparseRowMatrix:
     if rows.min() < 0 or rows.max() >= n_rows:
         bad = rows[(rows < 0) | (rows >= n_rows)][0]
         raise StructuralError(f"row index {bad} out of range for {n_rows} rows")
-    if cols.min() < 0 or cols.max() >= n_cols:
-        bad = cols[(cols < 0) | (cols >= n_cols)][0]
-        raise StructuralError(f"column index {bad} out of range for {n_cols} columns")
+    # columns are range-checked by SparseRowMatrix
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
@@ -115,8 +155,18 @@ def build_matrix(triplets, n_rows: int, n_cols: int) -> SparseRowMatrix:
     return SparseRowMatrix(n_rows, n_cols, offsets, cols, vals)
 
 
+def backend() -> str:
+    """"compiled" when ``matvec`` runs the C kernels of ``kernels.c``, "numpy"
+    when they could not be built or loaded in this process."""
+    return "numpy" if kernels.library() is None else "compiled"
+
+
 def matvec(A: SparseRowMatrix, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Sparse product A @ v, or A.T @ v when ``transpose``."""
+    """Sparse product A @ v, or A.T @ v when ``transpose``.
+
+    Runs the compiled kernels when they are available (see ``backend``) and
+    ``matvec_numpy`` otherwise; both return the same bits.
+    """
     v = np.asarray(v, dtype=np.float64)
     expect = A.n_rows if transpose else A.n_cols
     if v.shape != (expect,):
@@ -124,6 +174,28 @@ def matvec(A: SparseRowMatrix, v: np.ndarray, transpose: bool = False) -> np.nda
             f"vector of length {v.shape} incompatible with "
             f"{'transposed ' if transpose else ''}{A.n_rows}x{A.n_cols} matrix"
         )
+    lib = kernels.library()
+    if lib is None:
+        return matvec_numpy(A, v, transpose)
+    v = np.ascontiguousarray(v)
+    offsets, cols, values = A._pointers
+    if transpose:
+        out = np.empty(A.n_cols)
+        lib.csr_rmatvec(A.n_rows, A.n_cols, offsets, cols, values, v.ctypes.data,
+                        out.ctypes.data)
+    else:
+        out = np.empty(A.n_rows)
+        lib.csr_matvec(A.n_rows, offsets, cols, values, v.ctypes.data, out.ctypes.data)
+    return out
+
+
+def matvec_numpy(A: SparseRowMatrix, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``matvec`` in numpy alone: the fallback and the kernels' test oracle.
+
+    ``np.bincount`` adds the products into each output entry one at a time,
+    in storage order, starting from +0.0; the kernels keep that order.
+    ``v`` must already have the right shape.
+    """
     if transpose:
         prod = A.values * v[A.row_ids]
         return np.bincount(A.col_indices, weights=prod, minlength=A.n_cols)

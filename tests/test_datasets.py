@@ -11,7 +11,7 @@ from dapd.datasets import (
     synth_sparse_classification,
 )
 from dapd.errors import ConfigurationError, ParseError
-from dapd.matrix import matvec
+from dapd.matrix import build_matrix, matvec
 
 
 class TestParseLibsvm:
@@ -69,9 +69,17 @@ class TestParseLibsvm:
 
 class TestSynthRidge:
     def test_zero_noise_exact_model(self):
-        ds, x_true = synth_ridge(8, 5, noise_sigma=0.0, seed=3)
-        residual = ds.labels - matvec(ds.matrix, x_true)
-        assert np.abs(residual).max() == 0.0
+        for cov in ("identity", ("ar1", 0.5)):
+            ds, x_true = synth_ridge(8, 5, cov=cov, noise_sigma=0.0, seed=3)
+            residual = ds.labels - matvec(ds.matrix, x_true)
+            assert np.abs(residual).max() == 0.0
+            # the matrix build_matrix makes from the dense rows
+            dense = ds.matrix.to_dense()
+            expected = build_matrix(
+                [(i, j, dense[i, j]) for i in range(8) for j in range(5)], 8, 5
+            )
+            for name in ("row_offsets", "col_indices", "values"):
+                assert np.array_equal(getattr(ds.matrix, name), getattr(expected, name))
 
     def test_seed_determinism(self):
         a, xa = synth_ridge(6, 4, seed=11)

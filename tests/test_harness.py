@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dapd.cli import main as cli_main
+from dapd.deterministic import dapd_iterate, run_dapd, schedule_for_problem
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
 from dapd.harness import (
     ALL_METHODS,
@@ -17,6 +18,8 @@ from dapd.harness import (
 )
 from dapd.matrix import build_matrix
 from dapd.proxlib import (
+    dual_objective,
+    feasible_dual_point,
     kl_reg,
     l1_reg,
     l2_reg,
@@ -109,6 +112,25 @@ class TestReference:
         assert ref.method == "dapd_run"
         assert ref.certified_gap <= accuracy
 
+    def test_native_reference_continues_one_run(self, monkeypatch):
+        # the certified gap is 0.052864 after 2,000 iterations and 0.052802
+        # after 4,000, so this accuracy is met at the second checkpoint
+        problem, accuracy = small_hinge_problem(), 0.05283
+        restarted = run_dapd(problem, schedule_for_problem(problem), 4000, record_every=4000)
+        value = primal_objective(problem, restarted.x)
+        gap = value - dual_objective(problem, feasible_dual_point(problem, restarted.y))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dapd_iterate(*args)
+
+        monkeypatch.setattr("dapd.harness.dapd_iterate", counted)
+        ref = compute_reference(problem, accuracy, method="solver")
+        assert len(calls) == 4000
+        assert (ref.value, ref.certified_gap) == (value, gap)
+        assert np.array_equal(ref.x, restarted.x)
+
     def test_explicit_cvxpy_without_cvxpy_refused(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "cvxpy", None)
         with pytest.raises(CertificationError, match="cvxpy is not installed"):
@@ -119,7 +141,7 @@ class TestReference:
         def never(*args, **kwargs):
             raise AssertionError("an uncertifiable kl problem was solved")
 
-        monkeypatch.setattr("dapd.harness.run_dapd", never)
+        monkeypatch.setattr("dapd.harness.dapd_iterate", never)
         monkeypatch.setattr("dapd.harness._cvxpy_reference", never)
         A = build_matrix([(0, 0, 1.0), (1, 1, 2.0)], 2, 2)
         prob = make_problem(A, squared_loss([1.0, 1.0]), kl_reg(0.5), "finite_sum")
@@ -224,7 +246,7 @@ class TestRunExperiment:
         cfg = base_config(tmp_path, ["sdapd"], seeds=[7])
         result = run_experiment(RunConfig.from_dict(cfg))
         manifest = result.manifest_path.read_text()
-        for key in ("problem.R=", "problem.Rbar=", "reference.value=",
+        for key in ("problem.R=", "problem.Rbar=", "reference.value=", "matrix.backend=",
                     "cell.sdapd_seed7.eta=", "cell.sdapd_seed7.xi="):
             assert key in manifest
 
@@ -298,7 +320,7 @@ class TestCli:
         rc = cli_main(["stats", "--data", str(data)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "spectral_norm" in out and "density" in out
+        assert "spectral_norm" in out and "density" in out and "matrix.backend" in out
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,9 +1,24 @@
+import ctypes
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dapd import kernels
 from dapd.errors import StructuralError
-from dapd.matrix import build_matrix, matvec, power_iteration, row_dot, spectral_norm, stats
+from dapd.matrix import (
+    SparseRowMatrix,
+    backend,
+    build_matrix,
+    matvec,
+    matvec_numpy,
+    power_iteration,
+    row_dot,
+    spectral_norm,
+    stats,
+)
 
 
 def random_matrix(rng, n_rows, n_cols, density=0.6):
@@ -33,6 +48,137 @@ def sparse_matrices(draw):
     )
     triplets = [(r, c, v) for (r, c), v in zip(sorted(positions), values)]
     return build_matrix(triplets, n_rows, n_cols), n_rows, n_cols
+
+
+# finite values of every size, subnormals and both zeros included
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def csr_matrices(draw):
+    """Matrices with empty rows and columns, nnz == 0 and stored zeros."""
+    n_rows = draw(st.integers(0, 7))
+    n_cols = draw(st.integers(0, 7))
+    cells = [(i, j) for i in range(n_rows) for j in range(n_cols)]
+    stored = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    values = draw(st.lists(st.one_of(FLOATS, st.just(0.0), st.just(-0.0)),
+                           min_size=len(cells), max_size=len(cells)))
+    triplets = [(i, j, val) for (i, j), keep, val in zip(cells, stored, values) if keep]
+    return build_matrix(triplets, n_rows, n_cols)
+
+
+@st.composite
+def vectors(draw, length):
+    """A float64 vector, a strided view of one, or an integer vector."""
+    kind = draw(st.sampled_from(["contiguous", "strided", "integer"]))
+    if kind == "integer":
+        return np.array(draw(st.lists(st.integers(-1000, 1000), min_size=length,
+                                      max_size=length)), dtype=np.int64)
+    values = np.array(draw(st.lists(FLOATS, min_size=2 * length, max_size=2 * length)))
+    return values[::2] if kind == "strided" else values[:length].copy()
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    if kernels.library() is None:
+        pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
+
+
+@pytest.fixture
+def fresh_backend(monkeypatch, tmp_path):
+    """The backend is decided again in the test, with an empty kernel cache
+    under tmp_path, and again after the test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    kernels.library.cache_clear()
+    yield tmp_path / "cache" / "dapd"
+    kernels.library.cache_clear()
+
+
+class TestCompiledKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_numpy(self, compiled, data):
+        A = data.draw(csr_matrices())
+        for transpose, length in ((False, A.n_cols), (True, A.n_rows)):
+            v = data.draw(vectors(length))
+            expected = matvec_numpy(A, np.asarray(v, dtype=np.float64), transpose)
+            # raw bytes, so that -0.0 and +0.0 differ
+            assert matvec(A, v, transpose).tobytes() == expected.tobytes()
+
+    def test_cold_build_into_private_cache(self, fresh_backend):
+        if kernels.library() is None:
+            pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
+        assert backend() == "compiled"
+        names = [p.name for p in fresh_backend.iterdir()]
+        assert len(names) == 1 and names[0].startswith("kernels-")
+        assert stat.S_IMODE(fresh_backend.stat().st_mode) == 0o700
+
+    @pytest.mark.parametrize(
+        "failure", ["no_compiler", "compile_error", "unwritable_cache", "shared_cache", "load_error"]
+    )
+    def test_numpy_fallback(self, fresh_backend, monkeypatch, failure):
+        rng = np.random.default_rng(5)
+        A = build_matrix([(i, j, rng.normal()) for i in range(6) for j in range(4)
+                          if (i * j) % 3], 6, 4)
+        v, w = rng.normal(size=4), rng.normal(size=6)
+        expected = [matvec(A, v).tobytes(), matvec(A, w, transpose=True).tobytes()]
+        kernels.library.cache_clear()
+        if failure == "no_compiler":
+            monkeypatch.setenv("PATH", str(fresh_backend.parent.parent))
+        elif failure == "compile_error":
+            monkeypatch.setattr(kernels, "FLAGS", kernels.FLAGS + ("-no-such-flag",))
+        elif failure == "unwritable_cache":
+            blocker = fresh_backend.parent.parent / "file"
+            blocker.write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        elif failure == "shared_cache":
+            fresh_backend.mkdir(parents=True, exist_ok=True)
+            os.chmod(fresh_backend, 0o777)
+        else:
+            def refuse(*args, **kwargs):
+                raise OSError("cannot load")
+            monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert backend() == "numpy"
+        assert [matvec(A, v).tobytes(), matvec(A, w, transpose=True).tobytes()] == expected
+        if failure == "compile_error":
+            # the failed build leaves no temporary file behind
+            assert not list(fresh_backend.glob(".build-*"))
+
+
+class TestConstruction:
+    def parts(self):
+        # 2 x 3: row 0 holds columns 0 and 2, row 1 column 1
+        return [np.array([0, 2, 3]), np.array([0, 2, 1]), np.array([1.0, 2.0, 3.0])]
+
+    @pytest.mark.parametrize(
+        "index, bad",
+        [
+            (1, np.array([0, 3, 1])),  # column out of range
+            (1, np.array([0, -1, 1])),  # negative column
+            (1, np.array([0.0, 2.0, 1.0])),  # columns not integers
+            (0, np.array([1, 2, 3])),  # offsets do not start at 0
+            (0, np.array([0, 2, 2])),  # offsets do not end at nnz
+            (0, np.array([0, 3, 2, 3])),  # wrong length
+            (0, np.array([0, 4, 3])),  # offsets decrease
+            (2, np.array([1.0, 2.0])),  # values shorter than columns
+        ],
+    )
+    def test_invalid_structure_rejected(self, index, bad):
+        parts = self.parts()
+        parts[index] = bad
+        with pytest.raises(StructuralError):
+            SparseRowMatrix(2, 3, *parts)
+
+    def test_arrays_owned_and_frozen(self):
+        offsets, cols, values = self.parts()
+        base = np.zeros(6)
+        base[::2] = values
+        A = SparseRowMatrix(2, 3, offsets.astype(np.int32), cols, base[::2])
+        base[:] = 9.0
+        assert A.row_offsets.dtype == np.int64 and A.values.flags.c_contiguous
+        assert np.array_equal(A.to_dense(), [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+        for arr in (A.row_offsets, A.col_indices, A.values):
+            assert arr.flags.owndata and not arr.flags.writeable
 
 
 class TestBuild:
