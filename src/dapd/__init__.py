@@ -20,8 +20,6 @@ from .matrix import (
     SparseRowMatrix,
     build_matrix,
     matvec,
-    row_dot,
-    spectral_norm,
     stats,
 )
 from .proxlib import (
@@ -43,11 +41,8 @@ from .proxlib import (
     primal_objective,
     problem_constants,
     prox_conjugate,
-    prox_loss,
     prox_reg,
-    prox_reg_coord,
     ridge_problem,
-    saddle_value,
     squared_loss,
     svm_problem,
 )
@@ -55,7 +50,6 @@ from .deterministic import (
     IterateState,
     SolverSchedule,
     dapd_iterate,
-    geometric_schedule,
     make_schedule,
     run_dapd,
     schedule_for_problem,
@@ -73,8 +67,6 @@ from .stochastic import (
 from .sparse_engine import (
     LazyState,
     finalize_x,
-    lazy_primal_coord,
-    materialize_s,
     rebase,
     run_sparse,
     sparse_iterate,

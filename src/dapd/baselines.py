@@ -29,7 +29,7 @@ every resolved constant is returned for the experiment manifest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +50,11 @@ from .traces import RunResult, Tracer
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Method name, budget in epochs, seed (stochastic only), and optional
-    per-method step overrides."""
+    """Method name, budget in epochs, and seed (stochastic only)."""
 
     method: str
     epochs: int
     seed: int = 0
-    steps: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.method not in BASELINE_METHODS:
@@ -91,7 +89,7 @@ def _loss_gradient(problem, x):
     )
 
 
-def _run_pdhg(problem, epochs, steps, seed, tracer):
+def _run_pdhg(problem, epochs, seed, tracer):
     A = problem.matrix
     reg = problem.reg
     gamma_f = composite_gamma(problem)
@@ -102,14 +100,14 @@ def _run_pdhg(problem, epochs, steps, seed, tracer):
     theta = 1.0
     if gamma_f > 0 and mu > 0:
         # constant-step linearly convergent variant
-        mu_pd = steps.get("mu_pd", 2.0 * np.sqrt(gamma_f * mu) / R)
+        mu_pd = 2.0 * np.sqrt(gamma_f * mu) / R
         tau = mu_pd / (2.0 * mu)
         sigma = mu_pd / (2.0 * gamma_f)
         theta = 1.0 / (1.0 + mu_pd)
         variant = "strongly_convex_smooth"
     else:
-        tau = steps.get("tau", 1.0 / R)
-        sigma = steps.get("sigma", 1.0 / R)
+        tau = 1.0 / R
+        sigma = 1.0 / R
         if mu > 0:
             variant = "primal_accelerated"
         elif gamma_f > 0:
@@ -135,12 +133,12 @@ def _run_pdhg(problem, epochs, steps, seed, tracer):
     return x, {"variant": variant, "tau": tau, "sigma": sigma, "theta": theta}
 
 
-def _run_apgm(problem, epochs, steps, seed, tracer):
+def _run_apgm(problem, epochs, seed, tracer):
     gamma_f = composite_gamma(problem)
     if gamma_f <= 0:
         raise ConfigurationError("apgm requires a smooth loss (gamma > 0)")
     _, mu, _, R, _ = problem_constants(problem)
-    zeta = steps.get("zeta", R**2 / gamma_f)
+    zeta = R**2 / gamma_f
     momentum_kind = "strongly_convex" if mu > 0 else "fista"
     if mu > 0:
         mom = (np.sqrt(zeta) - np.sqrt(mu)) / (np.sqrt(zeta) + np.sqrt(mu))
@@ -163,10 +161,10 @@ def _run_apgm(problem, epochs, steps, seed, tracer):
     return x, {"zeta": zeta, "momentum": momentum_kind}
 
 
-def _run_da(problem, epochs, steps, seed, tracer):
+def _run_da(problem, epochs, seed, tracer):
     x0 = np.zeros(problem.dim)
     g0 = _loss_gradient(problem, x0) + _reg_subgradient(problem.reg, x0)
-    gamma_hat = steps.get("gamma_hat", max(float(np.linalg.norm(g0)), 1e-12))
+    gamma_hat = max(float(np.linalg.norm(g0)), 1e-12)
     x = x0.copy()
     s = np.zeros(problem.dim)
     touches = 0
@@ -178,12 +176,12 @@ def _run_da(problem, epochs, steps, seed, tracer):
     return x, {"gamma_hat": gamma_hat}
 
 
-def _run_rda(problem, epochs, steps, seed, tracer):
+def _run_rda(problem, epochs, seed, tracer):
     from .proxlib import recover_primal
 
     n = problem.n
     _, mu, _, _, rbar = problem_constants(problem)
-    gamma_hat = steps.get("gamma_hat", max(rbar, 1e-12))
+    gamma_hat = max(rbar, 1e-12)
     rng = np.random.default_rng(seed)
     sample_factor = problem.loss_scale * n  # per-sample gradient scale
     x0 = np.zeros(problem.dim)
@@ -215,19 +213,16 @@ def _run_rda(problem, epochs, steps, seed, tracer):
     return x, {"gamma_hat": gamma_hat, "variant": variant}
 
 
-def _run_proxsgd(problem, epochs, steps, seed, tracer):
+def _run_proxsgd(problem, epochs, seed, tracer):
     n = problem.n
     gamma, mu, _, _, rbar = problem_constants(problem)
-    alpha0 = steps.get("alpha0", 1.0 / max(rbar, 1e-12))
+    alpha0 = 1.0 / max(rbar, 1e-12)
     rng = np.random.default_rng(seed)
     sample_factor = problem.loss_scale * n
     # 1/(mu t) steps need the usual inverse-smoothness cap to avoid the
     # huge-first-step blowup on smooth losses; the schedule is unchanged
     # asymptotically
-    if gamma > 0:
-        alpha_cap = steps.get("alpha_cap", gamma / (sample_factor * rbar**2))
-    else:
-        alpha_cap = steps.get("alpha_cap", np.inf)
+    alpha_cap = gamma / (sample_factor * rbar**2) if gamma > 0 else np.inf
     x = np.zeros(problem.dim)
     rule = "inverse_mu_t" if mu > 0 else "inverse_sqrt_t"
     iterations = epochs * n
@@ -248,15 +243,15 @@ def _run_proxsgd(problem, epochs, steps, seed, tracer):
     return x, {"rule": rule, "alpha0": alpha0}
 
 
-def _run_proxsvrg(problem, epochs, steps, seed, tracer):
+def _run_proxsvrg(problem, epochs, seed, tracer):
     gamma, _, _, _, rbar = problem_constants(problem)
     if gamma <= 0:
         raise ConfigurationError("proxsvrg requires a smooth loss (gamma > 0)")
     n = problem.n
     sample_factor = problem.loss_scale * n
     L_sample = sample_factor * rbar**2 / gamma
-    eta = steps.get("eta", 1.0 / (10.0 * L_sample))
-    m = steps.get("m", 2 * n)
+    eta = 1.0 / (10.0 * L_sample)
+    m = 2 * n
     rng = np.random.default_rng(seed)
     x = np.zeros(problem.dim)
     accesses = touches = 0
@@ -289,16 +284,16 @@ def _run_proxsvrg(problem, epochs, steps, seed, tracer):
     return x, {"eta": eta, "m": m}
 
 
-def _run_spdc(problem, epochs, steps, seed, tracer):
+def _run_spdc(problem, epochs, seed, tracer):
     gamma, mu, _, _, rbar = problem_constants(problem)
     if gamma <= 0 or mu <= 0:
         raise ConfigurationError(
             "spdc requires gamma > 0 and mu > 0; perturb the problem first"
         )
     n = problem.n
-    tau = steps.get("tau", (1.0 / (2.0 * rbar)) * np.sqrt(gamma / (n * mu)))
-    sigma = steps.get("sigma", (1.0 / (2.0 * rbar)) * np.sqrt(n * mu / gamma))
-    theta = steps.get("theta", 1.0 - 1.0 / (n + 2.0 * rbar * np.sqrt(n / (gamma * mu))))
+    tau = (1.0 / (2.0 * rbar)) * np.sqrt(gamma / (n * mu))
+    sigma = (1.0 / (2.0 * rbar)) * np.sqrt(n * mu / gamma)
+    theta = 1.0 - 1.0 / (n + 2.0 * rbar * np.sqrt(n / (gamma * mu)))
     rng = np.random.default_rng(seed)
     d = problem.dim
     x = np.zeros(d)
@@ -329,7 +324,7 @@ def _run_spdc(problem, epochs, steps, seed, tracer):
 
 
 # name -> (runner, seeded).  Every runner is called as
-# runner(problem, epochs, steps, seed, tracer), records each epoch on the
+# runner(problem, epochs, seed, tracer), records each epoch on the
 # tracer and returns (x, resolved constants); unseeded runners ignore seed.
 BASELINES = {
     "pdhg": (_run_pdhg, False),
@@ -354,7 +349,7 @@ def run_baseline(
     """Run the configured baseline; deterministic methods ignore the seed."""
     runner, seeded = BASELINES[config.method]
     tracer = Tracer(problem, reference_value, wall_clock)
-    x, resolved = runner(problem, config.epochs, config.steps, config.seed, tracer)
+    x, resolved = runner(problem, config.epochs, config.seed, tracer)
     resolved = {"method": config.method, "epochs": config.epochs, **resolved}
     if seeded:
         resolved["seed"] = config.seed

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,10 @@ class Dataset:
 def parse_libsvm(source, expected_dim: int | None = None, name: str = "<memory>") -> Dataset:
     """Parse LIBSVM text: ``<label> <index>:<value> ...`` per line.
 
-    Indices are 1-based and must be strictly increasing within a line; the
-    dimension is inferred as the maximum index unless ``expected_dim`` is
-    given (which also catches truncated files).  Blank lines are skipped.
+    Indices are 1-based and must be strictly increasing within a line, and
+    labels and values must be finite; the dimension is inferred as the
+    maximum index unless ``expected_dim`` is given (which also catches
+    truncated files).  Blank lines are skipped.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -53,9 +55,12 @@ def parse_libsvm(source, expected_dim: int | None = None, name: str = "<memory>"
             continue
         tokens = line.split()
         try:
-            labels.append(float(tokens[0]))
+            label = float(tokens[0])
         except ValueError:
             raise ParseError(f"non-numeric label {tokens[0]!r}", line=lineno) from None
+        if not math.isfinite(label):
+            raise ParseError(f"non-finite label {tokens[0]!r}", line=lineno)
+        labels.append(label)
         prev_index = 0
         for tok in tokens[1:]:
             try:
@@ -66,6 +71,8 @@ def parse_libsvm(source, expected_dim: int | None = None, name: str = "<memory>"
                 raise ParseError(f"malformed feature token {tok!r}", line=lineno) from None
             if idx <= 0:
                 raise ParseError(f"nonpositive feature index {idx}", line=lineno)
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
             if idx <= prev_index:
                 raise ParseError(
                     f"feature index {idx} not increasing after {prev_index}", line=lineno

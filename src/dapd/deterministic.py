@@ -46,8 +46,6 @@ from .proxlib import (
 )
 from .traces import RunResult, Tracer, check_output_mode, select_output
 
-REGIMES = ("sc_smooth", "smooth_only", "sc_only", "neither")
-
 # stored beta_hat above which ``rescale`` runs; far from overflow, so the
 # products beta_hat * gradient stay finite
 RESCALE_THRESHOLD = 1e150
@@ -148,20 +146,6 @@ def make_schedule(
     )
 
 
-def geometric_schedule(eta: float, tau: float, beta0: float, xi: float) -> SolverSchedule:
-    """Constant steps with beta_t = beta0 * xi^t (xi >= 1)."""
-    if min(eta, tau, beta0) <= 0 or xi < 1.0:
-        raise ConfigurationError("geometric schedule needs positive steps and xi >= 1")
-    return SolverSchedule(
-        "geometric",
-        eta=lambda t: eta,
-        tau=lambda t: tau,
-        beta=lambda t: beta0 * xi**t,
-        beta_ratio=lambda t: xi,
-        params={"eta": eta, "tau": tau, "beta0": beta0, "xi": xi},
-    )
-
-
 def schedule_for_problem(
     problem: CompositeProblem, case_iv_tau: float | None = None
 ) -> SolverSchedule:
@@ -238,12 +222,12 @@ class IterateState:
     After every full iteration x equals prox_{B_{t-1} g}(x0 - grad_sum).
     """
 
-    def __init__(self, problem: CompositeProblem, schedule: SolverSchedule, x0=None, y0=None):
+    def __init__(self, problem: CompositeProblem, schedule: SolverSchedule, x0=None):
         d, n = problem.dim, problem.n
         self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.x = self.x0.copy()
         self.xbar = self.x0.copy()
-        self.y = np.zeros(n) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
+        self.y = np.zeros(n)
         self.s_hat = np.zeros(d)
         self.B_hat = 0.0
         self.beta_hat = schedule.beta(0)
@@ -254,10 +238,6 @@ class IterateState:
         self.ergodic_y = np.zeros(n)
         self.touch_counter = 0
         self._aty = None  # cached A^T y for the current y
-
-    def log_B(self) -> float:
-        """log of the true B_{t-1} (safe for any scale)."""
-        return float(np.log(self.B_hat) + self.log_scale)
 
 
 def rescale(state, s_hat: np.ndarray, beta0: float) -> float:
@@ -325,9 +305,6 @@ def run_dapd(
     iterations: int,
     output: str = "last",
     reference_value: float | None = None,
-    x0=None,
-    y0=None,
-    record_every: int = 1,
     wall_clock: bool = True,
 ) -> RunResult:
     """Run DAPD for ``iterations`` steps, tracing once per iteration (epoch).
@@ -339,11 +316,10 @@ def run_dapd(
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
     check_output_mode(output)
-    state = IterateState(problem, schedule, x0=x0, y0=y0)
+    state = IterateState(problem, schedule)
     tracer = Tracer(problem, reference_value, wall_clock)
     for t in range(iterations):
         dapd_iterate(state, schedule, problem)
-        if (t + 1) % record_every == 0 or t + 1 == iterations:
-            tracer.record(t + 1, state.x, state.touch_counter)
+        tracer.record(t + 1, state.x, state.touch_counter)
     resolved = {"regime": schedule.regime, **schedule.params, "iterations": iterations}
     return select_output(state, output, tracer.records, resolved)

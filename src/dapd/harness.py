@@ -235,7 +235,7 @@ _SOURCE_KEYS = {
 }
 _REG_KEYS = {"kind", "lam", "lam2", "huber_mu", "kl_weight"}
 _PROBLEM_KEYS = {"source", "loss", "regularizer", "scaling"}
-_SOLVER_KEYS = {"methods", "epochs", "seeds", "epsilon", "c1", "c2", "overrides", "case_iv_tau"}
+_SOLVER_KEYS = {"methods", "epochs", "seeds", "epsilon", "case_iv_tau"}
 _OUTPUT_KEYS = {"dir", "mode", "reference_accuracy", "wall_clock"}
 _TOP_KEYS = {"name", "problem", "solver", "output"}
 
@@ -285,9 +285,6 @@ class RunConfig:
         solver.setdefault("epochs", 50)
         solver.setdefault("seeds", [0])
         solver.setdefault("epsilon", None)
-        solver.setdefault("c1", 0.1)
-        solver.setdefault("c2", 0.1)
-        solver.setdefault("overrides", {})
         solver.setdefault("case_iv_tau", None)
         output.setdefault("dir", "traces")
         output.setdefault("mode", "last")
@@ -392,8 +389,7 @@ def _run_sparse_cell(method, problem, epochs, seed, solver, output_mode, **trace
 
 
 def _run_baseline_cell(method, problem, epochs, seed, solver, output_mode, **trace):
-    steps = solver["overrides"].get(method, {})
-    return run_baseline(BaselineConfig(method, epochs, seed, steps), problem, **trace)
+    return run_baseline(BaselineConfig(method, epochs, seed), problem, **trace)
 
 
 class MethodSpec(NamedTuple):
@@ -462,9 +458,7 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
     epsilon = config.solver["epsilon"]
     perturbed = None
     if epsilon is not None:
-        perturbed = perturb_problem(
-            problem, float(epsilon), float(config.solver["c1"]), float(config.solver["c2"])
-        )
+        perturbed = perturb_problem(problem, float(epsilon))
         manifest["perturbation.epsilon"] = epsilon
         manifest["perturbation.delta1"] = perturbed.loss.dual_perturbation
         manifest["perturbation.delta2"] = perturbed.reg.primal_perturbation

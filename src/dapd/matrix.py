@@ -2,8 +2,7 @@
 
 All values are double precision.  Matrices are immutable after construction
 and safe to share across concurrent solver runs; the kernels are
-single-threaded and deterministic.  ``matvec`` costs O(nnz), ``row_dot``
-O(nnz of the row).
+single-threaded and deterministic.  ``matvec`` costs O(nnz).
 """
 
 from __future__ import annotations
@@ -61,6 +60,19 @@ class SparseRowMatrix:
         if nnz and (cols.min() < 0 or cols.max() >= self.n_cols):
             bad = cols[(cols < 0) | (cols >= self.n_cols)][0]
             raise StructuralError(f"column index {bad} out of range for {self.n_cols} columns")
+        if nnz > 1:
+            # compare views, not a diff, so no nnz-sized int64 temporary;
+            # pairs that straddle a row boundary are masked
+            increasing = cols[1:] > cols[:-1]
+            starts = offsets[1:-1]
+            increasing[starts[(starts > 0) & (starts < nnz)] - 1] = True
+            if not increasing.all():
+                k = int(np.argmin(increasing))
+                row = int(np.searchsorted(offsets, k + 1, side="right")) - 1
+                raise StructuralError(
+                    f"column indices must strictly increase within a row: row {row} has "
+                    f"column {cols[k + 1]} after {cols[k]}"
+                )
         row_ids = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(offsets))
         for name, arr in (("row_offsets", offsets), ("col_indices", cols), ("values", values),
                           ("row_ids", row_ids)):
@@ -142,13 +154,9 @@ def build_matrix(triplets, n_rows: int, n_cols: int) -> SparseRowMatrix:
     if rows.min() < 0 or rows.max() >= n_rows:
         bad = rows[(rows < 0) | (rows >= n_rows)][0]
         raise StructuralError(f"row index {bad} out of range for {n_rows} rows")
-    # columns are range-checked by SparseRowMatrix
+    # columns are range-checked, and duplicates refused, by SparseRowMatrix
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
-    dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-    if dup.any():
-        k = int(np.flatnonzero(dup)[0])
-        raise StructuralError(f"duplicate entry at (row={rows[k]}, col={cols[k]})")
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.add.at(offsets, rows + 1, 1)
     np.cumsum(offsets, out=offsets)
@@ -203,17 +211,6 @@ def matvec_numpy(A: SparseRowMatrix, v: np.ndarray, transpose: bool = False) -> 
     return np.bincount(A.row_ids, weights=prod, minlength=A.n_rows)
 
 
-def row_dot(A: SparseRowMatrix, i: int, v: np.ndarray) -> float:
-    """Inner product of row i with v, over stored entries only."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (A.n_cols,):
-        raise StructuralError(f"vector of length {v.shape} incompatible with {A.n_cols} columns")
-    cols, vals = A.row(i)
-    if vals.size == 0:
-        return 0.0
-    return float(vals @ v[cols])
-
-
 def power_iteration(A: SparseRowMatrix, rel_tol: float = 1e-9, max_iter: int = 5000):
     """Largest singular value via power iteration on A.T @ A.
 
@@ -242,12 +239,6 @@ def power_iteration(A: SparseRowMatrix, rel_tol: float = 1e-9, max_iter: int = 5
         v = w / nw
         sigma_prev = sigma
     return sigma, False
-
-
-def spectral_norm(A: SparseRowMatrix, rel_tol: float = 1e-9, max_iter: int = 5000) -> float:
-    """Estimate of the operator norm ||A||_2 (see ``power_iteration``)."""
-    value, _ = power_iteration(A, rel_tol=rel_tol, max_iter=max_iter)
-    return value
 
 
 def stats(A: SparseRowMatrix, rel_tol: float = 1e-9, max_iter: int = 5000) -> MatrixStats:

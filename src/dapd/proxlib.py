@@ -10,8 +10,8 @@ Perturbations: ``dual_perturbation`` (delta1) adds ``delta1/2 * y^2`` to each
 per-sample conjugate, ``primal_perturbation`` (delta2) adds
 ``delta2/2 * ||x||^2`` to the regularizer.  Both are folded into every prox
 and every effective constant, so solvers always see an ordinary
-smooth/strongly-convex problem.  Objectives can be evaluated with or without
-the perturbation terms.
+smooth/strongly-convex problem.  Objectives and conjugate values are those of
+the unperturbed problem.
 
 All types are immutable and all operations pure; everything here is safe for
 concurrent use.
@@ -19,7 +19,6 @@ concurrent use.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +52,6 @@ class LossFamily:
         if self.dual_perturbation < 0:
             raise StructuralError("dual_perturbation must be nonnegative")
         self.targets.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return int(self.targets.size)
 
 
 def squared_loss(targets) -> LossFamily:
@@ -161,7 +156,6 @@ def make_problem(
     reg: Regularizer,
     scaling: str = "finite_sum",
     loss_scale: float | None = None,
-    precomputed_stats: MatrixStats | None = None,
 ) -> CompositeProblem:
     if scaling not in SCALINGS:
         raise ConfigurationError(f"unknown scaling {scaling!r}")
@@ -178,8 +172,7 @@ def make_problem(
     if reg.kind == "kl" and not np.isscalar(reg.kl_weights):
         if np.asarray(reg.kl_weights).shape != (matrix.n_cols,):
             raise StructuralError("kl weight vector length must equal n_cols")
-    st = precomputed_stats if precomputed_stats is not None else matrix_stats(matrix)
-    return CompositeProblem(matrix, loss, reg, scaling, float(loss_scale), st)
+    return CompositeProblem(matrix, loss, reg, scaling, float(loss_scale), matrix_stats(matrix))
 
 
 def fold_labels(matrix: SparseRowMatrix, labels) -> SparseRowMatrix:
@@ -210,64 +203,47 @@ def svm_problem(matrix, labels, reg):
 # ---------------------------------------------------------------------------
 
 
-def loss_values(loss: LossFamily, u: np.ndarray, perturbed: bool = False) -> np.ndarray:
-    """Vector of f_i(u_i).  With ``perturbed`` and delta1 > 0 the smoothed
-    loss (Moreau envelope induced by the conjugate perturbation) is used."""
+def loss_values(loss: LossFamily, u: np.ndarray) -> np.ndarray:
+    """Vector of f_i(u_i) for the unperturbed loss."""
     u = np.asarray(u, dtype=np.float64)
-    d1 = loss.dual_perturbation
     if loss.kind == "squared":
-        out = 0.5 * (u - loss.targets) ** 2
-        if perturbed and d1 > 0:
-            out = out / (1.0 + d1)
-        return out
-    # hinge
-    margin = 1.0 - u
-    if not (perturbed and d1 > 0):
-        return np.maximum(margin, 0.0)
-    # huberized hinge: quadratic for margins in [0, d1], linear above
-    out = np.where(
-        margin <= 0,
-        0.0,
-        np.where(margin >= d1, margin - d1 / 2.0, margin**2 / (2.0 * d1)),
-    )
-    return out
+        return 0.5 * (u - loss.targets) ** 2
+    return np.maximum(1.0 - u, 0.0)
 
 
-def loss_grads(loss: LossFamily, u: np.ndarray, perturbed: bool = True) -> np.ndarray:
-    """Vector of f_i'(u_i); a subgradient choice for the plain hinge."""
+def loss_grads(loss: LossFamily, u: np.ndarray) -> np.ndarray:
+    """Vector of f_i'(u_i) for the loss smoothed by delta1 (the Moreau
+    envelope the conjugate perturbation induces); a subgradient choice for
+    the plain hinge when delta1 = 0."""
     u = np.asarray(u, dtype=np.float64)
     d1 = loss.dual_perturbation
     if loss.kind == "squared":
         g = u - loss.targets
-        if perturbed and d1 > 0:
+        if d1 > 0:
             g = g / (1.0 + d1)
         return g
-    if perturbed and d1 > 0:
+    if d1 > 0:
         return np.clip((u - 1.0) / d1, -1.0, 0.0)
     return np.where(u < 1.0, -1.0, 0.0)
 
 
-def loss_grad_at(loss: LossFamily, i: int, u: float, perturbed: bool = True) -> float:
-    """f_i'(u) for one sample (a subgradient choice for the plain hinge)."""
+def loss_grad_at(loss: LossFamily, i: int, u: float) -> float:
+    """f_i'(u) for one sample, as in ``loss_grads``."""
     d1 = loss.dual_perturbation
     if loss.kind == "squared":
         g = u - loss.targets[i]
-        return g / (1.0 + d1) if perturbed and d1 > 0 else g
-    if perturbed and d1 > 0:
+        return g / (1.0 + d1) if d1 > 0 else g
+    if d1 > 0:
         return float(np.clip((u - 1.0) / d1, -1.0, 0.0))
     return -1.0 if u < 1.0 else 0.0
 
 
-def conjugate_values(loss: LossFamily, y: np.ndarray, perturbed: bool = True) -> np.ndarray:
-    """Vector of f_i*(y_i) (+ delta1/2 y^2 when ``perturbed``); inf off-domain."""
+def conjugate_values(loss: LossFamily, y: np.ndarray) -> np.ndarray:
+    """Vector of f_i*(y_i) for the unperturbed loss; inf off-domain."""
     y = np.asarray(y, dtype=np.float64)
     if loss.kind == "squared":
-        out = 0.5 * y**2 + loss.targets * y
-    else:
-        out = np.where((y >= -1.0) & (y <= 0.0), y, np.inf)
-    if perturbed and loss.dual_perturbation > 0:
-        out = out + 0.5 * loss.dual_perturbation * y**2
-    return out
+        return 0.5 * y**2 + loss.targets * y
+    return np.where((y >= -1.0) & (y <= 0.0), y, np.inf)
 
 
 def prox_conjugate(loss: LossFamily, i: int, tau: float, v: float) -> float:
@@ -278,19 +254,6 @@ def prox_conjugate(loss: LossFamily, i: int, tau: float, v: float) -> float:
     if loss.kind == "squared":
         return (v - tau * loss.targets[i]) / (1.0 + tau * (1.0 + d1))
     return float(np.clip((v - tau) / (1.0 + tau * d1), -1.0, 0.0))
-
-
-def prox_loss(loss: LossFamily, i: int, step: float, v: float) -> float:
-    """argmin_y  step * f_i(y) + 0.5 (y - v)^2 for the unperturbed loss."""
-    if step <= 0:
-        raise StructuralError("step must be positive")
-    if loss.kind == "squared":
-        return (v + step * loss.targets[i]) / (1.0 + step)
-    if v >= 1.0:
-        return v
-    if v + step <= 1.0:
-        return v + step
-    return 1.0
 
 
 def dual_prox(loss: LossFamily, loss_scale: float, tau: float, v: np.ndarray) -> np.ndarray:
@@ -334,12 +297,9 @@ def reg_values(reg: Regularizer, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, w * np.log(w / x_safe), np.inf)
 
 
-def reg_value(reg: Regularizer, x: np.ndarray, perturbed: bool = True) -> float:
-    vals = reg_values(reg, x)
-    total = float(np.sum(vals))
-    if perturbed and reg.primal_perturbation > 0:
-        total += 0.5 * reg.primal_perturbation * float(np.dot(x, x))
-    return total
+def reg_value(reg: Regularizer, x: np.ndarray) -> float:
+    """g(x), excluding the delta2 perturbation."""
+    return float(np.sum(reg_values(reg, x)))
 
 
 def recover_primal(reg: Regularizer, x0, s_hat, b_hat, inv_scale=1.0, coords=None):
@@ -388,53 +348,33 @@ def prox_reg(reg: Regularizer, step: float, v: np.ndarray) -> np.ndarray:
     return recover_primal(reg, v, np.zeros_like(v), step, 1.0)
 
 
-def prox_reg_coord(reg: Regularizer, j: int, step: float, v: float) -> float:
-    """Scalar prox of step * (g_j + delta2/2 (.)^2) at coordinate j."""
-    if step <= 0:
-        raise StructuralError("step must be positive")
-    return float(recover_primal(reg, np.float64(v), 0.0, step, 1.0, coords=j))
-
-
 # ---------------------------------------------------------------------------
-# objectives, saddle function, constants
+# objectives and constants
 # ---------------------------------------------------------------------------
 
 
-def primal_objective(problem: CompositeProblem, x: np.ndarray, perturbed: bool = False) -> float:
-    """P(x) = loss_scale * sum_i f_i(<a_i, x>) + g(x).
+def primal_objective(problem: CompositeProblem, x: np.ndarray) -> float:
+    """P(x) = loss_scale * sum_i f_i(<a_i, x>) + g(x), the original objective
+    without the delta1/delta2 terms.
 
-    ``perturbed`` includes the delta1/delta2 terms (the objective the solvers
-    actually minimize); the default reports the original objective.
     Returns +inf outside dom g (kl with any x_j <= 0).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (problem.dim,):
         raise StructuralError(f"x has length {x.shape}, expected {problem.dim}")
     with np.errstate(over="ignore"):
-        gval = reg_value(problem.reg, x, perturbed=perturbed)
+        gval = reg_value(problem.reg, x)
         if not np.isfinite(gval):
             return np.inf
         u = matvec(problem.matrix, x)
-        lval = problem.loss_scale * float(
-            np.sum(loss_values(problem.loss, u, perturbed=perturbed))
-        )
+        lval = problem.loss_scale * float(np.sum(loss_values(problem.loss, u)))
     return lval + gval
 
 
-def conjugate_total(problem: CompositeProblem, y: np.ndarray, perturbed: bool = True) -> float:
-    """f*(y) for f(u) = c * sum f_i(u_i):  sum_i c * f~_i*(y_i / c)."""
+def conjugate_total(problem: CompositeProblem, y: np.ndarray) -> float:
+    """f*(y) for f(u) = c * sum f_i(u_i):  sum_i c * f_i*(y_i / c)."""
     c = problem.loss_scale
-    vals = conjugate_values(problem.loss, np.asarray(y) / c, perturbed=perturbed)
-    return c * float(np.sum(vals))
-
-
-def saddle_value(problem: CompositeProblem, x, y, perturbed: bool = True) -> float:
-    """F(x, y) = g(x) + <y, A x> - f*(y) for the problem's scaling."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    gval = reg_value(problem.reg, x, perturbed=perturbed)
-    fstar = conjugate_total(problem, y, perturbed=perturbed)
-    return gval + float(y @ matvec(problem.matrix, x)) - fstar
+    return c * float(np.sum(conjugate_values(problem.loss, np.asarray(y) / c)))
 
 
 def problem_constants(problem: CompositeProblem):
@@ -496,7 +436,7 @@ def dual_objective(problem: CompositeProblem, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     z = matvec(problem.matrix, y, transpose=True)
     gstar = _reg_conjugate(problem.reg, -z)
-    fstar = conjugate_total(problem, y, perturbed=False)
+    fstar = conjugate_total(problem, y)
     if not np.isfinite(gstar) or not np.isfinite(fstar):
         return -np.inf
     return -gstar - fstar

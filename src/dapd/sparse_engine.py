@@ -106,15 +106,6 @@ def _recover_coords(state: LazyState, reg, cols):
     return x, xbar
 
 
-def lazy_primal_coord(state: LazyState, j: int, reg):
-    """Recover (x_j, xbar_j) in O(1); increments the touch counter by 2."""
-    if not 0 <= j < state.x0.size:
-        raise StructuralError(f"coordinate {j} out of range")
-    x, xbar = _recover_coords(state, reg, np.array([j]))
-    state.touch_counter += 2
-    return float(x[0]), float(xbar[0])
-
-
 def sparse_iterate(state: LazyState, problem: CompositeProblem, params: StochasticParams):
     """One SDAPD iteration touching only the sampled row's support."""
     A = problem.matrix
@@ -156,16 +147,6 @@ def sparse_iterate(state: LazyState, problem: CompositeProblem, params: Stochast
     return state
 
 
-def materialize_s(state: LazyState) -> np.ndarray:
-    """The full gradient sum v + beta_{t-1} w; O(d) test/verification surface.
-
-    Returns true (unscaled) values, which can overflow for very long runs;
-    recoveries never take this path.
-    """
-    with np.errstate(over="ignore"):
-        return (state.v + state.beta_prev_hat * state.w) / state.inv_scale
-
-
 def rebase(state: LazyState) -> LazyState:
     """Rescale (v, beta, B) by the accumulated growth so stored values stay
     bounded; recovered coordinates are unchanged (to roundoff) because the
@@ -176,8 +157,8 @@ def rebase(state: LazyState) -> LazyState:
 
 
 def finalize_x(state: LazyState, reg) -> np.ndarray:
-    """Recover the full last iterate x^t (vectorized form of
-    ``lazy_primal_coord``'s x-recovery); O(d), done once at termination."""
+    """Recover the full last iterate x^t (``_recover_coords``'s x-recovery
+    over every coordinate); O(d), done once at termination."""
     all_cols = np.arange(state.x0.size)
     s_hat = state.v + state.beta_prev_hat * state.w
     return recover_primal(reg, state.x0, s_hat, state.B_hat, state.inv_scale, coords=all_cols)
@@ -189,7 +170,6 @@ def run_sparse(
     iterations: int,
     seed: int,
     x0=None,
-    y0=None,
     reference_value: float | None = None,
     wall_clock: bool = True,
     rebase_threshold: float = RESCALE_THRESHOLD,
@@ -200,9 +180,8 @@ def run_sparse(
         raise ConfigurationError("iterations must be at least 1")
     d, n = problem.dim, problem.n
     x0 = np.zeros(d) if x0 is None else x0
-    y0 = np.zeros(n) if y0 is None else y0
     state = LazyState(
-        x0, y0, problem.matrix, params, seed=seed,
+        x0, np.zeros(n), problem.matrix, params, seed=seed,
         rebase_threshold=rebase_threshold, rebase_period=rebase_period,
     )
     tracer = Tracer(problem, reference_value, wall_clock)

@@ -33,7 +33,6 @@ import numpy as np
 
 from .deterministic import RESCALE_THRESHOLD, rescale
 from .errors import ConfigurationError, DivergenceError
-from .matrix import matvec
 from .proxlib import (
     CompositeProblem,
     problem_constants,
@@ -107,13 +106,13 @@ def perturb_problem(
 class StochasticState:
     """Mutable SDAPD state with the scaled dual-averaging bookkeeping."""
 
-    def __init__(self, problem, params, seed, x0=None, y0=None):
+    def __init__(self, problem, params, seed, x0=None):
         d, n = problem.dim, problem.n
         self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.x = self.x0.copy()
         self.xbar = self.x0.copy()
-        self.y = np.zeros(n) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
-        self.u = matvec(problem.matrix, self.y, transpose=True) / n
+        self.y = np.zeros(n)
+        self.u = np.zeros(d)
         self.s_hat = np.zeros(d)
         self.B_hat = 0.0
         self.beta_hat = params.beta0
@@ -175,7 +174,6 @@ def run_sdapd(
     output: str = "last",
     reference_value: float | None = None,
     x0=None,
-    y0=None,
     wall_clock: bool = True,
 ) -> RunResult:
     """Seeded, reproducible SDAPD run; one trace record per epoch (n
@@ -185,7 +183,7 @@ def run_sdapd(
     check_output_mode(output)
     if params.n != problem.n:
         raise ConfigurationError("params were built for a different sample count")
-    state = StochasticState(problem, params, seed, x0=x0, y0=y0)
+    state = StochasticState(problem, params, seed, x0=x0)
     n = problem.n
     tracer = Tracer(problem, reference_value, wall_clock)
     for t in range(iterations):

@@ -6,9 +6,19 @@ refinement locates the minimizer, then (phi being convex) bisection on its
 nondecreasing subderivative polishes it to full precision.  The derivative
 used is that of the mathematical definition, never of the closed form under
 test.  Matrix quantities are checked against dense numpy equivalents.
+
+The last section holds helpers that only tests use: scalar and single-row
+forms of package operations, the saddle function, a geometric DAPD schedule
+and views into the lazy sparse engine's state.
 """
 
 import numpy as np
+
+from dapd.deterministic import SolverSchedule
+from dapd.errors import ConfigurationError, StructuralError
+from dapd.matrix import matvec
+from dapd.proxlib import conjugate_total, recover_primal, reg_value
+from dapd.sparse_engine import _recover_coords
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -147,3 +157,84 @@ def kl_fn(w, delta2=0.0):
     return ScalarFunction(
         value=val, deriv=lambda y: -w / y + delta2 * y, lo=1e-300
     )
+
+
+# test-only helpers over the package
+
+
+def row_dot(A, i, v):
+    """Inner product of row i of A with v, over stored entries only."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (A.n_cols,):
+        raise StructuralError(f"vector of length {v.shape} incompatible with {A.n_cols} columns")
+    cols, vals = A.row(i)
+    if vals.size == 0:
+        return 0.0
+    return float(vals @ v[cols])
+
+
+def prox_loss(loss, i, step, v):
+    """argmin_y  step * f_i(y) + 0.5 (y - v)^2 for the unperturbed loss."""
+    if step <= 0:
+        raise StructuralError("step must be positive")
+    if loss.kind == "squared":
+        return (v + step * loss.targets[i]) / (1.0 + step)
+    if v >= 1.0:
+        return v
+    if v + step <= 1.0:
+        return v + step
+    return 1.0
+
+
+def prox_reg_coord(reg, j, step, v):
+    """Scalar prox of step * (g_j + delta2/2 (.)^2) at coordinate j."""
+    if step <= 0:
+        raise StructuralError("step must be positive")
+    return float(recover_primal(reg, np.float64(v), 0.0, step, 1.0, coords=j))
+
+
+def saddle_value(problem, x, y):
+    """F(x, y) = g~(x) + <y, A x> - f~*(y) for the problem's scaling, where
+    g~ = g + delta2/2 ||x||^2 and f~* adds delta1/2 (y_i/c)^2 to each
+    per-sample conjugate (c the loss scale)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    c = problem.loss_scale
+    gval = reg_value(problem.reg, x) + 0.5 * problem.reg.primal_perturbation * float(x @ x)
+    fstar = conjugate_total(problem, y) + c * float(
+        np.sum(0.5 * problem.loss.dual_perturbation * (y / c) ** 2)
+    )
+    return gval + float(y @ matvec(problem.matrix, x)) - fstar
+
+
+def geometric_schedule(eta, tau, beta0, xi):
+    """Constant steps with beta_t = beta0 * xi^t (xi >= 1)."""
+    if min(eta, tau, beta0) <= 0 or xi < 1.0:
+        raise ConfigurationError("geometric schedule needs positive steps and xi >= 1")
+    return SolverSchedule(
+        "geometric",
+        eta=lambda t: eta,
+        tau=lambda t: tau,
+        beta=lambda t: beta0 * xi**t,
+        beta_ratio=lambda t: xi,
+        params={"eta": eta, "tau": tau, "beta0": beta0, "xi": xi},
+    )
+
+
+def materialize_s(state):
+    """The lazy engine's full gradient sum v + beta_{t-1} w, unscaled; O(d).
+
+    The true values can overflow on very long runs; the engine itself never
+    forms them.
+    """
+    with np.errstate(over="ignore"):
+        return (state.v + state.beta_prev_hat * state.w) / state.inv_scale
+
+
+def lazy_primal_coord(state, j, reg):
+    """(x_j, xbar_j) recovered from the lazy state in O(1); counts 2 touches."""
+    if not 0 <= j < state.x0.size:
+        raise StructuralError(f"coordinate {j} out of range")
+    x, xbar = _recover_coords(state, reg, np.array([j]))
+    state.touch_counter += 2
+    return float(x[0]), float(xbar[0])

@@ -46,6 +46,16 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="line 2"):
             parse_libsvm("1 1:1\n1 1:one\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1 1:1\nnan 1:1 2:1\n", "1 1:1\n-1 1:1 2:inf\n", "1 1:1\n-1 1:-inf\n",
+         "1 1:1\n1 1:nan 2:1\n"],
+        ids=["label_nan", "value_inf", "value_minus_inf", "value_nan"],
+    )
+    def test_non_finite_rejected_with_line_number(self, text):
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            parse_libsvm(text)
+
     def test_expected_dim(self):
         ds = parse_libsvm("1 1:1\n", expected_dim=5)
         assert ds.dim == 5

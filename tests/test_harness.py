@@ -116,7 +116,7 @@ class TestReference:
         # the certified gap is 0.052864 after 2,000 iterations and 0.052802
         # after 4,000, so this accuracy is met at the second checkpoint
         problem, accuracy = small_hinge_problem(), 0.05283
-        restarted = run_dapd(problem, schedule_for_problem(problem), 4000, record_every=4000)
+        restarted = run_dapd(problem, schedule_for_problem(problem), 4000)
         value = primal_objective(problem, restarted.x)
         gap = value - dual_objective(problem, feasible_dual_point(problem, restarted.y))
         calls = []
@@ -257,9 +257,15 @@ class TestRunExperiment:
         for p1, p2 in zip(first.trace_paths, second.trace_paths):
             assert p1.read_bytes() == p2.read_bytes()
 
-    def test_unknown_keys_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", 0.1), ("overrides", {"pdhg": {"tau": 0.5}}), ("c1", 0.2),
+         ("c2", 0.2)],
+        ids=["learning_rate", "overrides", "c1", "c2"],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, key, value):
         cfg = base_config(tmp_path, ["dapd"], seeds=[0])
-        cfg["solver"]["learning_rate"] = 0.1
+        cfg["solver"][key] = value
         with pytest.raises(ConfigurationError, match="unknown key"):
             RunConfig.from_dict(cfg)
 

@@ -22,12 +22,8 @@ from dapd.proxlib import (
     primal_objective,
     problem_constants,
     prox_conjugate,
-    prox_loss,
     prox_reg,
-    prox_reg_coord,
-    reg_value,
     ridge_problem,
-    saddle_value,
     squared_loss,
     svm_problem,
 )
@@ -39,7 +35,10 @@ from oracles import (
     kl_fn,
     l1_fn,
     l2_fn,
+    prox_loss,
     prox_oracle,
+    prox_reg_coord,
+    saddle_value,
     squared_conj,
 )
 

@@ -3,11 +3,12 @@ import pytest
 
 from dapd.deterministic import (
     SolverSchedule,
-    geometric_schedule,
     make_schedule,
     validate_schedule,
 )
 from dapd.errors import ConfigurationError
+
+from oracles import geometric_schedule
 
 
 class TestMakeSchedule:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dapd.deterministic import IterateState, dapd_iterate, geometric_schedule
+from dapd.deterministic import IterateState, dapd_iterate
 from dapd.errors import ConfigurationError, DivergenceError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
@@ -13,7 +13,6 @@ from dapd.proxlib import (
     prox_conjugate,
     prox_reg,
     ridge_problem,
-    saddle_value,
     squared_loss,
     svm_problem,
 )
@@ -25,6 +24,8 @@ from dapd.stochastic import (
     sdapd_iterate_dense,
     sdapd_params,
 )
+
+from oracles import geometric_schedule, saddle_value
 
 
 def finite_sum_ridge(rng, n, d, mu, row_scale=1.0):

@@ -15,8 +15,6 @@ from dapd.proxlib import (
 from dapd.sparse_engine import (
     LazyState,
     finalize_x,
-    lazy_primal_coord,
-    materialize_s,
     rebase,
     run_sparse,
     sparse_iterate,
@@ -29,6 +27,8 @@ from dapd.stochastic import (
     run_sdapd,
     sdapd_iterate_dense,
 )
+
+from oracles import lazy_primal_coord, materialize_s
 
 
 def sparse_problem(rng, n, d, density, reg, row_scale=1.0):
