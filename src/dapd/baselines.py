@@ -44,8 +44,9 @@ from .proxlib import (
     problem_constants,
     prox_conjugate,
     prox_reg,
+    recover_primal,
 )
-from .traces import RunResult, Tracer
+from .traces import RunResult, Tracer, epoch_rows
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,9 @@ def _run_da(problem, epochs, seed, tracer):
 
 
 def _run_rda(problem, epochs, seed, tracer):
-    from .proxlib import recover_primal
-
     n = problem.n
     _, mu, _, _, rbar = problem_constants(problem)
     gamma_hat = max(rbar, 1e-12)
-    rng = np.random.default_rng(seed)
     sample_factor = problem.loss_scale * n  # per-sample gradient scale
     x0 = np.zeros(problem.dim)
     x = x0.copy()
@@ -192,24 +190,21 @@ def _run_rda(problem, epochs, seed, tracer):
     # argmin <gbar, x> + g(x), the infinite-step prox limit
     lipschitz_loss = np.isfinite(problem.loss.lipschitz) or problem.loss.smoothness_gamma == 0
     variant = "strongly_convex" if (mu > 0 and lipschitz_loss) else "sqrt_t"
-    iterations = epochs * n
-    touches = 0
-    for t in range(1, iterations + 1):
-        i = int(rng.integers(n))
-        cols, vals = problem.matrix.row(i)
-        u_i = float(vals @ x[cols]) if vals.size else 0.0
-        gi = sample_factor * loss_grad_at(problem.loss, i, u_i)
-        gbar *= (t - 1) / t
-        if vals.size:
+    t = touches = 0
+    for epoch, rows in epoch_rows(n, epochs * n, seed):
+        for i in rows:
+            t += 1
+            cols, vals = problem.matrix.row(i)
+            gi = sample_factor * loss_grad_at(problem.loss, i, float(vals @ x[cols]))
+            gbar *= (t - 1) / t
             gbar[cols] += (gi / t) * vals
-        if variant == "strongly_convex":
-            x = recover_primal(problem.reg, x0, gbar, 1.0, 0.0)
-        else:
-            step = np.sqrt(t) / gamma_hat
-            x = prox_reg(problem.reg, step, x0 - step * gbar)
-        touches += 2 * problem.dim + 2 * vals.size
-        if t % n == 0:
-            tracer.record(t // n, x, touches)
+            if variant == "strongly_convex":
+                x = recover_primal(problem.reg, x0, gbar, 1.0, 0.0)
+            else:
+                step = np.sqrt(t) / gamma_hat
+                x = prox_reg(problem.reg, step, x0 - step * gbar)
+            touches += 2 * problem.dim + 2 * vals.size
+        tracer.record(epoch, x, touches)
     return x, {"gamma_hat": gamma_hat, "variant": variant}
 
 
@@ -217,7 +212,6 @@ def _run_proxsgd(problem, epochs, seed, tracer):
     n = problem.n
     gamma, mu, _, _, rbar = problem_constants(problem)
     alpha0 = 1.0 / max(rbar, 1e-12)
-    rng = np.random.default_rng(seed)
     sample_factor = problem.loss_scale * n
     # 1/(mu t) steps need the usual inverse-smoothness cap to avoid the
     # huge-first-step blowup on smooth losses; the schedule is unchanged
@@ -225,21 +219,18 @@ def _run_proxsgd(problem, epochs, seed, tracer):
     alpha_cap = gamma / (sample_factor * rbar**2) if gamma > 0 else np.inf
     x = np.zeros(problem.dim)
     rule = "inverse_mu_t" if mu > 0 else "inverse_sqrt_t"
-    iterations = epochs * n
-    touches = 0
-    for t in range(iterations):
-        i = int(rng.integers(n))
-        cols, vals = problem.matrix.row(i)
-        u_i = float(vals @ x[cols]) if vals.size else 0.0
-        gi = sample_factor * loss_grad_at(problem.loss, i, u_i)
-        alpha = min(1.0 / (mu * (t + 1.0)), alpha_cap) if mu > 0 else alpha0 / np.sqrt(t + 1.0)
-        step_vec = x.copy()
-        if vals.size:
+    t = touches = 0
+    for epoch, rows in epoch_rows(n, epochs * n, seed):
+        for i in rows:
+            t += 1
+            cols, vals = problem.matrix.row(i)
+            gi = sample_factor * loss_grad_at(problem.loss, i, float(vals @ x[cols]))
+            alpha = min(1.0 / (mu * t), alpha_cap) if mu > 0 else alpha0 / np.sqrt(t)
+            step_vec = x.copy()
             step_vec[cols] -= alpha * gi * vals
-        x = prox_reg(problem.reg, alpha, step_vec)
-        touches += 2 * problem.dim + 2 * vals.size
-        if (t + 1) % n == 0:
-            tracer.record((t + 1) // n, x, touches)
+            x = prox_reg(problem.reg, alpha, step_vec)
+            touches += 2 * problem.dim + 2 * vals.size
+        tracer.record(epoch, x, touches)
     return x, {"rule": rule, "alpha0": alpha0}
 
 
@@ -252,35 +243,27 @@ def _run_proxsvrg(problem, epochs, seed, tracer):
     L_sample = sample_factor * rbar**2 / gamma
     eta = 1.0 / (10.0 * L_sample)
     m = 2 * n
-    rng = np.random.default_rng(seed)
+    # each cycle is a snapshot epoch (one access per row) and then m = 2n
+    # sampled steps, two epochs; only the sampled epochs draw rows
+    snapshots = (epochs + 2) // 3
+    sampled = epoch_rows(n, (epochs - snapshots) * n, seed)
     x = np.zeros(problem.dim)
-    accesses = touches = 0
-    budget = epochs * n
-    while accesses < budget:
-        x_snap = x.copy()
-        u_snap = matvec(problem.matrix, x_snap)
-        grads_snap = loss_grads(problem.loss, u_snap)
-        full = problem.loss_scale * matvec(problem.matrix, grads_snap, transpose=True)
-        touches += 2 * problem.matrix.nnz + problem.dim
-        for _ in range(n):  # snapshot costs one access per row
-            accesses += 1
-            if accesses % n == 0:
-                tracer.record(accesses // n, x, touches)
-        for _ in range(m):
-            i = int(rng.integers(n))
-            cols, vals = problem.matrix.row(i)
-            u_i = float(vals @ x[cols]) if vals.size else 0.0
-            gi = loss_grad_at(problem.loss, i, u_i)
-            v = full.copy()
-            if vals.size:
+    touches = 0
+    for epoch in range(1, epochs + 1):
+        if epoch % 3 == 1:
+            grads_snap = loss_grads(problem.loss, matvec(problem.matrix, x))
+            full = problem.loss_scale * matvec(problem.matrix, grads_snap, transpose=True)
+            touches += 2 * problem.matrix.nnz + problem.dim
+        else:
+            _, rows = next(sampled)
+            for i in rows:
+                cols, vals = problem.matrix.row(i)
+                gi = loss_grad_at(problem.loss, i, float(vals @ x[cols]))
+                v = full.copy()
                 v[cols] += (sample_factor / n) * (gi - grads_snap[i]) * vals
-            x = prox_reg(problem.reg, eta, x - eta * v)
-            accesses += 1
-            touches += 3 * problem.dim + 2 * vals.size
-            if accesses % n == 0:
-                tracer.record(accesses // n, x, touches)
-            if accesses >= budget:
-                break
+                x = prox_reg(problem.reg, eta, x - eta * v)
+                touches += 3 * problem.dim + 2 * vals.size
+        tracer.record(epoch, x, touches)
     return x, {"eta": eta, "m": m}
 
 
@@ -294,32 +277,27 @@ def _run_spdc(problem, epochs, seed, tracer):
     tau = (1.0 / (2.0 * rbar)) * np.sqrt(gamma / (n * mu))
     sigma = (1.0 / (2.0 * rbar)) * np.sqrt(n * mu / gamma)
     theta = 1.0 - 1.0 / (n + 2.0 * rbar * np.sqrt(n / (gamma * mu)))
-    rng = np.random.default_rng(seed)
     d = problem.dim
     x = np.zeros(d)
     x_ext = x.copy()
     y = np.zeros(n)
     u = matvec(problem.matrix, y, transpose=True) / n
-    iterations = epochs * n
     touches = 0
-    for t in range(iterations):
-        i = int(rng.integers(n))
-        cols, vals = problem.matrix.row(i)
-        dot = float(vals @ x_ext[cols]) if vals.size else 0.0
-        y_new_i = prox_conjugate(problem.loss, i, sigma, y[i] + sigma * dot)
-        dy = y_new_i - y[i]
-        y[i] = y_new_i
-        grad = u.copy()
-        if vals.size:
+    for epoch, rows in epoch_rows(n, epochs * n, seed):
+        for i in rows:
+            cols, vals = problem.matrix.row(i)
+            dot = float(vals @ x_ext[cols])
+            y_new_i = prox_conjugate(problem.loss, i, sigma, y[i] + sigma * dot)
+            dy = y_new_i - y[i]
+            y[i] = y_new_i
+            grad = u.copy()
             grad[cols] += dy * vals
-        x_new = prox_reg(problem.reg, tau, x - tau * grad)
-        if vals.size:
+            x_new = prox_reg(problem.reg, tau, x - tau * grad)
             u[cols] += (dy / n) * vals
-        x_ext = x_new + theta * (x_new - x)
-        x = x_new
-        touches += 4 * d + 3 * vals.size
-        if (t + 1) % n == 0:
-            tracer.record((t + 1) // n, x, touches)
+            x_ext = x_new + theta * (x_new - x)
+            x = x_new
+            touches += 4 * d + 3 * vals.size
+        tracer.record(epoch, x, touches)
     return x, {"tau": tau, "sigma": sigma, "theta": theta}
 
 
@@ -336,7 +314,6 @@ BASELINES = {
     "spdc": (_run_spdc, True),
 }
 BASELINE_METHODS = tuple(BASELINES)
-DETERMINISTIC_METHODS = tuple(m for m, (_, seeded) in BASELINES.items() if not seeded)
 STOCHASTIC_METHODS = tuple(m for m, (_, seeded) in BASELINES.items() if seeded)
 
 

@@ -29,16 +29,25 @@ from .proxlib import composite_gamma, problem_constants
 
 
 def _load_config(args) -> RunConfig:
-    config = RunConfig.from_json(args.config)
-    if getattr(args, "epochs", None) is not None:
-        config.solver["epochs"] = args.epochs
-    if getattr(args, "seeds", None):
-        config.solver["seeds"] = [int(s) for s in args.seeds.split(",")]
-    if getattr(args, "method", None):
-        config.solver["methods"] = args.method
-    if getattr(args, "out", None):
-        config.output["dir"] = args.out
-    return config
+    """The config file with the flag overrides applied, validated as one."""
+    with open(args.config) as fh:
+        raw = json.load(fh)
+    solver = dict(raw.get("solver") or {})
+    output = dict(raw.get("output") or {})
+    if args.epochs is not None:
+        solver["epochs"] = args.epochs
+    if args.seeds:
+        try:
+            solver["seeds"] = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ConfigurationError(
+                f"--seeds must be comma-separated integers, not {args.seeds!r}"
+            ) from None
+    if args.method:
+        solver["methods"] = args.method
+    if args.out:
+        output["dir"] = args.out
+    return RunConfig.from_dict({**raw, "solver": solver, "output": output})
 
 
 def _cmd_run(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,17 @@ def parse_libsvm(source, expected_dim: int | None = None, name: str = "<memory>"
     Indices are 1-based and must be strictly increasing within a line, and
     labels and values must be finite; the dimension is inferred as the
     maximum index unless ``expected_dim`` is given (which also catches
-    truncated files).  Blank lines are skipped.
+    truncated files).  Blank lines are skipped.  Lines arrive in row order
+    with increasing indices, so they are appended straight into CSR arrays.
     """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = io.TextIOWrapper(source, encoding="ascii") if isinstance(source, io.BufferedIOBase) else source
     labels = []
-    triplets = []
+    offsets = array("q", [0])
+    col_indices = array("q")
+    values = array("d")
     max_index = 0
     row = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -78,8 +82,10 @@ def parse_libsvm(source, expected_dim: int | None = None, name: str = "<memory>"
                     f"feature index {idx} not increasing after {prev_index}", line=lineno
                 )
             prev_index = idx
-            max_index = max(max_index, idx)
-            triplets.append((row, idx - 1, val))
+            col_indices.append(idx - 1)
+            values.append(val)
+        max_index = max(max_index, prev_index)
+        offsets.append(len(values))
         row += 1
     if row == 0:
         raise ParseError("empty dataset: no samples found")
@@ -90,7 +96,9 @@ def parse_libsvm(source, expected_dim: int | None = None, name: str = "<memory>"
                 f"feature index {max_index} exceeds the declared dimension {expected_dim}"
             )
         dim = expected_dim
-    matrix = build_matrix(triplets, row, dim)
+    matrix = SparseRowMatrix(
+        row, dim, np.array(offsets), np.array(col_indices), np.array(values)
+    )
     meta = {
         "name": name,
         "n": row,

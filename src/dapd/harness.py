@@ -12,7 +12,6 @@ on the original problem.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -284,6 +283,15 @@ class RunConfig:
             raise ConfigurationError("solver.methods must be a nonempty list")
         solver.setdefault("epochs", 50)
         solver.setdefault("seeds", [0])
+        if not _is_int(solver["epochs"]) or solver["epochs"] < 1:
+            raise ConfigurationError(
+                f"solver.epochs must be a positive integer, not {solver['epochs']!r}"
+            )
+        seeds = solver["seeds"]
+        if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
+            raise ConfigurationError(
+                f"solver.seeds must be a nonempty list of integers, not {seeds!r}"
+            )
         solver.setdefault("epsilon", None)
         solver.setdefault("case_iv_tau", None)
         output.setdefault("dir", "traces")
@@ -292,10 +300,9 @@ class RunConfig:
         output.setdefault("wall_clock", True)
         return cls(raw.get("name", "experiment"), problem, solver, output)
 
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _build_regularizer(spec: dict) -> Regularizer:

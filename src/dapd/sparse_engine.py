@@ -20,12 +20,15 @@ This needs g separable and a single prox per touched coordinate, so it works
 for any separable regularizer with a computable scalar prox (including the
 KL divergence, where repeated-prox shortcuts are unavailable).
 
-beta_t and B_t grow geometrically without bound.  ``rebase`` divides
+beta_t and B_t grow geometrically without bound.  When the stored beta
+passes ``rebase_threshold`` (as in DAPD and dense SDAPD), ``rebase`` divides
 (v, beta, B) by the current growth factor and accumulates its log in
 ``log_scale``, through the solvers' shared ``deterministic.rescale``; w needs
 no scaling (w is identically u/(1-theta) once seeded).
 Recoveries evaluate the prox in rescaled form via ``recover_primal``, so no
 stored quantity ever overflows, while recovered coordinates are unchanged.
+``run_sparse`` runs epochs of rows from ``traces.epoch_rows``, the rows
+dense SDAPD samples at the same seed.
 
 Ergodic averaging is intentionally unavailable here: maintaining the average
 would cost O(d) per iteration.  The last iterate is the practical output
@@ -41,10 +44,8 @@ from .deterministic import RESCALE_THRESHOLD, rescale
 from .errors import ConfigurationError, DivergenceError, StructuralError
 from .matrix import SparseRowMatrix, matvec
 from .proxlib import CompositeProblem, prox_conjugate, recover_primal
-from .stochastic import StochasticParams
-from .traces import RunResult, Tracer
-
-DEFAULT_REBASE_PERIOD = 2**20
+from .stochastic import StochasticParams, resolved_constants
+from .traces import RunResult, Tracer, epoch_rows
 
 
 class LazyState:
@@ -57,9 +58,8 @@ class LazyState:
     O(nnz) product A^T y^0, and no work when y^0 = 0.
     """
 
-    def __init__(self, x0, y0, A: SparseRowMatrix, params: StochasticParams, seed=0,
-                 rebase_threshold=RESCALE_THRESHOLD,
-                 rebase_period=DEFAULT_REBASE_PERIOD):
+    def __init__(self, x0, y0, A: SparseRowMatrix, params: StochasticParams,
+                 rebase_threshold=RESCALE_THRESHOLD):
         theta = params.theta
         if not 0.0 < theta < 1.0:
             raise ConfigurationError("geometric schedule requires theta = 1/xi in (0, 1)")
@@ -91,9 +91,6 @@ class LazyState:
         self.touch_counter = 0
         self.rebase_count = 0
         self.rebase_threshold = rebase_threshold
-        self.rebase_period = rebase_period
-        self.rng = np.random.default_rng(seed)
-        self.last_sample = -1
 
 
 def _recover_coords(state: LazyState, reg, cols):
@@ -106,43 +103,32 @@ def _recover_coords(state: LazyState, reg, cols):
     return x, xbar
 
 
-def sparse_iterate(state: LazyState, problem: CompositeProblem, params: StochasticParams):
-    """One SDAPD iteration touching only the sampled row's support."""
-    A = problem.matrix
-    reg = problem.reg
+def sparse_iterate(state: LazyState, problem: CompositeProblem, params: StochasticParams,
+                   i: int):
+    """One SDAPD iteration on the sampled row i, touching only its support."""
     n = state.n
-    i = int(state.rng.integers(n))
-    state.last_sample = i
-    cols, vals = A.row(i)
-    k = int(vals.size)
-
-    if k:
-        _, xbar_c = _recover_coords(state, reg, cols)
-        dot = float(vals @ xbar_c)
-    else:
-        dot = 0.0
+    cols, vals = problem.matrix.row(i)
+    _, xbar_c = _recover_coords(state, problem.reg, cols)
+    dot = float(vals @ xbar_c)
     y_new = prox_conjugate(problem.loss, i, state.tau, state.y[i] + state.tau * dot)
     if not (np.isfinite(dot) and np.isfinite(y_new)):
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     dy = y_new - state.y[i]
     state.y[i] = y_new
 
-    if k:
-        delta = (dy / n) * vals
-        state.u[cols] += delta
-        state.v[cols] += (state.beta_hat * (n - 1.0 / (1.0 - state.theta))) * delta
-        state.w[cols] += delta / (1.0 - state.theta)
+    delta = (dy / n) * vals
+    state.u[cols] += delta
+    state.v[cols] += (state.beta_hat * (n - 1.0 / (1.0 - state.theta))) * delta
+    state.w[cols] += delta / (1.0 - state.theta)
 
     state.B_hat += state.beta_hat
     state.beta_prev_hat = state.beta_hat
     state.beta_hat /= state.theta
     state.t += 1
     # audit: 2 recoveries + row read + 3 support writes per coordinate
-    state.touch_counter += 6 * k + 2
+    state.touch_counter += 6 * int(vals.size) + 2
 
-    if state.beta_hat > state.rebase_threshold or (
-        state.rebase_period and state.t % state.rebase_period == 0
-    ):
+    if state.beta_hat > state.rebase_threshold:
         rebase(state)
     return state
 
@@ -173,33 +159,20 @@ def run_sparse(
     reference_value: float | None = None,
     wall_clock: bool = True,
     rebase_threshold: float = RESCALE_THRESHOLD,
-    rebase_period: int = DEFAULT_REBASE_PERIOD,
 ) -> RunResult:
     """Drive the lazy engine; per-epoch traces, last-iterate output only."""
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
     d, n = problem.dim, problem.n
     x0 = np.zeros(d) if x0 is None else x0
-    state = LazyState(
-        x0, np.zeros(n), problem.matrix, params, seed=seed,
-        rebase_threshold=rebase_threshold, rebase_period=rebase_period,
-    )
+    state = LazyState(x0, np.zeros(n), problem.matrix, params, rebase_threshold=rebase_threshold)
     tracer = Tracer(problem, reference_value, wall_clock)
-    for t in range(iterations):
-        sparse_iterate(state, problem, params)
-        if (t + 1) % n == 0 or t + 1 == iterations:
-            tracer.record((t + n) // n, finalize_x(state, problem.reg), state.touch_counter)
-    x_final = finalize_x(state, problem.reg)
-    resolved = {
-        "eta": params.eta,
-        "tau": params.tau,
-        "beta0": params.beta0,
-        "xi": params.xi,
-        "theta": state.theta,
-        "seed": seed,
-        "iterations": iterations,
-        "rebase_count": state.rebase_count,
-        "delta1": problem.loss.dual_perturbation,
-        "delta2": problem.reg.primal_perturbation,
-    }
-    return RunResult(x=x_final, trace=tracer.records, y=state.y, resolved=resolved)
+    for epoch, rows in epoch_rows(n, iterations, seed):
+        for i in rows:
+            sparse_iterate(state, problem, params, i)
+        x = finalize_x(state, problem.reg)
+        tracer.record(epoch, x, state.touch_counter)
+    resolved = resolved_constants(problem, params, iterations, seed)
+    resolved["theta"] = state.theta
+    resolved["rebase_count"] = state.rebase_count
+    return RunResult(x=x, trace=tracer.records, y=state.y, resolved=resolved)

@@ -40,7 +40,7 @@ from .proxlib import (
     prox_reg,
     recover_primal,
 )
-from .traces import RunResult, Tracer, check_output_mode, select_output
+from .traces import RunResult, Tracer, check_output_mode, epoch_rows, select_output
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def perturb_problem(
 class StochasticState:
     """Mutable SDAPD state with the scaled dual-averaging bookkeeping."""
 
-    def __init__(self, problem, params, seed, x0=None):
+    def __init__(self, problem, params, x0=None):
         d, n = problem.dim, problem.n
         self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.x = self.x0.copy()
@@ -119,34 +119,29 @@ class StochasticState:
         self.log_scale = 0.0
         self.inv_scale = 1.0
         self.t = 0
-        self.rng = np.random.default_rng(seed)
         self.touch_counter = 0
         self.ergodic_x = np.zeros(d)
-        self.last_sample = -1
 
 
 def sdapd_iterate_dense(
-    state: StochasticState, params: StochasticParams, problem: CompositeProblem
+    state: StochasticState, params: StochasticParams, problem: CompositeProblem, i: int
 ):
-    """One SDAPD iteration; O(d + nnz(a_i)) dense-vector work."""
+    """One SDAPD iteration on the sampled row i; O(d + nnz(a_i)) dense work."""
     n, d = problem.n, problem.dim
     reg = problem.reg
-    i = int(state.rng.integers(n))
-    state.last_sample = i
 
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = prox_reg(reg, params.eta, state.x - params.eta * state.u)
         cols, vals = problem.matrix.row(i)
-        dot = float(vals @ xbar[cols]) if vals.size else 0.0
+        dot = float(vals @ xbar[cols])
         y_new_i = prox_conjugate(problem.loss, i, params.tau, state.y[i] + params.tau * dot)
         dy = y_new_i - state.y[i]
         state.y[i] = y_new_i
 
         # (1/n) A^T ybar^{t+1} = u^t + dy a_i, using u before its own update
         state.s_hat += state.beta_hat * state.u
-        if vals.size:
-            state.s_hat[cols] += (state.beta_hat * dy) * vals
-            state.u[cols] += (dy / n) * vals
+        state.s_hat[cols] += (state.beta_hat * dy) * vals
+        state.u[cols] += (dy / n) * vals
         state.B_hat += state.beta_hat
         x_new = recover_primal(reg, state.x0, state.s_hat, state.B_hat, state.inv_scale)
 
@@ -183,14 +178,19 @@ def run_sdapd(
     check_output_mode(output)
     if params.n != problem.n:
         raise ConfigurationError("params were built for a different sample count")
-    state = StochasticState(problem, params, seed, x0=x0)
-    n = problem.n
+    state = StochasticState(problem, params, x0=x0)
     tracer = Tracer(problem, reference_value, wall_clock)
-    for t in range(iterations):
-        sdapd_iterate_dense(state, params, problem)
-        if (t + 1) % n == 0 or t + 1 == iterations:
-            tracer.record((t + n) // n, state.x, state.touch_counter)
-    resolved = {
+    for epoch, rows in epoch_rows(problem.n, iterations, seed):
+        for i in rows:
+            sdapd_iterate_dense(state, params, problem, i)
+        tracer.record(epoch, state.x, state.touch_counter)
+    resolved = resolved_constants(problem, params, iterations, seed)
+    return select_output(state, output, tracer.records, resolved)
+
+
+def resolved_constants(problem, params, iterations, seed) -> dict:
+    """The resolved constants every SDAPD run reports, dense or lazy."""
+    return {
         "eta": params.eta,
         "tau": params.tau,
         "beta0": params.beta0,
@@ -200,4 +200,3 @@ def run_sdapd(
         "delta1": problem.loss.dual_perturbation,
         "delta2": problem.reg.primal_perturbation,
     }
-    return select_output(state, output, tracer.records, resolved)

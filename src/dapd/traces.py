@@ -1,4 +1,5 @@
-"""Per-epoch trace records, the tracer every solver records them with, CSV
+"""Per-epoch trace records, the tracer every solver records them with, the
+row sampler every stochastic driver draws its epochs from, CSV
 serialization, and the shared run result."""
 
 from __future__ import annotations
@@ -53,6 +54,19 @@ def nnz_fraction(x: np.ndarray, tol: float = NNZ_TOLERANCE) -> float:
     if x.size == 0:
         return 0.0
     return float(np.count_nonzero(np.abs(x) > tol)) / x.size
+
+
+def epoch_rows(n: int, iterations: int, seed: int):
+    """Yield ``(epoch, rows)`` for epochs 1, 2, ...: the uniformly sampled
+    rows of each epoch of n iterations (fewer in a final partial epoch),
+    drawn a whole epoch at a time from one ``default_rng(seed)``.
+
+    A batch of int64 draws is the same stream as one ``rng.integers(n)`` per
+    iteration, so a run does not depend on how its draws are grouped.
+    """
+    rng = np.random.default_rng(seed)
+    for epoch, start in enumerate(range(0, iterations, n), start=1):
+        yield epoch, rng.integers(n, size=min(n, iterations - start)).tolist()
 
 
 class Tracer:

@@ -238,3 +238,11 @@ def lazy_primal_coord(state, j, reg):
     x, xbar = _recover_coords(state, reg, np.array([j]))
     state.touch_counter += 2
     return float(x[0]), float(xbar[0])
+
+
+def sampled_rows(n, seed=0):
+    """Endless uniform rows from ``default_rng(seed)``, one scalar draw each:
+    the rows the stochastic drivers sample at that seed."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield int(rng.integers(n))

@@ -61,6 +61,7 @@ from oracles import (
     prox_oracle,
     prox_reg_coord,
     saddle_value,
+    sampled_rows,
     squared_conj,
 )
 
@@ -211,9 +212,9 @@ class TestCriterion4:
         rng = np.random.default_rng(1004)
         prob = sparse_instance(rng, 100, 200, 0.05, l2_reg(0.1))
         params = params_for_problem(prob)
-        lazy = LazyState(np.zeros(200), np.zeros(100), prob.matrix, params, seed=77)
-        # dense shadow with the identical sample stream
-        shadow_rng = np.random.default_rng(77)
+        lazy = LazyState(np.zeros(200), np.zeros(100), prob.matrix, params)
+        # dense shadow on the identical rows
+        rows = sampled_rows(100, 77)
         from dapd.proxlib import prox_reg, recover_primal
 
         y = np.zeros(100)
@@ -223,8 +224,8 @@ class TestCriterion4:
         beta, B = params.beta0, 0.0
         worst = 0.0
         for t in range(500):
-            sparse_iterate(lazy, prob, params)
-            i = int(shadow_rng.integers(100))
+            i = next(rows)
+            sparse_iterate(lazy, prob, params, i)
             x = recover_primal(prob.reg, x0, s, B, 1.0)
             xbar = prox_reg(prob.reg, params.eta, x - params.eta * u)
             cols, vals = prob.matrix.row(i)
@@ -251,9 +252,7 @@ class TestCriterion5:
         params = params_for_problem(prob)
         iterations = 10_000
         dense = run_sdapd(prob, params, iterations, seed=9)
-        sparse = run_sparse(
-            prob, params, iterations, seed=9, rebase_threshold=1e8, rebase_period=0
-        )
+        sparse = run_sparse(prob, params, iterations, seed=9, rebase_threshold=1e8)
         diff = float(np.abs(sparse.x - dense.x).max())
         rebases = sparse.resolved["rebase_count"]
         ok = diff <= 1e-8 and rebases >= 1
@@ -269,15 +268,17 @@ class TestCriterion6:
         params = params_for_problem(prob)
         row_nnz = np.diff(prob.matrix.row_offsets)
         mean_nnz = float(row_nnz.mean())
-        state = LazyState(np.zeros(d), np.zeros(n), prob.matrix, params, seed=4)
+        state = LazyState(np.zeros(d), np.zeros(n), prob.matrix, params)
         iterations = 2000
+        rows = sampled_rows(n, 4)
         for _ in range(iterations):
-            sparse_iterate(state, prob, params)
+            sparse_iterate(state, prob, params, next(rows))
         mean_touches = state.touch_counter / iterations
-        dense_state = StochasticState(prob, params, seed=4)
+        dense_state = StochasticState(prob, params)
+        rows = sampled_rows(n, 4)
         for _ in range(50):
             before = dense_state.touch_counter
-            sdapd_iterate_dense(dense_state, params, prob)
+            sdapd_iterate_dense(dense_state, params, prob, next(rows))
         dense_per_iter = dense_state.touch_counter / 50
         ok = mean_touches <= 10.0 * (mean_nnz + 1.0) and dense_per_iter >= d
         report(6, "per-iteration work bound at rho=1e-3, d=1e4", ok,
@@ -458,10 +459,11 @@ class TestCriterion10:
         # SDAPD on the perturbed problem, last iterate at 1e-8 on the original
         pert = perturb_problem(prob, 1e-5, c1=0.1, c2=1.0)
         params = params_for_problem(pert)
-        sstate = StochasticState(pert, params, seed=3)
+        sstate = StochasticState(pert, params)
         sdapd_x = None
+        rows = sampled_rows(pert.n, 3)
         for t in range(1_000_000):
-            sdapd_iterate_dense(sstate, params, pert)
+            sdapd_iterate_dense(sstate, params, pert, next(rows))
             if (t + 1) % 200 == 0 and primal_objective(prob, sstate.x) - pstar <= 1e-8:
                 sdapd_x = sstate.x.copy()
                 break
@@ -530,10 +532,11 @@ class TestCriterion11:
             for eps in (1e-2, 1e-3, 1e-4):
                 pert = perturb_problem(prob, eps, c1=0.1, c2=0.1)
                 params = params_for_problem(pert)
-                state = StochasticState(pert, params, seed=5)
+                state = StochasticState(pert, params)
                 hit = None
+                rows = sampled_rows(pert.n, 5)
                 for t in range(2_000_000):
-                    sdapd_iterate_dense(state, params, pert)
+                    sdapd_iterate_dense(state, params, pert, next(rows))
                     if (t + 1) % 10 == 0:
                         if primal_objective(prob, state.x) - ref.value <= eps:
                             hit = t + 1

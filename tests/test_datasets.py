@@ -56,6 +56,16 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="line 2: non-finite"):
             parse_libsvm(text)
 
+    def test_label_only_line_is_an_empty_row(self):
+        ds = parse_libsvm("1 2:0.5 4:-1\n-1\n1 1:2\n")
+        assert ds.n == 3 and ds.dim == 4
+        assert ds.matrix.row(1)[0].size == 0
+        built = build_matrix([(0, 1, 0.5), (0, 3, -1.0), (2, 0, 2.0)], 3, 4)
+        for name in ("row_offsets", "col_indices", "values"):
+            got, want = getattr(ds.matrix, name), getattr(built, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_expected_dim(self):
         ds = parse_libsvm("1 1:1\n", expected_dim=5)
         assert ds.dim == 5

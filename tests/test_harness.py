@@ -30,7 +30,7 @@ from dapd.proxlib import (
     squared_loss,
     svm_problem,
 )
-from dapd.traces import TraceRecord, read_trace, write_trace
+from dapd.traces import TraceRecord, epoch_rows, read_trace, write_trace
 
 
 def one_d_ridge():
@@ -192,6 +192,19 @@ class TestTraceIO:
         assert np.all(np.diff(envelope) <= 0)
 
 
+class TestEpochRows:
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    @pytest.mark.parametrize("shape", ["one", "n_minus_1", "n", "3n_plus_5"])
+    def test_same_stream_as_scalar_draws(self, n, shape):
+        iterations = {"one": 1, "n_minus_1": max(n - 1, 1), "n": n, "3n_plus_5": 3 * n + 5}[shape]
+        epochs = list(epoch_rows(n, iterations, 13))
+        assert [e for e, _ in epochs] == list(range(1, -(-iterations // n) + 1))
+        assert all(len(rows) == n for _, rows in epochs[:-1])
+        rng = np.random.default_rng(13)
+        scalar = [int(rng.integers(n)) for _ in range(iterations)]
+        assert [i for _, rows in epochs for i in rows] == scalar
+
+
 def base_config(tmp_path, methods, seeds, epochs=3):
     return {
         "name": "t",
@@ -269,6 +282,20 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="unknown key"):
             RunConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [("epochs", 0, "epochs"), ("epochs", -2, "epochs"), ("epochs", 2.5, "epochs"),
+         ("epochs", "3", "epochs"), ("epochs", True, "epochs"), ("seeds", [], "seeds"),
+         ("seeds", 3, "seeds"), ("seeds", [1, "x"], "seeds"), ("seeds", [1.0], "seeds")],
+        ids=["epochs_0", "epochs_negative", "epochs_float", "epochs_str", "epochs_bool",
+             "seeds_empty", "seeds_scalar", "seeds_str", "seeds_float"],
+    )
+    def test_invalid_epochs_and_seeds_rejected(self, tmp_path, key, value, match):
+        cfg = base_config(tmp_path, ["dapd"], seeds=[0])
+        cfg["solver"][key] = value
+        with pytest.raises(ConfigurationError, match=f"solver.{match} must be"):
+            RunConfig.from_dict(cfg)
+
     def test_unknown_method_rejected(self, tmp_path):
         cfg = base_config(tmp_path, ["adamw"], seeds=[0])
         with pytest.raises(ConfigurationError, match="unknown method"):
@@ -327,6 +354,18 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "spectral_norm" in out and "density" in out and "matrix.backend" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method", "bogus"], ["--seeds", "1,x"], ["--epochs", "0"]],
+        ids=["method", "seeds", "epochs"],
+    )
+    def test_bad_override_refused_before_running(self, tmp_path, capsys, flags):
+        rc = cli_main(["run", "--config", str(self.write_config(tmp_path)), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

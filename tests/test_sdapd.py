@@ -25,7 +25,7 @@ from dapd.stochastic import (
     sdapd_params,
 )
 
-from oracles import geometric_schedule, saddle_value
+from oracles import geometric_schedule, sampled_rows, saddle_value
 
 
 def finite_sum_ridge(rng, n, d, mu, row_scale=1.0):
@@ -95,8 +95,8 @@ class TestSingleSample:
     def test_first_iterate_matches_dapd(self):
         prob = one_d_unit_problem()
         params = sdapd_params(1, 1.0, 1.0, 1.0)
-        state = StochasticState(prob, params, seed=0)
-        sdapd_iterate_dense(state, params, prob)
+        state = StochasticState(prob, params)
+        sdapd_iterate_dense(state, params, prob, 0)  # the only row
         assert state.xbar[0] == 0.0
         assert state.y[0] == pytest.approx(-0.5, abs=0)
         assert state.x[0] == pytest.approx(0.25, abs=0)
@@ -105,10 +105,10 @@ class TestSingleSample:
         prob = one_d_unit_problem()
         params = sdapd_params(1, 1.0, 1.0, 1.0)
         sched = geometric_schedule(params.eta, params.tau, params.beta0, params.xi)
-        s_state = StochasticState(prob, params, seed=3)
+        s_state = StochasticState(prob, params)
         d_state = IterateState(prob, sched)
         for _ in range(60):
-            sdapd_iterate_dense(s_state, params, prob)
+            sdapd_iterate_dense(s_state, params, prob, 0)
             dapd_iterate(d_state, sched, prob)
             assert s_state.x[0] == pytest.approx(d_state.x[0], abs=1e-15)
             assert s_state.y[0] == pytest.approx(d_state.y[0], abs=1e-15)
@@ -119,9 +119,10 @@ class TestIterate:
         rng = np.random.default_rng(4)
         prob, _, _ = finite_sum_ridge(rng, 12, 6, mu=0.2)
         params = params_for_problem(prob)
-        state = StochasticState(prob, params, seed=7)
+        state = StochasticState(prob, params)
+        rows = sampled_rows(prob.n, 7)
         for _ in range(1000):
-            sdapd_iterate_dense(state, params, prob)
+            sdapd_iterate_dense(state, params, prob, next(rows))
         fresh = matvec(prob.matrix, state.y, transpose=True) / prob.n
         assert np.allclose(state.u, fresh, rtol=1e-10, atol=1e-12)
 
@@ -129,12 +130,14 @@ class TestIterate:
         rng = np.random.default_rng(5)
         prob, _, _ = finite_sum_ridge(rng, 10, 8, mu=0.3)
         params = params_for_problem(prob)
-        state = StochasticState(prob, params, seed=1)
+        state = StochasticState(prob, params)
         d = prob.dim
+        rows = sampled_rows(prob.n, 1)
         for _ in range(50):
             before = state.touch_counter
-            sdapd_iterate_dense(state, params, prob)
-            nnz_row = prob.matrix.row(state.last_sample)[1].size
+            i = next(rows)
+            sdapd_iterate_dense(state, params, prob, i)
+            nnz_row = prob.matrix.row(i)[1].size
             delta = state.touch_counter - before
             assert delta <= 10 * (d + nnz_row)
             assert delta >= d
@@ -145,9 +148,10 @@ class TestIterate:
         rng = np.random.default_rng(6)
         prob, _, _ = finite_sum_ridge(rng, 5, 3, mu=0.4)
         params = params_for_problem(prob)
-        state = StochasticState(prob, params, seed=2)
+        state = StochasticState(prob, params)
+        rows = sampled_rows(prob.n, 2)
         for _ in range(3):
-            sdapd_iterate_dense(state, params, prob)
+            sdapd_iterate_dense(state, params, prob, next(rows))
         n = prob.n
         xbar = prox_reg(prob.reg, params.eta, state.x - params.eta * state.u)
         ax = matvec(prob.matrix, xbar)
@@ -168,10 +172,11 @@ class TestIterate:
         rng = np.random.default_rng(7)
         prob, _, _ = finite_sum_ridge(rng, 6, 4, mu=0.5)
         params = params_for_problem(prob)
-        state = StochasticState(prob, params, seed=0)
+        state = StochasticState(prob, params)
         prev = state.beta_hat
+        rows = sampled_rows(prob.n, 0)
         for _ in range(100):
-            sdapd_iterate_dense(state, params, prob)
+            sdapd_iterate_dense(state, params, prob, next(rows))
             assert state.beta_hat / prev == pytest.approx(params.xi, rel=1e-15)
             prev = state.beta_hat
 

@@ -28,7 +28,7 @@ from dapd.stochastic import (
     sdapd_iterate_dense,
 )
 
-from oracles import lazy_primal_coord, materialize_s
+from oracles import lazy_primal_coord, materialize_s, sampled_rows
 
 
 def sparse_problem(rng, n, d, density, reg, row_scale=1.0):
@@ -80,7 +80,7 @@ class TestLemmaBaseCase:
         A = build_matrix([(0, 0, 1.0)], 1, 1)
         prob = make_problem(A, squared_loss([-0.4]), l2_reg(1.0), "finite_sum")
         state = LazyState(np.array([3.0]), np.array([1.0]), A, unit_params())
-        sparse_iterate(state, prob, unit_params())
+        sparse_iterate(state, prob, unit_params(), 0)
         assert state.y[0] == pytest.approx(1.2, abs=1e-15)
         assert state.v[0] == pytest.approx(-1.2, abs=1e-14)
         assert state.w[0] == pytest.approx(2.4, abs=1e-14)
@@ -107,11 +107,13 @@ class TestLazyRecovery:
         prob = sparse_problem(rng, 8, 12, 0.4, l1_reg(0.05))
         prob = perturb_problem(prob, 0.01)
         params = params_for_problem(prob)
-        dense = StochasticState(prob, params, seed=11)
-        lazy = LazyState(np.zeros(12), np.zeros(8), prob.matrix, params, seed=11)
+        dense = StochasticState(prob, params)
+        lazy = LazyState(np.zeros(12), np.zeros(8), prob.matrix, params)
+        rows = sampled_rows(8, 11)
         for _ in range(300):
-            sdapd_iterate_dense(dense, params, prob)
-            sparse_iterate(lazy, prob, params)
+            i = next(rows)
+            sdapd_iterate_dense(dense, params, prob, i)
+            sparse_iterate(lazy, prob, params, i)
         for j in range(12):
             x_j, _ = lazy_primal_coord(lazy, j, prob.reg)
             assert x_j == pytest.approx(dense.x[j], abs=1e-10)
@@ -121,9 +123,10 @@ class TestLazyRecovery:
         prob = sparse_problem(rng, 6, 10, 0.5, l1_reg(50.0))
         prob = perturb_problem(prob, 1e-3)
         params = params_for_problem(prob)
-        lazy = LazyState(np.zeros(10), np.zeros(6), prob.matrix, params, seed=0)
+        lazy = LazyState(np.zeros(10), np.zeros(6), prob.matrix, params)
+        rows = sampled_rows(6, 0)
         for _ in range(200):
-            sparse_iterate(lazy, prob, params)
+            sparse_iterate(lazy, prob, params, next(rows))
         assert np.all(finalize_x(lazy, prob.reg) == 0.0)
         assert np.any(materialize_s(lazy) != 0.0)
 
@@ -136,17 +139,17 @@ class TestSparseIterate:
         A = build_matrix([(0, 10, 1.0), (0, 500_000, -2.0), (0, d - 1, 0.5)], 1, d)
         prob = make_problem(A, squared_loss([1.0]), l2_reg(0.1), "finite_sum")
         params = params_for_problem(prob)
-        state = LazyState(np.zeros(d), np.zeros(1), A, params, seed=0)
+        state = LazyState(np.zeros(d), np.zeros(1), A, params)
         before = state.touch_counter
-        sparse_iterate(state, prob, params)
+        sparse_iterate(state, prob, params, 0)
         assert state.touch_counter - before <= 8 * 3 + 4
 
     def test_empty_row_updates_only_dual(self):
         A = build_matrix([], 1, 3)
         prob = make_problem(A, squared_loss([2.0]), l2_reg(0.3), "finite_sum")
         params = unit_params(n=1)
-        state = LazyState(np.zeros(3), np.zeros(1), A, params, seed=0)
-        sparse_iterate(state, prob, params)
+        state = LazyState(np.zeros(3), np.zeros(1), A, params)
+        sparse_iterate(state, prob, params, 0)
         assert state.y[0] != 0.0
         assert np.all(state.v == 0) and np.all(state.w == 0) and np.all(state.u == 0)
 
@@ -154,11 +157,13 @@ class TestSparseIterate:
         rng = np.random.default_rng(5)
         prob = sparse_problem(rng, 10, 30, 0.15, l2_reg(0.2))
         params = params_for_problem(prob)
-        state = LazyState(np.zeros(30), np.zeros(10), prob.matrix, params, seed=9)
+        state = LazyState(np.zeros(30), np.zeros(10), prob.matrix, params)
+        rows = sampled_rows(10, 9)
         for _ in range(40):
             v0, w0, u0 = state.v.copy(), state.w.copy(), state.u.copy()
-            sparse_iterate(state, prob, params)
-            cols = prob.matrix.row(state.last_sample)[0]
+            i = next(rows)
+            sparse_iterate(state, prob, params, i)
+            cols = prob.matrix.row(i)[0]
             mask = np.ones(30, dtype=bool)
             mask[cols] = False
             assert np.array_equal(state.v[mask], v0[mask])
@@ -171,9 +176,9 @@ class TestMaterialize:
         rng = np.random.default_rng(6)
         prob = sparse_problem(rng, 10, 15, 0.3, l2_reg(0.4))
         params = params_for_problem(prob)
-        lazy = LazyState(np.zeros(15), np.zeros(10), prob.matrix, params, seed=21)
-        # dense shadow accumulates s directly with the same sample stream
-        rng_shadow = np.random.default_rng(21)
+        lazy = LazyState(np.zeros(15), np.zeros(10), prob.matrix, params)
+        # dense shadow accumulates s directly on the same rows
+        rows = sampled_rows(10, 21)
         y = np.zeros(10)
         u = np.zeros(15)
         s = np.zeros(15)
@@ -183,8 +188,8 @@ class TestMaterialize:
         B = 0.0
         x0 = np.zeros(15)
         for t in range(200):
-            sparse_iterate(lazy, prob, params)
-            i = int(rng_shadow.integers(10))
+            i = next(rows)
+            sparse_iterate(lazy, prob, params, i)
             x = recover_primal(prob.reg, x0, s, B, 1.0)
             xbar = prox_reg(prob.reg, params.eta, x - params.eta * u)
             cols, vals = prob.matrix.row(i)
@@ -218,9 +223,10 @@ class TestRebase:
             prob = perturb_problem(prob, 1e-3)
             params = params_for_problem(prob)
             x0 = np.ones(12) if reg.kind == "kl" else np.zeros(12)
-            state = LazyState(x0, np.zeros(8), prob.matrix, params, seed=3)
+            state = LazyState(x0, np.zeros(8), prob.matrix, params)
+            rows = sampled_rows(8, 3)
             for _ in range(137):
-                sparse_iterate(state, prob, params)
+                sparse_iterate(state, prob, params, next(rows))
             before = finalize_x(state, prob.reg)
             coords_before = [lazy_primal_coord(state, j, prob.reg) for j in range(12)]
             rebase(state)
@@ -235,7 +241,7 @@ class TestRebase:
         rng = np.random.default_rng(8)
         prob = sparse_problem(rng, 6, 8, 0.5, l2_reg(0.5))
         params = params_for_problem(prob)
-        res = run_sparse(prob, params, 4000, seed=1, rebase_threshold=1e6, rebase_period=0)
+        res = run_sparse(prob, params, 4000, seed=1, rebase_threshold=1e6)
         assert res.resolved["rebase_count"] >= 1
         assert np.isfinite(res.x).all()
 
@@ -247,11 +253,11 @@ class TestRebase:
         rng = np.random.default_rng(12)
         prob = sparse_problem(rng, 4, 5, 0.6, l2_reg(0.3))
         params = StochasticParams(eta=0.5, tau=0.5, beta0=0.5, xi=1.001, n=4)
-        state = LazyState(np.zeros(5), np.zeros(4), prob.matrix, params, seed=6,
-                          rebase_threshold=1e20, rebase_period=0)
+        state = LazyState(np.zeros(5), np.zeros(4), prob.matrix, params, rebase_threshold=1e20)
         checkpoints = {200_000, 400_000, 800_000}
+        rows = sampled_rows(4, 6)
         for t in range(800_000):
-            sparse_iterate(state, prob, params)
+            sparse_iterate(state, prob, params, next(rows))
             if t + 1 in checkpoints:
                 x = finalize_x(state, prob.reg)
                 assert np.isfinite(x).all()
