@@ -1,0 +1,152 @@
+"""Golden traces: the committed files under ``tests/golden/`` against a
+fresh run of the same cases (``make_golden.py``).
+
+On the machine the files were written on (same numpy, BLAS, SIMD features
+and matvec backend, as recorded in ``environment.json``) the files must be
+byte-identical.  Elsewhere, OpenBLAS's per-CPU kernels and numpy's SIMD
+dispatch of exp/log may change the last bits, so the comparison is
+tolerant instead: relative 1e-9 on values, exact on ``epoch``, ``touches``
+and every non-numeric manifest value.
+"""
+
+import json
+import math
+
+import pytest
+
+import make_golden
+from dapd import kernels
+from dapd.traces import read_trace
+
+GOLDEN = make_golden.GOLDEN_DIR
+REL_TOL = 1e-9
+ABS_TOL = 1e-300  # values that are zero must stay zero (to underflow)
+# the manifest key that names the matvec backend; environment.json holds it
+BACKEND_KEY = "matrix.backend"
+
+
+def _files(root):
+    return sorted(
+        p.relative_to(root) for p in root.rglob("*")
+        if p.is_file() and p.name != make_golden.ENVIRONMENT_FILE
+    )
+
+
+def _close(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def _manifest(path):
+    with open(path) as fh:
+        return dict(line.rstrip("\n").split("=", 1) for line in fh if line.strip())
+
+
+def _mismatch_exact(expected, actual):
+    want, got = expected.read_text().splitlines(), actual.read_text().splitlines()
+    for lineno, (a, b) in enumerate(zip(want, got), start=1):
+        if a != b:
+            return f"line {lineno}: {a!r} != {b!r}"
+    return None if len(want) == len(got) else f"{len(want)} lines != {len(got)}"
+
+
+def _mismatch_tolerant(expected, actual):
+    if expected.suffix == ".csv":
+        want, got = read_trace(expected), read_trace(actual)
+        if len(want) != len(got):
+            return f"{len(want)} records != {len(got)}"
+        for a, b in zip(want, got):
+            if (a.epoch, a.touches) != (b.epoch, b.touches):
+                return f"epoch/touches {a.epoch}/{a.touches} != {b.epoch}/{b.touches}"
+            for field in ("primal_value", "suboptimality", "nnz_fraction", "elapsed_seconds"):
+                if not _close(getattr(a, field), getattr(b, field)):
+                    return f"epoch {a.epoch} {field}: {getattr(a, field)!r} != {getattr(b, field)!r}"
+        return None
+    want, got = _manifest(expected), _manifest(actual)
+    want.pop(BACKEND_KEY, None)
+    got.pop(BACKEND_KEY, None)
+    if want.keys() != got.keys():
+        return f"keys differ: {sorted(want.keys() ^ got.keys())}"
+    for key, a in want.items():
+        b = got[key]
+        try:
+            same = _close(float(a), float(b))
+        except ValueError:
+            same = a == b
+        if not same:
+            return f"{key}: {a!r} != {b!r}"
+    return None
+
+
+def mismatch(expected, actual, exact: bool):
+    """None when ``actual`` matches ``expected``, else what differs first."""
+    return (_mismatch_exact if exact else _mismatch_tolerant)(expected, actual)
+
+
+def _recorded_environment_matches() -> bool:
+    recorded = json.loads((GOLDEN / make_golden.ENVIRONMENT_FILE).read_text())
+    return recorded == make_golden.environment()
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    make_golden.write_all(out)
+    return out
+
+
+def test_same_files(fresh):
+    assert _files(GOLDEN), "tests/golden is empty; run tests/make_golden.py"
+    assert _files(fresh) == _files(GOLDEN)
+
+
+@pytest.mark.parametrize("case", list(make_golden.CASES))
+def test_case_matches_golden(fresh, case):
+    exact = _recorded_environment_matches()
+    for rel in _files(GOLDEN / case):
+        problem = mismatch(GOLDEN / case / rel, fresh / case / rel, exact)
+        assert problem is None, f"{case}/{rel} ({'bytes' if exact else 'tolerant'}): {problem}"
+
+
+def test_tolerant_comparison(fresh, tmp_path):
+    """The comparison used on another machine: the golden files pass it,
+    and a change beyond its tolerance, or of a count, fails it."""
+    for rel in _files(GOLDEN):
+        assert mismatch(GOLDEN / rel, fresh / rel, exact=False) is None, rel
+
+    trace = GOLDEN / "l1" / "dapd.csv"
+    header, first, *rest = trace.read_text().splitlines()
+    epoch, primal, subopt, nnz, touches, elapsed = first.split(",")
+
+    def variant(**changes):
+        fields = {"epoch": epoch, "primal": primal, "subopt": subopt, "nnz": nnz,
+                  "touches": touches, "elapsed": elapsed, **changes}
+        path = tmp_path / "variant.csv"
+        path.write_text("\n".join([header, ",".join(fields.values()), *rest]) + "\n")
+        return mismatch(trace, path, exact=False)
+
+    assert variant(primal=repr(float(primal) * (1 + 1e-12))) is None
+    assert variant(primal=repr(float(primal) * (1 + 1e-7))) is not None
+    assert variant(touches=str(int(touches) + 1)) is not None
+    assert variant(epoch=str(int(epoch) + 1)) is not None
+
+    manifest = GOLDEN / "l1" / "manifest.txt"
+    changed = tmp_path / "manifest.txt"
+    changed.write_text(manifest.read_text().replace("regime=", "regime=x", 1))
+    assert mismatch(manifest, changed, exact=False) is not None
+
+
+def test_numpy_matvec_gives_the_same_bytes(fresh, tmp_path, monkeypatch):
+    """Forcing ``matvec_numpy`` changes no byte of any file, apart from the
+    manifest line that names the backend."""
+    monkeypatch.setattr(kernels, "library", lambda: None)
+    make_golden.write_all(tmp_path)
+    for rel in _files(fresh):
+        want, got = (fresh / rel).read_text(), (tmp_path / rel).read_text()
+        if rel.name == "manifest.txt":
+            want, got = (
+                "".join(ln for ln in text.splitlines(True) if not ln.startswith(BACKEND_KEY))
+                for text in (want, got)
+            )
+        assert want == got, rel
