@@ -36,13 +36,11 @@ from .proxlib import (
     kl_reg,
     l1_reg,
     l2_reg,
-    lasso_problem,
     make_problem,
     primal_objective,
     problem_constants,
     prox_conjugate,
     prox_reg,
-    ridge_problem,
     squared_loss,
     svm_problem,
 )

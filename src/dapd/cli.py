@@ -30,24 +30,31 @@ from .proxlib import composite_gamma, problem_constants
 
 def _load_config(args) -> RunConfig:
     """The config file with the flag overrides applied, validated as one."""
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    solver = dict(raw.get("solver") or {})
-    output = dict(raw.get("output") or {})
+    try:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigurationError(f"{args.config} is not valid JSON: {exc}") from None
+    overrides = {"solver": {}, "output": {}}
     if args.epochs is not None:
-        solver["epochs"] = args.epochs
+        overrides["solver"]["epochs"] = args.epochs
     if args.seeds:
         try:
-            solver["seeds"] = [int(s) for s in args.seeds.split(",")]
+            overrides["solver"]["seeds"] = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigurationError(
                 f"--seeds must be comma-separated integers, not {args.seeds!r}"
             ) from None
     if args.method:
-        solver["methods"] = args.method
+        overrides["solver"]["methods"] = args.method
     if args.out:
-        output["dir"] = args.out
-    return RunConfig.from_dict({**raw, "solver": solver, "output": output})
+        overrides["output"]["dir"] = args.out
+    if isinstance(raw, dict):  # anything else is refused by ``from_dict``
+        for name, values in overrides.items():
+            section = raw.get(name, {})
+            if values and isinstance(section, dict):
+                raw[name] = {**section, **values}
+    return RunConfig.from_dict(raw)
 
 
 def _cmd_run(args) -> int:

@@ -8,7 +8,6 @@ datasets are immutable and shareable.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ class Dataset:
         return self.matrix.n_cols
 
 
-def parse_libsvm(source, expected_dim: int | None = None, name: str = "<memory>") -> Dataset:
+def parse_libsvm(source: str, expected_dim: int | None = None, name: str = "<memory>") -> Dataset:
     """Parse LIBSVM text: ``<label> <index>:<value> ...`` per line.
 
     Indices are 1-based and must be strictly increasing within a line, and
@@ -43,17 +42,13 @@ def parse_libsvm(source, expected_dim: int | None = None, name: str = "<memory>"
     truncated files).  Blank lines are skipped.  Lines arrive in row order
     with increasing indices, so they are appended straight into CSR arrays.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = io.TextIOWrapper(source, encoding="ascii") if isinstance(source, io.BufferedIOBase) else source
     labels = []
     offsets = array("q", [0])
     col_indices = array("q")
     values = array("d")
     max_index = 0
     row = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -215,7 +215,8 @@ def validate_schedule(
 
 
 class IterateState:
-    """Mutable DAPD state.
+    """Mutable DAPD state, stepped by ``dapd_iterate`` with the schedule it
+    was built with.
 
     ``s_hat``, ``B_hat`` and ``beta_hat`` are the gradient sum, B_{t-1} and
     beta_t divided by exp(log_scale); ``inv_scale`` caches exp(-log_scale).
@@ -224,6 +225,7 @@ class IterateState:
 
     def __init__(self, problem: CompositeProblem, schedule: SolverSchedule, x0=None):
         d, n = problem.dim, problem.n
+        self.schedule = schedule
         self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.x = self.x0.copy()
         self.xbar = self.x0.copy()
@@ -259,9 +261,10 @@ def rescale(state, s_hat: np.ndarray, beta0: float) -> float:
     return factor
 
 
-def dapd_iterate(state: IterateState, schedule: SolverSchedule, problem: CompositeProblem):
+def dapd_iterate(state: IterateState, problem: CompositeProblem):
     """Advance one full DAPD iteration; cost O(nnz + n + d)."""
     t = state.t
+    schedule = state.schedule
     eta_t = schedule.eta(t)
     tau_t = schedule.tau(t)
     A = problem.matrix
@@ -319,7 +322,7 @@ def run_dapd(
     state = IterateState(problem, schedule)
     tracer = Tracer(problem, reference_value, wall_clock)
     for t in range(iterations):
-        dapd_iterate(state, schedule, problem)
+        dapd_iterate(state, problem)
         tracer.record(t + 1, state.x, state.touch_counter)
     resolved = {"regime": schedule.regime, **schedule.params, "iterations": iterations}
     return select_output(state, output, tracer.records, resolved)

@@ -32,6 +32,7 @@ from .errors import CertificationError, ConfigurationError, DivergenceError
 from .matrix import backend, matvec
 from .proxlib import (
     CompositeProblem,
+    SCALINGS,
     Regularizer,
     composite_gamma,
     dual_objective,
@@ -49,7 +50,7 @@ from .proxlib import (
 )
 from .sparse_engine import run_sparse
 from .stochastic import params_for_problem, perturb_problem, run_sdapd
-from .traces import write_trace
+from .traces import check_output_mode, write_trace
 
 DATA_DIR_ENV = "DAPD_DATA_DIR"
 
@@ -166,12 +167,11 @@ def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSo
     One run is continued and certified after each of ``REFERENCE_CHECKPOINTS``
     iterations; DAPD is deterministic, so the point at a checkpoint is the one
     a fresh run of that length would return."""
-    schedule = schedule_for_problem(problem)
-    state = IterateState(problem, schedule)
+    state = IterateState(problem, schedule_for_problem(problem))
     last_exc = None
     for checkpoint in REFERENCE_CHECKPOINTS:
         while state.t < checkpoint:
-            dapd_iterate(state, schedule, problem)
+            dapd_iterate(state, problem)
         if problem.loss.kind == "squared":
             u = matvec(problem.matrix, state.x)
             y_candidate = problem.loss_scale * (u - problem.loss.targets)
@@ -227,22 +227,72 @@ def compute_reference(
 # configuration
 # ---------------------------------------------------------------------------
 
+# every key of each config object, with the type its value must have
+_NULLABLE_FLOAT = (float, type(None))
 _SOURCE_KEYS = {
-    "synth_ridge": {"kind", "n", "d", "cov", "ar1_r", "noise_sigma", "seed"},
-    "synth_sparse_classification": {"kind", "n", "d", "density", "seed"},
-    "libsvm": {"kind", "path", "expected_dim"},
+    "synth_ridge": {"kind": str, "n": int, "d": int, "cov": str, "ar1_r": float,
+                    "noise_sigma": float, "seed": int},
+    "synth_sparse_classification": {"kind": str, "n": int, "d": int, "density": float,
+                                    "seed": int},
+    "libsvm": {"kind": str, "path": str, "expected_dim": (int, type(None))},
 }
-_REG_KEYS = {"kind", "lam", "lam2", "huber_mu", "kl_weight"}
-_PROBLEM_KEYS = {"source", "loss", "regularizer", "scaling"}
-_SOLVER_KEYS = {"methods", "epochs", "seeds", "epsilon", "case_iv_tau"}
-_OUTPUT_KEYS = {"dir", "mode", "reference_accuracy", "wall_clock"}
-_TOP_KEYS = {"name", "problem", "solver", "output"}
+_SOURCE_REQUIRED = {
+    "synth_ridge": ("n", "d"),
+    "synth_sparse_classification": ("n", "d", "density"),
+    "libsvm": ("path",),
+}
+# the constants of each regularizer kind: all required but kl_weight, all
+# nonnegative, and positive where the regularizer divides by them
+_REG_KEYS = {
+    "l2": ("lam",),
+    "l1": ("lam",),
+    "elastic_net": ("lam", "lam2"),
+    "huber": ("lam", "huber_mu"),
+    "kl": ("kl_weight",),
+}
+_REG_POSITIVE = ("huber_mu", "kl_weight")
+_PROBLEM_KEYS = {"source": dict, "loss": str, "regularizer": dict, "scaling": str}
+_SOLVER_KEYS = {"methods": list, "epochs": int, "seeds": list, "epsilon": _NULLABLE_FLOAT,
+                "case_iv_tau": _NULLABLE_FLOAT}
+_OUTPUT_KEYS = {"dir": str, "mode": str, "reference_accuracy": float, "wall_clock": bool}
+_TOP_KEYS = {"name": str, "problem": dict, "solver": dict, "output": dict}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               list: "a list", dict: "a JSON object", type(None): "null"}
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
+def _is_a(value, kind) -> bool:
+    if kind is int:
+        return _is_int(value)
+    if kind is float:
+        return _is_int(value) or isinstance(value, (float, np.floating))
+    return isinstance(value, kind)
+
+
+def _config_object(section, spec: dict, where: str, required=()) -> dict:
+    """A copy of the config object ``section``, refused unless it is a JSON
+    object whose keys are in ``spec``, include ``required``, and hold values
+    of the types ``spec`` gives them."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, not {section!r}")
+    unknown = set(section) - set(spec)
     if unknown:
         raise ConfigurationError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ConfigurationError(f"missing key(s) {missing} in {where}")
+    for key, value in section.items():
+        kinds = spec[key] if isinstance(spec[key], tuple) else (spec[key],)
+        if not any(_is_a(value, kind) for kind in kinds):
+            expected = " or ".join(_TYPE_NAMES[kind] for kind in kinds)
+            raise ConfigurationError(f"{where}.{key} must be {expected}, not {value!r}")
+    return dict(section)
+
+
+def _check_positive(section: dict, key: str, where: str, strict: bool = True):
+    value = section.get(key)
+    if value is not None and not (value > 0 if strict else value >= 0):
+        sign = "positive" if strict else "nonnegative"
+        raise ConfigurationError(f"{where}.{key} must be {sign}, not {value!r}")
 
 
 @dataclass
@@ -256,26 +306,39 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        _check_keys(raw, _TOP_KEYS, "config")
-        problem = dict(raw.get("problem") or {})
-        solver = dict(raw.get("solver") or {})
-        output = dict(raw.get("output") or {})
-        _check_keys(problem, _PROBLEM_KEYS, "problem")
-        _check_keys(solver, _SOLVER_KEYS, "solver")
-        _check_keys(output, _OUTPUT_KEYS, "output")
-        source = dict(problem.get("source") or {})
-        kind = source.get("kind")
+        """Check every key, type and value that can be checked without the
+        data, and fill in the defaults."""
+        raw = _config_object(raw, _TOP_KEYS, "config")
+        problem = _config_object(raw.get("problem", {}), _PROBLEM_KEYS, "problem")
+        solver = _config_object(raw.get("solver", {}), _SOLVER_KEYS, "solver")
+        output = _config_object(raw.get("output", {}), _OUTPUT_KEYS, "output")
+        source = problem.get("source", {})
+        kind = source.get("kind") if isinstance(source, dict) else None
         if kind not in _SOURCE_KEYS:
             raise ConfigurationError(f"problem.source.kind must be one of {sorted(_SOURCE_KEYS)}")
-        _check_keys(source, _SOURCE_KEYS[kind], f"problem.source ({kind})")
-        problem["source"] = source
+        problem["source"] = _config_object(source, _SOURCE_KEYS[kind], "problem.source",
+                                          _SOURCE_REQUIRED[kind])
+        if source.get("cov", "identity") not in ("identity", "ar1"):
+            raise ConfigurationError("problem.source.cov must be 'identity' or 'ar1'")
         if problem.get("loss") not in ("squared", "hinge"):
             raise ConfigurationError("problem.loss must be 'squared' or 'hinge'")
-        regspec = dict(problem.get("regularizer") or {})
-        _check_keys(regspec, _REG_KEYS, "problem.regularizer")
-        problem["regularizer"] = regspec
+        regspec = problem.get("regularizer", {})
+        kind = regspec.get("kind") if isinstance(regspec, dict) else None
+        if kind not in _REG_KEYS:
+            raise ConfigurationError(
+                f"problem.regularizer.kind must be one of {sorted(_REG_KEYS)}"
+            )
+        consts = _REG_KEYS[kind]
+        problem["regularizer"] = _config_object(
+            regspec, {"kind": str, **dict.fromkeys(consts, float)}, "problem.regularizer",
+            [key for key in consts if key != "kl_weight"],
+        )
+        for key in consts:
+            _check_positive(regspec, key, "problem.regularizer", key in _REG_POSITIVE)
         problem.setdefault("scaling", "finite_sum")
-        methods = solver.get("methods") or []
+        if problem["scaling"] not in SCALINGS:
+            raise ConfigurationError(f"problem.scaling must be one of {list(SCALINGS)}")
+        methods = solver.get("methods", [])
         for m in methods:
             if m not in ALL_METHODS:
                 raise ConfigurationError(f"unknown method {m!r}; known: {ALL_METHODS}")
@@ -283,21 +346,25 @@ class RunConfig:
             raise ConfigurationError("solver.methods must be a nonempty list")
         solver.setdefault("epochs", 50)
         solver.setdefault("seeds", [0])
-        if not _is_int(solver["epochs"]) or solver["epochs"] < 1:
+        if solver["epochs"] < 1:
             raise ConfigurationError(
                 f"solver.epochs must be a positive integer, not {solver['epochs']!r}"
             )
         seeds = solver["seeds"]
-        if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
+        if not seeds or not all(_is_int(s) for s in seeds):
             raise ConfigurationError(
                 f"solver.seeds must be a nonempty list of integers, not {seeds!r}"
             )
         solver.setdefault("epsilon", None)
         solver.setdefault("case_iv_tau", None)
+        _check_positive(solver, "epsilon", "solver")
+        _check_positive(solver, "case_iv_tau", "solver")
         output.setdefault("dir", "traces")
         output.setdefault("mode", "last")
         output.setdefault("reference_accuracy", 1e-9)
         output.setdefault("wall_clock", True)
+        check_output_mode(output["mode"])
+        _check_positive(output, "reference_accuracy", "output")
         return cls(raw.get("name", "experiment"), problem, solver, output)
 
 

@@ -241,7 +241,7 @@ def power_iteration(A: SparseRowMatrix, rel_tol: float = 1e-9, max_iter: int = 5
     return sigma, False
 
 
-def stats(A: SparseRowMatrix, rel_tol: float = 1e-9, max_iter: int = 5000) -> MatrixStats:
+def stats(A: SparseRowMatrix) -> MatrixStats:
     """Spectral norm, max row norm, and density of A.
 
     The spectral estimate is clamped from below by the exact max row and
@@ -249,7 +249,7 @@ def stats(A: SparseRowMatrix, rel_tol: float = 1e-9, max_iter: int = 5000) -> Ma
     in O(nnz)), so max_row_norm <= spectral_norm holds by construction and a
     stalled power iteration can never understate the norm past them.
     """
-    value, converged = power_iteration(A, rel_tol=rel_tol, max_iter=max_iter)
+    value, converged = power_iteration(A)
     max_row = float(A.row_norms().max()) if A.n_rows else 0.0
     if A.nnz:
         col_sq = np.bincount(A.col_indices, weights=A.values**2, minlength=A.n_cols)

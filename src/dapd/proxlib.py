@@ -186,14 +186,6 @@ def fold_labels(matrix: SparseRowMatrix, labels) -> SparseRowMatrix:
     )
 
 
-def ridge_problem(matrix, targets, lam, scaling="finite_sum", loss_scale=None):
-    return make_problem(matrix, squared_loss(targets), l2_reg(lam), scaling, loss_scale)
-
-
-def lasso_problem(matrix, targets, lam):
-    return make_problem(matrix, squared_loss(targets), l1_reg(lam), "finite_sum")
-
-
 def svm_problem(matrix, labels, reg):
     return make_problem(fold_labels(matrix, labels), hinge_loss(labels), reg, "finite_sum")
 

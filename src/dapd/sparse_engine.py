@@ -2,12 +2,11 @@
 
 The dual-averaged gradient sum  s^{t+1} = sum_{k<=t} (beta_k/n) A^T ybar^{k+1}
 is a sum of dense vectors, but with geometric weights beta_t = beta0 / theta^t
-it decomposes into two sequences driven only by the sparse per-iteration
-updates  delta^t = ((y^{t+1}_i - y^t_i)/n) a_i:
+it decomposes, from y^0 = 0, into two sequences driven only by the sparse
+per-iteration updates  delta^t = ((y^{t+1}_i - y^t_i)/n) a_i:
 
-    v^{t+1} = -(beta0 theta/(n(1-theta))) A^T y^0
-              + sum_{k<=t} beta_k (n - 1/(1-theta)) delta^k
-    w^{t+1} = (1/(n(1-theta))) A^T y^0 + (1/(1-theta)) sum_{k<=t} delta^k
+    v^{t+1} = sum_{k<=t} beta_k (n - 1/(1-theta)) delta^k
+    w^{t+1} = (1/(1-theta)) sum_{k<=t} delta^k
     s^{t+1} = v^{t+1} + beta_t w^{t+1}
 
 so each iteration writes only the sampled row's support in v, w, u, and any
@@ -24,7 +23,7 @@ beta_t and B_t grow geometrically without bound.  When the stored beta
 passes ``rebase_threshold`` (as in DAPD and dense SDAPD), ``rebase`` divides
 (v, beta, B) by the current growth factor and accumulates its log in
 ``log_scale``, through the solvers' shared ``deterministic.rescale``; w needs
-no scaling (w is identically u/(1-theta) once seeded).
+no scaling (w is identically u/(1-theta)).
 Recoveries evaluate the prox in rescaled form via ``recover_primal``, so no
 stored quantity ever overflows, while recovered coordinates are unchanged.
 ``run_sparse`` runs epochs of rows from ``traces.epoch_rows``, the rows
@@ -42,75 +41,66 @@ import numpy as np
 
 from .deterministic import RESCALE_THRESHOLD, rescale
 from .errors import ConfigurationError, DivergenceError, StructuralError
-from .matrix import SparseRowMatrix, matvec
 from .proxlib import CompositeProblem, prox_conjugate, recover_primal
 from .stochastic import StochasticParams, resolved_constants
 from .traces import RunResult, Tracer, epoch_rows
 
 
 class LazyState:
-    """Two-sequence decomposition state.
+    """Two-sequence decomposition state, stepped by ``sparse_iterate`` with
+    the params it was built with; it starts from y^0 = 0.
 
     ``v`` and the scalars ``beta_hat`` (beta_t), ``beta_prev_hat``
     (beta_{t-1}) and ``B_hat`` (B_{t-1}) are stored divided by
     exp(log_scale); ``w`` and ``u`` are unscaled.  Only coordinates in the
-    sampled row's support are written per iteration.  Seeding costs one
-    O(nnz) product A^T y^0, and no work when y^0 = 0.
+    sampled row's support are written per iteration.
     """
 
-    def __init__(self, x0, y0, A: SparseRowMatrix, params: StochasticParams,
+    def __init__(self, problem: CompositeProblem, params: StochasticParams, x0=None,
                  rebase_threshold=RESCALE_THRESHOLD):
+        d, n = problem.dim, problem.n
         theta = params.theta
         if not 0.0 < theta < 1.0:
             raise ConfigurationError("geometric schedule requires theta = 1/xi in (0, 1)")
-        n = A.n_rows
         if params.n != n:
             raise ConfigurationError("params were built for a different sample count")
-        self.x0 = np.asarray(x0, dtype=np.float64).copy()
-        self.y = np.asarray(y0, dtype=np.float64).copy()
-        if self.x0.shape != (A.n_cols,) or self.y.shape != (n,):
-            raise StructuralError("x0/y0 shapes do not match the matrix")
-        if np.any(self.y):
-            aty0 = matvec(A, self.y, transpose=True)
-        else:
-            aty0 = np.zeros(A.n_cols)
-        self.u = aty0 / n
-        self.v = -(params.beta0 * theta / (n * (1.0 - theta))) * aty0
-        self.w = aty0 / (n * (1.0 - theta))
+        self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        if self.x0.shape != (d,):
+            raise StructuralError("x0 does not match the problem's dimension")
+        self.params = params
+        self.theta = theta
+        self.y = np.zeros(n)
+        self.u = np.zeros(d)
+        self.v = np.zeros(d)
+        self.w = np.zeros(d)
         self.beta_hat = params.beta0
         self.beta_prev_hat = params.beta0 * theta
         self.B_hat = 0.0
         self.log_scale = 0.0
         self.inv_scale = 1.0
-        self.theta = theta
-        self.eta = params.eta
-        self.tau = params.tau
-        self.beta0 = params.beta0
-        self.n = n
         self.t = 0
         self.touch_counter = 0
         self.rebase_count = 0
         self.rebase_threshold = rebase_threshold
 
 
-def _recover_coords(state: LazyState, reg, cols):
-    """(x_j, xbar_j) for the given coordinates; the only primal work."""
+def _recover_x(state: LazyState, reg, cols):
+    """x^t_j = prox_{B_{t-1} g_j}(x^0_j - s^t_j) for the coordinates ``cols``
+    (an index array, or ``slice(None)`` for all of them)."""
     s_hat = state.v[cols] + state.beta_prev_hat * state.w[cols]
-    x = recover_primal(reg, state.x0[cols], s_hat, state.B_hat, state.inv_scale, coords=cols)
-    xbar = recover_primal(
-        reg, x - state.eta * state.u[cols], np.zeros_like(x), state.eta, 1.0, coords=cols
-    )
-    return x, xbar
+    return recover_primal(reg, state.x0[cols], s_hat, state.B_hat, state.inv_scale, coords=cols)
 
 
-def sparse_iterate(state: LazyState, problem: CompositeProblem, params: StochasticParams,
-                   i: int):
+def sparse_iterate(state: LazyState, problem: CompositeProblem, i: int):
     """One SDAPD iteration on the sampled row i, touching only its support."""
-    n = state.n
+    n, eta, tau = problem.n, state.params.eta, state.params.tau
     cols, vals = problem.matrix.row(i)
-    _, xbar_c = _recover_coords(state, problem.reg, cols)
+    x_c = _recover_x(state, problem.reg, cols)
+    xbar_c = recover_primal(
+        problem.reg, x_c - eta * state.u[cols], np.zeros_like(x_c), eta, 1.0, coords=cols
+    )
     dot = float(vals @ xbar_c)
-    y_new = prox_conjugate(problem.loss, i, state.tau, state.y[i] + state.tau * dot)
+    y_new = prox_conjugate(problem.loss, i, tau, state.y[i] + tau * dot)
     if not (np.isfinite(dot) and np.isfinite(y_new)):
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     dy = y_new - state.y[i]
@@ -137,17 +127,14 @@ def rebase(state: LazyState) -> LazyState:
     """Rescale (v, beta, B) by the accumulated growth so stored values stay
     bounded; recovered coordinates are unchanged (to roundoff) because the
     recovery divides the same factor back out via ``inv_scale``."""
-    state.beta_prev_hat /= rescale(state, state.v, state.beta0)
+    state.beta_prev_hat /= rescale(state, state.v, state.params.beta0)
     state.rebase_count += 1
     return state
 
 
 def finalize_x(state: LazyState, reg) -> np.ndarray:
-    """Recover the full last iterate x^t (``_recover_coords``'s x-recovery
-    over every coordinate); O(d), done once at termination."""
-    all_cols = np.arange(state.x0.size)
-    s_hat = state.v + state.beta_prev_hat * state.w
-    return recover_primal(reg, state.x0, s_hat, state.B_hat, state.inv_scale, coords=all_cols)
+    """Recover the full last iterate x^t; O(d), done once per trace point."""
+    return _recover_x(state, reg, slice(None))
 
 
 def run_sparse(
@@ -163,13 +150,11 @@ def run_sparse(
     """Drive the lazy engine; per-epoch traces, last-iterate output only."""
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
-    d, n = problem.dim, problem.n
-    x0 = np.zeros(d) if x0 is None else x0
-    state = LazyState(x0, np.zeros(n), problem.matrix, params, rebase_threshold=rebase_threshold)
+    state = LazyState(problem, params, x0=x0, rebase_threshold=rebase_threshold)
     tracer = Tracer(problem, reference_value, wall_clock)
-    for epoch, rows in epoch_rows(n, iterations, seed):
+    for epoch, rows in epoch_rows(problem.n, iterations, seed):
         for i in rows:
-            sparse_iterate(state, problem, params, i)
+            sparse_iterate(state, problem, i)
         x = finalize_x(state, problem.reg)
         tracer.record(epoch, x, state.touch_counter)
     resolved = resolved_constants(problem, params, iterations, seed)

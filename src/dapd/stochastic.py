@@ -104,10 +104,14 @@ def perturb_problem(
 
 
 class StochasticState:
-    """Mutable SDAPD state with the scaled dual-averaging bookkeeping."""
+    """Mutable SDAPD state with the scaled dual-averaging bookkeeping,
+    stepped by ``sdapd_iterate_dense`` with the params it was built with."""
 
     def __init__(self, problem, params, x0=None):
         d, n = problem.dim, problem.n
+        if params.n != n:
+            raise ConfigurationError("params were built for a different sample count")
+        self.params = params
         self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.x = self.x0.copy()
         self.xbar = self.x0.copy()
@@ -123,11 +127,10 @@ class StochasticState:
         self.ergodic_x = np.zeros(d)
 
 
-def sdapd_iterate_dense(
-    state: StochasticState, params: StochasticParams, problem: CompositeProblem, i: int
-):
+def sdapd_iterate_dense(state: StochasticState, problem: CompositeProblem, i: int):
     """One SDAPD iteration on the sampled row i; O(d + nnz(a_i)) dense work."""
     n, d = problem.n, problem.dim
+    params = state.params
     reg = problem.reg
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,13 +179,11 @@ def run_sdapd(
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
     check_output_mode(output)
-    if params.n != problem.n:
-        raise ConfigurationError("params were built for a different sample count")
     state = StochasticState(problem, params, x0=x0)
     tracer = Tracer(problem, reference_value, wall_clock)
     for epoch, rows in epoch_rows(problem.n, iterations, seed):
         for i in rows:
-            sdapd_iterate_dense(state, params, problem, i)
+            sdapd_iterate_dense(state, problem, i)
         tracer.record(epoch, state.x, state.touch_counter)
     resolved = resolved_constants(problem, params, iterations, seed)
     return select_output(state, output, tracer.records, resolved)

@@ -8,8 +8,8 @@ used is that of the mathematical definition, never of the closed form under
 test.  Matrix quantities are checked against dense numpy equivalents.
 
 The last section holds helpers that only tests use: scalar and single-row
-forms of package operations, the saddle function, a geometric DAPD schedule
-and views into the lazy sparse engine's state.
+forms of package operations, ridge and lasso problems, the saddle function,
+a geometric DAPD schedule and views into the lazy sparse engine's state.
 """
 
 import numpy as np
@@ -17,8 +17,16 @@ import numpy as np
 from dapd.deterministic import SolverSchedule
 from dapd.errors import ConfigurationError, StructuralError
 from dapd.matrix import matvec
-from dapd.proxlib import conjugate_total, recover_primal, reg_value
-from dapd.sparse_engine import _recover_coords
+from dapd.proxlib import (
+    conjugate_total,
+    l1_reg,
+    l2_reg,
+    make_problem,
+    recover_primal,
+    reg_value,
+    squared_loss,
+)
+from dapd.sparse_engine import _recover_x
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -193,6 +201,14 @@ def prox_reg_coord(reg, j, step, v):
     return float(recover_primal(reg, np.float64(v), 0.0, step, 1.0, coords=j))
 
 
+def ridge_problem(matrix, targets, lam, scaling="finite_sum", loss_scale=None):
+    return make_problem(matrix, squared_loss(targets), l2_reg(lam), scaling, loss_scale)
+
+
+def lasso_problem(matrix, targets, lam):
+    return make_problem(matrix, squared_loss(targets), l1_reg(lam), "finite_sum")
+
+
 def saddle_value(problem, x, y):
     """F(x, y) = g~(x) + <y, A x> - f~*(y) for the problem's scaling, where
     g~ = g + delta2/2 ||x||^2 and f~* adds delta1/2 (y_i/c)^2 to each
@@ -235,7 +251,10 @@ def lazy_primal_coord(state, j, reg):
     """(x_j, xbar_j) recovered from the lazy state in O(1); counts 2 touches."""
     if not 0 <= j < state.x0.size:
         raise StructuralError(f"coordinate {j} out of range")
-    x, xbar = _recover_coords(state, reg, np.array([j]))
+    cols = np.array([j])
+    x = _recover_x(state, reg, cols)
+    eta = state.params.eta
+    xbar = recover_primal(reg, x - eta * state.u[cols], np.zeros_like(x), eta, 1.0, coords=cols)
     state.touch_counter += 2
     return float(x[0]), float(xbar[0])
 

@@ -9,11 +9,12 @@ from dapd.proxlib import (
     l2_reg,
     make_problem,
     primal_objective,
-    ridge_problem,
     squared_loss,
     svm_problem,
 )
 from dapd.stochastic import perturb_problem
+
+from oracles import ridge_problem
 
 
 def one_d_ridge():

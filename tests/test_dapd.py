@@ -17,7 +17,6 @@ from dapd.proxlib import (
     primal_objective,
     prox_conjugate,
     prox_reg,
-    ridge_problem,
     squared_loss,
 )
 
@@ -47,7 +46,7 @@ class TestIterate:
         prob = one_d_problem()
         sched = make_schedule(gamma=1.0, mu=1.0, R=1.0)
         state = IterateState(prob, sched)
-        dapd_iterate(state, sched, prob)
+        dapd_iterate(state, prob)
         assert state.xbar[0] == 0.0
         assert state.y[0] == pytest.approx(-0.5, abs=0)
         assert state.x[0] == pytest.approx(0.25, abs=0)
@@ -60,7 +59,7 @@ class TestIterate:
         sched = geometric_schedule(eta=1.0, tau=1.0, beta0=1.0, xi=2.0)
         x0 = np.array([1.0, -2.0, 3.0])
         state = IterateState(prob, sched, x0=x0)
-        dapd_iterate(state, sched, prob)
+        dapd_iterate(state, prob)
         # dual decouples to a pure conjugate prox, primal to a g-prox of x0
         want_y = [prox_conjugate(prob.loss, i, 1.0, 0.0) for i in range(2)]
         assert np.allclose(state.y, want_y, atol=0)
@@ -73,7 +72,7 @@ class TestIterate:
         state = IterateState(prob, sched)
         ys = []
         for _ in range(40):
-            dapd_iterate(state, sched, prob)
+            dapd_iterate(state, prob)
             ys.append(state.y.copy())
         recomputed = np.zeros(4)
         for k, y in enumerate(ys):
@@ -89,7 +88,7 @@ class TestIterate:
         from dapd.proxlib import recover_primal
 
         for _ in range(25):
-            dapd_iterate(state, sched, prob)
+            dapd_iterate(state, prob)
             again = recover_primal(prob.reg, state.x0, state.s_hat, state.B_hat, state.inv_scale)
             assert np.allclose(state.x, again, atol=0)
 
@@ -116,7 +115,7 @@ class TestRun:
         state = IterateState(prob, sched)
         xbars, betas = [], []
         for t in range(30):
-            dapd_iterate(state, sched, prob)
+            dapd_iterate(state, prob)
             xbars.append(state.xbar.copy())
             betas.append(sched.beta(t))
         betas = np.array(betas)
@@ -163,7 +162,7 @@ class TestTheoremBounds:
             numerator += 0.5 * np.dot(x_star, x_star)
             f_star = saddle_value(prob, x_star, y_star)
             for t in range(300):
-                dapd_iterate(state, sched, prob)
+                dapd_iterate(state, prob)
                 gap = (
                     saddle_value(prob, state.ergodic_x, y_star)
                     - saddle_value(prob, x_star, state.ergodic_y)
@@ -183,7 +182,7 @@ class TestTheoremBounds:
         numerator = np.dot(x_star, x_star) + (gamma / mu) * np.dot(y_star, y_star)
         dists = []
         for t in range(1, 301):
-            dapd_iterate(state, sched, prob)
+            dapd_iterate(state, prob)
             d2 = float(np.sum((state.ergodic_x - x_star) ** 2))
             dists.append(d2)
             assert d2 <= numerator / (xi**t - 1.0) * 1.05

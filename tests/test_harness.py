@@ -23,14 +23,14 @@ from dapd.proxlib import (
     kl_reg,
     l1_reg,
     l2_reg,
-    lasso_problem,
     make_problem,
     primal_objective,
-    ridge_problem,
     squared_loss,
     svm_problem,
 )
 from dapd.traces import TraceRecord, epoch_rows, read_trace, write_trace
+
+from oracles import lasso_problem, ridge_problem
 
 
 def one_d_ridge():
@@ -371,3 +371,58 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nope": 1}))
         assert cli_main(["run", "--config", str(bad)]) == 2
+
+
+def _edit(section, key, value):
+    """A config edit that sets (or, for ``None``, deletes) one key."""
+
+    def apply(cfg):
+        target = cfg
+        for name in section:
+            target = target[name]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        return json.dumps(cfg)
+
+    return apply
+
+
+# config files that ``dapd run`` must refuse as they are parsed: the text
+# of the file, or an edit of the base config
+BAD_CONFIGS = {
+    "not_json": lambda cfg: json.dumps(cfg)[:40],
+    "top_level_list": lambda cfg: "[]",
+    "section_list": _edit((), "output", []),
+    "regularizer_without_lam": _edit(("problem", "regularizer"), "lam", None),
+    "source_without_n": _edit(("problem", "source"), "n", None),
+    "lam_not_a_number": _edit(("problem", "regularizer"), "lam", "abc"),
+    "lam_negative": _edit(("problem", "regularizer"), "lam", -0.5),
+    "epsilon_not_a_number": _edit(("solver",), "epsilon", "abc"),
+    "epsilon_zero": _edit(("solver",), "epsilon", 0),
+    "epsilon_negative": _edit(("solver",), "epsilon", -1e-3),
+    "mode_unknown": _edit(("output",), "mode", "bogus"),
+    "wall_clock_string": _edit(("output",), "wall_clock", "no"),
+    "reference_accuracy_zero": _edit(("output",), "reference_accuracy", 0),
+    "reference_accuracy_negative": _edit(("output",), "reference_accuracy", -1e-9),
+    "regularizer_key_of_another_kind": _edit(("problem", "regularizer"), "lam2", 0.1),
+    "cov_unknown": _edit(("problem", "source"), "cov", "bogus"),
+}
+
+
+@pytest.mark.parametrize("make_text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_refused_at_parse_time(tmp_path, capsys, monkeypatch, make_text):
+    """One ``error:`` line and exit 2, before any data is loaded."""
+
+    def no_load(source):
+        raise AssertionError("data loaded before the config was checked")
+
+    monkeypatch.setattr("dapd.harness._load_dataset", no_load)
+    path = tmp_path / "cfg.json"
+    path.write_text(make_text(base_config(tmp_path, ["dapd", "sdapd"], seeds=[1])))
+    rc = cli_main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

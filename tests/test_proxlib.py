@@ -17,13 +17,11 @@ from dapd.proxlib import (
     kl_reg,
     l1_reg,
     l2_reg,
-    lasso_problem,
     make_problem,
     primal_objective,
     problem_constants,
     prox_conjugate,
     prox_reg,
-    ridge_problem,
     squared_loss,
     svm_problem,
 )
@@ -35,9 +33,11 @@ from oracles import (
     kl_fn,
     l1_fn,
     l2_fn,
+    lasso_problem,
     prox_loss,
     prox_oracle,
     prox_reg_coord,
+    ridge_problem,
     saddle_value,
     squared_conj,
 )

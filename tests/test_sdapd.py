@@ -7,12 +7,10 @@ from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
     l1_reg,
     l2_reg,
-    lasso_problem,
     make_problem,
     problem_constants,
     prox_conjugate,
     prox_reg,
-    ridge_problem,
     squared_loss,
     svm_problem,
 )
@@ -25,7 +23,7 @@ from dapd.stochastic import (
     sdapd_params,
 )
 
-from oracles import geometric_schedule, sampled_rows, saddle_value
+from oracles import geometric_schedule, ridge_problem, saddle_value, sampled_rows
 
 
 def finite_sum_ridge(rng, n, d, mu, row_scale=1.0):
@@ -96,7 +94,7 @@ class TestSingleSample:
         prob = one_d_unit_problem()
         params = sdapd_params(1, 1.0, 1.0, 1.0)
         state = StochasticState(prob, params)
-        sdapd_iterate_dense(state, params, prob, 0)  # the only row
+        sdapd_iterate_dense(state, prob, 0)  # the only row
         assert state.xbar[0] == 0.0
         assert state.y[0] == pytest.approx(-0.5, abs=0)
         assert state.x[0] == pytest.approx(0.25, abs=0)
@@ -108,10 +106,18 @@ class TestSingleSample:
         s_state = StochasticState(prob, params)
         d_state = IterateState(prob, sched)
         for _ in range(60):
-            sdapd_iterate_dense(s_state, params, prob, 0)
-            dapd_iterate(d_state, sched, prob)
+            sdapd_iterate_dense(s_state, prob, 0)
+            dapd_iterate(d_state, prob)
             assert s_state.x[0] == pytest.approx(d_state.x[0], abs=1e-15)
             assert s_state.y[0] == pytest.approx(d_state.y[0], abs=1e-15)
+
+
+    def test_params_for_another_sample_count_rejected(self):
+        prob = one_d_unit_problem()
+        with pytest.raises(ConfigurationError, match="sample count"):
+            StochasticState(prob, sdapd_params(2, 1.0, 1.0, 1.0))
+        with pytest.raises(ConfigurationError, match="sample count"):
+            run_sdapd(prob, sdapd_params(2, 1.0, 1.0, 1.0), 5, seed=0)
 
 
 class TestIterate:
@@ -122,7 +128,7 @@ class TestIterate:
         state = StochasticState(prob, params)
         rows = sampled_rows(prob.n, 7)
         for _ in range(1000):
-            sdapd_iterate_dense(state, params, prob, next(rows))
+            sdapd_iterate_dense(state, prob, next(rows))
         fresh = matvec(prob.matrix, state.y, transpose=True) / prob.n
         assert np.allclose(state.u, fresh, rtol=1e-10, atol=1e-12)
 
@@ -136,7 +142,7 @@ class TestIterate:
         for _ in range(50):
             before = state.touch_counter
             i = next(rows)
-            sdapd_iterate_dense(state, params, prob, i)
+            sdapd_iterate_dense(state, prob, i)
             nnz_row = prob.matrix.row(i)[1].size
             delta = state.touch_counter - before
             assert delta <= 10 * (d + nnz_row)
@@ -151,7 +157,7 @@ class TestIterate:
         state = StochasticState(prob, params)
         rows = sampled_rows(prob.n, 2)
         for _ in range(3):
-            sdapd_iterate_dense(state, params, prob, next(rows))
+            sdapd_iterate_dense(state, prob, next(rows))
         n = prob.n
         xbar = prox_reg(prob.reg, params.eta, state.x - params.eta * state.u)
         ax = matvec(prob.matrix, xbar)
@@ -176,7 +182,7 @@ class TestIterate:
         prev = state.beta_hat
         rows = sampled_rows(prob.n, 0)
         for _ in range(100):
-            sdapd_iterate_dense(state, params, prob, next(rows))
+            sdapd_iterate_dense(state, prob, next(rows))
             assert state.beta_hat / prev == pytest.approx(params.xi, rel=1e-15)
             prev = state.beta_hat
 

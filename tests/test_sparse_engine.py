@@ -7,9 +7,7 @@ from dapd.proxlib import (
     kl_reg,
     l1_reg,
     l2_reg,
-    lasso_problem,
     make_problem,
-    ridge_problem,
     squared_loss,
 )
 from dapd.sparse_engine import (
@@ -47,58 +45,61 @@ def unit_params(n=1, xi=2.0):
     return StochasticParams(eta=1.0, tau=1.0, beta0=1.0, xi=xi, n=n)
 
 
+def one_row_problem(d=1, reg=None):
+    """The 1 x d problem with a_0 = [1, 0, ..., 0] and b = 0."""
+    A = build_matrix([(0, 0, 1.0)], 1, d)
+    return make_problem(A, squared_loss([0.0]), reg or l2_reg(1.0), "finite_sum")
+
+
 class TestInit:
     def test_zero_dual_start(self):
-        A = build_matrix([(0, 0, 1.0)], 1, 1)
-        state = LazyState(np.zeros(1), np.zeros(1), A, unit_params())
+        state = LazyState(one_row_problem(), unit_params())
         assert state.v[0] == 0.0 and state.w[0] == 0.0 and state.u[0] == 0.0
-
-    def test_nonzero_dual_seeds_constants(self):
-        # theta = 0.5, beta0 = 1, n = 1, A = [1], y0 = 1:
-        # v = -beta0*theta/(n(1-theta)) = -1,  w = 1/(n(1-theta)) = 2
-        A = build_matrix([(0, 0, 1.0)], 1, 1)
-        state = LazyState(np.zeros(1), np.ones(1), A, unit_params())
-        assert state.v[0] == pytest.approx(-1.0, abs=0)
-        assert state.w[0] == pytest.approx(2.0, abs=0)
-        assert state.u[0] == pytest.approx(1.0, abs=0)
-
-    def test_materialize_empty_sum_is_zero(self):
-        A = build_matrix([(0, 0, 1.0)], 1, 1)
-        state = LazyState(np.zeros(1), np.ones(1), A, unit_params())
-        assert np.allclose(materialize_s(state), 0.0, atol=1e-15)
+        assert state.y[0] == 0.0 and state.x0[0] == 0.0
 
     def test_invalid_theta_rejected(self):
-        A = build_matrix([(0, 0, 1.0)], 1, 1)
         with pytest.raises(ConfigurationError):
-            LazyState(np.zeros(1), np.zeros(1), A, StochasticParams(1.0, 1.0, 1.0, 1.0, 1))
+            LazyState(one_row_problem(), StochasticParams(1.0, 1.0, 1.0, 1.0, 1))
+
+    def test_other_sample_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="sample count"):
+            LazyState(one_row_problem(), unit_params(n=2))
+
+    def test_x0_of_another_dimension_rejected(self):
+        with pytest.raises(StructuralError):
+            LazyState(one_row_problem(d=2), unit_params(), x0=np.zeros(3))
 
 
 class TestLemmaBaseCase:
     def test_hand_traced_first_step(self):
-        # engineered so the dual step is dy = 0.2: v1 = -1.2, w1 = 2.4,
-        # s1 = 1.2 = (beta0/n) * ybar^1
+        # theta = 1/xi = 0.5, beta0 = eta = tau = 1, n = 1, A = [1], g = l2(1),
+        # b = -0.5, x0 = 3, y0 = 0 (so u = v = w = 0):
+        #   x^0 = x0 = 3 (B_{-1} = 0),  xbar^1 = prox_{eta g}(3) = 3/2,
+        #   y^1 = prox_{tau f*}(y0 + tau xbar^1) = (1.5 - tau b)/(1 + tau) = 1,
+        #   delta = dy/n = 1:  v1 = beta0 (n - 1/(1-theta)) delta = -1,
+        #   w1 = delta/(1-theta) = 2,  s1 = v1 + beta0 w1 = 1 = (beta0/n) ybar^1
+        #   x^1 = prox_{B_0 g}(x0 - s1) = (3 - 1)/(1 + 1) = 1
         A = build_matrix([(0, 0, 1.0)], 1, 1)
-        prob = make_problem(A, squared_loss([-0.4]), l2_reg(1.0), "finite_sum")
-        state = LazyState(np.array([3.0]), np.array([1.0]), A, unit_params())
-        sparse_iterate(state, prob, unit_params(), 0)
-        assert state.y[0] == pytest.approx(1.2, abs=1e-15)
-        assert state.v[0] == pytest.approx(-1.2, abs=1e-14)
-        assert state.w[0] == pytest.approx(2.4, abs=1e-14)
-        assert materialize_s(state)[0] == pytest.approx(1.2, abs=1e-14)
+        prob = make_problem(A, squared_loss([-0.5]), l2_reg(1.0), "finite_sum")
+        state = LazyState(prob, unit_params(), x0=np.array([3.0]))
+        sparse_iterate(state, prob, 0)
+        assert state.y[0] == pytest.approx(1.0, abs=1e-15)
+        assert state.v[0] == pytest.approx(-1.0, abs=1e-14)
+        assert state.w[0] == pytest.approx(2.0, abs=1e-14)
+        assert materialize_s(state)[0] == pytest.approx(1.0, abs=1e-14)
+        assert finalize_x(state, prob.reg)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 class TestLazyRecovery:
     def test_fresh_state_identity(self):
-        A = build_matrix([(0, 0, 1.0), (0, 1, 2.0)], 1, 2)
         reg = l1_reg(0.5)
-        state = LazyState(np.array([1.5, -2.0]), np.zeros(1), A, unit_params())
+        state = LazyState(one_row_problem(2, reg), unit_params(), x0=np.array([1.5, -2.0]))
         x0_j, _ = lazy_primal_coord(state, 0, reg)
         assert x0_j == 1.5  # B_{-1} = 0 serves x0 directly
         assert state.touch_counter == 2
 
     def test_out_of_range(self):
-        A = build_matrix([(0, 0, 1.0)], 1, 1)
-        state = LazyState(np.zeros(1), np.zeros(1), A, unit_params())
+        state = LazyState(one_row_problem(), unit_params())
         with pytest.raises(StructuralError):
             lazy_primal_coord(state, 5, l1_reg(0.1))
 
@@ -108,12 +109,12 @@ class TestLazyRecovery:
         prob = perturb_problem(prob, 0.01)
         params = params_for_problem(prob)
         dense = StochasticState(prob, params)
-        lazy = LazyState(np.zeros(12), np.zeros(8), prob.matrix, params)
+        lazy = LazyState(prob, params)
         rows = sampled_rows(8, 11)
         for _ in range(300):
             i = next(rows)
-            sdapd_iterate_dense(dense, params, prob, i)
-            sparse_iterate(lazy, prob, params, i)
+            sdapd_iterate_dense(dense, prob, i)
+            sparse_iterate(lazy, prob, i)
         for j in range(12):
             x_j, _ = lazy_primal_coord(lazy, j, prob.reg)
             assert x_j == pytest.approx(dense.x[j], abs=1e-10)
@@ -123,10 +124,10 @@ class TestLazyRecovery:
         prob = sparse_problem(rng, 6, 10, 0.5, l1_reg(50.0))
         prob = perturb_problem(prob, 1e-3)
         params = params_for_problem(prob)
-        lazy = LazyState(np.zeros(10), np.zeros(6), prob.matrix, params)
+        lazy = LazyState(prob, params)
         rows = sampled_rows(6, 0)
         for _ in range(200):
-            sparse_iterate(lazy, prob, params, next(rows))
+            sparse_iterate(lazy, prob, next(rows))
         assert np.all(finalize_x(lazy, prob.reg) == 0.0)
         assert np.any(materialize_s(lazy) != 0.0)
 
@@ -139,17 +140,17 @@ class TestSparseIterate:
         A = build_matrix([(0, 10, 1.0), (0, 500_000, -2.0), (0, d - 1, 0.5)], 1, d)
         prob = make_problem(A, squared_loss([1.0]), l2_reg(0.1), "finite_sum")
         params = params_for_problem(prob)
-        state = LazyState(np.zeros(d), np.zeros(1), A, params)
+        state = LazyState(prob, params)
         before = state.touch_counter
-        sparse_iterate(state, prob, params, 0)
+        sparse_iterate(state, prob, 0)
         assert state.touch_counter - before <= 8 * 3 + 4
 
     def test_empty_row_updates_only_dual(self):
         A = build_matrix([], 1, 3)
         prob = make_problem(A, squared_loss([2.0]), l2_reg(0.3), "finite_sum")
         params = unit_params(n=1)
-        state = LazyState(np.zeros(3), np.zeros(1), A, params)
-        sparse_iterate(state, prob, params, 0)
+        state = LazyState(prob, params)
+        sparse_iterate(state, prob, 0)
         assert state.y[0] != 0.0
         assert np.all(state.v == 0) and np.all(state.w == 0) and np.all(state.u == 0)
 
@@ -157,12 +158,12 @@ class TestSparseIterate:
         rng = np.random.default_rng(5)
         prob = sparse_problem(rng, 10, 30, 0.15, l2_reg(0.2))
         params = params_for_problem(prob)
-        state = LazyState(np.zeros(30), np.zeros(10), prob.matrix, params)
+        state = LazyState(prob, params)
         rows = sampled_rows(10, 9)
         for _ in range(40):
             v0, w0, u0 = state.v.copy(), state.w.copy(), state.u.copy()
             i = next(rows)
-            sparse_iterate(state, prob, params, i)
+            sparse_iterate(state, prob, i)
             cols = prob.matrix.row(i)[0]
             mask = np.ones(30, dtype=bool)
             mask[cols] = False
@@ -176,7 +177,7 @@ class TestMaterialize:
         rng = np.random.default_rng(6)
         prob = sparse_problem(rng, 10, 15, 0.3, l2_reg(0.4))
         params = params_for_problem(prob)
-        lazy = LazyState(np.zeros(15), np.zeros(10), prob.matrix, params)
+        lazy = LazyState(prob, params)
         # dense shadow accumulates s directly on the same rows
         rows = sampled_rows(10, 21)
         y = np.zeros(10)
@@ -189,7 +190,7 @@ class TestMaterialize:
         x0 = np.zeros(15)
         for t in range(200):
             i = next(rows)
-            sparse_iterate(lazy, prob, params, i)
+            sparse_iterate(lazy, prob, i)
             x = recover_primal(prob.reg, x0, s, B, 1.0)
             xbar = prox_reg(prob.reg, params.eta, x - params.eta * u)
             cols, vals = prob.matrix.row(i)
@@ -209,9 +210,8 @@ class TestMaterialize:
 
 class TestRebase:
     def test_rebase_right_after_init_is_noop(self):
-        A = build_matrix([(0, 0, 1.0)], 1, 1)
         reg = l2_reg(0.5)
-        state = LazyState(np.array([2.0]), np.zeros(1), A, unit_params())
+        state = LazyState(one_row_problem(reg=reg), unit_params(), x0=np.array([2.0]))
         before = lazy_primal_coord(state, 0, reg)
         rebase(state)
         assert lazy_primal_coord(state, 0, reg) == before
@@ -223,10 +223,10 @@ class TestRebase:
             prob = perturb_problem(prob, 1e-3)
             params = params_for_problem(prob)
             x0 = np.ones(12) if reg.kind == "kl" else np.zeros(12)
-            state = LazyState(x0, np.zeros(8), prob.matrix, params)
+            state = LazyState(prob, params, x0=x0)
             rows = sampled_rows(8, 3)
             for _ in range(137):
-                sparse_iterate(state, prob, params, next(rows))
+                sparse_iterate(state, prob, next(rows))
             before = finalize_x(state, prob.reg)
             coords_before = [lazy_primal_coord(state, j, prob.reg) for j in range(12)]
             rebase(state)
@@ -253,11 +253,11 @@ class TestRebase:
         rng = np.random.default_rng(12)
         prob = sparse_problem(rng, 4, 5, 0.6, l2_reg(0.3))
         params = StochasticParams(eta=0.5, tau=0.5, beta0=0.5, xi=1.001, n=4)
-        state = LazyState(np.zeros(5), np.zeros(4), prob.matrix, params, rebase_threshold=1e20)
+        state = LazyState(prob, params, rebase_threshold=1e20)
         checkpoints = {200_000, 400_000, 800_000}
         rows = sampled_rows(4, 6)
         for t in range(800_000):
-            sparse_iterate(state, prob, params, next(rows))
+            sparse_iterate(state, prob, next(rows))
             if t + 1 in checkpoints:
                 x = finalize_x(state, prob.reg)
                 assert np.isfinite(x).all()
@@ -269,8 +269,7 @@ class TestRebase:
 
 class TestFinalize:
     def test_t0_identity(self):
-        A = build_matrix([(0, 0, 1.0)], 1, 2)
-        state = LazyState(np.array([0.7, -0.2]), np.zeros(1), A, unit_params())
+        state = LazyState(one_row_problem(2), unit_params(), x0=np.array([0.7, -0.2]))
         assert np.array_equal(finalize_x(state, l1_reg(0.5)), [0.7, -0.2])
 
     def test_matches_dense_last_iterate(self):
