@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import matrix, sparse_engine
 from .datasets import load_libsvm
 from .deterministic import schedule_for_problem, validate_schedule
 from .errors import CertificationError, ConfigurationError, DivergenceError, ParseError
 from .harness import RunConfig, build_problem, compute_reference, run_experiment
-from .matrix import backend
 from .matrix import stats as matrix_stats
 from .proxlib import composite_gamma, problem_constants
 
@@ -117,7 +117,8 @@ def _cmd_stats(args) -> int:
     print(f"density: {st.density:.6g}")
     print(f"spectral_norm (R): {st.spectral_norm:.12g}")
     print(f"max_row_norm (Rbar): {st.max_row_norm:.12g}")
-    print(f"matrix.backend: {backend()}")
+    print(f"matrix.backend: {matrix.backend()}")
+    print(f"sparse_engine.backend: {sparse_engine.backend()}")
     if not st.spectral_norm_converged:
         print("warning: power iteration did not converge; R is a best estimate")
     return 0

@@ -11,6 +11,13 @@ at the same time never load a half-written library.
 Any failure (no compiler, a compile error, a cache directory that cannot be
 created or that another user can write, a load error) makes ``library()``
 return None for the rest of the process; callers then use their numpy code.
+
+``lazy_iterate`` also needs ``ddot()``: the CBLAS ddot that numpy's dot
+product calls.  OpenBLAS chooses its ddot kernel, and with it the order of
+the sum, per CPU, so no loop written here gives numpy's bits on every
+machine; calling the same function does.  It is borrowed from numpy's own
+extension module, and when it cannot be found the sparse engine keeps its
+numpy body.
 """
 
 from __future__ import annotations
@@ -33,10 +40,29 @@ COMPILERS = ("cc", "gcc")
 COMPILE_TIMEOUT_S = 120
 
 _PTR = ctypes.c_void_p
+_I64 = ctypes.c_int64
+_F64 = ctypes.c_double
+# name: (restype, argtypes)
 SIGNATURES = {
-    "csr_matvec": (ctypes.c_int64, _PTR, _PTR, _PTR, _PTR, _PTR),
-    "csr_rmatvec": (ctypes.c_int64, ctypes.c_int64, _PTR, _PTR, _PTR, _PTR, _PTR),
+    "csr_matvec": (None, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
+    "csr_rmatvec": (None, (_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
+    # (problem, i, beta_hat, beta_prev_hat, B_hat, inv_scale) -> row nnz, or -1
+    "lazy_iterate": (_I64, (_PTR, _I64, _F64, _F64, _F64, _F64)),
 }
+# numpy's CBLAS ddot under the names of the builds numpy ships or links;
+# a trailing "64_" marks the 64-bit-integer (ILP64) interface
+DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot", "cblas_ddot")
+
+
+class LazyProblem(ctypes.Structure):
+    """``struct lazy_problem`` of ``kernels.c``, field for field."""
+
+    _fields_ = [
+        *((name, _PTR) for name in ("offsets", "cols", "values", "targets", "x0", "y", "u",
+                                    "v", "w", "xbar", "ddot")),
+        *((name, _I64) for name in ("ddot_ilp64", "n", "loss", "reg")),
+        *((name, _F64) for name in ("eta", "tau", "theta", "d1", "lam", "lam2", "d2")),
+    ]
 
 
 def _cache_dir() -> Path:
@@ -98,10 +124,10 @@ def _load() -> ctypes.CDLL | None:
     if not target.exists():
         _build(compiler, target)
     lib = ctypes.CDLL(str(target))
-    for name, argtypes in SIGNATURES.items():
+    for name, (restype, argtypes) in SIGNATURES.items():
         func = getattr(lib, name)
         func.argtypes = argtypes
-        func.restype = None
+        func.restype = restype
     return lib
 
 
@@ -117,3 +143,29 @@ def library() -> ctypes.CDLL | None:
         # OSError: cache directory, compiler or dlopen; AttributeError: a
         # kernel missing from the library
         return None
+
+
+@functools.cache
+def ddot() -> tuple[int, bool] | None:
+    """(address, ILP64) of the CBLAS ddot numpy's dot product calls, or None.
+
+    Looked up in numpy's ``_multiarray_umath`` extension, whose symbol
+    lookup also searches the BLAS library it links.  Decided once per
+    process; ``ddot.cache_clear()`` forgets the decision.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    path = getattr(_multiarray_umath, "__file__", None)
+    if path is None:
+        return None
+    try:
+        numpy_ext = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for name in DDOT_SYMBOLS:
+        func = getattr(numpy_ext, name, None)
+        if func is not None:
+            return ctypes.cast(func, _PTR).value, name.endswith("64_")
+    return None

@@ -322,8 +322,11 @@ def recover_primal(reg: Regularizer, x0, s_hat, b_hat, inv_scale=1.0, coords=Non
             shrink = np.sign(z) * (np.abs(z) - b_hat * lam) / (inv_scale + b_hat * d2)
         return np.where(np.abs(quad) <= lam / (2.0 * mh), quad, shrink)
     # kl: positive root of (inv + B_hat d2) y^2 - z y - B_hat w = 0
-    w = reg.weight(coords)
     a = inv_scale + b_hat * d2
+    if b_hat == 0:
+        # B = 0: the prox is the identity; the root below would be 0/0 at z = 0
+        return z / a
+    w = reg.weight(coords)
     c = b_hat * w
     disc = np.sqrt(z**2 + 4.0 * a * c)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -29,6 +29,14 @@ stored quantity ever overflows, while recovered coordinates are unchanged.
 ``run_sparse`` runs epochs of rows from ``traces.epoch_rows``, the rows
 dense SDAPD samples at the same seed.
 
+``sparse_iterate`` does a row's arithmetic in one call of the compiled
+``lazy_iterate`` (``kernels.c``) for squared and hinge losses with l2, l1
+or elastic net, and in numpy (``_iterate_numpy``, the kernel's oracle)
+otherwise, or when the kernels cannot be built.  The kernel evaluates the
+numpy body's expressions in their order and takes the dot product from the
+CBLAS ddot that numpy calls (``kernels.ddot``), so both give the same bits;
+``backend`` says which one runs.
+
 Ergodic averaging is intentionally unavailable here: maintaining the average
 would cost O(d) per iteration.  The last iterate is the practical output
 anyway (it preserves sparsity); ergodic bounds are validated on the dense
@@ -37,13 +45,27 @@ path.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import operator
+
 import numpy as np
 
+from . import kernels
 from .deterministic import RESCALE_THRESHOLD, rescale
 from .errors import ConfigurationError, DivergenceError, StructuralError
 from .proxlib import CompositeProblem, prox_conjugate, recover_primal
 from .stochastic import StochasticParams, resolved_constants
 from .traces import RunResult, Tracer, epoch_rows
+
+# the loss and regularizer codes of kernels.c; other kinds run in numpy
+_LOSS_CODES = {"squared": 0, "hinge": 1}
+_REG_CODES = {"l2": 0, "l1": 1, "elastic_net": 1}
+
+
+def _fixed(name: str) -> property:
+    return property(operator.attrgetter("_" + name),
+                    doc=f"``{name}``, read-only: the compiled iteration is bound to it")
 
 
 class LazyState:
@@ -53,8 +75,15 @@ class LazyState:
     ``v`` and the scalars ``beta_hat`` (beta_t), ``beta_prev_hat``
     (beta_{t-1}) and ``B_hat`` (B_{t-1}) are stored divided by
     exp(log_scale); ``w`` and ``u`` are unscaled.  Only coordinates in the
-    sampled row's support are written per iteration.
+    sampled row's support are written per iteration.  ``params``, ``theta``
+    and the vectors ``x0``, ``y``, ``u``, ``v`` and ``w`` cannot be rebound
+    (the vectors are written in place): the compiled iteration keeps their
+    values and addresses.
     """
+
+    params, theta, x0, y, u, v, w = (
+        _fixed(name) for name in ("params", "theta", "x0", "y", "u", "v", "w")
+    )
 
     def __init__(self, problem: CompositeProblem, params: StochasticParams, x0=None,
                  rebase_threshold=RESCALE_THRESHOLD):
@@ -64,15 +93,15 @@ class LazyState:
             raise ConfigurationError("geometric schedule requires theta = 1/xi in (0, 1)")
         if params.n != n:
             raise ConfigurationError("params were built for a different sample count")
-        self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-        if self.x0.shape != (d,):
+        self._x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        if self._x0.shape != (d,):
             raise StructuralError("x0 does not match the problem's dimension")
-        self.params = params
-        self.theta = theta
-        self.y = np.zeros(n)
-        self.u = np.zeros(d)
-        self.v = np.zeros(d)
-        self.w = np.zeros(d)
+        self._params = params
+        self._theta = theta
+        self._y = np.zeros(n)
+        self._u = np.zeros(d)
+        self._v = np.zeros(d)
+        self._w = np.zeros(d)
         self.beta_hat = params.beta0
         self.beta_prev_hat = params.beta0 * theta
         self.B_hat = 0.0
@@ -82,6 +111,7 @@ class LazyState:
         self.touch_counter = 0
         self.rebase_count = 0
         self.rebase_threshold = rebase_threshold
+        _bind(self, problem)  # sets self._kernel
 
 
 def _recover_x(state: LazyState, reg, cols):
@@ -91,8 +121,69 @@ def _recover_x(state: LazyState, reg, cols):
     return recover_primal(reg, state.x0[cols], s_hat, state.B_hat, state.inv_scale, coords=cols)
 
 
+def backend() -> str:
+    """"compiled" when ``sparse_iterate`` runs ``lazy_iterate`` from
+    ``kernels.c`` (for squared and hinge losses with l2, l1 or elastic net;
+    huber and kl always run in numpy), "numpy" when the kernels or numpy's
+    ddot are unavailable in this process."""
+    return "numpy" if kernels.library() is None or kernels.ddot() is None else "compiled"
+
+
+def _bind(state: LazyState, problem: CompositeProblem):
+    """``lazy_iterate`` bound to this state and problem, taking (i, beta_hat,
+    beta_prev_hat, B_hat, inv_scale); None when the numpy body serves them.
+    Kept in ``state._kernel`` as (problem, call, what the call's addresses
+    point into)."""
+    lib, ddot = kernels.library(), kernels.ddot()
+    loss, reg = problem.loss, problem.reg
+    if (lib is None or ddot is None or loss.kind not in _LOSS_CODES
+            or reg.kind not in _REG_CODES
+            or (problem.n, problem.dim) != (state.y.size, state.x0.size)):
+        state._kernel = (problem, None, None)
+        return None
+    targets = np.ascontiguousarray(loss.targets)
+    xbar = np.empty(max(int(np.diff(problem.matrix.row_offsets).max(initial=0)), 1))
+    struct = kernels.LazyProblem(
+        *problem.matrix._pointers,
+        *(a.ctypes.data for a in (targets, state.x0, state.y, state.u, state.v, state.w, xbar)),
+        *ddot, problem.n, _LOSS_CODES[loss.kind], _REG_CODES[reg.kind],
+        state.params.eta, state.params.tau, state.theta, loss.dual_perturbation,
+        reg.lam, reg.lam2 if reg.kind == "elastic_net" else 0.0, reg.primal_perturbation,
+    )
+    call = functools.partial(lib.lazy_iterate, ctypes.addressof(struct))
+    state._kernel = (problem, call, (struct, targets, xbar))
+    return call
+
+
 def sparse_iterate(state: LazyState, problem: CompositeProblem, i: int):
     """One SDAPD iteration on the sampled row i, touching only its support."""
+    bound_to, call, _ = state._kernel
+    if bound_to is not problem:
+        call = _bind(state, problem)
+    if call is None:
+        nnz = _iterate_numpy(state, problem, i)
+    else:
+        if not 0 <= i < problem.n:
+            raise StructuralError(f"row index {i} out of range for {problem.n} rows")
+        nnz = call(i, state.beta_hat, state.beta_prev_hat, state.B_hat, state.inv_scale)
+        if nnz < 0:
+            raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
+
+    state.B_hat += state.beta_hat
+    state.beta_prev_hat = state.beta_hat
+    state.beta_hat /= state.theta
+    state.t += 1
+    # audit: 2 recoveries + row read + 3 support writes per coordinate
+    state.touch_counter += 6 * nnz + 2
+
+    if state.beta_hat > state.rebase_threshold:
+        rebase(state)
+    return state
+
+
+def _iterate_numpy(state: LazyState, problem: CompositeProblem, i: int) -> int:
+    """``lazy_iterate`` in numpy: the dual step and the support updates of
+    ``sparse_iterate``; returns the row's nonzero count."""
     n, eta, tau = problem.n, state.params.eta, state.params.tau
     cols, vals = problem.matrix.row(i)
     x_c = _recover_x(state, problem.reg, cols)
@@ -110,17 +201,7 @@ def sparse_iterate(state: LazyState, problem: CompositeProblem, i: int):
     state.u[cols] += delta
     state.v[cols] += (state.beta_hat * (n - 1.0 / (1.0 - state.theta))) * delta
     state.w[cols] += delta / (1.0 - state.theta)
-
-    state.B_hat += state.beta_hat
-    state.beta_prev_hat = state.beta_hat
-    state.beta_hat /= state.theta
-    state.t += 1
-    # audit: 2 recoveries + row read + 3 support writes per coordinate
-    state.touch_counter += 6 * int(vals.size) + 2
-
-    if state.beta_hat > state.rebase_threshold:
-        rebase(state)
-    return state
+    return int(vals.size)
 
 
 def rebase(state: LazyState) -> LazyState:

@@ -92,8 +92,9 @@ def _sparse_rebase(outdir: Path) -> None:
 def _kl(outdir: Path) -> None:
     """A kl problem: no certified reference exists, so the solvers run
     directly, without one (suboptimality is nan).  SDAPD and the lazy engine
-    solve it perturbed, as ``dapd run`` would, from x0 = 1: their first
-    recovery, prox_{0 g}(x0), is 0/0 at the kl default x0 = 0."""
+    solve it perturbed, as ``dapd run`` would, from x0 = 1, inside the kl
+    domain; the default x0 = 0 also runs, since their first recovery,
+    prox_{0 g}(x0), is the identity."""
     data, _ = synth_ridge(30, 12, seed=6)
     problem = make_problem(data.matrix, squared_loss(data.labels), kl_reg(0.5), "finite_sum")
     perturbed = perturb_problem(problem, 1e-3)

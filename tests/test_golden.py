@@ -138,8 +138,9 @@ def test_tolerant_comparison(fresh, tmp_path):
 
 
 def test_numpy_matvec_gives_the_same_bytes(fresh, tmp_path, monkeypatch):
-    """Forcing ``matvec_numpy`` changes no byte of any file, apart from the
-    manifest line that names the backend."""
+    """Hiding the compiled kernels forces both numpy bodies, ``matvec_numpy``
+    and the lazy engine's ``_iterate_numpy``; that changes no byte of any
+    file, apart from the manifest line that names the matvec backend."""
     monkeypatch.setattr(kernels, "library", lambda: None)
     make_golden.write_all(tmp_path)
     for rel in _files(fresh):

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from dapd import sparse_engine
 from dapd.cli import main as cli_main
 from dapd.deterministic import dapd_iterate, run_dapd, schedule_for_problem
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
@@ -354,6 +355,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "spectral_norm" in out and "density" in out and "matrix.backend" in out
+        assert f"sparse_engine.backend: {sparse_engine.backend()}" in out
 
     @pytest.mark.parametrize(
         "flags",

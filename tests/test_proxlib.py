@@ -22,6 +22,7 @@ from dapd.proxlib import (
     problem_constants,
     prox_conjugate,
     prox_reg,
+    recover_primal,
     squared_loss,
     svm_problem,
 )
@@ -148,6 +149,13 @@ class TestProxReg:
             full = prox_reg(reg, 2.5, v)
             each = [prox_reg_coord(reg, j, 2.5, v[j]) for j in range(7)]
             assert np.allclose(full, each, rtol=0, atol=0)
+
+    def test_kl_at_zero_weight_is_the_identity(self):
+        # B = 0, as in the lazy engine's first recovery: x0 = 0 used to give 0/0
+        z = np.array([0.0, 2.5, 1e-300, -1.0])
+        for inv_scale in (1.0, 0.25):
+            got = recover_primal(kl_reg(0.5), z, np.zeros(4), 0.0, inv_scale)
+            assert got.tobytes() == (z * inv_scale / inv_scale).tobytes()
 
     def test_kl_vector_weights(self):
         w = np.array([0.5, 1.5, 2.0])

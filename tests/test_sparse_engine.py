@@ -1,9 +1,18 @@
+import ctypes
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dapd.errors import ConfigurationError, StructuralError
+from dapd import kernels, sparse_engine
+from dapd.datasets import synth_ridge
+from dapd.deterministic import RESCALE_THRESHOLD
+from dapd.errors import ConfigurationError, DivergenceError, StructuralError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
+    elastic_net_reg,
+    hinge_loss,
+    huber_reg,
     kl_reg,
     l1_reg,
     l2_reg,
@@ -281,6 +290,22 @@ class TestFinalize:
         sparse = run_sparse(prob, params, 600, seed=17)
         assert np.abs(sparse.x - dense.x).max() <= 1e-8
 
+    def test_kl_from_the_default_start(self):
+        # x0 = 0: the first recovery, prox_{0 g}(x0), is the identity
+        data, _ = synth_ridge(30, 12, seed=6)
+        problem = make_problem(data.matrix, squared_loss(data.labels), kl_reg(0.5), "finite_sum")
+        problem = perturb_problem(problem, 1e-3)
+        params = params_for_problem(problem)
+        dense = run_sdapd(problem, params, 30 * 20, seed=1)
+        sparse = run_sparse(problem, params, 30 * 20, seed=1)
+        for res in (dense, sparse):
+            assert res.trace[0].primal_value == pytest.approx(123.568, rel=1e-5)
+            assert res.trace[-1].primal_value == pytest.approx(7.3983, rel=1e-4)
+            assert np.all(res.x > 0)
+        for a, b in zip(dense.trace, sparse.trace):
+            assert b.primal_value == pytest.approx(a.primal_value, rel=1e-13)
+        assert np.allclose(sparse.x, dense.x, rtol=1e-13, atol=0)
+
     def test_kl_regularizer_supported(self):
         rng = np.random.default_rng(10)
         prob = sparse_problem(rng, 6, 9, 0.5, kl_reg(0.8))
@@ -303,3 +328,183 @@ class TestFinalize:
         support = np.abs(res.x) > 1e-12
         ref_support = np.abs(ref.x) > 1e-12
         assert np.array_equal(support, ref_support)
+
+
+# ---------------------------------------------------------------------------
+# the compiled iteration (lazy_iterate in kernels.c) against the numpy body
+# ---------------------------------------------------------------------------
+
+KERNEL_REGS = {"l2": l2_reg(0.3), "l1": l1_reg(0.05), "elastic_net": elastic_net_reg(0.05, 0.2)}
+
+
+@pytest.fixture
+def compiled():
+    if sparse_engine.backend() != "compiled":
+        pytest.skip("the compiled kernels or numpy's ddot are unavailable here")
+
+
+@pytest.fixture
+def fresh_ddot():
+    """numpy's ddot is looked up again in the test, and again after it."""
+    kernels.ddot.cache_clear()
+    yield
+    kernels.ddot.cache_clear()
+
+
+def numpy_state(problem, params, **kwargs):
+    """A LazyState that runs the numpy body: built while the kernels are
+    hidden, it binds no kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "library", lambda: None)
+        return LazyState(problem, params, **kwargs)
+
+
+def snapshot(state):
+    """Everything an iteration writes, as exact values."""
+    return (
+        *(getattr(state, name).tobytes() for name in ("y", "u", "v", "w")),
+        state.beta_hat, state.beta_prev_hat, state.B_hat, state.log_scale, state.inv_scale,
+        state.t, state.touch_counter, state.rebase_count,
+    )
+
+
+def ragged_problem(loss, reg, seed=13):
+    """12 x 20 with empty rows, one-entry rows and rows of up to 8 entries."""
+    rng = np.random.default_rng(seed)
+    n, d = 12, 20
+    triplets = [
+        (i, int(j), rng.normal())
+        for i in range(n)
+        for j in sorted(rng.choice(d, size=(0, 1, 1, 3, 5, 8)[i % 6], replace=False))
+    ]
+    A = build_matrix(triplets, n, d)
+    if loss == "squared":
+        return make_problem(A, squared_loss(rng.normal(size=n)), reg, "finite_sum")
+    return make_problem(A, hinge_loss(rng.choice([-1.0, 1.0], size=n)), reg, "finite_sum")
+
+
+def grid_params(problem):
+    """The steps of the problem perturbed by 1e-3, with beta0 = 100 and
+    xi = 1.005: beta reaches 1e3 after 462 iterations, so a run of 900
+    rebases once at that threshold (and squared + l1 unperturbed, which
+    SDAPD does not cover, stays finite)."""
+    params = params_for_problem(perturb_problem(problem, 1e-3))
+    return dataclasses.replace(params, beta0=100.0, xi=1.005)
+
+
+class TestCompiledIteration:
+    @pytest.mark.parametrize("rebase_threshold", [RESCALE_THRESHOLD, 1e3],
+                             ids=["no_rebase", "rebase_1e3"])
+    @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
+    @pytest.mark.parametrize("reg", list(KERNEL_REGS))
+    @pytest.mark.parametrize("loss", ["squared", "hinge"])
+    def test_same_bits_as_numpy_after_every_iteration(self, compiled, loss, reg, epsilon,
+                                                      rebase_threshold):
+        problem = ragged_problem(loss, KERNEL_REGS[reg])
+        params = grid_params(problem)
+        if epsilon is not None:
+            problem = perturb_problem(problem, epsilon)
+        fast = LazyState(problem, params, rebase_threshold=rebase_threshold)
+        slow = numpy_state(problem, params, rebase_threshold=rebase_threshold)
+        rows = sampled_rows(problem.n, 3)
+        for t in range(900):
+            i = next(rows)
+            sparse_iterate(fast, problem, i)
+            sparse_iterate(slow, problem, i)
+            assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
+        assert finalize_x(fast, problem.reg).tobytes() == finalize_x(slow, problem.reg).tobytes()
+        assert fast.rebase_count == (1 if rebase_threshold == 1e3 else 0)
+
+    def test_borrowed_ddot_sums_as_numpy_dot(self, compiled):
+        address, ilp64 = kernels.ddot()
+        index = ctypes.c_int64 if ilp64 else ctypes.c_int
+        ddot = ctypes.CFUNCTYPE(ctypes.c_double, index, ctypes.c_void_p, index, ctypes.c_void_p,
+                                index)(address)
+        rng = np.random.default_rng(0)
+        for k in rng.integers(1, 120, size=2000):
+            a, b = rng.normal(size=k), rng.normal(size=k)
+            assert 0.0 + ddot(int(k), a.ctypes.data, 1, b.ctypes.data, 1) == a @ b, k
+
+
+class TestCompiledFallbacks:
+    def run_bytes(self, problem, params):
+        res = run_sparse(problem, params, 300, seed=4, wall_clock=False)
+        return res.x.tobytes(), res.y.tobytes(), [(r.primal_value, r.touches) for r in res.trace]
+
+    def test_no_library(self, compiled, monkeypatch):
+        problem = ragged_problem("hinge", KERNEL_REGS["elastic_net"])
+        params = grid_params(problem)
+        want = self.run_bytes(problem, params)
+        monkeypatch.setattr(kernels, "library", lambda: None)
+        assert sparse_engine.backend() == "numpy"
+        assert self.run_bytes(problem, params) == want
+
+    def test_unresolvable_ddot(self, compiled, fresh_ddot, monkeypatch):
+        problem = ragged_problem("squared", KERNEL_REGS["l1"])
+        params = grid_params(problem)
+        want = self.run_bytes(problem, params)
+        monkeypatch.setattr(kernels, "DDOT_SYMBOLS", ("no_such_ddot",))
+        kernels.ddot.cache_clear()
+        assert kernels.ddot() is None and sparse_engine.backend() == "numpy"
+        assert self.run_bytes(problem, params) == want
+
+    @pytest.mark.parametrize("reg, x0", [(huber_reg(0.1, 0.5), 0.0), (kl_reg(0.5), 1.0),
+                                         (l2_reg(0.3), 0.0)], ids=["huber", "kl", "l2"])
+    def test_only_huber_and_kl_run_the_numpy_body(self, compiled, monkeypatch, reg, x0):
+        problem = ragged_problem("squared", reg)
+        params = grid_params(problem)
+        x0 = np.full(problem.dim, x0)
+        want = run_sparse(problem, params, 120, seed=4, x0=x0, wall_clock=False)
+        calls = []
+        body = sparse_engine._iterate_numpy
+        monkeypatch.setattr(sparse_engine, "_iterate_numpy",
+                            lambda *args: calls.append(1) or body(*args))
+        got = run_sparse(problem, params, 120, seed=4, x0=x0, wall_clock=False)
+        assert len(calls) == (0 if reg.kind == "l2" else 120)
+        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+        monkeypatch.setattr(kernels, "library", lambda: None)
+        hidden = run_sparse(problem, params, 120, seed=4, x0=x0, wall_clock=False)
+        assert hidden.x.tobytes() == want.x.tobytes()
+
+
+class TestCompiledSafety:
+    @pytest.mark.parametrize("row", [-1, 12, 2**40])
+    def test_row_out_of_range_writes_nothing(self, compiled, row):
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        state = LazyState(problem, grid_params(problem))
+        for i in range(problem.n):
+            sparse_iterate(state, problem, i)
+        before = snapshot(state)
+        with pytest.raises(StructuralError, match="out of range"):
+            sparse_iterate(state, problem, row)
+        assert snapshot(state) == before
+
+    @pytest.mark.parametrize("name", ["params", "theta", "x0", "y", "u", "v", "w"])
+    def test_bound_attributes_cannot_be_rebound(self, name):
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        state = LazyState(problem, grid_params(problem))
+        value = getattr(state, name)
+        with pytest.raises(AttributeError):
+            setattr(state, name, np.zeros(3))
+        assert getattr(state, name) is value
+
+    def test_divergence_at_the_numpy_iteration_with_state_untouched(self, compiled):
+        # x0 is +inf on a column that one row holds, so the iteration that
+        # first samples that row has an infinite dot product
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        counts = np.bincount(problem.matrix.col_indices, minlength=problem.dim)
+        x0 = np.zeros(problem.dim)
+        x0[np.flatnonzero(counts == 1)[0]] = np.inf
+        params = grid_params(problem)
+        states = [LazyState(problem, params, x0=x0), numpy_state(problem, params, x0=x0)]
+        failed = []
+        for state in states:
+            rows = sampled_rows(problem.n, 3)
+            with pytest.raises(DivergenceError) as err:
+                for _ in range(200):
+                    before = snapshot(state)
+                    sparse_iterate(state, problem, next(rows))
+            assert snapshot(state) == before
+            failed.append(err.value.iteration)
+        assert failed[0] == failed[1] > 0
+        assert snapshot(states[0]) == snapshot(states[1])
