@@ -1,5 +1,8 @@
+import gc
 import json
+import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from dapd.errors import CertificationError, ConfigurationError, StructuralError
 from dapd.harness import (
     ALL_METHODS,
     PERTURBATION_METHODS,
+    REFERENCE_CHECKPOINTS,
     ReferenceSolution,
     RunConfig,
     build_problem,
@@ -113,11 +117,16 @@ class TestReference:
         assert ref.method == "dapd_run"
         assert ref.certified_gap <= accuracy
 
+    def test_reference_checkpoints_are_geometric(self):
+        grid = REFERENCE_CHECKPOINTS
+        assert grid[0] <= 50 and grid[-1] == 256_000 and len(grid) <= 40
+        assert all(a < b and 4 * b <= 5 * a for a, b in zip(grid, grid[1:]))
+
     def test_native_reference_continues_one_run(self, monkeypatch):
-        # the certified gap is 0.052864 after 2,000 iterations and 0.052802
-        # after 4,000, so this accuracy is met at the second checkpoint
+        # the certified gap is 0.052843 after 2,690 iterations and 0.052822
+        # after 3,362, the next checkpoint, so this accuracy is met at 3,362
         problem, accuracy = small_hinge_problem(), 0.05283
-        restarted = run_dapd(problem, schedule_for_problem(problem), 4000)
+        restarted = run_dapd(problem, schedule_for_problem(problem), 3362)
         value = primal_objective(problem, restarted.x)
         gap = value - dual_objective(problem, feasible_dual_point(problem, restarted.y))
         calls = []
@@ -128,9 +137,41 @@ class TestReference:
 
         monkeypatch.setattr("dapd.harness.dapd_iterate", counted)
         ref = compute_reference(problem, accuracy, method="solver")
-        assert len(calls) == 4000
+        assert len(calls) == 3362
         assert (ref.value, ref.certified_gap) == (value, gap)
         assert np.array_equal(ref.x, restarted.x)
+
+    def test_native_reference_frees_its_problem(self):
+        # the gap checks raise nothing, so no traceback cycle keeps the
+        # problem (and the DAPD state) alive until a full collection
+        problem = small_hinge_problem()
+        alive = weakref.ref(problem)
+        gc.disable()
+        try:
+            compute_reference(problem, 0.05283, method="solver")  # 24th checkpoint
+            del problem
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_native_reference_raises_after_its_last_checkpoint(self, monkeypatch):
+        problem, grid, accuracy = small_hinge_problem(), (10, 20, 30), 1e-12
+        fresh = run_dapd(problem, schedule_for_problem(problem), grid[-1])
+        gap = primal_objective(problem, fresh.x) - dual_objective(
+            problem, feasible_dual_point(problem, fresh.y)
+        )
+        iterations, gap_checks = [], []
+
+        def counted(calls, fn):
+            return lambda *args: calls.append(args) or fn(*args)
+
+        monkeypatch.setattr("dapd.harness.REFERENCE_CHECKPOINTS", grid)
+        monkeypatch.setattr("dapd.harness.dapd_iterate", counted(iterations, dapd_iterate))
+        monkeypatch.setattr("dapd.harness.dual_objective", counted(gap_checks, dual_objective))
+        message = f"dapd_run reference certified only to gap {gap:.3e} > {accuracy:.3e}"
+        with pytest.raises(CertificationError, match=re.escape(message)):
+            compute_reference(problem, accuracy, method="solver")
+        assert (len(iterations), len(gap_checks)) == (grid[-1], len(grid))
 
     def test_explicit_cvxpy_without_cvxpy_refused(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "cvxpy", None)
