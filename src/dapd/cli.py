@@ -117,10 +117,11 @@ def _cmd_stats(args) -> int:
     print(f"density: {st.density:.6g}")
     print(f"spectral_norm (R): {st.spectral_norm:.12g}")
     print(f"max_row_norm (Rbar): {st.max_row_norm:.12g}")
+    print(f"spectral_norm_products: {st.spectral_norm_products}")
     print(f"matrix.backend: {matrix.backend()}")
     print(f"sparse_engine.backend: {sparse_engine.backend()}")
     if not st.spectral_norm_converged:
-        print("warning: power iteration did not converge; R is a best estimate")
+        print("warning: Lanczos did not converge; R is a best estimate")
     return 0
 
 

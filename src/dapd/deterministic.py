@@ -151,10 +151,11 @@ def schedule_for_problem(
 ) -> SolverSchedule:
     """Build the regime schedule from the problem's composite constants.
 
-    When the spectral-norm power iteration did not converge the estimate may
-    be slightly low, which would break eta*tau <= 1/R^2 against the true R;
-    the estimate is inflated by 1/0.99 (equivalently, both step sizes shrink
-    by 0.99) before the schedule is formed.
+    A converged Lanczos estimate of R bounds the top singular value from
+    above (``matrix.power_iteration``).  When the run did not converge the
+    estimate may be slightly low, which would break eta*tau <= 1/R^2 against
+    the true R; the estimate is then inflated by 1/0.99 (equivalently, both
+    step sizes shrink by 0.99) before the schedule is formed.
     """
     gamma_f = composite_gamma(problem)
     _, mu, _, R, _ = problem_constants(problem)

@@ -521,6 +521,7 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
         "problem.gamma": gamma,
         "problem.mu": mu,
         "problem.spectral_norm_converged": problem.stats.spectral_norm_converged,
+        "problem.spectral_norm_products": problem.stats.spectral_norm_products,
         "matrix.backend": backend(),
     }
     reference = compute_reference(problem, config.output["reference_accuracy"])

@@ -15,6 +15,8 @@ from . import kernels
 from .errors import StructuralError
 
 POWER_ITERATION_SEED = 20
+# Lanczos steps between two looks at the top Ritz pair
+LANCZOS_CHECK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +96,6 @@ class SparseRowMatrix:
         lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
         return self.col_indices[lo:hi], self.values[lo:hi]
 
-    def row_norms(self) -> np.ndarray:
-        """Euclidean norm of every row."""
-        sq = np.bincount(self.row_ids, weights=self.values**2, minlength=self.n_rows)
-        return np.sqrt(sq)
-
     def to_dense(self) -> np.ndarray:
         """Dense copy; verification oracle only, never on the solver path."""
         out = np.zeros((self.n_rows, self.n_cols))
@@ -121,14 +118,17 @@ def _owned(arr, dtype, name: str) -> np.ndarray:
 class MatrixStats:
     """Operator norm, max row norm, and nonzero proportion of a matrix.
 
-    ``spectral_norm_converged`` records whether power iteration met its
-    tolerance; schedule builders shrink step sizes when it did not.
+    ``spectral_norm_converged`` records whether the Lanczos run behind
+    ``spectral_norm`` met its stopping rule; schedule builders shrink step
+    sizes when it did not.  ``spectral_norm_products`` is the number of Gram
+    products that run used (each is one product with A and one with A.T).
     """
 
     spectral_norm: float
     max_row_norm: float
     density: float
     spectral_norm_converged: bool = True
+    spectral_norm_products: int = 0
 
 
 def build_matrix(triplets, n_rows: int, n_cols: int) -> SparseRowMatrix:
@@ -211,55 +211,105 @@ def matvec_numpy(A: SparseRowMatrix, v: np.ndarray, transpose: bool = False) -> 
     return np.bincount(A.row_ids, weights=prod, minlength=A.n_rows)
 
 
-def power_iteration(A: SparseRowMatrix, rel_tol: float = 1e-9, max_iter: int = 5000):
-    """Largest singular value via power iteration on A.T @ A.
+class SpectralEstimate(tuple):
+    """What ``power_iteration`` returns: the pair ``(estimate, converged)``,
+    which unpacks as before, and ``products``, the Gram products it used."""
 
-    Starts from a fixed-seed random vector; returns ``(estimate, converged)``.
-    The estimate is sqrt(||A.T A v||) for the final unit v, which upper-bounds
-    the plain Rayleigh quotient.  On non-convergence the best estimate is
-    still returned with ``converged=False``.
+    def __new__(cls, estimate: float, converged: bool, products: int):
+        self = super().__new__(cls, (estimate, converged))
+        self.products = products
+        return self
+
+
+def power_iteration(A: SparseRowMatrix, rel_tol: float = 1e-13, max_iter: int = 1000):
+    """Largest singular value of A by the Lanczos process on its Gram matrix.
+
+    The name is kept from the power iteration this replaced, because callers
+    and the benchmark's tracing find the spectral-norm estimate by it.  The
+    process runs on A.T @ A when A has no more columns than rows and on
+    A @ A.T otherwise, from a fixed-seed random start, with the three-term
+    recurrence alone: no basis is stored, so memory is O(min(n, d)).
+    Without reorthogonalization the extreme Ritz values stay accurate
+    (Paige, 1980).
+
+    Every ``LANCZOS_CHECK`` steps the top Ritz value theta of the
+    tridiagonal matrix and its residual r = beta_k |s_k| are taken; the run
+    stops once r <= rel_tol * theta.  Some eigenvalue of the Gram matrix lies
+    within r of theta (up to rounding), so the returned sqrt(theta + r)
+    bounds it from above.
+    ``max_iter`` caps the Gram products (each look solves a dense k x k
+    eigenproblem, so the cap is 1000, not the old 5000); when they run out
+    first the last estimate is returned with ``converged=False``.  The
+    result unpacks as ``(estimate, converged)`` and carries the product
+    count in ``products``.
     """
     if rel_tol <= 0:
         raise StructuralError("rel_tol must be positive")
     if A.nnz == 0:
-        return 0.0, True
+        return SpectralEstimate(0.0, True, 0)
+    wide = A.n_cols > A.n_rows
+    dim = A.n_rows if wide else A.n_cols
     rng = np.random.default_rng(POWER_ITERATION_SEED)
-    v = rng.standard_normal(A.n_cols)
-    v /= np.linalg.norm(v)
-    sigma_prev = np.inf
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = matvec(A, matvec(A, v), transpose=True)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True
-        sigma = float(np.sqrt(nw))
-        if abs(sigma - sigma_prev) <= rel_tol * sigma:
-            return sigma, True
-        v = w / nw
-        sigma_prev = sigma
-    return sigma, False
+    q = rng.standard_normal(dim)
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros(dim)
+    alphas, betas = [], []
+    beta = 0.0
+    theta = r = 0.0
+    for k in range(1, max_iter + 1):
+        if wide:
+            w = matvec(A, matvec(A, q, transpose=True))
+        else:
+            w = matvec(A, matvec(A, q), transpose=True)
+        w -= beta * q_prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        # look also where the Krylov space is exhausted: at k == dim, or
+        # earlier where beta is (near) zero; T's top eigenvalue is at least
+        # max(alphas), so such a beta meets the rule before it is divided by
+        if (k % LANCZOS_CHECK == 0 or k in (dim, max_iter)
+                or beta <= rel_tol * max(alphas)):
+            theta, r = _top_ritz(alphas, betas)
+            if r <= rel_tol * theta:
+                return SpectralEstimate(float(np.sqrt(theta + r)), True, k)
+        q_prev, q = q, w / beta
+    return SpectralEstimate(float(np.sqrt(max(theta + r, 0.0))), False, max_iter)
+
+
+def _top_ritz(alphas: list, betas: list):
+    """Top eigenvalue theta of the Lanczos tridiagonal matrix and the
+    residual beta_k |s_k| of its Ritz vector."""
+    T = np.diag(alphas)
+    off = np.arange(len(alphas) - 1)
+    T[off, off + 1] = T[off + 1, off] = betas[:-1]
+    values, vectors = np.linalg.eigh(T)
+    return float(values[-1]), betas[-1] * abs(float(vectors[-1, -1]))
 
 
 def stats(A: SparseRowMatrix) -> MatrixStats:
     """Spectral norm, max row norm, and density of A.
 
-    The spectral estimate is clamped from below by the exact max row and
-    column norms (both are true lower bounds of the operator norm, computed
-    in O(nnz)), so max_row_norm <= spectral_norm holds by construction and a
-    stalled power iteration can never understate the norm past them.
+    The spectral norm is ``power_iteration``'s Lanczos estimate, which
+    bounds the top singular value from above once it has converged.  It is
+    clamped from below by the exact max row and column norms (both are true
+    lower bounds of the operator norm, computed in O(nnz)), so max_row_norm
+    <= spectral_norm holds by construction, converged or not.
     """
-    value, converged = power_iteration(A)
-    max_row = float(A.row_norms().max()) if A.n_rows else 0.0
-    if A.nnz:
-        col_sq = np.bincount(A.col_indices, weights=A.values**2, minlength=A.n_cols)
-        max_col = float(np.sqrt(col_sq.max()))
-    else:
-        max_col = 0.0
+    estimate = power_iteration(A)
+    value, converged = estimate
+    squares = A.values**2
+    row_sq = np.bincount(A.row_ids, weights=squares, minlength=A.n_rows)
+    col_sq = np.bincount(A.col_indices, weights=squares, minlength=A.n_cols)
+    max_row = float(np.sqrt(row_sq.max())) if A.n_rows else 0.0
+    max_col = float(np.sqrt(col_sq.max())) if A.n_cols else 0.0
     dens = A.nnz / (A.n_rows * A.n_cols) if A.n_rows and A.n_cols else 0.0
     return MatrixStats(
         spectral_norm=max(value, max_row, max_col),
         max_row_norm=max_row,
         density=dens,
         spectral_norm_converged=converged,
+        spectral_norm_products=estimate.products,
     )

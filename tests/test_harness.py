@@ -301,8 +301,9 @@ class TestRunExperiment:
         cfg = base_config(tmp_path, ["sdapd"], seeds=[7])
         result = run_experiment(RunConfig.from_dict(cfg))
         manifest = result.manifest_path.read_text()
-        for key in ("problem.R=", "problem.Rbar=", "reference.value=", "matrix.backend=",
-                    "cell.sdapd_seed7.eta=", "cell.sdapd_seed7.xi="):
+        for key in ("problem.R=", "problem.Rbar=", "problem.spectral_norm_products=",
+                    "reference.value=", "matrix.backend=", "cell.sdapd_seed7.eta=",
+                    "cell.sdapd_seed7.xi="):
             assert key in manifest
 
     def test_reproducible_traces(self, tmp_path):
@@ -396,6 +397,8 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "spectral_norm" in out and "density" in out and "matrix.backend" in out
+        # the identity's Gram matrix: the first Lanczos step ends the run
+        assert "spectral_norm_products: 1\n" in out
         assert f"sparse_engine.backend: {sparse_engine.backend()}" in out
 
     @pytest.mark.parametrize(
