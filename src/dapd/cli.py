@@ -118,6 +118,7 @@ def _cmd_stats(args) -> int:
     print(f"spectral_norm (R): {st.spectral_norm:.12g}")
     print(f"max_row_norm (Rbar): {st.max_row_norm:.12g}")
     print(f"spectral_norm_products: {st.spectral_norm_products}")
+    print(f"datasets.parser: {dataset.meta['parser']}")
     print(f"matrix.backend: {matrix.backend()}")
     print(f"sparse_engine.backend: {sparse_engine.backend()}")
     if not st.spectral_norm_converged:
@@ -162,10 +163,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ParseError, CertificationError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigurationError, ParseError, CertificationError, DivergenceError,
+            OSError) as exc:  # OSError: a config or data path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,7 @@ datasets are immutable and shareable.
 
 from __future__ import annotations
 
+import ctypes
 import gzip
 import math
 from array import array
@@ -14,8 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigurationError, ParseError
 from .matrix import SparseRowMatrix, build_matrix, matvec
+
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,15 +43,77 @@ def parse_libsvm(source: str, expected_dim: int | None = None, name: str = "<mem
     Indices are 1-based and must be strictly increasing within a line, and
     labels and values must be finite; the dimension is inferred as the
     maximum index unless ``expected_dim`` is given (which also catches
-    truncated files).  Blank lines are skipped.  Lines arrive in row order
-    with increasing indices, so they are appended straight into CSR arrays.
+    truncated files).  Blank lines are skipped.
+
+    The compiled reader (``kernels.libsvm_parse``) takes the text when it
+    can; any text outside its grammar goes to ``_parse_python``, which gives
+    the same bits on the texts both accept and raises every ``ParseError``.
+    ``meta["parser"]`` records which of the two ran.
     """
-    labels = []
+    _check_expected_dim(expected_dim)
+    parsed = _parse_compiled(source)
+    parser = "compiled" if parsed is not None else "python"
+    labels, offsets, cols, values, max_index = parsed or _parse_python(source)
+    rows = labels.size
+    dim = max_index
+    if expected_dim is not None:
+        if max_index > expected_dim:
+            raise ParseError(
+                f"feature index {max_index} exceeds the declared dimension {expected_dim}"
+            )
+        dim = expected_dim
+    matrix = SparseRowMatrix(rows, dim, offsets, cols, values)
+    meta = {
+        "name": name,
+        "n": rows,
+        "d": dim,
+        "density": matrix.nnz / (rows * dim) if dim else 0.0,
+        "source": "libsvm",
+        "parser": parser,
+    }
+    return Dataset(matrix, labels, meta)
+
+
+def _check_expected_dim(expected_dim) -> None:
+    if expected_dim is not None and expected_dim < 1:
+        raise ConfigurationError(f"expected_dim must be at least 1, not {expected_dim!r}")
+
+
+def _parse_compiled(source: str):
+    """(labels, offsets, cols, values, max_index) from the compiled reader,
+    or None when there is no compiled reader, the text is outside its
+    grammar, or it holds no sample (the Python body raises for that)."""
+    lib = kernels.library()
+    if lib is None or not source.isascii():
+        return None
+    data = source.encode("ascii")
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    nnz = data.count(b":")  # in the grammar, every ':' ends an index
+    labels = np.empty(lines)
+    offsets = np.empty(lines + 1, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    values = np.empty(nnz)
+    max_index = ctypes.c_int64()
+    rows = lib.libsvm_parse(data, len(data), labels.ctypes.data, offsets.ctypes.data,
+                            cols.ctypes.data, values.ctypes.data, ctypes.byref(max_index))
+    if rows <= 0:
+        return None
+    if rows < lines:  # blank lines: keep exact-size arrays, not views
+        labels, offsets = labels[:rows].copy(), offsets[:rows + 1].copy()
+    return labels, offsets, cols, values, max_index.value
+
+
+def _parse_python(source: str):
+    """The reference body of ``parse_libsvm``, and the only one that raises.
+
+    Lines arrive in row order with increasing indices, so they are appended
+    straight into CSR arrays.
+    """
+    labels = array("d")
     offsets = array("q", [0])
     col_indices = array("q")
     values = array("d")
     max_index = 0
-    row = 0
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -70,6 +136,8 @@ def parse_libsvm(source: str, expected_dim: int | None = None, name: str = "<mem
                 raise ParseError(f"malformed feature token {tok!r}", line=lineno) from None
             if idx <= 0:
                 raise ParseError(f"nonpositive feature index {idx}", line=lineno)
+            if idx > INT64_MAX:
+                raise ParseError(f"feature index {idx} does not fit in int64", line=lineno)
             if not math.isfinite(val):
                 raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
             if idx <= prev_index:
@@ -81,35 +149,27 @@ def parse_libsvm(source: str, expected_dim: int | None = None, name: str = "<mem
             values.append(val)
         max_index = max(max_index, prev_index)
         offsets.append(len(values))
-        row += 1
-    if row == 0:
+    if not labels:
         raise ParseError("empty dataset: no samples found")
-    dim = max_index
-    if expected_dim is not None:
-        if max_index > expected_dim:
-            raise ParseError(
-                f"feature index {max_index} exceeds the declared dimension {expected_dim}"
-            )
-        dim = expected_dim
-    matrix = SparseRowMatrix(
-        row, dim, np.array(offsets), np.array(col_indices), np.array(values)
-    )
-    meta = {
-        "name": name,
-        "n": row,
-        "d": dim,
-        "density": matrix.nnz / (row * dim) if dim else 0.0,
-        "source": "libsvm",
-    }
-    return Dataset(matrix, np.array(labels), meta)
+    return (np.array(labels), np.array(offsets), np.array(col_indices), np.array(values),
+            max_index)
 
 
 def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
-    """Read a LIBSVM file, transparently decompressing ``.gz``."""
+    """Read a UTF-8 LIBSVM file, transparently decompressing ``.gz``."""
+    _check_expected_dim(expected_dim)
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt") as fh:
-        return parse_libsvm(fh.read(), expected_dim=expected_dim, name=path)
+    with opener(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        # the line numbering of the Python body (str.splitlines)
+        line = len((data[:exc.start].decode() + "x").splitlines())
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}", line=line) from None
+    del data  # the text alone while parsing
+    return parse_libsvm(text, expected_dim=expected_dim, name=path)
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

@@ -317,6 +317,7 @@ class RunConfig:
             raise ConfigurationError(f"problem.source.kind must be one of {sorted(_SOURCE_KEYS)}")
         problem["source"] = _config_object(source, _SOURCE_KEYS[kind], "problem.source",
                                           _SOURCE_REQUIRED[kind])
+        _check_positive(source, "expected_dim", "problem.source")
         if source.get("cov", "identity") not in ("identity", "ar1"):
             raise ConfigurationError("problem.source.cov must be 'identity' or 'ar1'")
         if problem.get("loss") not in ("squared", "hinge"):

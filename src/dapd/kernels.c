@@ -1,5 +1,6 @@
 /* Compiled kernels for dapd: the CSR matrix-vector products of
- * dapd.matrix.matvec and one iteration of the lazy sparse engine.
+ * dapd.matrix.matvec, one iteration of the lazy sparse engine, and the
+ * LIBSVM reader of dapd.datasets.parse_libsvm.
  *
  * Each matvec output entry is accumulated in storage order, one rounded
  * product at a time, starting from +0.0: the order np.bincount uses in the
@@ -11,8 +12,11 @@
  * non-decreasing offsets ending at nnz, and every column in [0, n_cols).
  */
 
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* out[i] = sum over k in row i of values[k] * v[cols[k]] */
 void csr_matvec(int64_t n_rows, const int64_t *offsets, const int64_t *cols,
@@ -155,4 +159,137 @@ int64_t lazy_iterate(const struct lazy_problem *p, int64_t i, double beta_hat,
         p->w[j] += delta / (1.0 - p->theta);
     }
     return k;
+}
+
+/* LIBSVM text into CSR arrays and labels (dapd.datasets.parse_libsvm).
+ *
+ * Reads a strict ASCII subset of what the Python body accepts and returns
+ * -1 on anything else, so the Python body parses that input again and
+ * raises its own errors:
+ *   - lines end in '\n', optionally preceded by '\r'; blanks are ' ' and
+ *     '\t', and a line holds only blanks, or a label followed by
+ *     blank-separated <index>:<value> tokens;
+ *   - a label or value is [+-]?(digits[.[digits]] | .digits) with an
+ *     optional [eE][+-]?digits; strtod, correctly rounded like Python's
+ *     float(), converts it, must stop where the grammar stops, and must
+ *     return a finite value;
+ *   - an index is decimal digits, at most INT64_MAX, and the indices of a
+ *     line increase strictly from 1.
+ * It also returns -1 when the locale's decimal point is not '.', since
+ * strtod would then read another one.
+ *
+ * The caller sizes labels and offsets for every line (the count of '\n',
+ * plus one for an unterminated last line; offsets has one entry more) and
+ * cols and values for every ':'.  buf[len] must be readable and must not
+ * continue a number: strtod looks at the byte after the last token (Python
+ * puts a NUL after the data of a bytes object).  Returns the row count and
+ * sets *max_index to the largest index, 0 when there is none.
+ */
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static const char *skip_digits(const char *p, const char *end)
+{
+    while (p < end && is_digit(*p))
+        ++p;
+    return p;
+}
+
+/* the number at *p into *out, and *p past it; 0 when there is none, or
+ * when it is not finite */
+static int read_number(const char **p, const char *end, double *out)
+{
+    const char *const s = *p;
+    const char *q = s;
+    if (q < end && (*q == '+' || *q == '-'))
+        ++q;
+    const char *const int_end = skip_digits(q, end);
+    int digits = int_end > q;
+    q = int_end;
+    if (q < end && *q == '.') {
+        const char *const frac = q + 1;
+        q = skip_digits(frac, end);
+        digits |= q > frac;
+    }
+    if (!digits)
+        return 0;
+    if (q < end && (*q == 'e' || *q == 'E')) {
+        const char *e = q + 1;
+        if (e < end && (*e == '+' || *e == '-'))
+            ++e;
+        const char *const e_end = skip_digits(e, end);
+        if (e_end == e)
+            return 0;
+        q = e_end;
+    }
+    char *stop;
+    const double v = strtod(s, &stop);
+    if (stop != q || !isfinite(v))
+        return 0;
+    *out = v;
+    *p = q;
+    return 1;
+}
+
+int64_t libsvm_parse(const char *buf, int64_t len, double *labels, int64_t *offsets,
+                     int64_t *cols, double *values, int64_t *max_index)
+{
+    if (strcmp(localeconv()->decimal_point, ".") != 0)
+        return -1;
+    const char *p = buf;
+    const char *const end = buf + len;
+    int64_t rows = 0, nnz = 0, widest = 0;
+    offsets[0] = 0;
+    while (p < end) {
+        int64_t prev = -1; /* -1 before the label, then the last index (0: none) */
+        for (;;) {
+            const char *const gap = p;
+            while (p < end && (*p == ' ' || *p == '\t'))
+                ++p;
+            if (p == end)
+                break;
+            if (*p == '\r') {
+                if (p + 1 == end || p[1] != '\n')
+                    return -1; /* a lone '\r' */
+                ++p;
+            }
+            if (*p == '\n') {
+                ++p;
+                break;
+            }
+            if (prev < 0) {
+                if (!read_number(&p, end, &labels[rows]))
+                    return -1;
+                prev = 0;
+                continue;
+            }
+            if (p == gap)
+                return -1; /* no blank after the last token */
+            int64_t idx = 0;
+            const char *const digits = p;
+            for (; p < end && is_digit(*p); ++p) {
+                const int d = *p - '0';
+                if (idx > (INT64_MAX - d) / 10)
+                    return -1;
+                idx = 10 * idx + d;
+            }
+            if (p == digits || p == end || *p != ':' || idx <= prev)
+                return -1;
+            ++p;
+            if (!read_number(&p, end, &values[nnz]))
+                return -1;
+            cols[nnz++] = idx - 1;
+            prev = idx;
+        }
+        if (prev >= 0) {
+            if (prev > widest)
+                widest = prev;
+            offsets[++rows] = nnz;
+        }
+    }
+    *max_index = widest;
+    return rows;
 }

@@ -10,7 +10,13 @@ at the same time never load a half-written library.
 
 Any failure (no compiler, a compile error, a cache directory that cannot be
 created or that another user can write, a load error) makes ``library()``
-return None for the rest of the process; callers then use their numpy code.
+return None for the rest of the process; callers then use their numpy or
+Python code.
+
+``libsvm_parse`` reads LIBSVM text straight into CSR arrays.  It accepts a
+strict ASCII grammar and converts numbers with the C library's ``strtod``,
+correctly rounded like Python's ``float``; ``datasets.parse_libsvm`` hands
+any other text, and every error, to its Python body.
 
 ``lazy_iterate`` also needs ``ddot()``: the CBLAS ddot that numpy's dot
 product calls.  OpenBLAS chooses its ddot kernel, and with it the order of
@@ -48,6 +54,8 @@ SIGNATURES = {
     "csr_rmatvec": (None, (_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
     # (problem, i, beta_hat, beta_prev_hat, B_hat, inv_scale) -> row nnz, or -1
     "lazy_iterate": (_I64, (_PTR, _I64, _F64, _F64, _F64, _F64)),
+    # (text, length, labels, offsets, cols, values, max_index) -> rows, or -1
+    "libsvm_parse": (_I64, (ctypes.c_char_p, _I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
 }
 # numpy's CBLAS ddot under the names of the builds numpy ships or links;
 # a trailing "64_" marks the 64-bit-integer (ILP64) interface

@@ -1,8 +1,11 @@
 import gzip
+import locale
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dapd import kernels
 from dapd.datasets import (
     load_libsvm,
     parse_libsvm,
@@ -85,6 +88,185 @@ class TestParseLibsvm:
             fh.write("1 1:0.5\n-1 2:1\n")
         ds = load_libsvm(path)
         assert ds.n == 2 and ds.dim == 2
+
+    def test_crlf_tabs_and_padding(self):
+        ds = parse_libsvm(" \t+1\t1:0.5  3:-2 \r\n\r\n-1 2:1\t\r\n")
+        assert (ds.n, ds.dim) == (2, 3)
+        assert np.array_equal(ds.matrix.to_dense(), [[0.5, 0.0, -2.0], [0.0, 1.0, 0.0]])
+
+    def test_index_beyond_int64_rejected_with_line_number(self):
+        with pytest.raises(ParseError, match="line 2: feature index 9223372036854775808 does "
+                                             "not fit in int64"):
+            parse_libsvm("1 1:1\n1 9223372036854775808:1\n")
+        ds = parse_libsvm("1 9223372036854775807:1\n")
+        assert ds.dim == 2**63 - 1 and ds.matrix.col_indices[0] == 2**63 - 2
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_expected_dim_below_one_refused(self, tmp_path, dim):
+        path = tmp_path / "labels.libsvm"
+        path.write_text("1\n-1\n")
+        with pytest.raises(ConfigurationError, match="expected_dim must be at least 1"):
+            parse_libsvm("1\n-1\n", expected_dim=dim)
+        with pytest.raises(ConfigurationError, match="expected_dim must be at least 1"):
+            load_libsvm(path, expected_dim=dim)
+
+    def test_non_utf8_file_names_the_line(self, tmp_path):
+        path = tmp_path / "latin1.libsvm"
+        path.write_bytes(b"1 1:0.5\r\n-1 2:\xe9\n")
+        with pytest.raises(ParseError, match="line 2: not UTF-8: byte 0xe9"):
+            load_libsvm(path)
+
+    def test_parser_recorded(self):
+        want = "python" if kernels.library() is None else "compiled"
+        assert parse_libsvm("1 1:1\n").meta["parser"] == want
+
+
+class TestParseLibsvmWithoutCompiler(TestParseLibsvm):
+    """The parser tests again with ``kernels.library`` forced to None, as on
+    a machine without a C compiler: the Python body alone."""
+
+    @pytest.fixture(autouse=True)
+    def _no_compiler(self, monkeypatch):
+        monkeypatch.setattr(kernels, "library", lambda: None)
+
+
+@pytest.fixture
+def compiled():
+    if kernels.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+
+
+def _outcome(text, use_kernels):
+    """``parse_libsvm(text)``, or the text of its ``ParseError``; with
+    ``use_kernels`` false, the Python body alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not use_kernels:
+            mp.setattr(kernels, "library", lambda: None)
+        try:
+            return parse_libsvm(text)
+        except ParseError as exc:
+            return str(exc)
+
+
+def _assert_same_bits(got, want):
+    assert (got.n, got.dim) == (want.n, want.dim)
+    for a, b in ((got.labels, want.labels),
+                 *((getattr(got.matrix, name), getattr(want.matrix, name))
+                   for name in ("row_offsets", "col_indices", "values"))):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_as_python(text, parser):
+    """The outcome of ``parse_libsvm`` equals the Python body's: the same
+    ``ParseError`` text, or the same bits, read by ``parser``."""
+    got, want = _outcome(text, True), _outcome(text, False)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.meta["parser"] == parser
+        _assert_same_bits(got, want)
+
+
+_DIGITS = "0123456789"
+# values at the edges of double precision, and the short forms of the grammar
+_SPECIAL_NUMBERS = (
+    "-0", "+0", "0.0e0", ".5", "5.", "-.5", "+5.", "1E5", "1e+05", "1e-0005",
+    "4.9e-324", "2.4703282292062328e-324", "2e-324", "1e-400", "-1e-400",
+    "2.2250738585072011e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
+    "1.7976931348623158e308", "1.7976931348623159e308", "1e400", "-1e400",
+)
+
+
+@st.composite
+def _numbers(draw):
+    """A number token: a formatted double (subnormals included), a 17- to
+    30-digit mantissa with an exponent that may underflow or overflow, or
+    one of ``_SPECIAL_NUMBERS``."""
+    kind = draw(st.sampled_from(("double", "long", "special")))
+    if kind == "double":
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return format(x, draw(st.sampled_from(("", ".17g", ".6e", ".3g"))))
+    if kind == "special":
+        return draw(st.sampled_from(_SPECIAL_NUMBERS))
+    mantissa = draw(st.text(_DIGITS, min_size=17, max_size=30))
+    point = draw(st.integers(0, len(mantissa)))
+    text = draw(st.sampled_from(("", "+", "-"))) + mantissa[:point] + "." + mantissa[point:]
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + f"{draw(st.integers(-360, 330)):+04d}"
+    return text
+
+
+@st.composite
+def _libsvm_texts(draw):
+    """In-grammar LIBSVM texts: rows, label-only rows and blank lines, with
+    tabs and runs of blanks, leading zeros on indices, LF or CRLF."""
+    blank = st.sampled_from((" ", "\t", "  ", " \t "))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("row", "row", "label_only", "blank")))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", " ", "\t "))))
+            continue
+        tokens = [draw(_numbers())]
+        if kind == "row":
+            indices = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=5)))
+            tokens += [
+                "0" * draw(st.integers(0, 2)) + f"{i}:{draw(_numbers())}" for i in indices
+            ]
+        line = "".join(tok + draw(blank) for tok in tokens[:-1]) + tokens[-1]
+        lines.append(draw(st.sampled_from(("", " ", "\t"))) + line
+                     + draw(st.sampled_from(("", " ", "\t"))))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+@pytest.mark.usefixtures("compiled")
+class TestCompiledReader:
+    """The compiled reader against the Python body, which stays the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_libsvm_texts())
+    def test_same_bits_as_python(self, text):
+        _assert_same_as_python(text, "compiled")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 1:1_0\n", "1_0 1:1\n", "1 1_0:1\n", "1 1:inf\n", "inf 1:1\n", "1 1:nan\n",
+         "1 +3:1\n", "1 1:1\f-1 2:1\n", "1 1:1\v-1 2:1\n", "1 1:1\r-1 2:1\n", "1 1:1\r2:1\n",
+         "1 1:1\r", "1 1:1\r\r\n",
+         "1 1:1\x1c-1 2:1\n", "1 1:1\n\xa0\n", "1 \u0663:1\n", "1 1:\u0661\n",
+         "1 1:0x10\n", "0x1p3 1:1\n", "1 1:1e400\n", "1 0:1\n", "1 2:1 1:1\n",
+         "1 2:1 2:1\n", "1 99999999999999999999:1\n", "1 1:1e\n", "1 1:.\n", "1 1:1.5.2\n",
+         "1 1:\n", "1 :1\n", "1 1:1:1\n", "1 1:1 # note\n", "1 1:1x\n", "1x 1:1\n",
+         "1 1:1\x00\n", "", " \n\t\r\n"],
+    )
+    def test_out_of_grammar_goes_to_python(self, text):
+        _assert_same_as_python(text, "python")
+
+    def test_comma_decimal_locale_goes_to_python(self):
+        saved = locale.setlocale(locale.LC_NUMERIC)
+        for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"):
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+            except locale.Error:
+                continue
+            try:
+                _assert_same_as_python("1 1:0.5 2:-1.25e3\n", "python")
+            finally:
+                locale.setlocale(locale.LC_NUMERIC, saved)
+            return
+        pytest.skip("no locale with a comma decimal point is installed")
+
+    def test_benchmark_shaped_file_is_read_compiled(self, tmp_path):
+        """Rows of ``.17g`` values, as ``perfbench/prepare.py`` writes them:
+        a silent fall back to the Python body would hide the speed-up."""
+        data = synth_sparse_classification(200, 4000, 1.25e-2, seed=1)
+        path = tmp_path / "sparse.libsvm"
+        path.write_text(serialize_libsvm(data))
+        ds = load_libsvm(path, expected_dim=4000)
+        assert ds.meta["parser"] == "compiled"
+        _assert_same_bits(ds, data)
 
 
 class TestSynthRidge:

@@ -400,6 +400,38 @@ class TestCli:
         # the identity's Gram matrix: the first Lanczos step ends the run
         assert "spectral_norm_products: 1\n" in out
         assert f"sparse_engine.backend: {sparse_engine.backend()}" in out
+        assert "datasets.parser: " in out
+
+    @pytest.mark.parametrize(
+        "content, flags, message",
+        [(b"1 1:0.5\n-1 2:\xe9\n", [], "error: line 2: not UTF-8"),
+         (b"1\n-1\n", ["--expected-dim", "-3"], "error: expected_dim must be at least 1"),
+         (b"1 100000000000000000000:1\n", [], "error: line 1: feature index"),
+         (None, [], "error: [Errno")],
+        ids=["not_utf8", "expected_dim_negative", "index_beyond_int64", "directory"],
+    )
+    def test_stats_bad_data_is_one_error_line(self, tmp_path, capsys, content, flags, message):
+        data = tmp_path / "data.libsvm"
+        if content is None:
+            data.mkdir()
+        else:
+            data.write_bytes(content)
+        rc = cli_main(["stats", "--data", str(data), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_run_on_non_utf8_data_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "data.libsvm"
+        data.write_bytes(b"1 1:0.5\n-1 2:\xe9\n")
+        cfg = base_config(tmp_path, ["dapd"], seeds=[1])
+        cfg["problem"]["source"] = {"kind": "libsvm", "path": str(data)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli_main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: line 2: not UTF-8") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flags",
@@ -454,6 +486,10 @@ BAD_CONFIGS = {
     "reference_accuracy_negative": _edit(("output",), "reference_accuracy", -1e-9),
     "regularizer_key_of_another_kind": _edit(("problem", "regularizer"), "lam2", 0.1),
     "cov_unknown": _edit(("problem", "source"), "cov", "bogus"),
+    "expected_dim_zero": _edit(("problem",), "source",
+                               {"kind": "libsvm", "path": "x.libsvm", "expected_dim": 0}),
+    "expected_dim_negative": _edit(("problem",), "source",
+                                   {"kind": "libsvm", "path": "x.libsvm", "expected_dim": -3}),
 }
 
 
