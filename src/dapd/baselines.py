@@ -25,15 +25,23 @@ every resolved constant is returned for the experiment manifest.
             length m = 2n
   spdc      Zhang & Xiao (2017), Math Program 165; published (tau, sigma,
             theta) triple
+
+SPDC runs a row as dense SDAPD does (``stochastic``): two calls around the
+dual step, which stays in Python.  ``spdc_iterate`` takes them from
+``kernels.c`` (``spdc_dot`` and ``spdc_update``) for l2, l1 and elastic net,
+and otherwise, or when the kernels cannot be built, from their numpy bodies,
+which give the same bits and are the kernels' oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from . import kernels
+from .errors import ConfigurationError, StructuralError
 from .matrix import matvec
 from .proxlib import (
     CompositeProblem,
@@ -267,7 +275,86 @@ def _run_proxsvrg(problem, epochs, seed, tracer):
     return x, {"eta": eta, "m": m}
 
 
-def _run_spdc(problem, epochs, seed, tracer):
+class SpdcState:
+    """SPDC's primal x, its extrapolation x_ext, the dual y and
+    u = A^T y / n, stepped by ``spdc_iterate`` with the steps (tau, sigma)
+    and the extrapolation theta it was built with.
+
+    ``tau``, ``theta`` and the vectors cannot be rebound (the vectors are
+    written in place): the compiled row kernels keep their values and
+    addresses.
+    """
+
+    tau, theta, x, x_ext, y, u = (
+        kernels.fixed(name) for name in ("tau", "theta", "x", "x_ext", "y", "u")
+    )
+
+    def __init__(self, problem, tau: float, sigma: float, theta: float):
+        d, n = problem.dim, problem.n
+        self._tau, self.sigma, self._theta = tau, sigma, theta
+        self._x = np.zeros(d)
+        self._x_ext = np.zeros(d)
+        self._y = np.zeros(n)
+        self._u = matvec(problem.matrix, self._y, transpose=True) / n
+        self.touch_counter = 0
+        _bind_spdc(self, problem)  # sets self._kernel
+
+
+def _bind_spdc(state: SpdcState, problem):
+    """The row's two steps for this state and problem: the compiled
+    ``spdc_dot`` and ``spdc_update``, or their numpy bodies.  Kept in
+    ``state._kernel`` as (problem, steps, what the compiled calls' addresses
+    point into)."""
+    bound = kernels.bind_dense_row(
+        ("spdc_dot", "spdc_update"), problem.matrix, problem.reg, state.tau, state.theta,
+        x=state.x, xbar=state.x_ext, u=state.u, y=state.y,
+    )
+    steps, keep = bound or (
+        (functools.partial(_spdc_dot_numpy, state, problem),
+         functools.partial(_spdc_update_numpy, state, problem)), None)
+    state._kernel = (problem, steps, keep)
+    return steps
+
+
+def spdc_iterate(state: SpdcState, problem, i: int) -> SpdcState:
+    """One SPDC iteration on the sampled row i; O(d + nnz(a_i))."""
+    bound_to, steps, _ = state._kernel
+    if bound_to is not problem:
+        steps = _bind_spdc(state, problem)
+    if not 0 <= i < problem.n:
+        raise StructuralError(f"row index {i} out of range for {problem.n} rows")
+    row_dot, update = steps
+    dot = row_dot(i)
+    y_new_i = prox_conjugate(problem.loss, i, state.sigma, state.y[i] + state.sigma * dot)
+    nnz = update(i, y_new_i)
+    state.touch_counter += 4 * problem.dim + 3 * nnz
+    return state
+
+
+def _spdc_dot_numpy(state: SpdcState, problem, i: int) -> float:
+    """``spdc_dot`` in numpy: the dot product of row i with x_ext."""
+    cols, vals = problem.matrix.row(i)
+    return float(vals @ state.x_ext[cols])
+
+
+def _spdc_update_numpy(state: SpdcState, problem, i: int, y_new: float) -> int:
+    """``spdc_update`` in numpy: the dual coordinate, the primal prox step
+    on u + dy a_i, the extrapolation and u; returns the row's nonzero
+    count."""
+    cols, vals = problem.matrix.row(i)
+    dy = y_new - state.y[i]
+    state.y[i] = y_new
+    grad = state.u.copy()
+    grad[cols] += dy * vals
+    x_new = prox_reg(problem.reg, state.tau, state.x - state.tau * grad)
+    state.u[cols] += (dy / problem.n) * vals
+    state.x_ext[...] = x_new + state.theta * (x_new - state.x)
+    state.x[...] = x_new
+    return int(vals.size)
+
+
+def spdc_steps(problem) -> tuple[float, float, float]:
+    """The published (tau, sigma, theta) for the problem's constants."""
     gamma, mu, _, _, rbar = problem_constants(problem)
     if gamma <= 0 or mu <= 0:
         raise ConfigurationError(
@@ -277,28 +364,18 @@ def _run_spdc(problem, epochs, seed, tracer):
     tau = (1.0 / (2.0 * rbar)) * np.sqrt(gamma / (n * mu))
     sigma = (1.0 / (2.0 * rbar)) * np.sqrt(n * mu / gamma)
     theta = 1.0 - 1.0 / (n + 2.0 * rbar * np.sqrt(n / (gamma * mu)))
-    d = problem.dim
-    x = np.zeros(d)
-    x_ext = x.copy()
-    y = np.zeros(n)
-    u = matvec(problem.matrix, y, transpose=True) / n
-    touches = 0
+    return tau, sigma, theta
+
+
+def _run_spdc(problem, epochs, seed, tracer):
+    tau, sigma, theta = spdc_steps(problem)
+    n = problem.n
+    state = SpdcState(problem, tau, sigma, theta)
     for epoch, rows in epoch_rows(n, epochs * n, seed):
         for i in rows:
-            cols, vals = problem.matrix.row(i)
-            dot = float(vals @ x_ext[cols])
-            y_new_i = prox_conjugate(problem.loss, i, sigma, y[i] + sigma * dot)
-            dy = y_new_i - y[i]
-            y[i] = y_new_i
-            grad = u.copy()
-            grad[cols] += dy * vals
-            x_new = prox_reg(problem.reg, tau, x - tau * grad)
-            u[cols] += (dy / n) * vals
-            x_ext = x_new + theta * (x_new - x)
-            x = x_new
-            touches += 4 * d + 3 * vals.size
-        tracer.record(epoch, x, touches)
-    return x, {"tau": tau, "sigma": sigma, "theta": theta}
+            spdc_iterate(state, problem, i)
+        tracer.record(epoch, state.x, state.touch_counter)
+    return state.x, {"tau": tau, "sigma": sigma, "theta": theta}
 
 
 # name -> (runner, seeded).  Every runner is called as
@@ -317,6 +394,16 @@ BASELINE_METHODS = tuple(BASELINES)
 STOCHASTIC_METHODS = tuple(m for m, (_, seeded) in BASELINES.items() if seeded)
 
 
+def check_regularizer(method: str, reg_kind: str) -> None:
+    """Refuse kl for the baselines that start at x = 0, where kl is +inf:
+    da's first subgradient there is -w/0, and proxsvrg takes its first
+    snapshot there."""
+    if reg_kind == "kl" and method in ("da", "proxsvrg"):
+        raise ConfigurationError(
+            f"{method} cannot run on kl: it starts at x = 0, outside the kl domain"
+        )
+
+
 def run_baseline(
     config: BaselineConfig,
     problem: CompositeProblem,
@@ -324,6 +411,7 @@ def run_baseline(
     wall_clock: bool = True,
 ) -> RunResult:
     """Run the configured baseline; deterministic methods ignore the seed."""
+    check_regularizer(config.method, problem.reg.kind)
     runner, seeded = BASELINES[config.method]
     tracer = Tracer(problem, reference_value, wall_clock)
     x, resolved = runner(problem, config.epochs, config.seed, tracer)

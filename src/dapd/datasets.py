@@ -51,9 +51,16 @@ def parse_libsvm(source: str, expected_dim: int | None = None, name: str = "<mem
     ``meta["parser"]`` records which of the two ran.
     """
     _check_expected_dim(expected_dim)
-    parsed = _parse_compiled(source)
-    parser = "compiled" if parsed is not None else "python"
-    labels, offsets, cols, values, max_index = parsed or _parse_python(source)
+    parsed = _parse_compiled(source.encode("ascii")) if source.isascii() else None
+    if parsed is None:
+        return _dataset(_parse_python(source), "python", expected_dim, name)
+    return _dataset(parsed, "compiled", expected_dim, name)
+
+
+def _dataset(parsed, parser: str, expected_dim, name: str) -> Dataset:
+    """The dataset from ``parsed`` = (labels, offsets, cols, values,
+    max_index), as the reader ``parser`` returned them."""
+    labels, offsets, cols, values, max_index = parsed
     rows = labels.size
     dim = max_index
     if expected_dim is not None:
@@ -79,16 +86,18 @@ def _check_expected_dim(expected_dim) -> None:
         raise ConfigurationError(f"expected_dim must be at least 1, not {expected_dim!r}")
 
 
-def _parse_compiled(source: str):
+def _parse_compiled(data: bytes):
     """(labels, offsets, cols, values, max_index) from the compiled reader,
     or None when there is no compiled reader, the text is outside its
-    grammar, or it holds no sample (the Python body raises for that)."""
+    grammar (non-ASCII bytes included), or it holds no sample (the Python
+    body raises for that)."""
     lib = kernels.library()
-    if lib is None or not source.isascii():
+    if lib is None:
         return None
-    data = source.encode("ascii")
-    lines = data.count(b"\n") + (not data.endswith(b"\n"))
-    nnz = data.count(b":")  # in the grammar, every ':' ends an index
+    counts = np.empty(2, dtype=np.int64)
+    lib.libsvm_count(data, len(data), counts.ctypes.data)
+    lines = int(counts[0]) + (not data.endswith(b"\n"))
+    nnz = int(counts[1])  # in the grammar, every ':' ends an index
     labels = np.empty(lines)
     offsets = np.empty(lines + 1, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
@@ -156,12 +165,19 @@ def _parse_python(source: str):
 
 
 def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
-    """Read a UTF-8 LIBSVM file, transparently decompressing ``.gz``."""
+    """Read a UTF-8 LIBSVM file, transparently decompressing ``.gz``.
+
+    The compiled reader takes the file's bytes as they are; they are
+    decoded only for the Python body, as ``parse_libsvm`` would parse them.
+    """
     _check_expected_dim(expected_dim)
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rb") as fh:
         data = fh.read()
+    parsed = _parse_compiled(data)
+    if parsed is not None:
+        return _dataset(parsed, "compiled", expected_dim, path)
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
@@ -169,7 +185,7 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
         line = len((data[:exc.start].decode() + "x").splitlines())
         raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}", line=line) from None
     del data  # the text alone while parsing
-    return parse_libsvm(text, expected_dim=expected_dim, name=path)
+    return _dataset(_parse_python(text), "python", expected_dim, path)
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

@@ -238,7 +238,6 @@ class IterateState:
         self.inv_scale = 1.0
         self.t = 0
         self.ergodic_x = np.zeros(d)
-        self.ergodic_y = np.zeros(n)
         self.touch_counter = 0
         self._aty = None  # cached A^T y for the current y
 
@@ -284,9 +283,7 @@ def dapd_iterate(state: IterateState, problem: CompositeProblem):
         state.B_hat += state.beta_hat
         x_new = recover_primal(reg, state.x0, state.s_hat, state.B_hat, state.inv_scale)
 
-        weight = state.beta_hat / state.B_hat
-        state.ergodic_x += weight * (xbar - state.ergodic_x)
-        state.ergodic_y += weight * (y_new - state.ergodic_y)
+        state.ergodic_x += (state.beta_hat / state.B_hat) * (xbar - state.ergodic_x)
 
     if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
         raise DivergenceError(f"non-finite iterate at iteration {t}", iteration=t)

@@ -20,7 +20,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .baselines import BASELINE_METHODS, STOCHASTIC_METHODS, BaselineConfig, run_baseline
+from .baselines import (
+    BASELINE_METHODS,
+    STOCHASTIC_METHODS,
+    BaselineConfig,
+    check_regularizer,
+    run_baseline,
+)
 from .datasets import Dataset, load_libsvm, synth_ridge, synth_sparse_classification
 from .deterministic import (
     IterateState,
@@ -342,6 +348,7 @@ class RunConfig:
         for m in methods:
             if m not in ALL_METHODS:
                 raise ConfigurationError(f"unknown method {m!r}; known: {ALL_METHODS}")
+            check_regularizer(m, problem["regularizer"]["kind"])
         if not methods:
             raise ConfigurationError("solver.methods must be a nonempty list")
         solver.setdefault("epochs", 50)

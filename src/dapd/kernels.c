@@ -1,6 +1,7 @@
 /* Compiled kernels for dapd: the CSR matrix-vector products of
- * dapd.matrix.matvec, one iteration of the lazy sparse engine, and the
- * LIBSVM reader of dapd.datasets.parse_libsvm.
+ * dapd.matrix.matvec, one iteration of the lazy sparse engine, the O(d)
+ * vector work of one dense SDAPD row and one SPDC row, and the LIBSVM
+ * reader of dapd.datasets.parse_libsvm.
  *
  * Each matvec output entry is accumulated in storage order, one rounded
  * product at a time, starting from +0.0: the order np.bincount uses in the
@@ -45,19 +46,13 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
     }
 }
 
-/* One lazy SDAPD iteration on row i (dapd.sparse_engine.sparse_iterate).
- *
- * Every expression is the numpy body's, in its order, so the results are
- * the same bits: the two recoveries of proxlib.recover_primal, the dot
- * product, proxlib.prox_conjugate and the support updates.  The dot product
- * is not summed here: OpenBLAS picks a ddot kernel, and with it a summation
- * order, per CPU, so the kernel calls the CBLAS ddot that numpy's dot calls,
- * as numpy does (numpy_dot).
- *
- * Returns the row's nonzero count, or -1 without writing y, u, v or w when
- * the dot product or the new dual coordinate is not finite.  The caller
- * checks 0 <= i < n; the addresses in lazy_problem are those of arrays that
- * its owner keeps alive and never rebinds.
+/* The row kernels (lazy_iterate, sdapd_dense_*, spdc_*) evaluate the numpy
+ * bodies' expressions in their order, so the results are the same bits.
+ * Their dot products are not summed here: OpenBLAS picks a ddot kernel,
+ * and with it a summation order, per CPU, so the kernels call the CBLAS
+ * ddot that numpy's dot calls, as numpy does (numpy_dot).  The caller
+ * checks 0 <= i < n; the addresses in their structs are those of arrays
+ * that the owner keeps alive and never rebinds.
  */
 
 #define NPY_CBLAS_CHUNK ((int64_t)1 << 30) /* for 32-bit BLAS integers */
@@ -68,6 +63,54 @@ typedef double (*ddot32_fn)(int, const double *, int, const double *, int);
 enum { LOSS_SQUARED = 0, LOSS_HINGE = 1 };
 enum { REG_L2 = 0, REG_L1 = 1 }; /* REG_L1 also serves elastic net */
 
+/* numpy's CBLAS ddot; mirrored by dapd.kernels.BlasDot */
+struct blas_dot {
+    void *fn;
+    int64_t ilp64;
+};
+
+/* l2, l1 or elastic net with the delta2 perturbation; mirrored by
+ * dapd.kernels.SepReg */
+struct sep_reg {
+    int64_t kind;
+    double lam, lam2, d2;
+};
+
+/* recover_primal for l2, l1 and elastic net: prox_{B g~}(z / inv) with
+ * B = b / inv.  It and numpy_dot are inline: a call per coordinate would
+ * cost the row kernels more than the arithmetic does. */
+static inline double recover(const struct sep_reg *g, double z, double b, double inv)
+{
+    if (g->kind == REG_L2)
+        return z / (inv + b * (g->lam + g->d2));
+    const double m = fabs(z) - b * g->lam;
+    if (!(m > 0))
+        return 0.0;
+    return (z > 0 ? m : -m) / (inv + b * (g->lam2 + g->d2));
+}
+
+/* numpy's DOUBLE_dot: 0.0 plus one ddot per chunk of NPY_CBLAS_CHUNK
+ * entries, the largest power of two below the BLAS integer's maximum; with
+ * 64-bit BLAS integers the whole row is one chunk */
+static inline double numpy_dot(const struct blas_dot *f, int64_t k, const double *x,
+                               const double *y)
+{
+    double sum = 0.0;
+    if (f->ilp64) {
+        if (k > 0)
+            sum += ((ddot64_fn)f->fn)(k, x, 1, y, 1);
+        return sum;
+    }
+    while (k > 0) {
+        const int64_t chunk = k < NPY_CBLAS_CHUNK ? k : NPY_CBLAS_CHUNK;
+        sum += ((ddot32_fn)f->fn)((int)chunk, x, 1, y, 1);
+        x += chunk;
+        y += chunk;
+        k -= chunk;
+    }
+    return sum;
+}
+
 /* mirrored field for field by dapd.kernels.LazyProblem */
 struct lazy_problem {
     const int64_t *offsets;
@@ -77,46 +120,17 @@ struct lazy_problem {
     const double *x0;
     double *y, *u, *v, *w;
     double *xbar;          /* scratch, as long as the longest row */
-    void *ddot;
-    int64_t ddot_ilp64;
-    int64_t n, loss, reg;
-    double eta, tau, theta, d1, lam, lam2, d2;
+    struct blas_dot dot;
+    struct sep_reg g;
+    int64_t n, loss;
+    double eta, tau, theta, d1;
 };
 
-/* recover_primal for l2, l1 and elastic net: prox_{B g~}(z / inv) with
- * B = b / inv */
-static double recover(const struct lazy_problem *p, double z, double b, double inv)
-{
-    if (p->reg == REG_L2)
-        return z / (inv + b * (p->lam + p->d2));
-    const double m = fabs(z) - b * p->lam;
-    if (!(m > 0))
-        return 0.0;
-    return (z > 0 ? m : -m) / (inv + b * (p->lam2 + p->d2));
-}
-
-/* numpy's DOUBLE_dot: 0.0 plus one ddot per chunk of NPY_CBLAS_CHUNK
- * entries, the largest power of two below the BLAS integer's maximum; with
- * 64-bit BLAS integers the whole row is one chunk */
-static double numpy_dot(const struct lazy_problem *p, int64_t k, const double *x,
-                        const double *y)
-{
-    double sum = 0.0;
-    if (p->ddot_ilp64) {
-        if (k > 0)
-            sum += ((ddot64_fn)p->ddot)(k, x, 1, y, 1);
-        return sum;
-    }
-    while (k > 0) {
-        const int64_t chunk = k < NPY_CBLAS_CHUNK ? k : NPY_CBLAS_CHUNK;
-        sum += ((ddot32_fn)p->ddot)((int)chunk, x, 1, y, 1);
-        x += chunk;
-        y += chunk;
-        k -= chunk;
-    }
-    return sum;
-}
-
+/* One lazy SDAPD iteration on row i (dapd.sparse_engine.sparse_iterate):
+ * the two recoveries of proxlib.recover_primal, the dot product,
+ * proxlib.prox_conjugate and the support updates.  Returns the row's
+ * nonzero count, or -1 without writing y, u, v or w when the dot product
+ * or the new dual coordinate is not finite. */
 int64_t lazy_iterate(const struct lazy_problem *p, int64_t i, double beta_hat,
                      double beta_prev_hat, double b_hat, double inv_scale)
 {
@@ -128,10 +142,10 @@ int64_t lazy_iterate(const struct lazy_problem *p, int64_t i, double beta_hat,
         const int64_t j = cols[m];
         /* x^t_j = prox_{B_{t-1} g_j}(x^0_j - s^t_j), then xbar^{t+1}_j */
         const double s_hat = p->v[j] + beta_prev_hat * p->w[j];
-        const double x = recover(p, p->x0[j] * inv_scale - s_hat, b_hat, inv_scale);
-        p->xbar[m] = recover(p, x - p->eta * p->u[j], p->eta, 1.0);
+        const double x = recover(&p->g, p->x0[j] * inv_scale - s_hat, b_hat, inv_scale);
+        p->xbar[m] = recover(&p->g, x - p->eta * p->u[j], p->eta, 1.0);
     }
-    const double dot = numpy_dot(p, k, vals, p->xbar);
+    const double dot = numpy_dot(&p->dot, k, vals, p->xbar);
 
     const double yi = p->y[i], arg = yi + p->tau * dot;
     double y_new;
@@ -161,6 +175,125 @@ int64_t lazy_iterate(const struct lazy_problem *p, int64_t i, double beta_hat,
     return k;
 }
 
+/* The dense SDAPD row (dapd.stochastic.sdapd_iterate_dense) and the SPDC
+ * row (dapd.baselines.spdc_iterate), each as two calls around the dual
+ * step, which stays in Python: the first returns the row's dot product,
+ * the second takes the new dual coordinate and does the rest.  Every
+ * vector is dense, of length d, and written in place.
+ */
+
+/* mirrored field for field by dapd.kernels.DenseRow */
+struct dense_row {
+    const int64_t *offsets;
+    const int64_t *cols;
+    const double *values;
+    const double *x0;       /* SDAPD */
+    double *x, *xbar, *u, *y;
+    double *s_hat, *ergodic; /* SDAPD */
+    double *gather;         /* scratch, as long as the longest row */
+    struct blas_dot dot;
+    struct sep_reg g;
+    int64_t n, d;
+    double step;            /* SDAPD's eta, SPDC's tau */
+    double theta;           /* SPDC's extrapolation */
+};
+
+/* <a_i, xbar> as numpy's vals @ xbar[cols]: gathered, then numpy_dot.
+ * Inline, like every helper but read_number: gcc emits an out-of-line
+ * static function ahead of csr_matvec, and that shifted csr_rmatvec's
+ * inner loop across a 64-byte line, which made it 15% slower on a dense
+ * 2000 x 500 matrix. */
+static inline double row_dot(const struct dense_row *p, int64_t i)
+{
+    const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo;
+    for (int64_t m = 0; m < k; ++m)
+        p->gather[m] = p->xbar[p->cols[lo + m]];
+    return numpy_dot(&p->dot, k, p->values + lo, p->gather);
+}
+
+/* The loops below read the struct's fields into locals first: a store
+ * through a double pointer could otherwise alias them, and the compiler
+ * would load them again for every coordinate. */
+
+/* SDAPD, first call: xbar = prox_{eta g}(x - eta u); returns <a_i, xbar> */
+double sdapd_dense_xbar(const struct dense_row *p, int64_t i)
+{
+    const struct sep_reg g = p->g;
+    const double eta = p->step, *x = p->x, *u = p->u;
+    double *xbar = p->xbar;
+    for (int64_t j = 0, d = p->d; j < d; ++j)
+        xbar[j] = recover(&g, x[j] - eta * u[j], eta, 1.0);
+    return row_dot(p, i);
+}
+
+/* SDAPD, second call, with B_hat already advanced: y_i = y_new,
+ * s_hat += beta u + beta dy a_i, u += (dy/n) a_i, x = recover_primal and
+ * the ergodic average of xbar.  Returns the row's nonzero count, or -1
+ * when x is not finite. */
+int64_t sdapd_dense_update(const struct dense_row *p, int64_t i, double y_new,
+                           double beta_hat, double b_hat, double inv_scale)
+{
+    const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
+    const int64_t *cols = p->cols + lo;
+    const double *vals = p->values + lo, *x0 = p->x0, *xbar = p->xbar;
+    double *x = p->x, *u = p->u, *s_hat = p->s_hat, *ergodic = p->ergodic;
+    const struct sep_reg g = p->g;
+    const double dy = y_new - p->y[i];
+    p->y[i] = y_new;
+
+    /* (1/n) A^T ybar^{t+1} = u^t + dy a_i, using u before its own update */
+    for (int64_t j = 0; j < d; ++j)
+        s_hat[j] += beta_hat * u[j];
+    const double s_coef = beta_hat * dy, u_coef = dy / (double)p->n;
+    for (int64_t m = 0; m < k; ++m) {
+        s_hat[cols[m]] += s_coef * vals[m];
+        u[cols[m]] += u_coef * vals[m];
+    }
+    const double weight = beta_hat / b_hat;
+    int finite = 1;
+    for (int64_t j = 0; j < d; ++j) {
+        x[j] = recover(&g, x0[j] * inv_scale - s_hat[j], b_hat, inv_scale);
+        finite &= isfinite(x[j]) != 0;
+        ergodic[j] += weight * (xbar[j] - ergodic[j]);
+    }
+    return finite ? k : -1;
+}
+
+/* SPDC, first call: <a_i, x_ext>, with x_ext in the xbar field */
+double spdc_dot(const struct dense_row *p, int64_t i)
+{
+    return row_dot(p, i);
+}
+
+/* SPDC, second call: y_i = y_new, x = prox_{tau g}(x - tau (u + dy a_i)),
+ * x_ext = x + theta (x - x_old), u += (dy/n) a_i.  Returns the row's
+ * nonzero count.  The row's columns increase, so one cursor finds them. */
+int64_t spdc_update(const struct dense_row *p, int64_t i, double y_new)
+{
+    const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
+    const int64_t *cols = p->cols + lo;
+    const double *vals = p->values + lo;
+    double *x = p->x, *x_ext = p->xbar, *u = p->u;
+    const struct sep_reg g = p->g;
+    const double tau = p->step, theta = p->theta;
+    const double dy = y_new - p->y[i];
+    p->y[i] = y_new;
+
+    int64_t m = 0;
+    for (int64_t j = 0; j < d; ++j) {
+        double grad = u[j];
+        if (m < k && cols[m] == j)
+            grad += dy * vals[m++];
+        const double x_new = recover(&g, x[j] - tau * grad, tau, 1.0);
+        x_ext[j] = x_new + theta * (x_new - x[j]);
+        x[j] = x_new;
+    }
+    const double u_coef = dy / (double)p->n;
+    for (m = 0; m < k; ++m)
+        u[cols[m]] += u_coef * vals[m];
+    return k;
+}
+
 /* LIBSVM text into CSR arrays and labels (dapd.datasets.parse_libsvm).
  *
  * Reads a strict ASCII subset of what the Python body accepts and returns
@@ -180,11 +313,41 @@ int64_t lazy_iterate(const struct lazy_problem *p, int64_t i, double beta_hat,
  *
  * The caller sizes labels and offsets for every line (the count of '\n',
  * plus one for an unterminated last line; offsets has one entry more) and
- * cols and values for every ':'.  buf[len] must be readable and must not
+ * cols and values for every ':', both counted by libsvm_count.  buf[len] must be readable and must not
  * continue a number: strtod looks at the byte after the last token (Python
  * puts a NUL after the data of a bytes object).  Returns the row count and
  * sets *max_index to the largest index, 0 when there is none.
  */
+
+/* the number of bytes of w equal to the byte that pattern repeats: each
+ * matching byte of w ^ pattern is zero, and the sum leaves 0x80 in exactly
+ * those (no carry crosses a byte: the low seven bits are added alone) */
+static int64_t count_bytes(uint64_t w, uint64_t pattern)
+{
+    const uint64_t low7 = 0x7f7f7f7f7f7f7f7fULL, x = w ^ pattern;
+    const uint64_t zero = ~(((x & low7) + low7) | x | low7);
+    return (int64_t)(((zero >> 7) * 0x0101010101010101ULL) >> 56);
+}
+
+/* counts[0] = the number of '\n' in buf, counts[1] = the number of ':';
+ * eight bytes at a time */
+void libsvm_count(const char *buf, int64_t len, int64_t *counts)
+{
+    const uint64_t newline = 0x0101010101010101ULL * '\n', colon = 0x0101010101010101ULL * ':';
+    int64_t lines = 0, colons = 0, k = 0;
+    for (; k + 8 <= len; k += 8) {
+        uint64_t w;
+        memcpy(&w, buf + k, 8);
+        lines += count_bytes(w, newline);
+        colons += count_bytes(w, colon);
+    }
+    for (; k < len; ++k) {
+        lines += buf[k] == '\n';
+        colons += buf[k] == ':';
+    }
+    counts[0] = lines;
+    counts[1] = colons;
+}
 
 static int is_digit(char c)
 {

@@ -18,12 +18,16 @@ strict ASCII grammar and converts numbers with the C library's ``strtod``,
 correctly rounded like Python's ``float``; ``datasets.parse_libsvm`` hands
 any other text, and every error, to its Python body.
 
-``lazy_iterate`` also needs ``ddot()``: the CBLAS ddot that numpy's dot
-product calls.  OpenBLAS chooses its ddot kernel, and with it the order of
-the sum, per CPU, so no loop written here gives numpy's bits on every
-machine; calling the same function does.  It is borrowed from numpy's own
-extension module, and when it cannot be found the sparse engine keeps its
-numpy body.
+The row kernels (``lazy_iterate`` of the lazy engine, ``sdapd_dense_*`` of
+dense SDAPD and ``spdc_*`` of SPDC) also need ``ddot()``: the CBLAS ddot
+that numpy's dot product calls.  OpenBLAS chooses its ddot kernel, and with
+it the order of the sum, per CPU, so no loop written here gives numpy's bits
+on every machine; calling the same function does.  It is borrowed from
+numpy's own extension module, and when it cannot be found the row kernels'
+callers keep their numpy bodies (``backend``).  Each caller binds its
+kernels once per state to a struct below, which holds the addresses of the
+state's arrays; ``fixed`` makes those arrays attributes that cannot be
+rebound.
 """
 
 from __future__ import annotations
@@ -32,12 +36,15 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import operator
 import os
 import shutil
 import stat
 import subprocess
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("kernels.c")
 # no -ffast-math or -march=native: the kernels must round exactly as numpy
@@ -54,6 +61,16 @@ SIGNATURES = {
     "csr_rmatvec": (None, (_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
     # (problem, i, beta_hat, beta_prev_hat, B_hat, inv_scale) -> row nnz, or -1
     "lazy_iterate": (_I64, (_PTR, _I64, _F64, _F64, _F64, _F64)),
+    # (row, i) -> <a_i, xbar>
+    "sdapd_dense_xbar": (_F64, (_PTR, _I64)),
+    # (row, i, y_new, beta_hat, B_hat, inv_scale) -> row nnz, or -1
+    "sdapd_dense_update": (_I64, (_PTR, _I64, _F64, _F64, _F64, _F64)),
+    # (row, i) -> <a_i, x_ext>
+    "spdc_dot": (_F64, (_PTR, _I64)),
+    # (row, i, y_new) -> row nnz
+    "spdc_update": (_I64, (_PTR, _I64, _F64)),
+    # (text, length, counts): counts = ['\n' count, ':' count]
+    "libsvm_count": (None, (ctypes.c_char_p, _I64, _PTR)),
     # (text, length, labels, offsets, cols, values, max_index) -> rows, or -1
     "libsvm_parse": (_I64, (ctypes.c_char_p, _I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
 }
@@ -62,15 +79,77 @@ SIGNATURES = {
 DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot", "cblas_ddot")
 
 
+# the regularizer codes of ``struct sep_reg``; other kinds have no row kernel
+REG_CODES = {"l2": 0, "l1": 1, "elastic_net": 1}
+
+
+class BlasDot(ctypes.Structure):
+    """``struct blas_dot`` of ``kernels.c``: ``ddot()``."""
+
+    _fields_ = [("fn", _PTR), ("ilp64", _I64)]
+
+
+class SepReg(ctypes.Structure):
+    """``struct sep_reg`` of ``kernels.c``: l2, l1 or elastic net, and delta2."""
+
+    _fields_ = [("kind", _I64), *((name, _F64) for name in ("lam", "lam2", "d2"))]
+
+    @classmethod
+    def of(cls, reg) -> "SepReg":
+        """The struct for a ``proxlib.Regularizer`` whose kind is in ``REG_CODES``."""
+        lam2 = reg.lam2 if reg.kind == "elastic_net" else 0.0
+        return cls(REG_CODES[reg.kind], reg.lam, lam2, reg.primal_perturbation)
+
+
 class LazyProblem(ctypes.Structure):
     """``struct lazy_problem`` of ``kernels.c``, field for field."""
 
     _fields_ = [
         *((name, _PTR) for name in ("offsets", "cols", "values", "targets", "x0", "y", "u",
-                                    "v", "w", "xbar", "ddot")),
-        *((name, _I64) for name in ("ddot_ilp64", "n", "loss", "reg")),
-        *((name, _F64) for name in ("eta", "tau", "theta", "d1", "lam", "lam2", "d2")),
+                                    "v", "w", "xbar")),
+        ("dot", BlasDot), ("g", SepReg), ("n", _I64), ("loss", _I64),
+        *((name, _F64) for name in ("eta", "tau", "theta", "d1")),
     ]
+
+
+class DenseRow(ctypes.Structure):
+    """``struct dense_row`` of ``kernels.c``, field for field."""
+
+    _fields_ = [
+        *((name, _PTR) for name in ("offsets", "cols", "values", "x0", "x", "xbar", "u", "y",
+                                    "s_hat", "ergodic", "gather")),
+        ("dot", BlasDot), ("g", SepReg), ("n", _I64), ("d", _I64),
+        ("step", _F64), ("theta", _F64),
+    ]
+
+
+def bind_dense_row(names, matrix, reg, step: float, theta: float = 0.0, **arrays):
+    """The kernels ``names`` bound to a ``DenseRow`` of ``matrix``, ``reg``,
+    ``step``, ``theta`` and ``arrays`` (its vector fields by name; ``y`` as
+    long as the matrix has rows, the others as it has columns; fields not
+    given are NULL), as (calls taking the struct's remaining arguments, what
+    the calls' addresses point into).  None when ``backend()`` is "numpy",
+    ``reg`` has no kernel or an array does not fit the matrix."""
+    if backend() == "numpy" or reg.kind not in REG_CODES:
+        return None
+    for name, array in arrays.items():
+        if array.shape != (matrix.n_rows if name == "y" else matrix.n_cols,):
+            return None
+    gather = np.empty(max(matrix.max_row_nnz, 1))
+    struct = DenseRow(
+        *matrix._pointers, **{name: array.ctypes.data for name, array in arrays.items()},
+        gather=gather.ctypes.data, dot=BlasDot(*ddot()), g=SepReg.of(reg),
+        n=matrix.n_rows, d=matrix.n_cols, step=step, theta=theta,
+    )
+    lib, address = library(), ctypes.addressof(struct)
+    return tuple(functools.partial(getattr(lib, name), address) for name in names), (struct, gather)
+
+
+def fixed(name: str) -> property:
+    """A read-only attribute ``name``, stored as ``_name``: a bound kernel
+    keeps the address of the array it holds."""
+    return property(operator.attrgetter("_" + name),
+                    doc=f"``{name}``, read-only: the compiled kernels are bound to it")
 
 
 def _cache_dir() -> Path:
@@ -151,6 +230,12 @@ def library() -> ctypes.CDLL | None:
         # OSError: cache directory, compiler or dlopen; AttributeError: a
         # kernel missing from the library
         return None
+
+
+def backend() -> str:
+    """"compiled" when the row kernels can run in this process: the library
+    loads and numpy's ddot is found; "numpy" otherwise."""
+    return "numpy" if library() is None or ddot() is None else "compiled"
 
 
 @functools.cache

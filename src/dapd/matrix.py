@@ -89,6 +89,11 @@ class SparseRowMatrix:
     def nnz(self) -> int:
         return int(self.values.size)
 
+    @property
+    def max_row_nnz(self) -> int:
+        """The most entries stored in one row; 0 when there is none."""
+        return int(np.diff(self.row_offsets).max(initial=0))
+
     def row(self, i: int):
         """Column indices and values of row i (views, not copies)."""
         if not 0 <= i < self.n_rows:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import operator
 
 import numpy as np
 
@@ -58,14 +57,8 @@ from .proxlib import CompositeProblem, prox_conjugate, recover_primal
 from .stochastic import StochasticParams, resolved_constants
 from .traces import RunResult, Tracer, epoch_rows
 
-# the loss and regularizer codes of kernels.c; other kinds run in numpy
+# the loss codes of kernels.c; other kinds run in numpy
 _LOSS_CODES = {"squared": 0, "hinge": 1}
-_REG_CODES = {"l2": 0, "l1": 1, "elastic_net": 1}
-
-
-def _fixed(name: str) -> property:
-    return property(operator.attrgetter("_" + name),
-                    doc=f"``{name}``, read-only: the compiled iteration is bound to it")
 
 
 class LazyState:
@@ -82,7 +75,7 @@ class LazyState:
     """
 
     params, theta, x0, y, u, v, w = (
-        _fixed(name) for name in ("params", "theta", "x0", "y", "u", "v", "w")
+        kernels.fixed(name) for name in ("params", "theta", "x0", "y", "u", "v", "w")
     )
 
     def __init__(self, problem: CompositeProblem, params: StochasticParams, x0=None,
@@ -125,8 +118,8 @@ def backend() -> str:
     """"compiled" when ``sparse_iterate`` runs ``lazy_iterate`` from
     ``kernels.c`` (for squared and hinge losses with l2, l1 or elastic net;
     huber and kl always run in numpy), "numpy" when the kernels or numpy's
-    ddot are unavailable in this process."""
-    return "numpy" if kernels.library() is None or kernels.ddot() is None else "compiled"
+    ddot are unavailable in this process (``kernels.backend``)."""
+    return kernels.backend()
 
 
 def _bind(state: LazyState, problem: CompositeProblem):
@@ -134,23 +127,22 @@ def _bind(state: LazyState, problem: CompositeProblem):
     beta_prev_hat, B_hat, inv_scale); None when the numpy body serves them.
     Kept in ``state._kernel`` as (problem, call, what the call's addresses
     point into)."""
-    lib, ddot = kernels.library(), kernels.ddot()
     loss, reg = problem.loss, problem.reg
-    if (lib is None or ddot is None or loss.kind not in _LOSS_CODES
-            or reg.kind not in _REG_CODES
+    if (kernels.backend() == "numpy" or loss.kind not in _LOSS_CODES
+            or reg.kind not in kernels.REG_CODES
             or (problem.n, problem.dim) != (state.y.size, state.x0.size)):
         state._kernel = (problem, None, None)
         return None
     targets = np.ascontiguousarray(loss.targets)
-    xbar = np.empty(max(int(np.diff(problem.matrix.row_offsets).max(initial=0)), 1))
+    xbar = np.empty(max(problem.matrix.max_row_nnz, 1))
     struct = kernels.LazyProblem(
         *problem.matrix._pointers,
         *(a.ctypes.data for a in (targets, state.x0, state.y, state.u, state.v, state.w, xbar)),
-        *ddot, problem.n, _LOSS_CODES[loss.kind], _REG_CODES[reg.kind],
+        kernels.BlasDot(*kernels.ddot()), kernels.SepReg.of(reg),
+        problem.n, _LOSS_CODES[loss.kind],
         state.params.eta, state.params.tau, state.theta, loss.dual_perturbation,
-        reg.lam, reg.lam2 if reg.kind == "elastic_net" else 0.0, reg.primal_perturbation,
     )
-    call = functools.partial(lib.lazy_iterate, ctypes.addressof(struct))
+    call = functools.partial(kernels.library().lazy_iterate, ctypes.addressof(struct))
     state._kernel = (problem, call, (struct, targets, xbar))
     return call
 

@@ -22,17 +22,31 @@ delta1/delta2 proportional to the target accuracy.
 The same rescaled (grad_sum, B, beta) bookkeeping as the deterministic
 solver (``deterministic.rescale``) keeps geometric growth finite on
 arbitrarily long runs.
+
+``sdapd_iterate_dense`` runs a row as two calls around the dual step
+(``prox_conjugate``, which stays in Python): the first computes xbar and the
+row's dot product, the second the gradient-sum, u, x and ergodic updates.
+For l2, l1 and elastic net they are the compiled ``sdapd_dense_xbar`` and
+``sdapd_dense_update`` (``kernels.c``), and otherwise, or when the kernels
+cannot be built, their numpy bodies (``_xbar_dot_numpy`` and
+``_update_numpy``, the kernels' oracle).  Both evaluate the same
+expressions in the same order and take the dot product from the CBLAS ddot
+numpy calls, so they give the same bits; ``kernels.backend`` says which one
+runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .deterministic import RESCALE_THRESHOLD, rescale
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, StructuralError
 from .proxlib import (
     CompositeProblem,
     problem_constants,
@@ -105,63 +119,113 @@ def perturb_problem(
 
 class StochasticState:
     """Mutable SDAPD state with the scaled dual-averaging bookkeeping,
-    stepped by ``sdapd_iterate_dense`` with the params it was built with."""
+    stepped by ``sdapd_iterate_dense`` with the params it was built with.
+
+    ``params`` and the vectors ``x0``, ``x``, ``xbar``, ``y``, ``u``,
+    ``s_hat`` and ``ergodic_x`` cannot be rebound (the vectors are written
+    in place): the compiled row kernels keep their values and addresses.
+    """
+
+    params, x0, x, xbar, y, u, s_hat, ergodic_x = (
+        kernels.fixed(name)
+        for name in ("params", "x0", "x", "xbar", "y", "u", "s_hat", "ergodic_x")
+    )
 
     def __init__(self, problem, params, x0=None):
         d, n = problem.dim, problem.n
         if params.n != n:
             raise ConfigurationError("params were built for a different sample count")
-        self.params = params
-        self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-        self.x = self.x0.copy()
-        self.xbar = self.x0.copy()
-        self.y = np.zeros(n)
-        self.u = np.zeros(d)
-        self.s_hat = np.zeros(d)
+        self._params = params
+        self._x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        if self._x0.shape != (d,):
+            raise StructuralError("x0 does not match the problem's dimension")
+        self._x = self._x0.copy()
+        self._xbar = self._x0.copy()
+        self._y = np.zeros(n)
+        self._u = np.zeros(d)
+        self._s_hat = np.zeros(d)
+        self._ergodic_x = np.zeros(d)
         self.B_hat = 0.0
         self.beta_hat = params.beta0
         self.log_scale = 0.0
         self.inv_scale = 1.0
         self.t = 0
         self.touch_counter = 0
-        self.ergodic_x = np.zeros(d)
+        _bind(self, problem)  # sets self._kernel
+
+
+def _bind(state: StochasticState, problem: CompositeProblem):
+    """The row's two steps for this state and problem: the compiled
+    ``sdapd_dense_xbar`` and ``sdapd_dense_update``, or their numpy bodies.
+    Kept in ``state._kernel`` as (problem, steps, what the compiled calls'
+    addresses point into)."""
+    bound = kernels.bind_dense_row(
+        ("sdapd_dense_xbar", "sdapd_dense_update"), problem.matrix, problem.reg,
+        state.params.eta, x0=state.x0, x=state.x, xbar=state.xbar, u=state.u, y=state.y,
+        s_hat=state.s_hat, ergodic=state.ergodic_x,
+    )
+    steps, keep = bound or (
+        (functools.partial(_xbar_dot_numpy, state, problem),
+         functools.partial(_update_numpy, state, problem)), None)
+    state._kernel = (problem, steps, keep)
+    return steps
 
 
 def sdapd_iterate_dense(state: StochasticState, problem: CompositeProblem, i: int):
     """One SDAPD iteration on the sampled row i; O(d + nnz(a_i)) dense work."""
-    n, d = problem.n, problem.dim
+    bound_to, steps, _ = state._kernel
+    if bound_to is not problem:
+        steps = _bind(state, problem)
+    if not 0 <= i < problem.n:
+        raise StructuralError(f"row index {i} out of range for {problem.n} rows")
+    xbar_dot, update = steps
     params = state.params
-    reg = problem.reg
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        xbar = prox_reg(reg, params.eta, state.x - params.eta * state.u)
-        cols, vals = problem.matrix.row(i)
-        dot = float(vals @ xbar[cols])
-        y_new_i = prox_conjugate(problem.loss, i, params.tau, state.y[i] + params.tau * dot)
-        dy = y_new_i - state.y[i]
-        state.y[i] = y_new_i
-
-        # (1/n) A^T ybar^{t+1} = u^t + dy a_i, using u before its own update
-        state.s_hat += state.beta_hat * state.u
-        state.s_hat[cols] += (state.beta_hat * dy) * vals
-        state.u[cols] += (dy / n) * vals
-        state.B_hat += state.beta_hat
-        x_new = recover_primal(reg, state.x0, state.s_hat, state.B_hat, state.inv_scale)
-
-        state.ergodic_x += (state.beta_hat / state.B_hat) * (xbar - state.ergodic_x)
-
-    if not (np.isfinite(dot) and np.isfinite(y_new_i) and np.isfinite(x_new).all()):
+    dot = xbar_dot(i)
+    y_new_i = prox_conjugate(problem.loss, i, params.tau, state.y[i] + params.tau * dot)
+    if not (math.isfinite(dot) and math.isfinite(y_new_i)):
+        raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
+    state.B_hat += state.beta_hat
+    nnz = update(i, y_new_i, state.beta_hat, state.B_hat, state.inv_scale)
+    if nnz < 0:
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
 
-    state.x = x_new
-    state.xbar = xbar
     # audit: xbar prox d, grad-sum d, recovery d, ergodic d, row ops 3 nnz
-    state.touch_counter += 4 * d + 3 * int(vals.size)
+    state.touch_counter += 4 * problem.dim + 3 * nnz
     state.beta_hat *= params.xi
     state.t += 1
     if state.beta_hat > RESCALE_THRESHOLD:
         rescale(state, state.s_hat, params.beta0)
     return state
+
+
+def _xbar_dot_numpy(state: StochasticState, problem: CompositeProblem, i: int) -> float:
+    """``sdapd_dense_xbar`` in numpy: xbar = prox_{eta g}(x - eta u), and
+    the dot product of row i with it."""
+    eta = state.params.eta
+    cols, vals = problem.matrix.row(i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.xbar[...] = prox_reg(problem.reg, eta, state.x - eta * state.u)
+        return float(vals @ state.xbar[cols])
+
+
+def _update_numpy(state: StochasticState, problem: CompositeProblem, i: int, y_new: float,
+                  beta_hat: float, b_hat: float, inv_scale: float) -> int:
+    """``sdapd_dense_update`` in numpy: the dual coordinate, the gradient
+    sum, u, x and the ergodic average; returns the row's nonzero count, or
+    -1 when x is not finite."""
+    cols, vals = problem.matrix.row(i)
+    x, y, u, s_hat, ergodic = state.x, state.y, state.u, state.s_hat, state.ergodic_x
+    dy = y_new - y[i]
+    y[i] = y_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (1/n) A^T ybar^{t+1} = u^t + dy a_i, using u before its own update
+        s_hat += beta_hat * u
+        s_hat[cols] += (beta_hat * dy) * vals
+        u[cols] += (dy / problem.n) * vals
+        x[...] = recover_primal(problem.reg, state.x0, s_hat, b_hat, inv_scale)
+        ergodic += (beta_hat / b_hat) * (state.xbar - ergodic)
+    return int(vals.size) if np.isfinite(x).all() else -1
 
 
 def run_sdapd(

@@ -33,8 +33,8 @@ from dapd.traces import write_trace
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ENVIRONMENT_FILE = "environment.json"
 
-# baselines that run on the kl case (da and proxsvrg diverge at x = 0, where
-# the kl subgradient is infinite; spdc needs the perturbed problem)
+# baselines that run on the kl case (da and proxsvrg start at x = 0, where kl
+# is infinite, and refuse it; spdc needs the perturbed problem)
 KL_BASELINES = ("pdhg", "apgm", "rda", "proxsgd")
 
 

@@ -9,16 +9,24 @@ test.  Matrix quantities are checked against dense numpy equivalents.
 
 The last section holds helpers that only tests use: scalar and single-row
 forms of package operations, ridge and lasso problems, the saddle function,
-a geometric DAPD schedule and views into the lazy sparse engine's state.
+a geometric DAPD schedule, DAPD's ergodic dual average, views into the
+lazy sparse engine's state, and the problems and steps on which the compiled
+row kernels are compared with their numpy bodies.
 """
 
-import numpy as np
+import dataclasses
 
-from dapd.deterministic import SolverSchedule
+import numpy as np
+import pytest
+
+from dapd import kernels
+from dapd.deterministic import SolverSchedule, dapd_iterate
 from dapd.errors import ConfigurationError, StructuralError
-from dapd.matrix import matvec
+from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
     conjugate_total,
+    elastic_net_reg,
+    hinge_loss,
     l1_reg,
     l2_reg,
     make_problem,
@@ -27,6 +35,7 @@ from dapd.proxlib import (
     squared_loss,
 )
 from dapd.sparse_engine import _recover_x
+from dapd.stochastic import params_for_problem, perturb_problem
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -237,6 +246,15 @@ def geometric_schedule(eta, tau, beta0, xi):
     )
 
 
+def dapd_iterate_ergodic_y(state, problem, ergodic_y):
+    """``dapd_iterate``, and ``ergodic_y`` moved in place to the
+    beta-weighted average of the y iterates, with the weight the iteration
+    gives ``ergodic_x``: beta_t / B_t."""
+    beta_hat, b_hat = state.beta_hat, state.B_hat
+    dapd_iterate(state, problem)
+    ergodic_y += (beta_hat / (b_hat + beta_hat)) * (state.y - ergodic_y)
+
+
 def materialize_s(state):
     """The lazy engine's full gradient sum v + beta_{t-1} w, unscaled; O(d).
 
@@ -265,3 +283,40 @@ def sampled_rows(n, seed=0):
     rng = np.random.default_rng(seed)
     while True:
         yield int(rng.integers(n))
+
+
+# the regularizers of the compiled row kernels (kernels.c)
+KERNEL_REGS = {"l2": l2_reg(0.3), "l1": l1_reg(0.05), "elastic_net": elastic_net_reg(0.05, 0.2)}
+
+
+def ragged_problem(loss, reg, seed=13):
+    """12 x 20 with empty rows, one-entry rows and rows of up to 8 entries."""
+    rng = np.random.default_rng(seed)
+    n, d = 12, 20
+    triplets = [
+        (i, int(j), rng.normal())
+        for i in range(n)
+        for j in sorted(rng.choice(d, size=(0, 1, 1, 3, 5, 8)[i % 6], replace=False))
+    ]
+    A = build_matrix(triplets, n, d)
+    if loss == "squared":
+        return make_problem(A, squared_loss(rng.normal(size=n)), reg, "finite_sum")
+    return make_problem(A, hinge_loss(rng.choice([-1.0, 1.0], size=n)), reg, "finite_sum")
+
+
+def grid_params(problem):
+    """The steps of the problem perturbed by 1e-3, with beta0 = 100 and
+    xi = 1.005: beta reaches 1e3 after 462 iterations, so a run of 900
+    rebases once at that threshold (and squared + l1 unperturbed, which
+    SDAPD does not cover, stays finite)."""
+    params = params_for_problem(perturb_problem(problem, 1e-3))
+    return dataclasses.replace(params, beta0=100.0, xi=1.005)
+
+
+def built_without_kernels(make, *args, **kwargs):
+    """``make(*args, **kwargs)`` while ``kernels.library`` is forced to
+    None: a solver state built so binds no compiled kernel, and keeps
+    running its numpy body."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "library", lambda: None)
+        return make(*args, **kwargs)

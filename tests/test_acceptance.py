@@ -48,6 +48,7 @@ from dapd.stochastic import (
 from dapd.traces import nnz_fraction
 
 from oracles import (
+    dapd_iterate_ergodic_y,
     elastic_fn,
     hinge_conj,
     huber_fn,
@@ -102,11 +103,12 @@ class TestCriterion1:
             # the gap is a difference of O(|F*|) saddle values, so it cannot
             # be resolved below ulp scale; the bound keeps shrinking forever
             floor = 1e-12 * (1.0 + abs(f_star))
+            ergodic_y = np.zeros(prob.n)
             for t in range(500):
-                dapd_iterate(state, prob)
+                dapd_iterate_ergodic_y(state, prob, ergodic_y)
                 gap = (
                     saddle_value(prob, state.ergodic_x, y_star)
-                    - saddle_value(prob, x_star, state.ergodic_y)
+                    - saddle_value(prob, x_star, ergodic_y)
                 )
                 bound = numerator * np.exp(-(np.log(state.B_hat) + state.log_scale))
                 worst_ratio = max(worst_ratio, (gap - floor) / bound)

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
-from dapd.baselines import BASELINE_METHODS, BaselineConfig, run_baseline
-from dapd.errors import ConfigurationError
+from dapd import baselines, kernels
+from dapd.baselines import (
+    BASELINE_METHODS,
+    BaselineConfig,
+    SpdcState,
+    run_baseline,
+    spdc_iterate,
+    spdc_steps,
+)
+from dapd.errors import ConfigurationError, StructuralError
 from dapd.matrix import build_matrix
 from dapd.proxlib import (
+    huber_reg,
+    kl_reg,
     l1_reg,
     l2_reg,
     make_problem,
@@ -14,7 +24,13 @@ from dapd.proxlib import (
 )
 from dapd.stochastic import perturb_problem
 
-from oracles import ridge_problem
+from oracles import (
+    KERNEL_REGS,
+    built_without_kernels,
+    ragged_problem,
+    ridge_problem,
+    sampled_rows,
+)
 
 
 def one_d_ridge():
@@ -88,6 +104,13 @@ class TestApplicability:
         with pytest.raises(ConfigurationError):
             BaselineConfig("adam", epochs=5)
 
+    @pytest.mark.parametrize("method", ["da", "proxsvrg"])
+    def test_kl_refused_where_the_run_starts_outside_its_domain(self, method):
+        A = build_matrix([(i, j, 1.0 + i + j) for i in range(3) for j in range(2)], 3, 2)
+        prob = make_problem(A, squared_loss([1.0, 2.0, 3.0]), kl_reg(0.5), "finite_sum")
+        with pytest.raises(ConfigurationError, match=f"{method} cannot run on kl"):
+            run_baseline(BaselineConfig(method, epochs=3, seed=0), prob)
+
 
 class TestBudgets:
     """Each method reaches a rate-appropriate target within 10x its
@@ -122,3 +145,94 @@ class TestBudgets:
             for rec in res.trace:
                 assert rec.suboptimality >= -1e-9 * (1 + abs(self.ref))
                 assert rec.touches > 0
+
+
+# ---------------------------------------------------------------------------
+# the compiled SPDC row (spdc_* in kernels.c) against its numpy body
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def compiled():
+    if kernels.backend() != "compiled":
+        pytest.skip("the compiled kernels or numpy's ddot are unavailable here")
+
+
+def snapshot(state):
+    """Everything an iteration writes, as exact values."""
+    return (*(getattr(state, name).tobytes() for name in ("x", "x_ext", "y", "u")),
+            state.touch_counter)
+
+
+def spdc_pair(problem):
+    """A compiled and a numpy SpdcState on ``problem``, with the steps of
+    the problem perturbed by 1e-3."""
+    steps = spdc_steps(perturb_problem(problem, 1e-3))
+    return (SpdcState(problem, *steps),
+            built_without_kernels(SpdcState, problem, *steps))
+
+
+class TestCompiledSpdcRow:
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
+    @pytest.mark.parametrize("reg", list(KERNEL_REGS))
+    @pytest.mark.parametrize("loss", ["squared", "hinge"])
+    def test_same_bits_as_numpy_after_every_row(self, compiled, loss, reg, epsilon, seed):
+        problem = ragged_problem(loss, KERNEL_REGS[reg])
+        if epsilon is not None:
+            problem = perturb_problem(problem, epsilon)
+        fast, slow = spdc_pair(problem)
+        assert fast._kernel[2] is not None and slow._kernel[2] is None
+        rows = sampled_rows(problem.n, seed)
+        for t in range(900):
+            i = next(rows)
+            spdc_iterate(fast, problem, i)
+            spdc_iterate(slow, problem, i)
+            assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
+
+    @pytest.mark.parametrize("reg", [huber_reg(0.1, 0.5), kl_reg(0.5), l2_reg(0.3)],
+                             ids=["huber", "kl", "l2"])
+    def test_only_huber_and_kl_run_the_numpy_body(self, compiled, monkeypatch, reg):
+        problem = perturb_problem(ragged_problem("squared", reg), 1e-3)
+        draws = sampled_rows(problem.n, 4)
+        rows = [next(draws) for _ in range(120)]
+        want = SpdcState(problem, *spdc_steps(problem))
+        for i in rows:
+            spdc_iterate(want, problem, i)
+        calls = []
+        for name in ("_spdc_dot_numpy", "_spdc_update_numpy"):
+            body = getattr(baselines, name)
+            monkeypatch.setattr(baselines, name,
+                                lambda *args, body=body: calls.append(1) or body(*args))
+        got = SpdcState(problem, *spdc_steps(problem))
+        for i in rows:
+            spdc_iterate(got, problem, i)
+        assert len(calls) == (0 if reg.kind == "l2" else 240)
+        assert snapshot(got) == snapshot(want)
+
+    def test_run_same_bits_without_kernels(self, compiled, monkeypatch):
+        problem = perturb_problem(ragged_problem("hinge", KERNEL_REGS["elastic_net"]), 1e-3)
+        config = BaselineConfig("spdc", epochs=30, seed=2)
+        want = run_baseline(config, problem, wall_clock=False)
+        monkeypatch.setattr(kernels, "library", lambda: None)
+        got = run_baseline(config, problem, wall_clock=False)
+        assert got.x.tobytes() == want.x.tobytes() and got.trace == want.trace
+
+    @pytest.mark.parametrize("name", ["tau", "theta", "x", "x_ext", "y", "u"])
+    def test_bound_attributes_cannot_be_rebound(self, name):
+        state = spdc_pair(ragged_problem("squared", KERNEL_REGS["l2"]))[0]
+        value = getattr(state, name)
+        with pytest.raises(AttributeError):
+            setattr(state, name, np.zeros(3))
+        assert getattr(state, name) is value
+
+    @pytest.mark.parametrize("row", [-1, 12, 2**40])
+    def test_row_out_of_range_writes_nothing(self, row):
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        state = spdc_pair(problem)[0]
+        for i in range(problem.n):
+            spdc_iterate(state, problem, i)
+        before = snapshot(state)
+        with pytest.raises(StructuralError, match="out of range"):
+            spdc_iterate(state, problem, row)
+        assert snapshot(state) == before

@@ -20,7 +20,7 @@ from dapd.proxlib import (
     squared_loss,
 )
 
-from oracles import geometric_schedule, saddle_value
+from oracles import dapd_iterate_ergodic_y, geometric_schedule, saddle_value
 
 
 def one_d_problem():
@@ -161,11 +161,12 @@ class TestTheoremBounds:
             numerator = (sched.beta(0) / (2 * sched.tau(0))) * np.dot(y_star, y_star)
             numerator += 0.5 * np.dot(x_star, x_star)
             f_star = saddle_value(prob, x_star, y_star)
+            ergodic_y = np.zeros(prob.n)
             for t in range(300):
-                dapd_iterate(state, prob)
+                dapd_iterate_ergodic_y(state, prob, ergodic_y)
                 gap = (
                     saddle_value(prob, state.ergodic_x, y_star)
-                    - saddle_value(prob, x_star, state.ergodic_y)
+                    - saddle_value(prob, x_star, ergodic_y)
                 )
                 bound = numerator * np.exp(-(np.log(state.B_hat) + state.log_scale))
                 assert gap <= bound * 1.05 + 1e-12

@@ -244,6 +244,15 @@ class TestCompiledReader:
     def test_out_of_grammar_goes_to_python(self, text):
         _assert_same_as_python(text, "python")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(b"\n:1 \xe9"), max_size=70).map(bytes))
+    def test_count_as_bytes_count(self, data):
+        """``libsvm_count`` sizes the arrays ``libsvm_parse`` writes: a
+        short count would let the reader write past their ends."""
+        counts = np.full(2, -1, dtype=np.int64)
+        kernels.library().libsvm_count(data, len(data), counts.ctypes.data)
+        assert counts.tolist() == [data.count(b"\n"), data.count(b":")]
+
     def test_comma_decimal_locale_goes_to_python(self):
         saved = locale.setlocale(locale.LC_NUMERIC)
         for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dapd import sparse_engine
+from dapd import kernels, sparse_engine
 from dapd.cli import main as cli_main
 from dapd.deterministic import dapd_iterate, run_dapd, schedule_for_problem
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
@@ -400,6 +400,7 @@ class TestCli:
         # the identity's Gram matrix: the first Lanczos step ends the run
         assert "spectral_norm_products: 1\n" in out
         assert f"sparse_engine.backend: {sparse_engine.backend()}" in out
+        assert f"stochastic.backend: {kernels.backend()}" in out
         assert "datasets.parser: " in out
 
     @pytest.mark.parametrize(
@@ -467,6 +468,17 @@ def _edit(section, key, value):
     return apply
 
 
+def _kl_with(method):
+    """The config on a kl problem, solved by ``method`` alone."""
+
+    def apply(cfg):
+        cfg["problem"]["regularizer"] = {"kind": "kl", "kl_weight": 1.0}
+        cfg["solver"]["methods"] = [method]
+        return json.dumps(cfg)
+
+    return apply
+
+
 # config files that ``dapd run`` must refuse as they are parsed: the text
 # of the file, or an edit of the base config
 BAD_CONFIGS = {
@@ -490,6 +502,8 @@ BAD_CONFIGS = {
                                {"kind": "libsvm", "path": "x.libsvm", "expected_dim": 0}),
     "expected_dim_negative": _edit(("problem",), "source",
                                    {"kind": "libsvm", "path": "x.libsvm", "expected_dim": -3}),
+    "kl_with_da": _kl_with("da"),
+    "kl_with_proxsvrg": _kl_with("proxsvrg"),
 }
 
 

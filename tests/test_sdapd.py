@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from dapd import kernels, stochastic
 from dapd.deterministic import IterateState, dapd_iterate
-from dapd.errors import ConfigurationError, DivergenceError
+from dapd.errors import ConfigurationError, DivergenceError, StructuralError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
+    huber_reg,
+    kl_reg,
     l1_reg,
     l2_reg,
     make_problem,
@@ -15,6 +18,7 @@ from dapd.proxlib import (
     svm_problem,
 )
 from dapd.stochastic import (
+    StochasticParams,
     StochasticState,
     params_for_problem,
     perturb_problem,
@@ -23,7 +27,16 @@ from dapd.stochastic import (
     sdapd_params,
 )
 
-from oracles import geometric_schedule, ridge_problem, saddle_value, sampled_rows
+from oracles import (
+    KERNEL_REGS,
+    built_without_kernels,
+    geometric_schedule,
+    grid_params,
+    ragged_problem,
+    ridge_problem,
+    saddle_value,
+    sampled_rows,
+)
 
 
 def finite_sum_ridge(rng, n, d, mu, row_scale=1.0):
@@ -220,6 +233,121 @@ class TestRun:
         assert [r.epoch for r in res.trace] == [1, 2, 3, 4]
         partial = run_sdapd(prob, params_for_problem(prob), 15, seed=1)
         assert [r.epoch for r in partial.trace] == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the compiled row (sdapd_dense_* in kernels.c) against its numpy body
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def compiled():
+    if kernels.backend() != "compiled":
+        pytest.skip("the compiled kernels or numpy's ddot are unavailable here")
+
+
+def snapshot(state):
+    """Everything an iteration writes, as exact values."""
+    return (
+        *(getattr(state, name).tobytes()
+          for name in ("x", "xbar", "y", "u", "s_hat", "ergodic_x")),
+        state.beta_hat, state.B_hat, state.log_scale, state.inv_scale, state.t,
+        state.touch_counter,
+    )
+
+
+class TestCompiledRow:
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("threshold", [None, 1e3], ids=["no_rescale", "rescale_1e3"])
+    @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
+    @pytest.mark.parametrize("reg", list(KERNEL_REGS))
+    @pytest.mark.parametrize("loss", ["squared", "hinge"])
+    def test_same_bits_as_numpy_after_every_row(self, compiled, monkeypatch, loss, reg,
+                                                  epsilon, threshold, seed):
+        if threshold is not None:
+            monkeypatch.setattr(stochastic, "RESCALE_THRESHOLD", threshold)
+        problem = ragged_problem(loss, KERNEL_REGS[reg])
+        params = grid_params(problem)
+        if epsilon is not None:
+            problem = perturb_problem(problem, epsilon)
+        fast = StochasticState(problem, params)
+        slow = built_without_kernels(StochasticState, problem, params)
+        assert fast._kernel[2] is not None and slow._kernel[2] is None
+        rows = sampled_rows(problem.n, seed)
+        for t in range(900):
+            i = next(rows)
+            sdapd_iterate_dense(fast, problem, i)
+            sdapd_iterate_dense(slow, problem, i)
+            assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
+        # beta reaches 1e3 at iteration 462 (grid_params)
+        assert (fast.log_scale > 0) == (threshold is not None)
+
+    @pytest.mark.parametrize("start", ["inf_x0", "divergent_steps"])
+    def test_divergence_at_the_same_iteration(self, compiled, start):
+        if start == "inf_x0":
+            problem = ragged_problem("squared", KERNEL_REGS["l2"])
+            params, x0 = grid_params(problem), np.zeros(problem.dim)
+            x0[3] = np.inf
+        else:  # as in TestRun.test_divergence_reported_with_iteration
+            problem, _, _ = finite_sum_ridge(np.random.default_rng(11), 5, 3, mu=0.2)
+            params = StochasticParams(eta=200.0, tau=200.0, beta0=1.0, xi=1.5, n=5)
+            x0 = None
+        states = [StochasticState(problem, params, x0=x0),
+                  built_without_kernels(StochasticState, problem, params, x0=x0)]
+        failed = []
+        for state in states:
+            rows = sampled_rows(problem.n, 3)
+            with pytest.raises(DivergenceError) as err:
+                for _ in range(5000):
+                    sdapd_iterate_dense(state, problem, next(rows))
+            failed.append(err.value.iteration)
+        assert failed[0] == failed[1] == states[0].t
+        assert (failed[0] > 0) == (start == "divergent_steps")
+        assert snapshot(states[0]) == snapshot(states[1])
+
+    @pytest.mark.parametrize("reg, x0", [(huber_reg(0.1, 0.5), 0.0), (kl_reg(0.5), 1.0),
+                                         (l2_reg(0.3), 0.0)], ids=["huber", "kl", "l2"])
+    def test_only_huber_and_kl_run_the_numpy_body(self, compiled, monkeypatch, reg, x0):
+        problem = perturb_problem(ragged_problem("squared", reg), 1e-3)
+        params = grid_params(problem)
+        x0 = np.full(problem.dim, x0)
+        want = run_sdapd(problem, params, 120, seed=4, x0=x0, output="both", wall_clock=False)
+        calls = []
+        for name in ("_xbar_dot_numpy", "_update_numpy"):
+            body = getattr(stochastic, name)
+            monkeypatch.setattr(stochastic, name,
+                                lambda *args, body=body: calls.append(1) or body(*args))
+        got = run_sdapd(problem, params, 120, seed=4, x0=x0, output="both", wall_clock=False)
+        assert len(calls) == (0 if reg.kind == "l2" else 240)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.x_ergodic.tobytes() == want.x_ergodic.tobytes()
+        assert got.y.tobytes() == want.y.tobytes() and got.trace == want.trace
+
+    @pytest.mark.parametrize("name", ["params", "x0", "x", "xbar", "y", "u", "s_hat",
+                                      "ergodic_x"])
+    def test_bound_attributes_cannot_be_rebound(self, name):
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        state = StochasticState(problem, grid_params(problem))
+        value = getattr(state, name)
+        with pytest.raises(AttributeError):
+            setattr(state, name, np.zeros(3))
+        assert getattr(state, name) is value
+
+    @pytest.mark.parametrize("row", [-1, 12, 2**40])
+    def test_row_out_of_range_writes_nothing(self, row):
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        state = StochasticState(problem, grid_params(problem))
+        for i in range(problem.n):
+            sdapd_iterate_dense(state, problem, i)
+        before = snapshot(state)
+        with pytest.raises(StructuralError, match="out of range"):
+            sdapd_iterate_dense(state, problem, row)
+        assert snapshot(state) == before
+
+    def test_x0_of_another_dimension_rejected(self):
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        with pytest.raises(StructuralError):
+            StochasticState(problem, grid_params(problem), x0=np.zeros(problem.dim + 1))
 
 
 def theorem_bound_delta0(problem, params, x_star, y_star, x0, y0):

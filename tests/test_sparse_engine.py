@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 
 import numpy as np
 import pytest
@@ -10,8 +9,6 @@ from dapd.deterministic import RESCALE_THRESHOLD
 from dapd.errors import ConfigurationError, DivergenceError, StructuralError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
-    elastic_net_reg,
-    hinge_loss,
     huber_reg,
     kl_reg,
     l1_reg,
@@ -35,7 +32,15 @@ from dapd.stochastic import (
     sdapd_iterate_dense,
 )
 
-from oracles import lazy_primal_coord, materialize_s, sampled_rows
+from oracles import (
+    KERNEL_REGS,
+    built_without_kernels,
+    grid_params,
+    lazy_primal_coord,
+    materialize_s,
+    ragged_problem,
+    sampled_rows,
+)
 
 
 def sparse_problem(rng, n, d, density, reg, row_scale=1.0):
@@ -334,9 +339,6 @@ class TestFinalize:
 # the compiled iteration (lazy_iterate in kernels.c) against the numpy body
 # ---------------------------------------------------------------------------
 
-KERNEL_REGS = {"l2": l2_reg(0.3), "l1": l1_reg(0.05), "elastic_net": elastic_net_reg(0.05, 0.2)}
-
-
 @pytest.fixture
 def compiled():
     if sparse_engine.backend() != "compiled":
@@ -352,11 +354,8 @@ def fresh_ddot():
 
 
 def numpy_state(problem, params, **kwargs):
-    """A LazyState that runs the numpy body: built while the kernels are
-    hidden, it binds no kernel."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "library", lambda: None)
-        return LazyState(problem, params, **kwargs)
+    """A LazyState that runs the numpy body (``built_without_kernels``)."""
+    return built_without_kernels(LazyState, problem, params, **kwargs)
 
 
 def snapshot(state):
@@ -366,30 +365,6 @@ def snapshot(state):
         state.beta_hat, state.beta_prev_hat, state.B_hat, state.log_scale, state.inv_scale,
         state.t, state.touch_counter, state.rebase_count,
     )
-
-
-def ragged_problem(loss, reg, seed=13):
-    """12 x 20 with empty rows, one-entry rows and rows of up to 8 entries."""
-    rng = np.random.default_rng(seed)
-    n, d = 12, 20
-    triplets = [
-        (i, int(j), rng.normal())
-        for i in range(n)
-        for j in sorted(rng.choice(d, size=(0, 1, 1, 3, 5, 8)[i % 6], replace=False))
-    ]
-    A = build_matrix(triplets, n, d)
-    if loss == "squared":
-        return make_problem(A, squared_loss(rng.normal(size=n)), reg, "finite_sum")
-    return make_problem(A, hinge_loss(rng.choice([-1.0, 1.0], size=n)), reg, "finite_sum")
-
-
-def grid_params(problem):
-    """The steps of the problem perturbed by 1e-3, with beta0 = 100 and
-    xi = 1.005: beta reaches 1e3 after 462 iterations, so a run of 900
-    rebases once at that threshold (and squared + l1 unperturbed, which
-    SDAPD does not cover, stays finite)."""
-    params = params_for_problem(perturb_problem(problem, 1e-3))
-    return dataclasses.replace(params, beta0=100.0, xi=1.005)
 
 
 class TestCompiledIteration:
