@@ -30,18 +30,21 @@ SPDC runs a row as dense SDAPD does (``stochastic``): two calls around the
 dual step, which stays in Python.  ``spdc_iterate`` takes them from
 ``kernels.c`` (``spdc_dot`` and ``spdc_update``) for l2, l1 and elastic net,
 and otherwise, or when the kernels cannot be built, from their numpy bodies,
-which give the same bits and are the kernels' oracle.
+which give the same bits and are the kernels' oracle.  A row whose dot
+product, new dual coordinate or new x is not finite raises
+``DivergenceError`` at that iteration, as SDAPD's does.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, StructuralError
+from .errors import ConfigurationError, DivergenceError, StructuralError
 from .matrix import matvec
 from .proxlib import (
     CompositeProblem,
@@ -278,7 +281,7 @@ def _run_proxsvrg(problem, epochs, seed, tracer):
 class SpdcState:
     """SPDC's primal x, its extrapolation x_ext, the dual y and
     u = A^T y / n, stepped by ``spdc_iterate`` with the steps (tau, sigma)
-    and the extrapolation theta it was built with.
+    and the extrapolation theta it was built with; ``t`` counts its rows.
 
     ``tau``, ``theta`` and the vectors cannot be rebound (the vectors are
     written in place): the compiled row kernels keep their values and
@@ -296,6 +299,7 @@ class SpdcState:
         self._x_ext = np.zeros(d)
         self._y = np.zeros(n)
         self._u = matvec(problem.matrix, self._y, transpose=True) / n
+        self.t = 0
         self.touch_counter = 0
         _bind_spdc(self, problem)  # sets self._kernel
 
@@ -326,31 +330,38 @@ def spdc_iterate(state: SpdcState, problem, i: int) -> SpdcState:
     row_dot, update = steps
     dot = row_dot(i)
     y_new_i = prox_conjugate(problem.loss, i, state.sigma, state.y[i] + state.sigma * dot)
+    if not (math.isfinite(dot) and math.isfinite(y_new_i)):
+        raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     nnz = update(i, y_new_i)
+    if nnz < 0:
+        raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     state.touch_counter += 4 * problem.dim + 3 * nnz
+    state.t += 1
     return state
 
 
 def _spdc_dot_numpy(state: SpdcState, problem, i: int) -> float:
     """``spdc_dot`` in numpy: the dot product of row i with x_ext."""
     cols, vals = problem.matrix.row(i)
-    return float(vals @ state.x_ext[cols])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(vals @ state.x_ext[cols])
 
 
 def _spdc_update_numpy(state: SpdcState, problem, i: int, y_new: float) -> int:
     """``spdc_update`` in numpy: the dual coordinate, the primal prox step
     on u + dy a_i, the extrapolation and u; returns the row's nonzero
-    count."""
+    count, or -1 when x is not finite."""
     cols, vals = problem.matrix.row(i)
     dy = y_new - state.y[i]
     state.y[i] = y_new
-    grad = state.u.copy()
-    grad[cols] += dy * vals
-    x_new = prox_reg(problem.reg, state.tau, state.x - state.tau * grad)
-    state.u[cols] += (dy / problem.n) * vals
-    state.x_ext[...] = x_new + state.theta * (x_new - state.x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = state.u.copy()
+        grad[cols] += dy * vals
+        x_new = prox_reg(problem.reg, state.tau, state.x - state.tau * grad)
+        state.u[cols] += (dy / problem.n) * vals
+        state.x_ext[...] = x_new + state.theta * (x_new - state.x)
     state.x[...] = x_new
-    return int(vals.size)
+    return int(vals.size) if np.isfinite(x_new).all() else -1
 
 
 def spdc_steps(problem) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, matrix, sparse_engine
+from . import kernels, matrix
 from .datasets import load_libsvm
 from .deterministic import schedule_for_problem, validate_schedule
 from .errors import CertificationError, ConfigurationError, DivergenceError, ParseError
@@ -120,9 +120,9 @@ def _cmd_stats(args) -> int:
     print(f"spectral_norm_products: {st.spectral_norm_products}")
     print(f"datasets.parser: {dataset.meta['parser']}")
     print(f"matrix.backend: {matrix.backend()}")
-    print(f"sparse_engine.backend: {sparse_engine.backend()}")
-    # the dense SDAPD and SPDC rows: compiled for l2, l1 and elastic net
-    print(f"stochastic.backend: {kernels.backend()}")
+    # the lazy engine and the dense SDAPD and SPDC rows: compiled for l2, l1
+    # and elastic net
+    print(f"kernels.backend: {kernels.backend()}")
     if not st.spectral_norm_converged:
         print("warning: Lanczos did not converge; R is a best estimate")
     return 0

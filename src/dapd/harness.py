@@ -85,10 +85,10 @@ def _duality_gap(problem, x, y_candidate):
     return value, value - dual_objective(problem, feasible_dual_point(problem, y_candidate))
 
 
-def _certify(x, value, gap, accuracy, method):
+def _certify(x, value, gap, accuracy, method, where=""):
     if not np.isfinite(gap) or gap > accuracy:
         raise CertificationError(
-            f"{method} reference certified only to gap {gap:.3e} > {accuracy:.3e}"
+            f"{method} reference certified only to gap {gap:.3e} > {accuracy:.3e}{where}"
         )
     return ReferenceSolution(x=x, value=value, method=method, certified_gap=float(gap))
 
@@ -111,70 +111,21 @@ def _direct_ridge_reference(problem: CompositeProblem, accuracy: float) -> Refer
     return _certify(x, primal_objective(problem, x), gap, accuracy, "direct_solve")
 
 
-def _cvxpy_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSolution:
-    try:
-        import cvxpy as cp
-    except ImportError as exc:
-        raise CertificationError("cvxpy is not installed; install dapd[reference]") from exc
-    dense = problem.matrix.to_dense()
-    c = problem.loss_scale
-    n, d = problem.n, problem.dim
-    x = cp.Variable(d)
-    u = dense @ x
-    constraints = []
-    hinge_cons = None
-    if problem.loss.kind == "squared":
-        loss_expr = c * 0.5 * cp.sum_squares(u - problem.loss.targets)
-    else:
-        t = cp.Variable(n)
-        hinge_cons = 1.0 - u - t <= 0
-        constraints += [t >= 0, hinge_cons]
-        loss_expr = c * cp.sum(t)
-    reg = problem.reg
-    if reg.kind == "l2":
-        reg_expr = 0.5 * reg.lam * cp.sum_squares(x)
-    elif reg.kind == "l1":
-        reg_expr = reg.lam * cp.norm1(x)
-    elif reg.kind == "elastic_net":
-        reg_expr = reg.lam * cp.norm1(x) + 0.5 * reg.lam2 * cp.sum_squares(x)
-    elif reg.kind == "huber":
-        reg_expr = reg.huber_mu * cp.sum(cp.huber(x, reg.lam / (2.0 * reg.huber_mu)))
-    else:  # kl
-        w = reg.weight() * np.ones(d)
-        reg_expr = cp.sum(cp.multiply(w, np.log(w)) - cp.multiply(w, cp.log(x)))
-    prob = cp.Problem(cp.Minimize(loss_expr + reg_expr), constraints)
-    solved = False
-    for solver_kw in ({"solver": "CLARABEL"}, {"solver": "ECOS"}, {}):
-        try:
-            prob.solve(**solver_kw)
-        except (cp.error.SolverError, ValueError):
-            continue
-        if prob.status in ("optimal", "optimal_inaccurate"):
-            solved = True
-            break
-    if not solved:
-        raise CertificationError(f"cvxpy failed to solve the reference problem ({prob.status})")
-    x_val = np.asarray(x.value, dtype=np.float64).reshape(d)
-    if problem.loss.kind == "squared":
-        y_candidate = c * (dense @ x_val - problem.loss.targets)
-    else:
-        # duals of (1 - u - t <= 0) are the negated saddle duals
-        y_candidate = -np.asarray(hinge_cons.dual_value, dtype=np.float64).reshape(n)
-    return _certify(x_val, *_duality_gap(problem, x_val, y_candidate), accuracy, "cvxpy")
-
-
 # iteration counts of the native reference's gap checks: 50, x1.25 rounded down, 256,000
 REFERENCE_CHECKPOINTS = (*accumulate(range(38), lambda t, _: t * 5 // 4, initial=50), 256_000)
 
 
 def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSolution:
     """High-accuracy run of the native deterministic solver, duality-gap
-    certified.  Used when cvxpy is unavailable.
+    certified: the reference of every problem that is not ridge-form.
 
     One run is continued, its gap checked after each of ``REFERENCE_CHECKPOINTS``
     iterations, and the first point certified to ``accuracy`` returned; DAPD is
-    deterministic, so it is the point a fresh run of that length would return."""
-    state = IterateState(problem, schedule_for_problem(problem))
+    deterministic, so it is the point a fresh run of that length would return.
+    A run that has not certified by the last checkpoint raises
+    ``CertificationError`` naming its gap, iteration count and schedule regime."""
+    schedule = schedule_for_problem(problem)
+    state = IterateState(problem, schedule)
     for checkpoint in REFERENCE_CHECKPOINTS:
         while state.t < checkpoint:
             dapd_iterate(state, problem)
@@ -186,7 +137,8 @@ def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSo
         value, gap = _duality_gap(problem, state.x, y_candidate)
         if np.isfinite(gap) and gap <= accuracy:
             break
-    return _certify(state.x, value, gap, accuracy, "dapd_run")
+    return _certify(state.x, value, gap, accuracy, "dapd_run",
+                    f" after {state.t} iterations ({schedule.regime} regime)")
 
 
 def compute_reference(
@@ -194,14 +146,13 @@ def compute_reference(
 ) -> ReferenceSolution:
     """Certified optimal value.
 
-    ``method="auto"`` uses a direct linear solve for ridge-form problems.
-    Any other problem is solved by cvxpy when it can be imported, and
-    otherwise by a native high-accuracy DAPD run; either result is certified
-    by the same feasible-dual-point duality gap, so ``dapd run`` and
-    ``dapd reference`` work on hinge/l1 configs with numpy alone.
-    ``method="direct"`` accepts ridge-form problems only.  ``kl`` problems
-    cannot be certified (``feasible_dual_point`` rejects them), so every
-    method refuses them before solving anything."""
+    ``method="auto"`` chooses from the problem alone: a direct linear solve
+    (``"direct"``) for ridge-form problems, and a native high-accuracy DAPD
+    run (``"solver"``) for every other.  Both are certified by a duality
+    gap, so ``dapd run`` and ``dapd reference`` work on hinge/l1 configs
+    with numpy alone.  ``method="direct"`` accepts ridge-form problems only.
+    ``kl`` problems cannot be certified (``feasible_dual_point`` rejects
+    them), so every method refuses them before solving anything."""
     if accuracy <= 0:
         raise ConfigurationError("accuracy must be positive")
     if problem.reg.kind == "kl":
@@ -209,18 +160,9 @@ def compute_reference(
             "no feasible dual point exists for kl; a kl reference cannot be certified"
         )
     if method == "auto":
-        if _is_ridge_form(problem):
-            method = "direct"
-        else:
-            try:
-                import cvxpy  # noqa: F401
-            except ImportError:
-                method = "solver"
-            else:
-                method = "cvxpy"
+        method = "direct" if _is_ridge_form(problem) else "solver"
     solvers = {
         "direct": _direct_ridge_reference,
-        "cvxpy": _cvxpy_reference,
         "solver": _solver_reference,
     }
     if method not in solvers:

@@ -267,7 +267,8 @@ double spdc_dot(const struct dense_row *p, int64_t i)
 
 /* SPDC, second call: y_i = y_new, x = prox_{tau g}(x - tau (u + dy a_i)),
  * x_ext = x + theta (x - x_old), u += (dy/n) a_i.  Returns the row's
- * nonzero count.  The row's columns increase, so one cursor finds them. */
+ * nonzero count, or -1 when x is not finite.  The row's columns increase,
+ * so one cursor finds them. */
 int64_t spdc_update(const struct dense_row *p, int64_t i, double y_new)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
@@ -280,18 +281,20 @@ int64_t spdc_update(const struct dense_row *p, int64_t i, double y_new)
     p->y[i] = y_new;
 
     int64_t m = 0;
+    int finite = 1;
     for (int64_t j = 0; j < d; ++j) {
         double grad = u[j];
         if (m < k && cols[m] == j)
             grad += dy * vals[m++];
         const double x_new = recover(&g, x[j] - tau * grad, tau, 1.0);
+        finite &= isfinite(x_new) != 0;
         x_ext[j] = x_new + theta * (x_new - x[j]);
         x[j] = x_new;
     }
     const double u_coef = dy / (double)p->n;
     for (m = 0; m < k; ++m)
         u[cols[m]] += u_coef * vals[m];
-    return k;
+    return finite ? k : -1;
 }
 
 /* LIBSVM text into CSR arrays and labels (dapd.datasets.parse_libsvm).

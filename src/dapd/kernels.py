@@ -67,7 +67,7 @@ SIGNATURES = {
     "sdapd_dense_update": (_I64, (_PTR, _I64, _F64, _F64, _F64, _F64)),
     # (row, i) -> <a_i, x_ext>
     "spdc_dot": (_F64, (_PTR, _I64)),
-    # (row, i, y_new) -> row nnz
+    # (row, i, y_new) -> row nnz, or -1
     "spdc_update": (_I64, (_PTR, _I64, _F64)),
     # (text, length, counts): counts = ['\n' count, ':' count]
     "libsvm_count": (None, (ctypes.c_char_p, _I64, _PTR)),

@@ -20,7 +20,7 @@ for any separable regularizer with a computable scalar prox (including the
 KL divergence, where repeated-prox shortcuts are unavailable).
 
 beta_t and B_t grow geometrically without bound.  When the stored beta
-passes ``rebase_threshold`` (as in DAPD and dense SDAPD), ``rebase`` divides
+passes ``RESCALE_THRESHOLD`` (as in DAPD and dense SDAPD), ``rebase`` divides
 (v, beta, B) by the current growth factor and accumulates its log in
 ``log_scale``, through the solvers' shared ``deterministic.rescale``; w needs
 no scaling (w is identically u/(1-theta)).
@@ -35,7 +35,7 @@ or elastic net, and in numpy (``_iterate_numpy``, the kernel's oracle)
 otherwise, or when the kernels cannot be built.  The kernel evaluates the
 numpy body's expressions in their order and takes the dot product from the
 CBLAS ddot that numpy calls (``kernels.ddot``), so both give the same bits;
-``backend`` says which one runs.
+``kernels.backend`` says which one runs.
 
 Ergodic averaging is intentionally unavailable here: maintaining the average
 would cost O(d) per iteration.  The last iterate is the practical output
@@ -78,8 +78,7 @@ class LazyState:
         kernels.fixed(name) for name in ("params", "theta", "x0", "y", "u", "v", "w")
     )
 
-    def __init__(self, problem: CompositeProblem, params: StochasticParams, x0=None,
-                 rebase_threshold=RESCALE_THRESHOLD):
+    def __init__(self, problem: CompositeProblem, params: StochasticParams, x0=None):
         d, n = problem.dim, problem.n
         theta = params.theta
         if not 0.0 < theta < 1.0:
@@ -103,7 +102,6 @@ class LazyState:
         self.t = 0
         self.touch_counter = 0
         self.rebase_count = 0
-        self.rebase_threshold = rebase_threshold
         _bind(self, problem)  # sets self._kernel
 
 
@@ -112,14 +110,6 @@ def _recover_x(state: LazyState, reg, cols):
     (an index array, or ``slice(None)`` for all of them)."""
     s_hat = state.v[cols] + state.beta_prev_hat * state.w[cols]
     return recover_primal(reg, state.x0[cols], s_hat, state.B_hat, state.inv_scale, coords=cols)
-
-
-def backend() -> str:
-    """"compiled" when ``sparse_iterate`` runs ``lazy_iterate`` from
-    ``kernels.c`` (for squared and hinge losses with l2, l1 or elastic net;
-    huber and kl always run in numpy), "numpy" when the kernels or numpy's
-    ddot are unavailable in this process (``kernels.backend``)."""
-    return kernels.backend()
 
 
 def _bind(state: LazyState, problem: CompositeProblem):
@@ -168,7 +158,7 @@ def sparse_iterate(state: LazyState, problem: CompositeProblem, i: int):
     # audit: 2 recoveries + row read + 3 support writes per coordinate
     state.touch_counter += 6 * nnz + 2
 
-    if state.beta_hat > state.rebase_threshold:
+    if state.beta_hat > RESCALE_THRESHOLD:
         rebase(state)
     return state
 
@@ -218,12 +208,11 @@ def run_sparse(
     x0=None,
     reference_value: float | None = None,
     wall_clock: bool = True,
-    rebase_threshold: float = RESCALE_THRESHOLD,
 ) -> RunResult:
     """Drive the lazy engine; per-epoch traces, last-iterate output only."""
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
-    state = LazyState(problem, params, x0=x0, rebase_threshold=rebase_threshold)
+    state = LazyState(problem, params, x0=x0)
     tracer = Tracer(problem, reference_value, wall_clock)
     for epoch, rows in epoch_rows(problem.n, iterations, seed):
         for i in rows:

@@ -17,10 +17,11 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from dapd import matrix
+from dapd import matrix, sparse_engine
 from dapd.baselines import BaselineConfig, run_baseline
 from dapd.datasets import serialize_libsvm, synth_ridge, synth_sparse_classification
 from dapd.deterministic import run_dapd, schedule_for_problem
@@ -78,12 +79,13 @@ def _write_resolved(resolved: dict, path: Path) -> None:
 
 
 def _sparse_rebase(outdir: Path) -> None:
-    """``run_sparse`` with a low rebase threshold, so it rebases many times."""
+    """``run_sparse`` with a low rescale threshold, so it rebases many times."""
     data, _ = synth_ridge(12, 8, seed=5)
     problem = make_problem(data.matrix, squared_loss(data.labels),
                            elastic_net_reg(0.05, 20.0), "finite_sum")
-    res = run_sparse(problem, params_for_problem(problem), 12 * 300 + 7, 3,
-                     wall_clock=False, rebase_threshold=1e3)
+    with mock.patch.object(sparse_engine, "RESCALE_THRESHOLD", 1e3):
+        res = run_sparse(problem, params_for_problem(problem), 12 * 300 + 7, 3,
+                         wall_clock=False)
     outdir.mkdir(parents=True)
     write_trace(res.trace, outdir / "sdapd_sparse.csv")
     _write_resolved(res.resolved, outdir / "manifest.txt")
@@ -170,19 +172,9 @@ def environment() -> dict:
 
 
 def write_all(outdir: Path) -> None:
-    """Run every case into ``outdir/<case>/``.  cvxpy is hidden, so every
-    non-ridge reference is the native DAPD run whether or not it is
-    installed."""
-    saved = sys.modules.get("cvxpy")
-    sys.modules["cvxpy"] = None  # makes ``import cvxpy`` raise ImportError
-    try:
-        for name, write in CASES.items():
-            write(Path(outdir) / name)
-    finally:
-        if saved is None:
-            del sys.modules["cvxpy"]
-        else:
-            sys.modules["cvxpy"] = saved
+    """Run every case into ``outdir/<case>/``."""
+    for name, write in CASES.items():
+        write(Path(outdir) / name)
 
 
 def main() -> int:

@@ -5,7 +5,8 @@ phi(y) = step*h(y) + 0.5*(y - v)^2: a coarse grid plus golden-section
 refinement locates the minimizer, then (phi being convex) bisection on its
 nondecreasing subderivative polishes it to full precision.  The derivative
 used is that of the mathematical definition, never of the closed form under
-test.  Matrix quantities are checked against dense numpy equivalents.
+test.  Matrix quantities are checked against dense numpy equivalents, and
+certified references against cvxpy where it is installed (``cvxpy_reference``).
 
 The last section holds helpers that only tests use: scalar and single-row
 forms of package operations, ridge and lasso problems, the saddle function,
@@ -21,7 +22,8 @@ import pytest
 
 from dapd import kernels
 from dapd.deterministic import SolverSchedule, dapd_iterate
-from dapd.errors import ConfigurationError, StructuralError
+from dapd.errors import CertificationError, ConfigurationError, StructuralError
+from dapd.harness import _certify, _duality_gap
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
     conjugate_total,
@@ -174,6 +176,58 @@ def kl_fn(w, delta2=0.0):
     return ScalarFunction(
         value=val, deriv=lambda y: -w / y + delta2 * y, lo=1e-300
     )
+
+
+def cvxpy_reference(problem, accuracy):
+    """The certified optimum by cvxpy, a cross-check on the package's own
+    references; the caller skips when cvxpy is not installed."""
+    import cvxpy as cp
+
+    dense = problem.matrix.to_dense()
+    c = problem.loss_scale
+    n, d = problem.n, problem.dim
+    x = cp.Variable(d)
+    u = dense @ x
+    constraints = []
+    hinge_cons = None
+    if problem.loss.kind == "squared":
+        loss_expr = c * 0.5 * cp.sum_squares(u - problem.loss.targets)
+    else:
+        t = cp.Variable(n)
+        hinge_cons = 1.0 - u - t <= 0
+        constraints += [t >= 0, hinge_cons]
+        loss_expr = c * cp.sum(t)
+    reg = problem.reg
+    if reg.kind == "l2":
+        reg_expr = 0.5 * reg.lam * cp.sum_squares(x)
+    elif reg.kind == "l1":
+        reg_expr = reg.lam * cp.norm1(x)
+    elif reg.kind == "elastic_net":
+        reg_expr = reg.lam * cp.norm1(x) + 0.5 * reg.lam2 * cp.sum_squares(x)
+    elif reg.kind == "huber":
+        reg_expr = reg.huber_mu * cp.sum(cp.huber(x, reg.lam / (2.0 * reg.huber_mu)))
+    else:  # kl
+        w = reg.weight() * np.ones(d)
+        reg_expr = cp.sum(cp.multiply(w, np.log(w)) - cp.multiply(w, cp.log(x)))
+    prob = cp.Problem(cp.Minimize(loss_expr + reg_expr), constraints)
+    solved = False
+    for solver_kw in ({"solver": "CLARABEL"}, {"solver": "ECOS"}, {}):
+        try:
+            prob.solve(**solver_kw)
+        except (cp.error.SolverError, ValueError):
+            continue
+        if prob.status in ("optimal", "optimal_inaccurate"):
+            solved = True
+            break
+    if not solved:
+        raise CertificationError(f"cvxpy failed to solve the reference problem ({prob.status})")
+    x_val = np.asarray(x.value, dtype=np.float64).reshape(d)
+    if problem.loss.kind == "squared":
+        y_candidate = c * (dense @ x_val - problem.loss.targets)
+    else:
+        # duals of (1 - u - t <= 0) are the negated saddle duals
+        y_candidate = -np.asarray(hinge_cons.dual_value, dtype=np.float64).reshape(n)
+    return _certify(x_val, *_duality_gap(problem, x_val, y_candidate), accuracy, "cvxpy")
 
 
 # test-only helpers over the package

@@ -9,14 +9,12 @@ reference solver with a feasible-dual duality gap.
 import time
 
 import numpy as np
-import pytest
 
 from dapd.baselines import BaselineConfig, run_baseline
 from dapd.deterministic import (
     IterateState,
     dapd_iterate,
     make_schedule,
-    run_dapd,
     schedule_for_problem,
     validate_schedule,
 )
@@ -247,13 +245,14 @@ class TestCriterion4:
 
 
 class TestCriterion5:
-    def test_sparse_dense_equivalence_with_rebase(self):
+    def test_sparse_dense_equivalence_with_rebase(self, monkeypatch):
+        monkeypatch.setattr("dapd.sparse_engine.RESCALE_THRESHOLD", 1e8)
         rng = np.random.default_rng(1005)
         prob = sparse_instance(rng, 50, 100, 0.1, l2_reg(0.1))
         params = params_for_problem(prob)
         iterations = 10_000
         dense = run_sdapd(prob, params, iterations, seed=9)
-        sparse = run_sparse(prob, params, iterations, seed=9, rebase_threshold=1e8)
+        sparse = run_sparse(prob, params, iterations, seed=9)
         diff = float(np.abs(sparse.x - dense.x).max())
         rebases = sparse.resolved["rebase_count"]
         ok = diff <= 1e-8 and rebases >= 1

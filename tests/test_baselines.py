@@ -10,7 +10,8 @@ from dapd.baselines import (
     spdc_iterate,
     spdc_steps,
 )
-from dapd.errors import ConfigurationError, StructuralError
+from dapd.datasets import synth_ridge
+from dapd.errors import ConfigurationError, DivergenceError, StructuralError
 from dapd.matrix import build_matrix
 from dapd.proxlib import (
     huber_reg,
@@ -161,7 +162,7 @@ def compiled():
 def snapshot(state):
     """Everything an iteration writes, as exact values."""
     return (*(getattr(state, name).tobytes() for name in ("x", "x_ext", "y", "u")),
-            state.touch_counter)
+            state.t, state.touch_counter)
 
 
 def spdc_pair(problem):
@@ -209,6 +210,22 @@ class TestCompiledSpdcRow:
             spdc_iterate(got, problem, i)
         assert len(calls) == (0 if reg.kind == "l2" else 240)
         assert snapshot(got) == snapshot(want)
+
+    def test_divergence_at_the_same_iteration(self, compiled):
+        data, _ = synth_ridge(200, 50)
+        problem = ridge_problem(data.matrix, data.labels, 0.1)
+        # (tau, sigma, theta): x overflows at row 1365, mid-way through epoch 7
+        steps = (0.9, 0.5, 0.1)
+        states = [SpdcState(problem, *steps), built_without_kernels(SpdcState, problem, *steps)]
+        failed = []
+        for state in states:
+            rows = sampled_rows(problem.n, 0)
+            with pytest.raises(DivergenceError) as err:
+                for _ in range(5000):
+                    spdc_iterate(state, problem, next(rows))
+            failed.append(err.value.iteration)
+        assert failed[0] == failed[1] == states[0].t == 1365
+        assert snapshot(states[0]) == snapshot(states[1])
 
     def test_run_same_bits_without_kernels(self, compiled, monkeypatch):
         problem = perturb_problem(ragged_problem("hinge", KERNEL_REGS["elastic_net"]), 1e-3)

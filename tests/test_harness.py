@@ -2,12 +2,13 @@ import gc
 import json
 import re
 import sys
+import types
 import weakref
 
 import numpy as np
 import pytest
 
-from dapd import kernels, sparse_engine
+from dapd import kernels
 from dapd.cli import main as cli_main
 from dapd.deterministic import dapd_iterate, run_dapd, schedule_for_problem
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
@@ -15,9 +16,7 @@ from dapd.harness import (
     ALL_METHODS,
     PERTURBATION_METHODS,
     REFERENCE_CHECKPOINTS,
-    ReferenceSolution,
     RunConfig,
-    build_problem,
     compute_reference,
     run_experiment,
 )
@@ -35,7 +34,7 @@ from dapd.proxlib import (
 )
 from dapd.traces import TraceRecord, epoch_rows, read_trace, write_trace
 
-from oracles import lasso_problem, ridge_problem
+from oracles import cvxpy_reference, lasso_problem, ridge_problem
 
 
 def one_d_ridge():
@@ -84,38 +83,41 @@ class TestReference:
         rng = np.random.default_rng(1)
         prob = random_ridge_problem(rng, n=10, d=6)
         direct = compute_reference(prob, 1e-12, method="direct")
-        via_cvxpy = compute_reference(prob, 1e-7, method="cvxpy")
+        via_cvxpy = cvxpy_reference(prob, 1e-7)
         assert via_cvxpy.value == pytest.approx(direct.value, abs=1e-7)
 
     def test_lasso_reference_certified(self):
         pytest.importorskip("cvxpy")
-        rng = np.random.default_rng(2)
-        triplets = [(i, j, rng.normal()) for i in range(12) for j in range(6)]
-        A = build_matrix(triplets, 12, 6)
-        prob = lasso_problem(A, rng.normal(size=12), 0.3)
+        prob = small_lasso_problem()
         ref = compute_reference(prob, 1e-7)
         assert ref.certified_gap <= 1e-7
         # certified optimum is a lower bound for any feasible point
         assert primal_objective(prob, np.zeros(6)) >= ref.value - 1e-9
+        assert ref.value == pytest.approx(cvxpy_reference(prob, 1e-7).value, abs=1e-7)
 
     def test_hinge_reference_certified(self):
         pytest.importorskip("cvxpy")
-        rng = np.random.default_rng(3)
-        triplets = [(i, j, rng.normal()) for i in range(14) for j in range(5)]
-        A = build_matrix(triplets, 14, 5)
-        labels = np.where(rng.random(14) < 0.5, -1.0, 1.0)
-        prob = svm_problem(A, labels, l1_reg(0.05))
+        prob = small_hinge_problem()
         ref = compute_reference(prob, 1e-6)
         assert ref.certified_gap <= 1e-6
+        assert ref.value == pytest.approx(cvxpy_reference(prob, 1e-6).value, abs=1e-6)
 
     @pytest.mark.parametrize(
         "build, accuracy", [(small_lasso_problem, 1e-7), (small_hinge_problem, 1e-6)]
     )
-    def test_auto_falls_back_to_native_without_cvxpy(self, monkeypatch, build, accuracy):
+    def test_auto_is_native_whether_or_not_cvxpy_imports(self, monkeypatch, build, accuracy):
+        class Unusable(types.ModuleType):
+            def __getattr__(self, name):
+                raise AssertionError(f"the reference used cvxpy.{name}")
+
         monkeypatch.setitem(sys.modules, "cvxpy", None)  # makes `import cvxpy` fail
-        ref = compute_reference(build(), accuracy)
-        assert ref.method == "dapd_run"
-        assert ref.certified_gap <= accuracy
+        hidden = compute_reference(build(), accuracy)
+        monkeypatch.setitem(sys.modules, "cvxpy", Unusable("cvxpy"))  # imports, unusable
+        importable = compute_reference(build(), accuracy)
+        assert hidden.method == importable.method == "dapd_run"
+        assert hidden.certified_gap <= accuracy
+        assert importable.value == hidden.value
+        assert importable.x.tobytes() == hidden.x.tobytes()
 
     def test_reference_checkpoints_are_geometric(self):
         grid = REFERENCE_CHECKPOINTS
@@ -168,23 +170,22 @@ class TestReference:
         monkeypatch.setattr("dapd.harness.REFERENCE_CHECKPOINTS", grid)
         monkeypatch.setattr("dapd.harness.dapd_iterate", counted(iterations, dapd_iterate))
         monkeypatch.setattr("dapd.harness.dual_objective", counted(gap_checks, dual_objective))
-        message = f"dapd_run reference certified only to gap {gap:.3e} > {accuracy:.3e}"
+        message = (f"dapd_run reference certified only to gap {gap:.3e} > {accuracy:.3e}"
+                   f" after {grid[-1]} iterations (neither regime)")
         with pytest.raises(CertificationError, match=re.escape(message)):
             compute_reference(problem, accuracy, method="solver")
         assert (len(iterations), len(gap_checks)) == (grid[-1], len(grid))
 
-    def test_explicit_cvxpy_without_cvxpy_refused(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "cvxpy", None)
-        with pytest.raises(CertificationError, match="cvxpy is not installed"):
+    def test_cvxpy_method_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown reference method 'cvxpy'"):
             compute_reference(small_lasso_problem(), 1e-7, method="cvxpy")
 
-    @pytest.mark.parametrize("method", ["solver", "cvxpy", "auto"])
+    @pytest.mark.parametrize("method", ["solver", "auto"])
     def test_native_kl_reference_refused_before_iterating(self, monkeypatch, method):
         def never(*args, **kwargs):
             raise AssertionError("an uncertifiable kl problem was solved")
 
         monkeypatch.setattr("dapd.harness.dapd_iterate", never)
-        monkeypatch.setattr("dapd.harness._cvxpy_reference", never)
         A = build_matrix([(0, 0, 1.0), (1, 1, 2.0)], 2, 2)
         prob = make_problem(A, squared_loss([1.0, 1.0]), kl_reg(0.5), "finite_sum")
         with pytest.raises(CertificationError, match="no feasible dual point exists for kl"):
@@ -399,8 +400,8 @@ class TestCli:
         assert "spectral_norm" in out and "density" in out and "matrix.backend" in out
         # the identity's Gram matrix: the first Lanczos step ends the run
         assert "spectral_norm_products: 1\n" in out
-        assert f"sparse_engine.backend: {sparse_engine.backend()}" in out
-        assert f"stochastic.backend: {kernels.backend()}" in out
+        assert out.count(".backend: ") == 2  # matrix and kernels
+        assert f"kernels.backend: {kernels.backend()}" in out
         assert "datasets.parser: " in out
 
     @pytest.mark.parametrize(

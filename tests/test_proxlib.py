@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from dapd.errors import StructuralError
 from dapd.matrix import build_matrix
 from dapd.proxlib import (
-    CompositeProblem,
     composite_gamma,
     dual_objective,
     dual_prox,

@@ -5,9 +5,8 @@ import pytest
 
 from dapd import kernels, sparse_engine
 from dapd.datasets import synth_ridge
-from dapd.deterministic import RESCALE_THRESHOLD
 from dapd.errors import ConfigurationError, DivergenceError, StructuralError
-from dapd.matrix import build_matrix, matvec
+from dapd.matrix import build_matrix
 from dapd.proxlib import (
     huber_reg,
     kl_reg,
@@ -251,15 +250,16 @@ class TestRebase:
                 assert xa == pytest.approx(xb, rel=1e-12, abs=1e-12)
             assert state.rebase_count == 1
 
-    def test_threshold_triggers_and_values_stay_finite(self):
+    def test_threshold_triggers_and_values_stay_finite(self, monkeypatch):
+        monkeypatch.setattr(sparse_engine, "RESCALE_THRESHOLD", 1e6)
         rng = np.random.default_rng(8)
         prob = sparse_problem(rng, 6, 8, 0.5, l2_reg(0.5))
         params = params_for_problem(prob)
-        res = run_sparse(prob, params, 4000, seed=1, rebase_threshold=1e6)
+        res = run_sparse(prob, params, 4000, seed=1)
         assert res.resolved["rebase_count"] >= 1
         assert np.isfinite(res.x).all()
 
-    def test_long_run_stress_never_goes_nonfinite(self):
+    def test_long_run_stress_never_goes_nonfinite(self, monkeypatch):
         # slow geometric growth (xi = 1.001) over a horizon long enough that
         # the accumulated scale exp(log_scale) overflows any double and
         # inv_scale underflows to exactly 0; every stored quantity and every
@@ -267,7 +267,8 @@ class TestRebase:
         rng = np.random.default_rng(12)
         prob = sparse_problem(rng, 4, 5, 0.6, l2_reg(0.3))
         params = StochasticParams(eta=0.5, tau=0.5, beta0=0.5, xi=1.001, n=4)
-        state = LazyState(prob, params, rebase_threshold=1e20)
+        monkeypatch.setattr(sparse_engine, "RESCALE_THRESHOLD", 1e20)
+        state = LazyState(prob, params)
         checkpoints = {200_000, 400_000, 800_000}
         rows = sampled_rows(4, 6)
         for t in range(800_000):
@@ -341,7 +342,7 @@ class TestFinalize:
 
 @pytest.fixture
 def compiled():
-    if sparse_engine.backend() != "compiled":
+    if kernels.backend() != "compiled":
         pytest.skip("the compiled kernels or numpy's ddot are unavailable here")
 
 
@@ -368,19 +369,20 @@ def snapshot(state):
 
 
 class TestCompiledIteration:
-    @pytest.mark.parametrize("rebase_threshold", [RESCALE_THRESHOLD, 1e3],
-                             ids=["no_rebase", "rebase_1e3"])
+    @pytest.mark.parametrize("threshold", [None, 1e3], ids=["no_rebase", "rebase_1e3"])
     @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
     @pytest.mark.parametrize("reg", list(KERNEL_REGS))
     @pytest.mark.parametrize("loss", ["squared", "hinge"])
-    def test_same_bits_as_numpy_after_every_iteration(self, compiled, loss, reg, epsilon,
-                                                      rebase_threshold):
+    def test_same_bits_as_numpy_after_every_iteration(self, compiled, monkeypatch, loss, reg,
+                                                      epsilon, threshold):
+        if threshold is not None:
+            monkeypatch.setattr(sparse_engine, "RESCALE_THRESHOLD", threshold)
         problem = ragged_problem(loss, KERNEL_REGS[reg])
         params = grid_params(problem)
         if epsilon is not None:
             problem = perturb_problem(problem, epsilon)
-        fast = LazyState(problem, params, rebase_threshold=rebase_threshold)
-        slow = numpy_state(problem, params, rebase_threshold=rebase_threshold)
+        fast = LazyState(problem, params)
+        slow = numpy_state(problem, params)
         rows = sampled_rows(problem.n, 3)
         for t in range(900):
             i = next(rows)
@@ -388,7 +390,7 @@ class TestCompiledIteration:
             sparse_iterate(slow, problem, i)
             assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
         assert finalize_x(fast, problem.reg).tobytes() == finalize_x(slow, problem.reg).tobytes()
-        assert fast.rebase_count == (1 if rebase_threshold == 1e3 else 0)
+        assert fast.rebase_count == (0 if threshold is None else 1)
 
     def test_borrowed_ddot_sums_as_numpy_dot(self, compiled):
         address, ilp64 = kernels.ddot()
@@ -411,7 +413,7 @@ class TestCompiledFallbacks:
         params = grid_params(problem)
         want = self.run_bytes(problem, params)
         monkeypatch.setattr(kernels, "library", lambda: None)
-        assert sparse_engine.backend() == "numpy"
+        assert kernels.backend() == "numpy"
         assert self.run_bytes(problem, params) == want
 
     def test_unresolvable_ddot(self, compiled, fresh_ddot, monkeypatch):
@@ -420,7 +422,7 @@ class TestCompiledFallbacks:
         want = self.run_bytes(problem, params)
         monkeypatch.setattr(kernels, "DDOT_SYMBOLS", ("no_such_ddot",))
         kernels.ddot.cache_clear()
-        assert kernels.ddot() is None and sparse_engine.backend() == "numpy"
+        assert kernels.ddot() is None and kernels.backend() == "numpy"
         assert self.run_bytes(problem, params) == want
 
     @pytest.mark.parametrize("reg, x0", [(huber_reg(0.1, 0.5), 0.0), (kl_reg(0.5), 1.0),
