@@ -99,6 +99,8 @@ def _cmd_reference(args) -> int:
         "method": ref.method,
         "certified_gap": ref.certified_gap,
         "accuracy": accuracy,
+        "iterations": ref.iterations,
+        "restarts": ref.restarts,
     }
     with open(outdir / "reference.json", "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -151,11 +151,13 @@ def schedule_for_problem(
 ) -> SolverSchedule:
     """Build the regime schedule from the problem's composite constants.
 
-    A converged Lanczos estimate of R bounds the top singular value from
-    above (``matrix.power_iteration``).  When the run did not converge the
-    estimate may be slightly low, which would break eta*tau <= 1/R^2 against
-    the true R; the estimate is then inflated by 1/0.99 (equivalently, both
-    step sizes shrink by 0.99) before the schedule is formed.
+    A converged Lanczos estimate of R (``matrix.power_iteration``) matches
+    the top singular value to a few ulps, but may sit up to about 5 ulp
+    below it, so eta*tau <= 1/R^2 can fail against the true R by a
+    rounding-sized amount; it is used as it is (a guaranteed over-estimate
+    is ROADMAP.md item 6).  When the run did not converge the estimate may
+    be further low; it is then inflated by 1/0.99 (equivalently, both step
+    sizes shrink by 0.99) before the schedule is formed.
     """
     gamma_f = composite_gamma(problem)
     _, mu, _, R, _ = problem_constants(problem)
@@ -222,15 +224,17 @@ class IterateState:
     ``s_hat``, ``B_hat`` and ``beta_hat`` are the gradient sum, B_{t-1} and
     beta_t divided by exp(log_scale); ``inv_scale`` caches exp(-log_scale).
     After every full iteration x equals prox_{B_{t-1} g}(x0 - grad_sum).
+    The run starts from (x0, y0), zero where not given.
     """
 
-    def __init__(self, problem: CompositeProblem, schedule: SolverSchedule, x0=None):
+    def __init__(self, problem: CompositeProblem, schedule: SolverSchedule, x0=None,
+                 y0=None):
         d, n = problem.dim, problem.n
         self.schedule = schedule
         self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.x = self.x0.copy()
         self.xbar = self.x0.copy()
-        self.y = np.zeros(n)
+        self.y = np.zeros(n) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
         self.s_hat = np.zeros(d)
         self.B_hat = 0.0
         self.beta_hat = schedule.beta(0)

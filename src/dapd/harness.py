@@ -68,6 +68,8 @@ class ReferenceSolution:
     value: float
     method: str
     certified_gap: float
+    iterations: int = 0  # DAPD iterations of a native reference, over all its restarts
+    restarts: int = 0
 
 
 def _is_ridge_form(problem: CompositeProblem) -> bool:
@@ -85,12 +87,12 @@ def _duality_gap(problem, x, y_candidate):
     return value, value - dual_objective(problem, feasible_dual_point(problem, y_candidate))
 
 
-def _certify(x, value, gap, accuracy, method, where=""):
+def _certify(x, value, gap, accuracy, method, where="", **work):
     if not np.isfinite(gap) or gap > accuracy:
         raise CertificationError(
             f"{method} reference certified only to gap {gap:.3e} > {accuracy:.3e}{where}"
         )
-    return ReferenceSolution(x=x, value=value, method=method, certified_gap=float(gap))
+    return ReferenceSolution(x=x, value=value, method=method, certified_gap=float(gap), **work)
 
 
 def _direct_ridge_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSolution:
@@ -119,15 +121,21 @@ def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSo
     """High-accuracy run of the native deterministic solver, duality-gap
     certified: the reference of every problem that is not ridge-form.
 
-    One run is continued, its gap checked after each of ``REFERENCE_CHECKPOINTS``
-    iterations, and the first point certified to ``accuracy`` returned; DAPD is
-    deterministic, so it is the point a fresh run of that length would return.
-    A run that has not certified by the last checkpoint raises
-    ``CertificationError`` naming its gap, iteration count and schedule regime."""
+    The gap is checked once the run's total iteration count reaches each of
+    ``REFERENCE_CHECKPOINTS``, and the first point certified to ``accuracy``
+    is returned.  At a check whose gap is at most half the gap at the last
+    restart, DAPD restarts from the current (x, y): t, and with it every
+    step schedule that grows or shrinks with t, starts again from 0.  The
+    first finite gap is the first such base; a non-finite gap neither
+    restarts nor sets the base.  A run that has not certified by the last
+    checkpoint raises ``CertificationError`` naming its gap, total iteration
+    count and schedule regime."""
     schedule = schedule_for_problem(problem)
     state = IterateState(problem, schedule)
+    done = restarts = 0  # iterations before the current run's start; restarts so far
+    base = None
     for checkpoint in REFERENCE_CHECKPOINTS:
-        while state.t < checkpoint:
+        while done + state.t < checkpoint:
             dapd_iterate(state, problem)
         if problem.loss.kind == "squared":
             u = matvec(problem.matrix, state.x)
@@ -135,10 +143,21 @@ def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSo
         else:
             y_candidate = state.y
         value, gap = _duality_gap(problem, state.x, y_candidate)
-        if np.isfinite(gap) and gap <= accuracy:
+        if not np.isfinite(gap):
+            continue
+        if gap <= accuracy:
             break
+        if base is None:
+            base = gap
+        elif gap <= 0.5 * base:
+            base = gap
+            done += state.t
+            restarts += 1
+            state = IterateState(problem, schedule, x0=state.x, y0=state.y)
+    iterations = done + state.t
     return _certify(state.x, value, gap, accuracy, "dapd_run",
-                    f" after {state.t} iterations ({schedule.regime} regime)")
+                    f" after {iterations} iterations ({schedule.regime} regime)",
+                    iterations=iterations, restarts=restarts)
 
 
 def compute_reference(
@@ -478,6 +497,8 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
     manifest["reference.value"] = reference.value
     manifest["reference.method"] = reference.method
     manifest["reference.certified_gap"] = reference.certified_gap
+    manifest["reference.iterations"] = reference.iterations
+    manifest["reference.restarts"] = reference.restarts
 
     epsilon = config.solver["epsilon"]
     perturbed = None

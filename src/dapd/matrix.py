@@ -240,8 +240,10 @@ def power_iteration(A: SparseRowMatrix, rel_tol: float = 1e-13, max_iter: int = 
     Every ``LANCZOS_CHECK`` steps the top Ritz value theta of the
     tridiagonal matrix and its residual r = beta_k |s_k| are taken; the run
     stops once r <= rel_tol * theta.  Some eigenvalue of the Gram matrix lies
-    within r of theta (up to rounding), so the returned sqrt(theta + r)
-    bounds it from above.
+    within r of theta in exact arithmetic, so sqrt(theta + r) would bound it
+    from above; in floating point nothing covers the rounding in theta, and
+    a converged estimate can sit up to about 5 ulp below the top singular
+    value.
     ``max_iter`` caps the Gram products (each look solves a dense k x k
     eigenproblem, so the cap is 1000, not the old 5000); when they run out
     first the last estimate is returned with ``converged=False``.  The
@@ -297,11 +299,12 @@ def _top_ritz(alphas: list, betas: list):
 def stats(A: SparseRowMatrix) -> MatrixStats:
     """Spectral norm, max row norm, and density of A.
 
-    The spectral norm is ``power_iteration``'s Lanczos estimate, which
-    bounds the top singular value from above once it has converged.  It is
-    clamped from below by the exact max row and column norms (both are true
-    lower bounds of the operator norm, computed in O(nnz)), so max_row_norm
-    <= spectral_norm holds by construction, converged or not.
+    The spectral norm is ``power_iteration``'s Lanczos estimate, within a
+    few ulps of the top singular value (possibly below it) once it has
+    converged.  It is clamped from below by the exact max row and column
+    norms (both are true lower bounds of the operator norm, computed in
+    O(nnz)), so max_row_norm <= spectral_norm holds by construction,
+    converged or not.
     """
     estimate = power_iteration(A)
     value, converged = estimate

@@ -149,7 +149,6 @@ CASES = {
     "huber": _experiment(
         "huber", {"kind": "synth_ridge", "n": 50, "d": 20, "seed": 2}, "squared",
         {"kind": "huber", "lam": 0.1, "huber_mu": 0.5}, ALL_METHODS, 7, [1], epsilon=1e-3,
-        accuracy=1e-6,
     ),
     "libsvm_labels": _libsvm_labels,
     "sparse_rebase": _sparse_rebase,

@@ -7,23 +7,27 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dapd import kernels
 from dapd.cli import main as cli_main
-from dapd.deterministic import dapd_iterate, run_dapd, schedule_for_problem
+from dapd.datasets import synth_ridge, synth_sparse_classification
+from dapd.deterministic import IterateState, dapd_iterate, run_dapd, schedule_for_problem
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
 from dapd.harness import (
     ALL_METHODS,
     PERTURBATION_METHODS,
     REFERENCE_CHECKPOINTS,
     RunConfig,
+    build_problem,
     compute_reference,
     run_experiment,
 )
-from dapd.matrix import build_matrix
+from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
     dual_objective,
     feasible_dual_point,
+    huber_reg,
     kl_reg,
     l1_reg,
     l2_reg,
@@ -35,6 +39,7 @@ from dapd.proxlib import (
 from dapd.traces import TraceRecord, epoch_rows, read_trace, write_trace
 
 from oracles import cvxpy_reference, lasso_problem, ridge_problem
+from test_matrix import sparse_matrices
 
 
 def one_d_ridge():
@@ -64,6 +69,44 @@ def small_hinge_problem():
     return svm_problem(A, labels, l1_reg(0.05))
 
 
+def golden_hinge_l2_problem():
+    """The problem of the golden ``hinge_l2`` case (``sc_only`` regime)."""
+    data = synth_sparse_classification(12, 6, 0.5, seed=4)
+    return svm_problem(data.matrix, data.labels, l2_reg(0.1))
+
+
+def golden_huber_problem():
+    """The problem of the golden ``huber`` case (``smooth_only`` regime)."""
+    data, _ = synth_ridge(50, 20, seed=2)
+    return make_problem(data.matrix, squared_loss(data.labels), huber_reg(0.1, 0.5),
+                        "finite_sum")
+
+
+def _dual_candidate(problem, x, y):
+    """The dual point the native reference certifies ``x`` with."""
+    if problem.loss.kind == "squared":
+        return problem.loss_scale * (matvec(problem.matrix, x) - problem.loss.targets)
+    return y
+
+
+def _record_runs(monkeypatch):
+    """Count the reference's ``dapd_iterate`` calls, and record the count at
+    which each of its DAPD runs starts."""
+    calls, starts = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return dapd_iterate(*args)
+
+    def recorded(*args, **kwargs):
+        starts.append(len(calls))
+        return IterateState(*args, **kwargs)
+
+    monkeypatch.setattr("dapd.harness.dapd_iterate", counted)
+    monkeypatch.setattr("dapd.harness.IterateState", recorded)
+    return calls, starts
+
+
 class TestReference:
     def test_one_d_closed_form(self):
         ref = compute_reference(one_d_ridge(), 1e-12)
@@ -77,6 +120,24 @@ class TestReference:
         direct = compute_reference(prob, 1e-12, method="direct")
         via_solver = compute_reference(prob, 1e-9, method="solver")
         assert via_solver.value == pytest.approx(direct.value, abs=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_matrices(), st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3, 2.0]))
+    def test_solver_reference_agrees_with_direct(self, drawn, seed, lam):
+        A, n, _ = drawn
+        prob = ridge_problem(A, np.random.default_rng(seed).normal(size=n), lam)
+        # DAPD's steps need R > 0, so the native reference refuses a matrix
+        # whose spectral norm is 0 (all zeros, or values that underflow)
+        assume(prob.stats.spectral_norm > 0)
+        direct = compute_reference(prob, 1e-9, method="direct")
+        via_solver = compute_reference(prob, 1e-9, method="solver")
+        assert via_solver.certified_gap <= 1e-9
+        # both values are at least P*, and each within its certified gap of
+        # it, so they differ by at most the gaps (plus rounding in P)
+        rounding = 8 * np.spacing(abs(direct.value))
+        difference = via_solver.value - direct.value
+        assert -direct.certified_gap - rounding <= difference
+        assert difference <= via_solver.certified_gap + rounding
 
     def test_cvxpy_matches_direct_on_ridge(self):
         pytest.importorskip("cvxpy")
@@ -124,24 +185,75 @@ class TestReference:
         assert grid[0] <= 50 and grid[-1] == 256_000 and len(grid) <= 40
         assert all(a < b and 4 * b <= 5 * a for a, b in zip(grid, grid[1:]))
 
-    def test_native_reference_continues_one_run(self, monkeypatch):
-        # the certified gap is 0.052843 after 2,690 iterations and 0.052822
-        # after 3,362, the next checkpoint, so this accuracy is met at 3,362
-        problem, accuracy = small_hinge_problem(), 0.05283
-        restarted = run_dapd(problem, schedule_for_problem(problem), 3362)
-        value = primal_objective(problem, restarted.x)
-        gap = value - dual_objective(problem, feasible_dual_point(problem, restarted.y))
-        calls = []
+    @pytest.mark.parametrize("build", [golden_hinge_l2_problem, golden_huber_problem])
+    def test_native_reference_counts_its_iterations(self, monkeypatch, build):
+        calls, starts = _record_runs(monkeypatch)
+        ref = compute_reference(build(), 1e-9, method="solver")
+        assert len(calls) == ref.iterations
+        assert len(starts) == ref.restarts + 1 and ref.restarts > 0
+        assert starts[0] == 0 and set(starts[1:]) <= set(REFERENCE_CHECKPOINTS)
 
-        def counted(*args):
-            calls.append(args)
-            return dapd_iterate(*args)
+    @pytest.mark.parametrize("build", [golden_hinge_l2_problem, golden_huber_problem])
+    def test_native_reference_replays_as_restarted_runs(self, monkeypatch, build):
+        problem = build()
+        with monkeypatch.context() as patched:
+            _, starts = _record_runs(patched)
+            ref = compute_reference(problem, 1e-9, method="solver")
+        schedule = schedule_for_problem(problem)
+        state = IterateState(problem, schedule)
+        for start, stop in zip(starts, [*starts[1:], ref.iterations]):
+            if start:
+                state = IterateState(problem, schedule, x0=state.x, y0=state.y)
+            for _ in range(stop - start):
+                dapd_iterate(state, problem)
+        value = primal_objective(problem, state.x)
+        y = feasible_dual_point(problem, _dual_candidate(problem, state.x, state.y))
+        assert (ref.value, ref.certified_gap) == (value, value - dual_objective(problem, y))
+        assert ref.x.tobytes() == state.x.tobytes()
 
-        monkeypatch.setattr("dapd.harness.dapd_iterate", counted)
-        ref = compute_reference(problem, accuracy, method="solver")
-        assert len(calls) == 3362
-        assert (ref.value, ref.certified_gap) == (value, gap)
-        assert np.array_equal(ref.x, restarted.x)
+    def test_zero_y0_is_the_default_start(self):
+        problem = golden_hinge_l2_problem()
+        schedule = schedule_for_problem(problem)
+        default = IterateState(problem, schedule)
+        zero = IterateState(problem, schedule, y0=np.zeros(problem.n))
+        for _ in range(40):
+            dapd_iterate(default, problem)
+            dapd_iterate(zero, problem)
+        for name in ("x", "xbar", "y", "s_hat", "ergodic_x"):
+            assert getattr(zero, name).tobytes() == getattr(default, name).tobytes(), name
+        assert (zero.B_hat, zero.beta_hat, zero.log_scale) == (
+            default.B_hat, default.beta_hat, default.log_scale
+        )
+
+    def test_non_finite_gap_neither_restarts_nor_sets_the_base(self, monkeypatch):
+        # inf, then 1.0 (the base), 0.6 (more than half of it), 0.4 (a
+        # restart) and a certified gap; an inf base, or a restart at inf,
+        # would restart more than once
+        gaps = iter([np.inf, 1.0, 0.6, 0.4, 1e-12])
+        monkeypatch.setattr("dapd.harness._duality_gap", lambda *args: (0.0, next(gaps)))
+        _, starts = _record_runs(monkeypatch)
+        ref = compute_reference(golden_hinge_l2_problem(), 1e-9, method="solver")
+        assert (ref.restarts, ref.iterations, ref.certified_gap) == (
+            1, REFERENCE_CHECKPOINTS[4], 1e-12
+        )
+        assert starts == [0, REFERENCE_CHECKPOINTS[3]]
+
+    def test_certification_error_names_the_total_iteration_count(self, monkeypatch):
+        grid = REFERENCE_CHECKPOINTS[:4]
+        monkeypatch.setattr("dapd.harness.REFERENCE_CHECKPOINTS", grid)
+        calls, starts = _record_runs(monkeypatch)
+        with pytest.raises(CertificationError,
+                           match=re.escape(f"after {grid[-1]} iterations (smooth_only regime)")):
+            compute_reference(golden_huber_problem(), 1e-15, method="solver")
+        assert len(calls) == grid[-1] and len(starts) > 1
+
+    def test_golden_huber_certifies_the_default_accuracy(self, monkeypatch):
+        # one long run reached only 5.8e-7 after 256,000 iterations; the
+        # restarted reference certifies 1e-9 within the first 1,000
+        grid = (*(t for t in REFERENCE_CHECKPOINTS if t < 1000), 1000)
+        monkeypatch.setattr("dapd.harness.REFERENCE_CHECKPOINTS", grid)
+        ref = compute_reference(golden_huber_problem(), 1e-9)
+        assert ref.method == "dapd_run" and ref.certified_gap <= 1e-9
 
     def test_native_reference_frees_its_problem(self):
         # the gap checks raise nothing, so no traceback cycle keeps the
@@ -304,8 +416,18 @@ class TestRunExperiment:
         manifest = result.manifest_path.read_text()
         for key in ("problem.R=", "problem.Rbar=", "problem.spectral_norm_products=",
                     "reference.value=", "matrix.backend=", "cell.sdapd_seed7.eta=",
-                    "cell.sdapd_seed7.xi="):
+                    "cell.sdapd_seed7.xi=", "reference.iterations=0\n",
+                    "reference.restarts=0\n"):
             assert key in manifest
+
+    def test_manifest_records_the_native_reference_work(self, tmp_path):
+        cfg = {**base_config(tmp_path, ["dapd"], seeds=[1]), "problem": HINGE_L2}
+        config = RunConfig.from_dict(cfg)
+        ref = compute_reference(build_problem(config), 1e-10)
+        manifest = run_experiment(config).manifest_path.read_text()
+        assert ref.method == "dapd_run" and ref.restarts > 0
+        assert f"reference.iterations={ref.iterations}\n" in manifest
+        assert f"reference.restarts={ref.restarts}\n" in manifest
 
     def test_reproducible_traces(self, tmp_path):
         cfg = base_config(tmp_path, ["sdapd", "rda"], seeds=[5])
@@ -388,7 +510,10 @@ class TestCli:
         rc = cli_main(["reference", "--config", str(self.write_config(tmp_path))])
         assert rc == 0
         out_dir = tmp_path / "out"
-        assert (out_dir / "reference.json").exists()
+        payload = json.loads((out_dir / "reference.json").read_text())
+        assert (payload["method"], payload["iterations"], payload["restarts"]) == (
+            "direct_solve", 0, 0
+        )
         assert (out_dir / "reference_x.npy").exists()
 
     def test_stats_verb(self, tmp_path, capsys):
