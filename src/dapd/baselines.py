@@ -27,12 +27,14 @@ every resolved constant is returned for the experiment manifest.
             theta) triple
 
 SPDC runs a row as dense SDAPD does (``stochastic``): two calls around the
-dual step, which stays in Python.  ``spdc_iterate`` takes them from
-``kernels.c`` (``spdc_dot`` and ``spdc_update``) for l2, l1 and elastic net,
-and otherwise, or when the kernels cannot be built, from their numpy bodies,
-which give the same bits and are the kernels' oracle.  A row whose dot
-product, new dual coordinate or new x is not finite raises
-``DivergenceError`` at that iteration, as SDAPD's does.
+dual step, which stays in Python; the second also counts the row in ``t``
+and the touch count, kept in the state's ``kernels.RowScalars`` block.
+``spdc_iterate`` takes them from ``kernels.c`` (``spdc_dot`` and
+``spdc_update``) for l2, l1 and elastic net, and otherwise, or when the
+kernels cannot be built, from their numpy bodies, which give the same bits
+and are the kernels' oracle.  A row whose dot product, new dual coordinate
+or new x is not finite raises ``DivergenceError`` at that iteration, as
+SDAPD's does.
 """
 
 from __future__ import annotations
@@ -285,12 +287,14 @@ class SpdcState:
 
     ``tau``, ``theta`` and the vectors cannot be rebound (the vectors are
     written in place): the compiled row kernels keep their values and
-    addresses.
+    addresses.  ``t`` and ``touch_counter`` are fields of a
+    ``kernels.RowScalars`` block, which the row's second step advances.
     """
 
     tau, theta, x, x_ext, y, u = (
         kernels.fixed(name) for name in ("tau", "theta", "x", "x_ext", "y", "u")
     )
+    t, touch_counter = kernels.scalar("t"), kernels.scalar("touch_counter")
 
     def __init__(self, problem, tau: float, sigma: float, theta: float):
         d, n = problem.dim, problem.n
@@ -299,8 +303,7 @@ class SpdcState:
         self._x_ext = np.zeros(d)
         self._y = np.zeros(n)
         self._u = matvec(problem.matrix, self._y, transpose=True) / n
-        self.t = 0
-        self.touch_counter = 0
+        self._scalars = kernels.RowScalars()
         _bind_spdc(self, problem)  # sets self._kernel
 
 
@@ -310,8 +313,8 @@ def _bind_spdc(state: SpdcState, problem):
     ``state._kernel`` as (problem, steps, what the compiled calls' addresses
     point into)."""
     bound = kernels.bind_dense_row(
-        ("spdc_dot", "spdc_update"), problem.matrix, problem.reg, state.tau, state.theta,
-        x=state.x, xbar=state.x_ext, u=state.u, y=state.y,
+        ("spdc_dot", "spdc_update"), problem.matrix, problem.reg, state._scalars, state.tau,
+        state.theta, x=state.x, xbar=state.x_ext, u=state.u, y=state.y,
     )
     steps, keep = bound or (
         (functools.partial(_spdc_dot_numpy, state, problem),
@@ -330,13 +333,8 @@ def spdc_iterate(state: SpdcState, problem, i: int) -> SpdcState:
     row_dot, update = steps
     dot = row_dot(i)
     y_new_i = prox_conjugate(problem.loss, i, state.sigma, state.y[i] + state.sigma * dot)
-    if not (math.isfinite(dot) and math.isfinite(y_new_i)):
+    if not (math.isfinite(dot) and math.isfinite(y_new_i)) or update(i, y_new_i) < 0:
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
-    nnz = update(i, y_new_i)
-    if nnz < 0:
-        raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
-    state.touch_counter += 4 * problem.dim + 3 * nnz
-    state.t += 1
     return state
 
 
@@ -349,8 +347,9 @@ def _spdc_dot_numpy(state: SpdcState, problem, i: int) -> float:
 
 def _spdc_update_numpy(state: SpdcState, problem, i: int, y_new: float) -> int:
     """``spdc_update`` in numpy: the dual coordinate, the primal prox step
-    on u + dy a_i, the extrapolation and u; returns the row's nonzero
-    count, or -1 when x is not finite."""
+    on u + dy a_i, the extrapolation and u, then t and the touch count;
+    returns the row's nonzero count, or -1 when x is not finite (t and the
+    touch count are then left as they were)."""
     cols, vals = problem.matrix.row(i)
     dy = y_new - state.y[i]
     state.y[i] = y_new
@@ -361,7 +360,11 @@ def _spdc_update_numpy(state: SpdcState, problem, i: int, y_new: float) -> int:
         state.u[cols] += (dy / problem.n) * vals
         state.x_ext[...] = x_new + state.theta * (x_new - state.x)
     state.x[...] = x_new
-    return int(vals.size) if np.isfinite(x_new).all() else -1
+    if not np.isfinite(x_new).all():
+        return -1
+    state.touch_counter += 4 * problem.dim + 3 * vals.size
+    state.t += 1
+    return int(vals.size)
 
 
 def spdc_steps(problem) -> tuple[float, float, float]:

@@ -49,6 +49,7 @@ from .proxlib import (
     kl_reg,
     l1_reg,
     l2_reg,
+    loss_grads,
     make_problem,
     primal_objective,
     problem_constants,
@@ -88,11 +89,16 @@ def _duality_gap(problem, x, y_candidate):
 
 
 def _certify(x, value, gap, accuracy, method, where="", **work):
+    """The reference at x, or ``CertificationError`` when its gap is not
+    finite or exceeds ``accuracy``.  Weak duality makes the true gap
+    nonnegative, so a negative computed gap is rounding and is recorded as
+    0."""
     if not np.isfinite(gap) or gap > accuracy:
         raise CertificationError(
             f"{method} reference certified only to gap {gap:.3e} > {accuracy:.3e}{where}"
         )
-    return ReferenceSolution(x=x, value=value, method=method, certified_gap=float(gap), **work)
+    return ReferenceSolution(x=x, value=value, method=method, certified_gap=max(float(gap), 0.0),
+                             **work)
 
 
 def _direct_ridge_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSolution:
@@ -129,7 +135,19 @@ def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSo
     first finite gap is the first such base; a non-finite gap neither
     restarts nor sets the base.  A run that has not certified by the last
     checkpoint raises ``CertificationError`` naming its gap, total iteration
-    count and schedule regime."""
+    count and schedule regime.
+
+    DAPD's steps need a positive spectral norm.  When the estimate is 0 (a
+    zero matrix, or entries small enough that the estimate underflows),
+    the run's start x = 0, which minimises every regularizer a reference
+    accepts, is certified after 0 iterations instead, against the dual
+    point the loss's gradient at A x = 0 gives."""
+    if problem.stats.spectral_norm == 0:
+        x = np.zeros(problem.dim)
+        y_candidate = problem.loss_scale * loss_grads(problem.loss, matvec(problem.matrix, x))
+        value, gap = _duality_gap(problem, x, y_candidate)
+        return _certify(x, value, gap, accuracy, "dapd_run",
+                        " at x = 0 (the matrix's spectral norm is 0)")
     schedule = schedule_for_problem(problem)
     state = IterateState(problem, schedule)
     done = restarts = 0  # iterations before the current run's start; restarts so far

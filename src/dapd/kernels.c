@@ -1,7 +1,8 @@
 /* Compiled kernels for dapd: the CSR matrix-vector products of
  * dapd.matrix.matvec, one iteration of the lazy sparse engine, the O(d)
- * vector work of one dense SDAPD row and one SPDC row, and the LIBSVM
- * reader of dapd.datasets.parse_libsvm.
+ * vector work of one dense SDAPD row and one SPDC row (each advancing its
+ * state's step scalars), and the LIBSVM reader of
+ * dapd.datasets.parse_libsvm.
  *
  * Each matvec output entry is accumulated in storage order, one rounded
  * product at a time, starting from +0.0: the order np.bincount uses in the
@@ -52,7 +53,10 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
  * and with it a summation order, per CPU, so the kernels call the CBLAS
  * ddot that numpy's dot calls, as numpy does (numpy_dot).  The caller
  * checks 0 <= i < n; the addresses in their structs are those of arrays
- * that the owner keeps alive and never rebinds.
+ * and scalar blocks that the owner keeps alive and never rebinds.
+ *
+ * Everything from here on sits after csr_matvec and csr_rmatvec, so a
+ * change to the row kernels does not move those two in the library.
  */
 
 #define NPY_CBLAS_CHUNK ((int64_t)1 << 30) /* for 32-bit BLAS integers */
@@ -74,6 +78,17 @@ struct blas_dot {
 struct sep_reg {
     int64_t kind;
     double lam, lam2, d2;
+};
+
+/* A solver state's step scalars, which its row kernel advances after each
+ * row it completes; mirrored by dapd.kernels.RowScalars, whose fields the
+ * states expose as attributes.  beta_hat, beta_prev_hat (the lazy engine's
+ * beta_{t-1}) and B_hat (B_{t-1}) are stored divided by the state's scale,
+ * and inv_scale is that scale's inverse; SPDC uses only t and
+ * touch_counter. */
+struct row_scalars {
+    double beta_hat, beta_prev_hat, B_hat, inv_scale;
+    int64_t t, touch_counter;
 };
 
 /* recover_primal for l2, l1 and elastic net: prox_{B g~}(z / inv) with
@@ -120,6 +135,7 @@ struct lazy_problem {
     const double *x0;
     double *y, *u, *v, *w;
     double *xbar;          /* scratch, as long as the longest row */
+    struct row_scalars *scalars;
     struct blas_dot dot;
     struct sep_reg g;
     int64_t n, loss;
@@ -128,12 +144,17 @@ struct lazy_problem {
 
 /* One lazy SDAPD iteration on row i (dapd.sparse_engine.sparse_iterate):
  * the two recoveries of proxlib.recover_primal, the dot product,
- * proxlib.prox_conjugate and the support updates.  Returns the row's
- * nonzero count, or -1 without writing y, u, v or w when the dot product
- * or the new dual coordinate is not finite. */
-int64_t lazy_iterate(const struct lazy_problem *p, int64_t i, double beta_hat,
-                     double beta_prev_hat, double b_hat, double inv_scale)
+ * proxlib.prox_conjugate, the support updates and the scalars: B and the
+ * two betas move one step (beta divided by theta), t counts the row and
+ * the touch count grows by 6 per nonzero plus 2.  Returns the row's
+ * nonzero count, or -1 without writing anything when the dot product or
+ * the new dual coordinate is not finite.  The rebase stays with the
+ * caller. */
+int64_t lazy_iterate(const struct lazy_problem *p, int64_t i)
 {
+    struct row_scalars *const sc = p->scalars;
+    const double beta_hat = sc->beta_hat, beta_prev_hat = sc->beta_prev_hat;
+    const double b_hat = sc->B_hat, inv_scale = sc->inv_scale;
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo;
     const int64_t *cols = p->cols + lo;
     const double *vals = p->values + lo;
@@ -172,14 +193,21 @@ int64_t lazy_iterate(const struct lazy_problem *p, int64_t i, double beta_hat,
         p->v[j] += v_coef * delta;
         p->w[j] += delta / (1.0 - p->theta);
     }
+    sc->B_hat = b_hat + beta_hat;
+    sc->beta_prev_hat = beta_hat;
+    sc->beta_hat = beta_hat / p->theta;
+    sc->t += 1;
+    /* 2 recoveries + row read + 3 support writes per coordinate */
+    sc->touch_counter += 6 * k + 2;
     return k;
 }
 
 /* The dense SDAPD row (dapd.stochastic.sdapd_iterate_dense) and the SPDC
  * row (dapd.baselines.spdc_iterate), each as two calls around the dual
  * step, which stays in Python: the first returns the row's dot product,
- * the second takes the new dual coordinate and does the rest.  Every
- * vector is dense, of length d, and written in place.
+ * the second takes the new dual coordinate, does the rest and advances the
+ * state's scalars.  Every vector is dense, of length d, and written in
+ * place.
  */
 
 /* mirrored field for field by dapd.kernels.DenseRow */
@@ -191,11 +219,13 @@ struct dense_row {
     double *x, *xbar, *u, *y;
     double *s_hat, *ergodic; /* SDAPD */
     double *gather;         /* scratch, as long as the longest row */
+    struct row_scalars *scalars;
     struct blas_dot dot;
     struct sep_reg g;
     int64_t n, d;
     double step;            /* SDAPD's eta, SPDC's tau */
     double theta;           /* SPDC's extrapolation */
+    double xi;              /* SDAPD's beta growth */
 };
 
 /* <a_i, xbar> as numpy's vals @ xbar[cols]: gathered, then numpy_dot.
@@ -226,18 +256,23 @@ double sdapd_dense_xbar(const struct dense_row *p, int64_t i)
     return row_dot(p, i);
 }
 
-/* SDAPD, second call, with B_hat already advanced: y_i = y_new,
+/* SDAPD, second call: B_hat += beta_hat, y_i = y_new,
  * s_hat += beta u + beta dy a_i, u += (dy/n) a_i, x = recover_primal and
- * the ergodic average of xbar.  Returns the row's nonzero count, or -1
- * when x is not finite. */
-int64_t sdapd_dense_update(const struct dense_row *p, int64_t i, double y_new,
-                           double beta_hat, double b_hat, double inv_scale)
+ * the ergodic average of xbar; then beta_hat *= xi, t counts the row and
+ * the touch count grows by 4 d + 3 per nonzero.  Returns the row's nonzero
+ * count, or -1 when x is not finite: B_hat and the vectors are then
+ * written, and beta_hat, t and the touch count are not. */
+int64_t sdapd_dense_update(const struct dense_row *p, int64_t i, double y_new)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
     const int64_t *cols = p->cols + lo;
     const double *vals = p->values + lo, *x0 = p->x0, *xbar = p->xbar;
     double *x = p->x, *u = p->u, *s_hat = p->s_hat, *ergodic = p->ergodic;
     const struct sep_reg g = p->g;
+    struct row_scalars *const sc = p->scalars;
+    const double beta_hat = sc->beta_hat, b_hat = sc->B_hat + beta_hat;
+    const double inv_scale = sc->inv_scale;
+    sc->B_hat = b_hat;
     const double dy = y_new - p->y[i];
     p->y[i] = y_new;
 
@@ -256,7 +291,13 @@ int64_t sdapd_dense_update(const struct dense_row *p, int64_t i, double y_new,
         finite &= isfinite(x[j]) != 0;
         ergodic[j] += weight * (xbar[j] - ergodic[j]);
     }
-    return finite ? k : -1;
+    if (!finite)
+        return -1;
+    /* xbar prox d, grad-sum d, recovery d, ergodic d, row ops 3 nnz */
+    sc->touch_counter += 4 * d + 3 * k;
+    sc->beta_hat = beta_hat * p->xi;
+    sc->t += 1;
+    return k;
 }
 
 /* SPDC, first call: <a_i, x_ext>, with x_ext in the xbar field */
@@ -266,9 +307,10 @@ double spdc_dot(const struct dense_row *p, int64_t i)
 }
 
 /* SPDC, second call: y_i = y_new, x = prox_{tau g}(x - tau (u + dy a_i)),
- * x_ext = x + theta (x - x_old), u += (dy/n) a_i.  Returns the row's
- * nonzero count, or -1 when x is not finite.  The row's columns increase,
- * so one cursor finds them. */
+ * x_ext = x + theta (x - x_old), u += (dy/n) a_i; then t counts the row
+ * and the touch count grows by 4 d + 3 per nonzero.  Returns the row's
+ * nonzero count, or -1 when x is not finite, leaving t and the touch count
+ * as they were.  The row's columns increase, so one cursor finds them. */
 int64_t spdc_update(const struct dense_row *p, int64_t i, double y_new)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
@@ -294,7 +336,11 @@ int64_t spdc_update(const struct dense_row *p, int64_t i, double y_new)
     const double u_coef = dy / (double)p->n;
     for (m = 0; m < k; ++m)
         u[cols[m]] += u_coef * vals[m];
-    return finite ? k : -1;
+    if (!finite)
+        return -1;
+    p->scalars->touch_counter += 4 * d + 3 * k;
+    p->scalars->t += 1;
+    return k;
 }
 
 /* LIBSVM text into CSR arrays and labels (dapd.datasets.parse_libsvm).

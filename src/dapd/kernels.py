@@ -26,8 +26,12 @@ on every machine; calling the same function does.  It is borrowed from
 numpy's own extension module, and when it cannot be found the row kernels'
 callers keep their numpy bodies (``backend``).  Each caller binds its
 kernels once per state to a struct below, which holds the addresses of the
-state's arrays; ``fixed`` makes those arrays attributes that cannot be
-rebound.
+state's arrays and of its ``RowScalars`` block; ``fixed`` makes those
+arrays attributes that cannot be rebound.  The kernels advance the block's
+step scalars (beta, B, t and the touch count; only the callers' rescale
+changes the scale) themselves, so one call does a lazy iteration; the
+states expose its fields as attributes (``scalar``), and their numpy bodies
+read and write the same block.
 """
 
 from __future__ import annotations
@@ -59,12 +63,12 @@ _F64 = ctypes.c_double
 SIGNATURES = {
     "csr_matvec": (None, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
     "csr_rmatvec": (None, (_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
-    # (problem, i, beta_hat, beta_prev_hat, B_hat, inv_scale) -> row nnz, or -1
-    "lazy_iterate": (_I64, (_PTR, _I64, _F64, _F64, _F64, _F64)),
+    # (problem, i) -> row nnz, or -1
+    "lazy_iterate": (_I64, (_PTR, _I64)),
     # (row, i) -> <a_i, xbar>
     "sdapd_dense_xbar": (_F64, (_PTR, _I64)),
-    # (row, i, y_new, beta_hat, B_hat, inv_scale) -> row nnz, or -1
-    "sdapd_dense_update": (_I64, (_PTR, _I64, _F64, _F64, _F64, _F64)),
+    # (row, i, y_new) -> row nnz, or -1
+    "sdapd_dense_update": (_I64, (_PTR, _I64, _F64)),
     # (row, i) -> <a_i, x_ext>
     "spdc_dot": (_F64, (_PTR, _I64)),
     # (row, i, y_new) -> row nnz, or -1
@@ -101,12 +105,20 @@ class SepReg(ctypes.Structure):
         return cls(REG_CODES[reg.kind], reg.lam, lam2, reg.primal_perturbation)
 
 
+class RowScalars(ctypes.Structure):
+    """``struct row_scalars`` of ``kernels.c``: a solver state's step
+    scalars, which its row kernel advances in place."""
+
+    _fields_ = [*((name, _F64) for name in ("beta_hat", "beta_prev_hat", "B_hat", "inv_scale")),
+                ("t", _I64), ("touch_counter", _I64)]
+
+
 class LazyProblem(ctypes.Structure):
     """``struct lazy_problem`` of ``kernels.c``, field for field."""
 
     _fields_ = [
         *((name, _PTR) for name in ("offsets", "cols", "values", "targets", "x0", "y", "u",
-                                    "v", "w", "xbar")),
+                                    "v", "w", "xbar", "scalars")),
         ("dot", BlasDot), ("g", SepReg), ("n", _I64), ("loss", _I64),
         *((name, _F64) for name in ("eta", "tau", "theta", "d1")),
     ]
@@ -117,19 +129,21 @@ class DenseRow(ctypes.Structure):
 
     _fields_ = [
         *((name, _PTR) for name in ("offsets", "cols", "values", "x0", "x", "xbar", "u", "y",
-                                    "s_hat", "ergodic", "gather")),
+                                    "s_hat", "ergodic", "gather", "scalars")),
         ("dot", BlasDot), ("g", SepReg), ("n", _I64), ("d", _I64),
-        ("step", _F64), ("theta", _F64),
+        *((name, _F64) for name in ("step", "theta", "xi")),
     ]
 
 
-def bind_dense_row(names, matrix, reg, step: float, theta: float = 0.0, **arrays):
+def bind_dense_row(names, matrix, reg, scalars: RowScalars, step: float, theta: float = 0.0,
+                   xi: float = 0.0, **arrays):
     """The kernels ``names`` bound to a ``DenseRow`` of ``matrix``, ``reg``,
-    ``step``, ``theta`` and ``arrays`` (its vector fields by name; ``y`` as
-    long as the matrix has rows, the others as it has columns; fields not
-    given are NULL), as (calls taking the struct's remaining arguments, what
-    the calls' addresses point into).  None when ``backend()`` is "numpy",
-    ``reg`` has no kernel or an array does not fit the matrix."""
+    ``scalars``, ``step``, ``theta``, ``xi`` and ``arrays`` (its vector
+    fields by name; ``y`` as long as the matrix has rows, the others as it
+    has columns; fields not given are NULL), as (calls taking the struct's
+    remaining arguments, what the calls' addresses point into).  None when
+    ``backend()`` is "numpy", ``reg`` has no kernel or an array does not fit
+    the matrix."""
     if backend() == "numpy" or reg.kind not in REG_CODES:
         return None
     for name, array in arrays.items():
@@ -138,8 +152,8 @@ def bind_dense_row(names, matrix, reg, step: float, theta: float = 0.0, **arrays
     gather = np.empty(max(matrix.max_row_nnz, 1))
     struct = DenseRow(
         *matrix._pointers, **{name: array.ctypes.data for name, array in arrays.items()},
-        gather=gather.ctypes.data, dot=BlasDot(*ddot()), g=SepReg.of(reg),
-        n=matrix.n_rows, d=matrix.n_cols, step=step, theta=theta,
+        gather=gather.ctypes.data, scalars=ctypes.addressof(scalars), dot=BlasDot(*ddot()),
+        g=SepReg.of(reg), n=matrix.n_rows, d=matrix.n_cols, step=step, theta=theta, xi=xi,
     )
     lib, address = library(), ctypes.addressof(struct)
     return tuple(functools.partial(getattr(lib, name), address) for name in names), (struct, gather)
@@ -150,6 +164,14 @@ def fixed(name: str) -> property:
     keeps the address of the array it holds."""
     return property(operator.attrgetter("_" + name),
                     doc=f"``{name}``, read-only: the compiled kernels are bound to it")
+
+
+def scalar(name: str) -> property:
+    """The attribute ``name``, stored as that field of the state's
+    ``RowScalars`` block (``_scalars``), which the row kernels advance."""
+    return property(operator.attrgetter("_scalars." + name),
+                    lambda self, value: setattr(self._scalars, name, value),
+                    doc=f"``{name}``, kept in the state's ``RowScalars`` block")
 
 
 def _cache_dir() -> Path:

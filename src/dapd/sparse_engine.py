@@ -29,13 +29,15 @@ stored quantity ever overflows, while recovered coordinates are unchanged.
 ``run_sparse`` runs epochs of rows from ``traces.epoch_rows``, the rows
 dense SDAPD samples at the same seed.
 
-``sparse_iterate`` does a row's arithmetic in one call of the compiled
-``lazy_iterate`` (``kernels.c``) for squared and hinge losses with l2, l1
-or elastic net, and in numpy (``_iterate_numpy``, the kernel's oracle)
-otherwise, or when the kernels cannot be built.  The kernel evaluates the
-numpy body's expressions in their order and takes the dot product from the
-CBLAS ddot that numpy calls (``kernels.ddot``), so both give the same bits;
-``kernels.backend`` says which one runs.
+``sparse_iterate`` does a row in one call of the compiled ``lazy_iterate``
+(``kernels.c``) for squared and hinge losses with l2, l1 or elastic net,
+and in numpy (``_iterate_numpy``, the kernel's oracle) otherwise, or when
+the kernels cannot be built.  Either one also advances the state's step
+scalars (beta, B, t and the touch count), which live in the state's
+``kernels.RowScalars`` block; only the rebase check stays in Python.  The
+kernel evaluates the numpy body's expressions in their order and takes the
+dot product from the CBLAS ddot that numpy calls (``kernels.ddot``), so
+both give the same bits; ``kernels.backend`` says which one runs.
 
 Ergodic averaging is intentionally unavailable here: maintaining the average
 would cost O(d) per iteration.  The last iterate is the practical output
@@ -71,11 +73,17 @@ class LazyState:
     sampled row's support are written per iteration.  ``params``, ``theta``
     and the vectors ``x0``, ``y``, ``u``, ``v`` and ``w`` cannot be rebound
     (the vectors are written in place): the compiled iteration keeps their
-    values and addresses.
+    values and addresses.  ``beta_hat``, ``beta_prev_hat``, ``B_hat``,
+    ``inv_scale``, ``t`` and ``touch_counter`` are fields of one
+    ``kernels.RowScalars`` block, which the iteration advances in place.
     """
 
     params, theta, x0, y, u, v, w = (
         kernels.fixed(name) for name in ("params", "theta", "x0", "y", "u", "v", "w")
+    )
+    beta_hat, beta_prev_hat, B_hat, inv_scale, t, touch_counter = (
+        kernels.scalar(name)
+        for name in ("beta_hat", "beta_prev_hat", "B_hat", "inv_scale", "t", "touch_counter")
     )
 
     def __init__(self, problem: CompositeProblem, params: StochasticParams, x0=None):
@@ -94,13 +102,10 @@ class LazyState:
         self._u = np.zeros(d)
         self._v = np.zeros(d)
         self._w = np.zeros(d)
-        self.beta_hat = params.beta0
-        self.beta_prev_hat = params.beta0 * theta
-        self.B_hat = 0.0
+        self._scalars = kernels.RowScalars(
+            beta_hat=params.beta0, beta_prev_hat=params.beta0 * theta, inv_scale=1.0
+        )
         self.log_scale = 0.0
-        self.inv_scale = 1.0
-        self.t = 0
-        self.touch_counter = 0
         self.rebase_count = 0
         _bind(self, problem)  # sets self._kernel
 
@@ -113,23 +118,23 @@ def _recover_x(state: LazyState, reg, cols):
 
 
 def _bind(state: LazyState, problem: CompositeProblem):
-    """``lazy_iterate`` bound to this state and problem, taking (i, beta_hat,
-    beta_prev_hat, B_hat, inv_scale); None when the numpy body serves them.
-    Kept in ``state._kernel`` as (problem, call, what the call's addresses
-    point into)."""
+    """The iteration for this state and problem, taking the row: the
+    compiled ``lazy_iterate`` or its numpy body.  Kept in ``state._kernel``
+    as (problem, call, what the compiled call's addresses point into)."""
     loss, reg = problem.loss, problem.reg
     if (kernels.backend() == "numpy" or loss.kind not in _LOSS_CODES
             or reg.kind not in kernels.REG_CODES
             or (problem.n, problem.dim) != (state.y.size, state.x0.size)):
-        state._kernel = (problem, None, None)
-        return None
+        call = functools.partial(_iterate_numpy, state, problem)
+        state._kernel = (problem, call, None)
+        return call
     targets = np.ascontiguousarray(loss.targets)
     xbar = np.empty(max(problem.matrix.max_row_nnz, 1))
     struct = kernels.LazyProblem(
         *problem.matrix._pointers,
         *(a.ctypes.data for a in (targets, state.x0, state.y, state.u, state.v, state.w, xbar)),
-        kernels.BlasDot(*kernels.ddot()), kernels.SepReg.of(reg),
-        problem.n, _LOSS_CODES[loss.kind],
+        ctypes.addressof(state._scalars), kernels.BlasDot(*kernels.ddot()),
+        kernels.SepReg.of(reg), problem.n, _LOSS_CODES[loss.kind],
         state.params.eta, state.params.tau, state.theta, loss.dual_perturbation,
     )
     call = functools.partial(kernels.library().lazy_iterate, ctypes.addressof(struct))
@@ -142,30 +147,20 @@ def sparse_iterate(state: LazyState, problem: CompositeProblem, i: int):
     bound_to, call, _ = state._kernel
     if bound_to is not problem:
         call = _bind(state, problem)
-    if call is None:
-        nnz = _iterate_numpy(state, problem, i)
-    else:
-        if not 0 <= i < problem.n:
-            raise StructuralError(f"row index {i} out of range for {problem.n} rows")
-        nnz = call(i, state.beta_hat, state.beta_prev_hat, state.B_hat, state.inv_scale)
-        if nnz < 0:
-            raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
-
-    state.B_hat += state.beta_hat
-    state.beta_prev_hat = state.beta_hat
-    state.beta_hat /= state.theta
-    state.t += 1
-    # audit: 2 recoveries + row read + 3 support writes per coordinate
-    state.touch_counter += 6 * nnz + 2
-
+    if not 0 <= i < problem.n:
+        raise StructuralError(f"row index {i} out of range for {problem.n} rows")
+    if call(i) < 0:
+        raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     if state.beta_hat > RESCALE_THRESHOLD:
         rebase(state)
     return state
 
 
 def _iterate_numpy(state: LazyState, problem: CompositeProblem, i: int) -> int:
-    """``lazy_iterate`` in numpy: the dual step and the support updates of
-    ``sparse_iterate``; returns the row's nonzero count."""
+    """``lazy_iterate`` in numpy: the dual step, the support updates and
+    the scalars of one iteration; returns the row's nonzero count, or -1
+    without writing anything when the dot product or the new dual
+    coordinate is not finite."""
     n, eta, tau = problem.n, state.params.eta, state.params.tau
     cols, vals = problem.matrix.row(i)
     x_c = _recover_x(state, problem.reg, cols)
@@ -175,14 +170,22 @@ def _iterate_numpy(state: LazyState, problem: CompositeProblem, i: int) -> int:
     dot = float(vals @ xbar_c)
     y_new = prox_conjugate(problem.loss, i, tau, state.y[i] + tau * dot)
     if not (np.isfinite(dot) and np.isfinite(y_new)):
-        raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
+        return -1
     dy = y_new - state.y[i]
     state.y[i] = y_new
 
+    beta_hat = state.beta_hat
     delta = (dy / n) * vals
     state.u[cols] += delta
-    state.v[cols] += (state.beta_hat * (n - 1.0 / (1.0 - state.theta))) * delta
+    state.v[cols] += (beta_hat * (n - 1.0 / (1.0 - state.theta))) * delta
     state.w[cols] += delta / (1.0 - state.theta)
+
+    state.B_hat += beta_hat
+    state.beta_prev_hat = beta_hat
+    state.beta_hat = beta_hat / state.theta
+    state.t += 1
+    # audit: 2 recoveries + row read + 3 support writes per coordinate
+    state.touch_counter += 6 * vals.size + 2
     return int(vals.size)
 
 

@@ -25,14 +25,16 @@ arbitrarily long runs.
 
 ``sdapd_iterate_dense`` runs a row as two calls around the dual step
 (``prox_conjugate``, which stays in Python): the first computes xbar and the
-row's dot product, the second the gradient-sum, u, x and ergodic updates.
-For l2, l1 and elastic net they are the compiled ``sdapd_dense_xbar`` and
-``sdapd_dense_update`` (``kernels.c``), and otherwise, or when the kernels
-cannot be built, their numpy bodies (``_xbar_dot_numpy`` and
-``_update_numpy``, the kernels' oracle).  Both evaluate the same
-expressions in the same order and take the dot product from the CBLAS ddot
-numpy calls, so they give the same bits; ``kernels.backend`` says which one
-runs.
+row's dot product, the second the gradient-sum, u, x and ergodic updates,
+and advances the step scalars (B, beta, t and the touch count, kept in the
+state's ``kernels.RowScalars`` block); only the rescale check stays in
+Python.  For l2, l1 and elastic net they are the compiled
+``sdapd_dense_xbar`` and ``sdapd_dense_update`` (``kernels.c``), and
+otherwise, or when the kernels cannot be built, their numpy bodies
+(``_xbar_dot_numpy`` and ``_update_numpy``, the kernels' oracle).  Both
+evaluate the same expressions in the same order and take the dot product
+from the CBLAS ddot numpy calls, so they give the same bits;
+``kernels.backend`` says which one runs.
 """
 
 from __future__ import annotations
@@ -124,11 +126,17 @@ class StochasticState:
     ``params`` and the vectors ``x0``, ``x``, ``xbar``, ``y``, ``u``,
     ``s_hat`` and ``ergodic_x`` cannot be rebound (the vectors are written
     in place): the compiled row kernels keep their values and addresses.
+    ``beta_hat``, ``B_hat``, ``inv_scale``, ``t`` and ``touch_counter`` are
+    fields of one ``kernels.RowScalars`` block, which the row's second step
+    advances in place.
     """
 
     params, x0, x, xbar, y, u, s_hat, ergodic_x = (
         kernels.fixed(name)
         for name in ("params", "x0", "x", "xbar", "y", "u", "s_hat", "ergodic_x")
+    )
+    beta_hat, B_hat, inv_scale, t, touch_counter = (
+        kernels.scalar(name) for name in ("beta_hat", "B_hat", "inv_scale", "t", "touch_counter")
     )
 
     def __init__(self, problem, params, x0=None):
@@ -145,12 +153,8 @@ class StochasticState:
         self._u = np.zeros(d)
         self._s_hat = np.zeros(d)
         self._ergodic_x = np.zeros(d)
-        self.B_hat = 0.0
-        self.beta_hat = params.beta0
+        self._scalars = kernels.RowScalars(beta_hat=params.beta0, inv_scale=1.0)
         self.log_scale = 0.0
-        self.inv_scale = 1.0
-        self.t = 0
-        self.touch_counter = 0
         _bind(self, problem)  # sets self._kernel
 
 
@@ -161,8 +165,8 @@ def _bind(state: StochasticState, problem: CompositeProblem):
     addresses point into)."""
     bound = kernels.bind_dense_row(
         ("sdapd_dense_xbar", "sdapd_dense_update"), problem.matrix, problem.reg,
-        state.params.eta, x0=state.x0, x=state.x, xbar=state.xbar, u=state.u, y=state.y,
-        s_hat=state.s_hat, ergodic=state.ergodic_x,
+        state._scalars, state.params.eta, xi=state.params.xi, x0=state.x0, x=state.x,
+        xbar=state.xbar, u=state.u, y=state.y, s_hat=state.s_hat, ergodic=state.ergodic_x,
     )
     steps, keep = bound or (
         (functools.partial(_xbar_dot_numpy, state, problem),
@@ -183,17 +187,8 @@ def sdapd_iterate_dense(state: StochasticState, problem: CompositeProblem, i: in
 
     dot = xbar_dot(i)
     y_new_i = prox_conjugate(problem.loss, i, params.tau, state.y[i] + params.tau * dot)
-    if not (math.isfinite(dot) and math.isfinite(y_new_i)):
+    if not (math.isfinite(dot) and math.isfinite(y_new_i)) or update(i, y_new_i) < 0:
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
-    state.B_hat += state.beta_hat
-    nnz = update(i, y_new_i, state.beta_hat, state.B_hat, state.inv_scale)
-    if nnz < 0:
-        raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
-
-    # audit: xbar prox d, grad-sum d, recovery d, ergodic d, row ops 3 nnz
-    state.touch_counter += 4 * problem.dim + 3 * nnz
-    state.beta_hat *= params.xi
-    state.t += 1
     if state.beta_hat > RESCALE_THRESHOLD:
         rescale(state, state.s_hat, params.beta0)
     return state
@@ -209,13 +204,16 @@ def _xbar_dot_numpy(state: StochasticState, problem: CompositeProblem, i: int) -
         return float(vals @ state.xbar[cols])
 
 
-def _update_numpy(state: StochasticState, problem: CompositeProblem, i: int, y_new: float,
-                  beta_hat: float, b_hat: float, inv_scale: float) -> int:
-    """``sdapd_dense_update`` in numpy: the dual coordinate, the gradient
-    sum, u, x and the ergodic average; returns the row's nonzero count, or
-    -1 when x is not finite."""
+def _update_numpy(state: StochasticState, problem: CompositeProblem, i: int,
+                  y_new: float) -> int:
+    """``sdapd_dense_update`` in numpy: B, the dual coordinate, the
+    gradient sum, u, x, the ergodic average and then beta, t and the touch
+    count; returns the row's nonzero count, or -1 when x is not finite
+    (B and the vectors are then written, and the rest is not)."""
     cols, vals = problem.matrix.row(i)
     x, y, u, s_hat, ergodic = state.x, state.y, state.u, state.s_hat, state.ergodic_x
+    beta_hat = state.beta_hat
+    b_hat = state.B_hat = state.B_hat + beta_hat
     dy = y_new - y[i]
     y[i] = y_new
     with np.errstate(over="ignore", invalid="ignore"):
@@ -223,9 +221,15 @@ def _update_numpy(state: StochasticState, problem: CompositeProblem, i: int, y_n
         s_hat += beta_hat * u
         s_hat[cols] += (beta_hat * dy) * vals
         u[cols] += (dy / problem.n) * vals
-        x[...] = recover_primal(problem.reg, state.x0, s_hat, b_hat, inv_scale)
+        x[...] = recover_primal(problem.reg, state.x0, s_hat, b_hat, state.inv_scale)
         ergodic += (beta_hat / b_hat) * (state.xbar - ergodic)
-    return int(vals.size) if np.isfinite(x).all() else -1
+    if not np.isfinite(x).all():
+        return -1
+    # audit: xbar prox d, grad-sum d, recovery d, ergodic d, row ops 3 nnz
+    state.touch_counter += 4 * problem.dim + 3 * vals.size
+    state.beta_hat = beta_hat * state.params.xi
+    state.t += 1
+    return int(vals.size)
 
 
 def run_sdapd(

@@ -374,3 +374,21 @@ def built_without_kernels(make, *args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "library", lambda: None)
         return make(*args, **kwargs)
+
+
+# the two ways a solver state runs its rows
+ROW_PATHS = ("compiled", "numpy")
+
+
+def built_on(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)`` running its compiled row kernels
+    (``path="compiled"``; the test is skipped where they cannot run) or its
+    numpy body (``"numpy"``, ``built_without_kernels``)."""
+    if path == "numpy":
+        state = built_without_kernels(make, *args, **kwargs)
+    elif kernels.backend() != "compiled":
+        pytest.skip("the compiled kernels or numpy's ddot are unavailable here")
+    else:
+        state = make(*args, **kwargs)
+    assert (state._kernel[2] is not None) == (path == "compiled")
+    return state

@@ -220,9 +220,13 @@ class TestCompiledSpdcRow:
         failed = []
         for state in states:
             rows = sampled_rows(problem.n, 0)
+            touches = 0  # of the completed rows
             with pytest.raises(DivergenceError) as err:
                 for _ in range(5000):
-                    spdc_iterate(state, problem, next(rows))
+                    i = next(rows)
+                    spdc_iterate(state, problem, i)
+                    touches += 4 * problem.dim + 3 * problem.matrix.row(i)[0].size
+            assert state.touch_counter == touches
             failed.append(err.value.iteration)
         assert failed[0] == failed[1] == states[0].t == 1365
         assert snapshot(states[0]) == snapshot(states[1])

@@ -20,6 +20,7 @@ from dapd.harness import (
     REFERENCE_CHECKPOINTS,
     RunConfig,
     build_problem,
+    _duality_gap,
     compute_reference,
     run_experiment,
 )
@@ -126,8 +127,8 @@ class TestReference:
     def test_solver_reference_agrees_with_direct(self, drawn, seed, lam):
         A, n, _ = drawn
         prob = ridge_problem(A, np.random.default_rng(seed).normal(size=n), lam)
-        # DAPD's steps need R > 0, so the native reference refuses a matrix
-        # whose spectral norm is 0 (all zeros, or values that underflow)
+        # a matrix whose spectral norm is 0 (about half the draws) skips DAPD
+        # altogether; test_zero_matrix_certifies_the_start covers that case
         assume(prob.stats.spectral_norm > 0)
         direct = compute_reference(prob, 1e-9, method="direct")
         via_solver = compute_reference(prob, 1e-9, method="solver")
@@ -314,6 +315,47 @@ class TestReference:
     def test_zero_accuracy_rejected(self):
         with pytest.raises(ConfigurationError):
             compute_reference(one_d_ridge(), 0.0)
+
+    def test_rounding_never_certifies_a_negative_gap(self, monkeypatch):
+        # P(x) - D(y) rounds to -2.2e-16 at this problem's first checkpoint
+        gaps = []
+
+        def recorded(*args):
+            value, gap = _duality_gap(*args)
+            gaps.append(gap)
+            return value, gap
+
+        monkeypatch.setattr("dapd.harness._duality_gap", recorded)
+        A = build_matrix([(0, 0, 1e-8), (1, 0, 2e-8), (1, 1, -1e-8)], 2, 2)
+        ref = compute_reference(ridge_problem(A, np.array([1.0, -2.0]), 0.3), 1e-9,
+                                method="solver")
+        assert gaps[-1] < 0.0 and ref.certified_gap == 0.0
+
+    @pytest.mark.parametrize("entry, build", [
+        (0.0, lambda A: ridge_problem(A, np.array([1.0, -2.0]), 0.3)),
+        (0.0, lambda A: svm_problem(A, np.array([1.0, -1.0]), l2_reg(0.3))),
+        (0.0, lambda A: lasso_problem(A, np.array([1.0, -2.0]), 0.3)),
+        (1e-200, lambda A: ridge_problem(A, np.array([1.0, -2.0]), 0.3)),
+    ], ids=["ridge", "hinge", "l1", "ridge_underflow"])
+    def test_zero_matrix_certifies_the_start(self, monkeypatch, entry, build):
+        # a zero matrix, or one whose spectral norm estimate underflows to 0
+        def never(*args, **kwargs):
+            raise AssertionError("DAPD ran on a matrix whose spectral norm is 0")
+
+        monkeypatch.setattr("dapd.harness.dapd_iterate", never)
+        problem = build(build_matrix([(0, 0, entry), (1, 1, entry)] if entry else [], 2, 2))
+        assert problem.stats.spectral_norm == 0
+        ref = compute_reference(problem, 1e-9, method="solver")
+        assert (ref.method, ref.iterations, ref.restarts) == ("dapd_run", 0, 0)
+        assert np.array_equal(ref.x, np.zeros(2))
+        assert ref.value == primal_objective(problem, ref.x)
+        assert 0.0 <= ref.certified_gap <= 1e-9
+
+    def test_zero_matrix_refused_when_its_gap_is_too_large(self, monkeypatch):
+        monkeypatch.setattr("dapd.harness._duality_gap", lambda *args: (0.5, 1e-3))
+        problem = lasso_problem(build_matrix([], 2, 2), np.array([1.0, -2.0]), 0.3)
+        with pytest.raises(CertificationError, match="spectral norm is 0"):
+            compute_reference(problem, 1e-9, method="solver")
 
 
 class TestTraceIO:

@@ -29,6 +29,8 @@ from dapd.stochastic import (
 
 from oracles import (
     KERNEL_REGS,
+    ROW_PATHS,
+    built_on,
     built_without_kernels,
     geometric_schedule,
     grid_params,
@@ -348,6 +350,50 @@ class TestCompiledRow:
         problem = ragged_problem("squared", KERNEL_REGS["l2"])
         with pytest.raises(StructuralError):
             StochasticState(problem, grid_params(problem), x0=np.zeros(problem.dim + 1))
+
+
+def step_scalars(state):
+    """The scalars ``sdapd_dense_update`` advances, with the scale."""
+    return (state.t, state.touch_counter, state.B_hat, state.beta_hat, state.inv_scale,
+            state.log_scale)
+
+
+class TestStepScalars:
+    @pytest.mark.parametrize("path", ROW_PATHS)
+    @pytest.mark.parametrize("where", ["dual_step", "update"])
+    def test_divergence_leaves_the_scalars_as_they_were(self, path, where):
+        # x0 is +inf on one column.  A first row that holds it has an
+        # infinite dot product, and nothing advances; a first row that does
+        # not gives an infinite x in the update, which has already added
+        # beta to B but advances nothing else
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        params = grid_params(problem)
+        i = 3
+        cols = problem.matrix.row(i)[0]
+        x0 = np.zeros(problem.dim)
+        held, not_held = cols[0], np.setdiff1d(np.arange(problem.dim), cols)[0]
+        x0[held if where == "dual_step" else not_held] = np.inf
+        state = built_on(path, StochasticState, problem, params, x0=x0)
+        with pytest.raises(DivergenceError) as err:
+            sdapd_iterate_dense(state, problem, i)
+        assert err.value.iteration == 0
+        b_hat = params.beta0 if where == "update" else 0.0
+        assert step_scalars(state) == (0, 0, b_hat, params.beta0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("path", ROW_PATHS)
+    def test_threshold_patched_after_the_state_is_built_rescales_at_the_next_row(
+            self, monkeypatch, path):
+        problem = ragged_problem("hinge", KERNEL_REGS["elastic_net"])
+        params = grid_params(problem)
+        state = built_on(path, StochasticState, problem, params)
+        rows = sampled_rows(problem.n, 5)
+        for _ in range(10):
+            sdapd_iterate_dense(state, problem, next(rows))
+        assert state.beta_hat <= stochastic.RESCALE_THRESHOLD and state.log_scale == 0.0
+        monkeypatch.setattr(stochastic, "RESCALE_THRESHOLD", state.beta_hat)
+        sdapd_iterate_dense(state, problem, next(rows))
+        assert state.beta_hat == params.beta0 and state.t == 11
+        assert state.log_scale > 0 and state.inv_scale < 1.0
 
 
 def theorem_bound_delta0(problem, params, x_star, y_star, x0, y0):

@@ -33,6 +33,8 @@ from dapd.stochastic import (
 
 from oracles import (
     KERNEL_REGS,
+    ROW_PATHS,
+    built_on,
     built_without_kernels,
     grid_params,
     lazy_primal_coord,
@@ -368,6 +370,12 @@ def snapshot(state):
     )
 
 
+def step_scalars(state):
+    """The scalars ``lazy_iterate`` advances, with the scale."""
+    return (state.t, state.touch_counter, state.B_hat, state.beta_hat, state.beta_prev_hat,
+            state.inv_scale, state.log_scale)
+
+
 class TestCompiledIteration:
     @pytest.mark.parametrize("threshold", [None, 1e3], ids=["no_rebase", "rebase_1e3"])
     @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
@@ -477,11 +485,36 @@ class TestCompiledSafety:
         failed = []
         for state in states:
             rows = sampled_rows(problem.n, 3)
+            # the scalars of the completed rows, replayed one row at a time
+            t, touches, b_hat = 0, 0, 0.0
+            beta_hat, beta_prev_hat = params.beta0, params.beta0 * state.theta
             with pytest.raises(DivergenceError) as err:
                 for _ in range(200):
                     before = snapshot(state)
-                    sparse_iterate(state, problem, next(rows))
+                    i = next(rows)
+                    sparse_iterate(state, problem, i)
+                    t, touches = t + 1, touches + 6 * problem.matrix.row(i)[0].size + 2
+                    b_hat, beta_prev_hat, beta_hat = (b_hat + beta_hat, beta_hat,
+                                                      beta_hat / state.theta)
             assert snapshot(state) == before
+            assert step_scalars(state) == (t, touches, b_hat, beta_hat, beta_prev_hat, 1.0, 0.0)
             failed.append(err.value.iteration)
         assert failed[0] == failed[1] > 0
         assert snapshot(states[0]) == snapshot(states[1])
+
+
+class TestStepScalars:
+    @pytest.mark.parametrize("path", ROW_PATHS)
+    def test_threshold_patched_after_the_state_is_built_rebases_at_the_next_row(
+            self, monkeypatch, path):
+        problem = ragged_problem("hinge", KERNEL_REGS["elastic_net"])
+        params = grid_params(problem)
+        state = built_on(path, LazyState, problem, params)
+        rows = sampled_rows(problem.n, 5)
+        for _ in range(10):
+            sparse_iterate(state, problem, next(rows))
+        assert state.beta_hat <= sparse_engine.RESCALE_THRESHOLD and state.rebase_count == 0
+        monkeypatch.setattr(sparse_engine, "RESCALE_THRESHOLD", state.beta_hat)
+        sparse_iterate(state, problem, next(rows))
+        assert state.rebase_count == 1 and state.beta_hat == params.beta0
+        assert state.log_scale > 0 and state.inv_scale < 1.0
