@@ -29,24 +29,24 @@ every resolved constant is returned for the experiment manifest.
 SPDC runs a row as dense SDAPD does (``stochastic``): two calls around the
 dual step, which stays in Python; the second also counts the row in ``t``
 and the touch count, kept in the state's ``kernels.RowScalars`` block.
-``spdc_iterate`` takes them from ``kernels.c`` (``spdc_dot`` and
-``spdc_update``) for l2, l1 and elastic net, and otherwise, or when the
-kernels cannot be built, from their numpy bodies, which give the same bits
-and are the kernels' oracle.  A row whose dot product, new dual coordinate
-or new x is not finite raises ``DivergenceError`` at that iteration, as
-SDAPD's does.
+``SpdcState`` binds them once, to the problem it is built on
+(``kernels.bind``): ``spdc_dot`` and ``spdc_update`` of ``kernels.c`` for
+l2, l1 and elastic net, and otherwise, or when the kernels cannot be built,
+their numpy bodies, which give the same bits and are the kernels' oracle.
+A row whose dot product, new dual coordinate or new x is not finite raises
+``DivergenceError`` at that iteration, as SDAPD's does, under the row
+kernels' divergence contract (``kernels.c``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, DivergenceError, StructuralError
+from .errors import ConfigurationError, DivergenceError
 from .matrix import matvec
 from .proxlib import (
     CompositeProblem,
@@ -285,8 +285,9 @@ class SpdcState:
     u = A^T y / n, stepped by ``spdc_iterate`` with the steps (tau, sigma)
     and the extrapolation theta it was built with; ``t`` counts its rows.
 
-    ``tau``, ``theta`` and the vectors cannot be rebound (the vectors are
-    written in place): the compiled row kernels keep their values and
+    The row's two steps are bound once, to the problem the state is built
+    on.  ``tau``, ``theta`` and the vectors cannot be rebound (the vectors
+    are written in place): the compiled row kernels keep their values and
     addresses.  ``t`` and ``touch_counter`` are fields of a
     ``kernels.RowScalars`` block, which the row's second step advances.
     """
@@ -304,33 +305,15 @@ class SpdcState:
         self._y = np.zeros(n)
         self._u = matvec(problem.matrix, self._y, transpose=True) / n
         self._scalars = kernels.RowScalars()
-        _bind_spdc(self, problem)  # sets self._kernel
-
-
-def _bind_spdc(state: SpdcState, problem):
-    """The row's two steps for this state and problem: the compiled
-    ``spdc_dot`` and ``spdc_update``, or their numpy bodies.  Kept in
-    ``state._kernel`` as (problem, steps, what the compiled calls' addresses
-    point into)."""
-    bound = kernels.bind_dense_row(
-        ("spdc_dot", "spdc_update"), problem.matrix, problem.reg, state._scalars, state.tau,
-        state.theta, x=state.x, xbar=state.x_ext, u=state.u, y=state.y,
-    )
-    steps, keep = bound or (
-        (functools.partial(_spdc_dot_numpy, state, problem),
-         functools.partial(_spdc_update_numpy, state, problem)), None)
-    state._kernel = (problem, steps, keep)
-    return steps
+        kernels.bind(
+            self, problem, ("spdc_dot", "spdc_update"), (_spdc_dot_numpy, _spdc_update_numpy),
+            x=self._x, xbar=self._x_ext, u=self._u, y=self._y, step=tau, theta=theta,
+        )
 
 
 def spdc_iterate(state: SpdcState, problem, i: int) -> SpdcState:
     """One SPDC iteration on the sampled row i; O(d + nnz(a_i))."""
-    bound_to, steps, _ = state._kernel
-    if bound_to is not problem:
-        steps = _bind_spdc(state, problem)
-    if not 0 <= i < problem.n:
-        raise StructuralError(f"row index {i} out of range for {problem.n} rows")
-    row_dot, update = steps
+    row_dot, update = kernels.row_calls(state, problem, i)
     dot = row_dot(i)
     y_new_i = prox_conjugate(problem.loss, i, state.sigma, state.y[i] + state.sigma * dot)
     if not (math.isfinite(dot) and math.isfinite(y_new_i)) or update(i, y_new_i) < 0:
@@ -348,8 +331,7 @@ def _spdc_dot_numpy(state: SpdcState, problem, i: int) -> float:
 def _spdc_update_numpy(state: SpdcState, problem, i: int, y_new: float) -> int:
     """``spdc_update`` in numpy: the dual coordinate, the primal prox step
     on u + dy a_i, the extrapolation and u, then t and the touch count;
-    returns the row's nonzero count, or -1 when x is not finite (t and the
-    touch count are then left as they were)."""
+    returns the row's nonzero count, or -1 when x is not finite."""
     cols, vals = problem.matrix.row(i)
     dy = y_new - state.y[i]
     state.y[i] = y_new

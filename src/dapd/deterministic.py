@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, StructuralError
 from .matrix import matvec
 from .proxlib import (
     CompositeProblem,
@@ -231,10 +231,10 @@ class IterateState:
                  y0=None):
         d, n = problem.dim, problem.n
         self.schedule = schedule
-        self.x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        self.x0 = start_vector(x0, d, "x0")
         self.x = self.x0.copy()
         self.xbar = self.x0.copy()
-        self.y = np.zeros(n) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
+        self.y = start_vector(y0, n, "y0")
         self.s_hat = np.zeros(d)
         self.B_hat = 0.0
         self.beta_hat = schedule.beta(0)
@@ -244,6 +244,18 @@ class IterateState:
         self.ergodic_x = np.zeros(d)
         self.touch_counter = 0
         self._aty = None  # cached A^T y for the current y
+
+
+def start_vector(value, size: int, name: str) -> np.ndarray:
+    """A solver's start point ``name``: zeros of length ``size`` when
+    ``value`` is None, else a float64 copy of it, which must have shape
+    (size,)."""
+    if value is None:
+        return np.zeros(size)
+    vector = np.asarray(value, dtype=np.float64).copy()
+    if vector.shape != (size,):
+        raise StructuralError(f"{name} has shape {vector.shape}, not ({size},)")
+    return vector
 
 
 def rescale(state, s_hat: np.ndarray, beta0: float) -> float:
@@ -266,7 +278,10 @@ def rescale(state, s_hat: np.ndarray, beta0: float) -> float:
 
 
 def dapd_iterate(state: IterateState, problem: CompositeProblem):
-    """Advance one full DAPD iteration; cost O(nnz + n + d)."""
+    """Advance one full DAPD iteration; cost O(nnz + n + d).  A non-finite
+    iterate raises ``DivergenceError`` under the row kernels' divergence
+    contract (``kernels.c``): B, beta, t and the touch count stay as they
+    were."""
     t = state.t
     schedule = state.schedule
     eta_t = schedule.eta(t)
@@ -284,14 +299,15 @@ def dapd_iterate(state: IterateState, problem: CompositeProblem):
         aty_new = matvec(A, y_new, transpose=True)
 
         state.s_hat += state.beta_hat * aty_new
-        state.B_hat += state.beta_hat
-        x_new = recover_primal(reg, state.x0, state.s_hat, state.B_hat, state.inv_scale)
+        b_hat = state.B_hat + state.beta_hat
+        x_new = recover_primal(reg, state.x0, state.s_hat, b_hat, state.inv_scale)
 
-        state.ergodic_x += (state.beta_hat / state.B_hat) * (xbar - state.ergodic_x)
+        state.ergodic_x += (state.beta_hat / b_hat) * (xbar - state.ergodic_x)
 
     if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
         raise DivergenceError(f"non-finite iterate at iteration {t}", iteration=t)
 
+    state.B_hat = b_hat
     state.x = x_new
     state.xbar = xbar
     state.y = y_new

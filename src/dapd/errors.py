@@ -10,11 +10,15 @@ class ConfigurationError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A solver produced a non-finite iterate."""
+    """A solver produced a non-finite iterate.  ``iteration`` is the
+    solver's iteration (or row) that did, when the solver caught it;
+    ``epoch`` is the traced epoch whose objective was not finite, when the
+    tracer caught it.  The other one is None."""
 
-    def __init__(self, message, iteration=None):
+    def __init__(self, message, iteration=None, epoch=None):
         super().__init__(message)
         self.iteration = iteration
+        self.epoch = epoch
 
 
 class ParseError(ValueError):

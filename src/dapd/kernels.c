@@ -1,7 +1,7 @@
 /* Compiled kernels for dapd: the CSR matrix-vector products of
- * dapd.matrix.matvec, one iteration of the lazy sparse engine, the O(d)
- * vector work of one dense SDAPD row and one SPDC row (each advancing its
- * state's step scalars), and the LIBSVM reader of
+ * dapd.matrix.matvec, the row kernels (one iteration of the lazy sparse
+ * engine, and the O(d) vector work of one dense SDAPD row and one SPDC
+ * row, each advancing its state's step scalars), and the LIBSVM reader of
  * dapd.datasets.parse_libsvm.
  *
  * Each matvec output entry is accumulated in storage order, one rounded
@@ -51,9 +51,15 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
  * bodies' expressions in their order, so the results are the same bits.
  * Their dot products are not summed here: OpenBLAS picks a ddot kernel,
  * and with it a summation order, per CPU, so the kernels call the CBLAS
- * ddot that numpy's dot calls, as numpy does (numpy_dot).  The caller
- * checks 0 <= i < n; the addresses in their structs are those of arrays
- * and scalar blocks that the owner keeps alive and never rebinds.
+ * ddot that numpy's dot calls, as numpy does (numpy_dot).  All five take
+ * one struct row_problem, which a solver state binds once, to the problem
+ * it is built on; the state checks 0 <= i < n and keeps the struct's
+ * arrays and scalar block alive, never rebound.
+ *
+ * The divergence contract, kept also by the numpy bodies and by
+ * dapd.deterministic.dapd_iterate: a row whose result is not finite
+ * returns -1 and leaves every step scalar (beta, B, t and the touch count)
+ * as it was.  Vectors it has written stay written; the run is abandoned.
  *
  * Everything from here on sits after csr_matvec and csr_rmatvec, so a
  * change to the row kernels does not move those two in the library.
@@ -126,20 +132,26 @@ static inline double numpy_dot(const struct blas_dot *f, int64_t k, const double
     return sum;
 }
 
-/* mirrored field for field by dapd.kernels.LazyProblem */
-struct lazy_problem {
+/* The row kernels' one struct, mirrored field for field by
+ * dapd.kernels.RowProblem.  Each kernel reads the fields marked for it;
+ * the others are NULL or 0. */
+struct row_problem {
     const int64_t *offsets;
     const int64_t *cols;
     const double *values;
-    const double *targets; /* squared loss */
-    const double *x0;
-    double *y, *u, *v, *w;
-    double *xbar;          /* scratch, as long as the longest row */
+    const double *targets;   /* lazy, squared loss */
+    const double *x0;        /* lazy and SDAPD */
+    double *x, *xbar, *u, *y; /* SPDC's x_ext is xbar; lazy uses only u, y */
+    double *s_hat, *ergodic; /* SDAPD */
+    double *v, *w;           /* lazy */
+    double *gather;          /* scratch, as long as the longest row */
     struct row_scalars *scalars;
     struct blas_dot dot;
     struct sep_reg g;
-    int64_t n, loss;
-    double eta, tau, theta, d1;
+    int64_t n, d, loss;      /* loss: lazy */
+    /* step: eta, or SPDC's tau; tau, d1: lazy's dual step and perturbation;
+     * theta: lazy's 1/xi, SPDC's extrapolation; xi: SDAPD's beta growth */
+    double step, tau, theta, xi, d1;
 };
 
 /* One lazy SDAPD iteration on row i (dapd.sparse_engine.sparse_iterate):
@@ -150,7 +162,7 @@ struct lazy_problem {
  * nonzero count, or -1 without writing anything when the dot product or
  * the new dual coordinate is not finite.  The rebase stays with the
  * caller. */
-int64_t lazy_iterate(const struct lazy_problem *p, int64_t i)
+int64_t lazy_iterate(const struct row_problem *p, int64_t i)
 {
     struct row_scalars *const sc = p->scalars;
     const double beta_hat = sc->beta_hat, beta_prev_hat = sc->beta_prev_hat;
@@ -164,9 +176,9 @@ int64_t lazy_iterate(const struct lazy_problem *p, int64_t i)
         /* x^t_j = prox_{B_{t-1} g_j}(x^0_j - s^t_j), then xbar^{t+1}_j */
         const double s_hat = p->v[j] + beta_prev_hat * p->w[j];
         const double x = recover(&p->g, p->x0[j] * inv_scale - s_hat, b_hat, inv_scale);
-        p->xbar[m] = recover(&p->g, x - p->eta * p->u[j], p->eta, 1.0);
+        p->gather[m] = recover(&p->g, x - p->step * p->u[j], p->step, 1.0);
     }
-    const double dot = numpy_dot(&p->dot, k, vals, p->xbar);
+    const double dot = numpy_dot(&p->dot, k, vals, p->gather);
 
     const double yi = p->y[i], arg = yi + p->tau * dot;
     double y_new;
@@ -210,30 +222,12 @@ int64_t lazy_iterate(const struct lazy_problem *p, int64_t i)
  * place.
  */
 
-/* mirrored field for field by dapd.kernels.DenseRow */
-struct dense_row {
-    const int64_t *offsets;
-    const int64_t *cols;
-    const double *values;
-    const double *x0;       /* SDAPD */
-    double *x, *xbar, *u, *y;
-    double *s_hat, *ergodic; /* SDAPD */
-    double *gather;         /* scratch, as long as the longest row */
-    struct row_scalars *scalars;
-    struct blas_dot dot;
-    struct sep_reg g;
-    int64_t n, d;
-    double step;            /* SDAPD's eta, SPDC's tau */
-    double theta;           /* SPDC's extrapolation */
-    double xi;              /* SDAPD's beta growth */
-};
-
 /* <a_i, xbar> as numpy's vals @ xbar[cols]: gathered, then numpy_dot.
  * Inline, like every helper but read_number: gcc emits an out-of-line
  * static function ahead of csr_matvec, and that shifted csr_rmatvec's
  * inner loop across a 64-byte line, which made it 15% slower on a dense
  * 2000 x 500 matrix. */
-static inline double row_dot(const struct dense_row *p, int64_t i)
+static inline double row_dot(const struct row_problem *p, int64_t i)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo;
     for (int64_t m = 0; m < k; ++m)
@@ -246,7 +240,7 @@ static inline double row_dot(const struct dense_row *p, int64_t i)
  * would load them again for every coordinate. */
 
 /* SDAPD, first call: xbar = prox_{eta g}(x - eta u); returns <a_i, xbar> */
-double sdapd_dense_xbar(const struct dense_row *p, int64_t i)
+double sdapd_dense_xbar(const struct row_problem *p, int64_t i)
 {
     const struct sep_reg g = p->g;
     const double eta = p->step, *x = p->x, *u = p->u;
@@ -256,13 +250,12 @@ double sdapd_dense_xbar(const struct dense_row *p, int64_t i)
     return row_dot(p, i);
 }
 
-/* SDAPD, second call: B_hat += beta_hat, y_i = y_new,
- * s_hat += beta u + beta dy a_i, u += (dy/n) a_i, x = recover_primal and
- * the ergodic average of xbar; then beta_hat *= xi, t counts the row and
- * the touch count grows by 4 d + 3 per nonzero.  Returns the row's nonzero
- * count, or -1 when x is not finite: B_hat and the vectors are then
- * written, and beta_hat, t and the touch count are not. */
-int64_t sdapd_dense_update(const struct dense_row *p, int64_t i, double y_new)
+/* SDAPD, second call: y_i = y_new, s_hat += beta u + beta dy a_i,
+ * u += (dy/n) a_i, x = recover_primal with B_hat + beta_hat and the
+ * ergodic average of xbar; then B_hat += beta_hat, beta_hat *= xi, t counts
+ * the row and the touch count grows by 4 d + 3 per nonzero.  Returns the
+ * row's nonzero count, or -1 when x is not finite. */
+int64_t sdapd_dense_update(const struct row_problem *p, int64_t i, double y_new)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
     const int64_t *cols = p->cols + lo;
@@ -272,7 +265,6 @@ int64_t sdapd_dense_update(const struct dense_row *p, int64_t i, double y_new)
     struct row_scalars *const sc = p->scalars;
     const double beta_hat = sc->beta_hat, b_hat = sc->B_hat + beta_hat;
     const double inv_scale = sc->inv_scale;
-    sc->B_hat = b_hat;
     const double dy = y_new - p->y[i];
     p->y[i] = y_new;
 
@@ -295,13 +287,14 @@ int64_t sdapd_dense_update(const struct dense_row *p, int64_t i, double y_new)
         return -1;
     /* xbar prox d, grad-sum d, recovery d, ergodic d, row ops 3 nnz */
     sc->touch_counter += 4 * d + 3 * k;
+    sc->B_hat = b_hat;
     sc->beta_hat = beta_hat * p->xi;
     sc->t += 1;
     return k;
 }
 
 /* SPDC, first call: <a_i, x_ext>, with x_ext in the xbar field */
-double spdc_dot(const struct dense_row *p, int64_t i)
+double spdc_dot(const struct row_problem *p, int64_t i)
 {
     return row_dot(p, i);
 }
@@ -309,9 +302,9 @@ double spdc_dot(const struct dense_row *p, int64_t i)
 /* SPDC, second call: y_i = y_new, x = prox_{tau g}(x - tau (u + dy a_i)),
  * x_ext = x + theta (x - x_old), u += (dy/n) a_i; then t counts the row
  * and the touch count grows by 4 d + 3 per nonzero.  Returns the row's
- * nonzero count, or -1 when x is not finite, leaving t and the touch count
- * as they were.  The row's columns increase, so one cursor finds them. */
-int64_t spdc_update(const struct dense_row *p, int64_t i, double y_new)
+ * nonzero count, or -1 when x is not finite.  The row's columns increase,
+ * so one cursor finds them. */
+int64_t spdc_update(const struct row_problem *p, int64_t i, double y_new)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
     const int64_t *cols = p->cols + lo;

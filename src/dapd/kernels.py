@@ -24,14 +24,18 @@ that numpy's dot product calls.  OpenBLAS chooses its ddot kernel, and with
 it the order of the sum, per CPU, so no loop written here gives numpy's bits
 on every machine; calling the same function does.  It is borrowed from
 numpy's own extension module, and when it cannot be found the row kernels'
-callers keep their numpy bodies (``backend``).  Each caller binds its
-kernels once per state to a struct below, which holds the addresses of the
-state's arrays and of its ``RowScalars`` block; ``fixed`` makes those
-arrays attributes that cannot be rebound.  The kernels advance the block's
-step scalars (beta, B, t and the touch count; only the callers' rescale
-changes the scale) themselves, so one call does a lazy iteration; the
-states expose its fields as attributes (``scalar``), and their numpy bodies
-read and write the same block.
+callers keep their numpy bodies (``backend``).  All five kernels take one
+struct, ``RowProblem``.  Each solver state ``bind``s its row calls once, in
+its constructor, to the problem it is built on; the struct holds the
+addresses of the state's arrays and of its ``RowScalars`` block, and
+``fixed`` makes those arrays attributes that cannot be rebound.
+``row_calls`` hands the calls back for each row, after it checks the
+problem and the row index.  The kernels advance the block's step scalars
+(beta, B, t and the touch count; only the callers' rescale changes the
+scale) themselves, so one call does a lazy iteration; the states expose its
+fields as attributes (``scalar``), and their numpy bodies read and write the
+same block.  A row that diverges leaves those scalars as they were: the
+contract is stated once, in ``kernels.c``'s row-kernel comment.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigurationError, StructuralError
+
 SOURCE = Path(__file__).with_name("kernels.c")
 # no -ffast-math or -march=native: the kernels must round exactly as numpy
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -63,15 +69,15 @@ _F64 = ctypes.c_double
 SIGNATURES = {
     "csr_matvec": (None, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
     "csr_rmatvec": (None, (_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
-    # (problem, i) -> row nnz, or -1
+    # (row problem, i) -> row nnz, or -1
     "lazy_iterate": (_I64, (_PTR, _I64)),
-    # (row, i) -> <a_i, xbar>
+    # (row problem, i) -> <a_i, xbar>
     "sdapd_dense_xbar": (_F64, (_PTR, _I64)),
-    # (row, i, y_new) -> row nnz, or -1
+    # (row problem, i, y_new) -> row nnz, or -1
     "sdapd_dense_update": (_I64, (_PTR, _I64, _F64)),
-    # (row, i) -> <a_i, x_ext>
+    # (row problem, i) -> <a_i, x_ext>
     "spdc_dot": (_F64, (_PTR, _I64)),
-    # (row, i, y_new) -> row nnz, or -1
+    # (row problem, i, y_new) -> row nnz, or -1
     "spdc_update": (_I64, (_PTR, _I64, _F64)),
     # (text, length, counts): counts = ['\n' count, ':' count]
     "libsvm_count": (None, (ctypes.c_char_p, _I64, _PTR)),
@@ -85,6 +91,11 @@ DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot", "cbl
 
 # the regularizer codes of ``struct sep_reg``; other kinds have no row kernel
 REG_CODES = {"l2": 0, "l1": 1, "elastic_net": 1}
+# the loss codes of ``struct row_problem``; other kinds have no lazy kernel
+LOSS_CODES = {"squared": 0, "hinge": 1}
+# the ``RowProblem`` arrays as long as the matrix has rows; the others are
+# as long as it has columns
+_ROW_LENGTH = ("targets", "y")
 
 
 class BlasDot(ctypes.Structure):
@@ -113,50 +124,62 @@ class RowScalars(ctypes.Structure):
                 ("t", _I64), ("touch_counter", _I64)]
 
 
-class LazyProblem(ctypes.Structure):
-    """``struct lazy_problem`` of ``kernels.c``, field for field."""
+class RowProblem(ctypes.Structure):
+    """``struct row_problem`` of ``kernels.c``, field for field."""
 
     _fields_ = [
-        *((name, _PTR) for name in ("offsets", "cols", "values", "targets", "x0", "y", "u",
-                                    "v", "w", "xbar", "scalars")),
-        ("dot", BlasDot), ("g", SepReg), ("n", _I64), ("loss", _I64),
-        *((name, _F64) for name in ("eta", "tau", "theta", "d1")),
+        *((name, _PTR) for name in ("offsets", "cols", "values", "targets", "x0", "x", "xbar",
+                                    "u", "y", "s_hat", "ergodic", "v", "w", "gather",
+                                    "scalars")),
+        ("dot", BlasDot), ("g", SepReg), *((name, _I64) for name in ("n", "d", "loss")),
+        *((name, _F64) for name in ("step", "tau", "theta", "xi", "d1")),
     ]
 
 
-class DenseRow(ctypes.Structure):
-    """``struct dense_row`` of ``kernels.c``, field for field."""
-
-    _fields_ = [
-        *((name, _PTR) for name in ("offsets", "cols", "values", "x0", "x", "xbar", "u", "y",
-                                    "s_hat", "ergodic", "gather", "scalars")),
-        ("dot", BlasDot), ("g", SepReg), ("n", _I64), ("d", _I64),
-        *((name, _F64) for name in ("step", "theta", "xi")),
-    ]
-
-
-def bind_dense_row(names, matrix, reg, scalars: RowScalars, step: float, theta: float = 0.0,
-                   xi: float = 0.0, **arrays):
-    """The kernels ``names`` bound to a ``DenseRow`` of ``matrix``, ``reg``,
-    ``scalars``, ``step``, ``theta``, ``xi`` and ``arrays`` (its vector
-    fields by name; ``y`` as long as the matrix has rows, the others as it
-    has columns; fields not given are NULL), as (calls taking the struct's
-    remaining arguments, what the calls' addresses point into).  None when
-    ``backend()`` is "numpy", ``reg`` has no kernel or an array does not fit
-    the matrix."""
-    if backend() == "numpy" or reg.kind not in REG_CODES:
-        return None
-    for name, array in arrays.items():
-        if array.shape != (matrix.n_rows if name == "y" else matrix.n_cols,):
-            return None
+def bind(state, problem, names, bodies, **fields) -> None:
+    """Bind ``state``'s row calls, once, to ``problem``, the problem it is
+    built on.  They are the kernels ``names`` on a ``RowProblem`` of the
+    problem's matrix and regularizer, the state's ``RowScalars`` block
+    (``state._scalars``) and ``fields``: the struct's other fields by name,
+    arrays or numbers, NULL or 0 when not given.  They are the numpy
+    ``bodies`` instead, each called as body(state, problem, ...), when
+    ``backend()`` is "numpy" or the regularizer or a field (None) has no
+    compiled form.  Sets ``state._kernel`` to (problem, calls, what the
+    compiled calls' addresses point into, or None)."""
+    matrix = problem.matrix
+    if (backend() == "numpy" or problem.reg.kind not in REG_CODES
+            or any(value is None for value in fields.values())):
+        calls = tuple(functools.partial(body, state, problem) for body in bodies)
+        state._kernel = (problem, calls, None)
+        return
+    values = dict(fields)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            length = matrix.n_rows if name in _ROW_LENGTH else matrix.n_cols
+            if not (value.shape == (length,) and value.dtype == np.float64
+                    and value.flags.c_contiguous):
+                raise StructuralError(f"{name} is not {length} contiguous float64 values")
+            values[name] = value.ctypes.data
     gather = np.empty(max(matrix.max_row_nnz, 1))
-    struct = DenseRow(
-        *matrix._pointers, **{name: array.ctypes.data for name, array in arrays.items()},
-        gather=gather.ctypes.data, scalars=ctypes.addressof(scalars), dot=BlasDot(*ddot()),
-        g=SepReg.of(reg), n=matrix.n_rows, d=matrix.n_cols, step=step, theta=theta, xi=xi,
+    struct = RowProblem(
+        *matrix._pointers, **values, gather=gather.ctypes.data,
+        scalars=ctypes.addressof(state._scalars), dot=BlasDot(*ddot()),
+        g=SepReg.of(problem.reg), n=matrix.n_rows, d=matrix.n_cols,
     )
     lib, address = library(), ctypes.addressof(struct)
-    return tuple(functools.partial(getattr(lib, name), address) for name in names), (struct, gather)
+    calls = tuple(functools.partial(getattr(lib, name), address) for name in names)
+    state._kernel = (problem, calls, (struct, gather, fields))
+
+
+def row_calls(state, problem, i: int) -> tuple:
+    """The calls ``bind`` gave ``state``, once ``problem`` is checked to be
+    the problem they are bound to and ``i`` to be one of its rows."""
+    bound_to, calls, _ = state._kernel
+    if problem is not bound_to:
+        raise ConfigurationError("the state was built on another problem")
+    if not 0 <= i < problem.n:
+        raise StructuralError(f"row index {i} out of range for {problem.n} rows")
+    return calls
 
 
 def fixed(name: str) -> property:

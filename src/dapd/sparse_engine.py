@@ -32,12 +32,14 @@ dense SDAPD samples at the same seed.
 ``sparse_iterate`` does a row in one call of the compiled ``lazy_iterate``
 (``kernels.c``) for squared and hinge losses with l2, l1 or elastic net,
 and in numpy (``_iterate_numpy``, the kernel's oracle) otherwise, or when
-the kernels cannot be built.  Either one also advances the state's step
+the kernels cannot be built; ``LazyState`` binds it once, to the problem it
+is built on (``kernels.bind``).  Either one also advances the state's step
 scalars (beta, B, t and the touch count), which live in the state's
-``kernels.RowScalars`` block; only the rebase check stays in Python.  The
-kernel evaluates the numpy body's expressions in their order and takes the
-dot product from the CBLAS ddot that numpy calls (``kernels.ddot``), so
-both give the same bits; ``kernels.backend`` says which one runs.
+``kernels.RowScalars`` block, and leaves them as they were on a row that
+diverges; only the rebase check stays in Python.  The kernel evaluates the
+numpy body's expressions in their order and takes the dot product from the
+CBLAS ddot that numpy calls (``kernels.ddot``), so both give the same bits;
+``kernels.backend`` says which one runs.
 
 Ergodic averaging is intentionally unavailable here: maintaining the average
 would cost O(d) per iteration.  The last iterate is the practical output
@@ -47,20 +49,14 @@ path.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-
 import numpy as np
 
 from . import kernels
-from .deterministic import RESCALE_THRESHOLD, rescale
-from .errors import ConfigurationError, DivergenceError, StructuralError
+from .deterministic import RESCALE_THRESHOLD, rescale, start_vector
+from .errors import ConfigurationError, DivergenceError
 from .proxlib import CompositeProblem, prox_conjugate, recover_primal
 from .stochastic import StochasticParams, resolved_constants
 from .traces import RunResult, Tracer, epoch_rows
-
-# the loss codes of kernels.c; other kinds run in numpy
-_LOSS_CODES = {"squared": 0, "hinge": 1}
 
 
 class LazyState:
@@ -70,11 +66,12 @@ class LazyState:
     ``v`` and the scalars ``beta_hat`` (beta_t), ``beta_prev_hat``
     (beta_{t-1}) and ``B_hat`` (B_{t-1}) are stored divided by
     exp(log_scale); ``w`` and ``u`` are unscaled.  Only coordinates in the
-    sampled row's support are written per iteration.  ``params``, ``theta``
-    and the vectors ``x0``, ``y``, ``u``, ``v`` and ``w`` cannot be rebound
-    (the vectors are written in place): the compiled iteration keeps their
-    values and addresses.  ``beta_hat``, ``beta_prev_hat``, ``B_hat``,
-    ``inv_scale``, ``t`` and ``touch_counter`` are fields of one
+    sampled row's support are written per iteration.  The iteration is
+    bound once, to the problem the state is built on.  ``params``,
+    ``theta`` and the vectors ``x0``, ``y``, ``u``, ``v`` and ``w`` cannot
+    be rebound (the vectors are written in place): the compiled iteration
+    keeps their values and addresses.  ``beta_hat``, ``beta_prev_hat``,
+    ``B_hat``, ``inv_scale``, ``t`` and ``touch_counter`` are fields of one
     ``kernels.RowScalars`` block, which the iteration advances in place.
     """
 
@@ -93,9 +90,7 @@ class LazyState:
             raise ConfigurationError("geometric schedule requires theta = 1/xi in (0, 1)")
         if params.n != n:
             raise ConfigurationError("params were built for a different sample count")
-        self._x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-        if self._x0.shape != (d,):
-            raise StructuralError("x0 does not match the problem's dimension")
+        self._x0 = start_vector(x0, d, "x0")
         self._params = params
         self._theta = theta
         self._y = np.zeros(n)
@@ -107,7 +102,13 @@ class LazyState:
         )
         self.log_scale = 0.0
         self.rebase_count = 0
-        _bind(self, problem)  # sets self._kernel
+        loss = problem.loss
+        kernels.bind(
+            self, problem, ("lazy_iterate",), (_iterate_numpy,),
+            targets=np.ascontiguousarray(loss.targets, dtype=np.float64), x0=self._x0,
+            y=self._y, u=self._u, v=self._v, w=self._w, loss=kernels.LOSS_CODES.get(loss.kind),
+            step=params.eta, tau=params.tau, theta=theta, d1=loss.dual_perturbation,
+        )
 
 
 def _recover_x(state: LazyState, reg, cols):
@@ -117,39 +118,10 @@ def _recover_x(state: LazyState, reg, cols):
     return recover_primal(reg, state.x0[cols], s_hat, state.B_hat, state.inv_scale, coords=cols)
 
 
-def _bind(state: LazyState, problem: CompositeProblem):
-    """The iteration for this state and problem, taking the row: the
-    compiled ``lazy_iterate`` or its numpy body.  Kept in ``state._kernel``
-    as (problem, call, what the compiled call's addresses point into)."""
-    loss, reg = problem.loss, problem.reg
-    if (kernels.backend() == "numpy" or loss.kind not in _LOSS_CODES
-            or reg.kind not in kernels.REG_CODES
-            or (problem.n, problem.dim) != (state.y.size, state.x0.size)):
-        call = functools.partial(_iterate_numpy, state, problem)
-        state._kernel = (problem, call, None)
-        return call
-    targets = np.ascontiguousarray(loss.targets)
-    xbar = np.empty(max(problem.matrix.max_row_nnz, 1))
-    struct = kernels.LazyProblem(
-        *problem.matrix._pointers,
-        *(a.ctypes.data for a in (targets, state.x0, state.y, state.u, state.v, state.w, xbar)),
-        ctypes.addressof(state._scalars), kernels.BlasDot(*kernels.ddot()),
-        kernels.SepReg.of(reg), problem.n, _LOSS_CODES[loss.kind],
-        state.params.eta, state.params.tau, state.theta, loss.dual_perturbation,
-    )
-    call = functools.partial(kernels.library().lazy_iterate, ctypes.addressof(struct))
-    state._kernel = (problem, call, (struct, targets, xbar))
-    return call
-
-
 def sparse_iterate(state: LazyState, problem: CompositeProblem, i: int):
     """One SDAPD iteration on the sampled row i, touching only its support."""
-    bound_to, call, _ = state._kernel
-    if bound_to is not problem:
-        call = _bind(state, problem)
-    if not 0 <= i < problem.n:
-        raise StructuralError(f"row index {i} out of range for {problem.n} rows")
-    if call(i) < 0:
+    (iterate,) = kernels.row_calls(state, problem, i)
+    if iterate(i) < 0:
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     if state.beta_hat > RESCALE_THRESHOLD:
         rebase(state)

@@ -31,24 +31,25 @@ state's ``kernels.RowScalars`` block); only the rescale check stays in
 Python.  For l2, l1 and elastic net they are the compiled
 ``sdapd_dense_xbar`` and ``sdapd_dense_update`` (``kernels.c``), and
 otherwise, or when the kernels cannot be built, their numpy bodies
-(``_xbar_dot_numpy`` and ``_update_numpy``, the kernels' oracle).  Both
-evaluate the same expressions in the same order and take the dot product
-from the CBLAS ddot numpy calls, so they give the same bits;
-``kernels.backend`` says which one runs.
+(``_xbar_dot_numpy`` and ``_update_numpy``, the kernels' oracle).
+``StochasticState`` binds them once, to the problem it is built on
+(``kernels.bind``).  Both evaluate the same expressions in the same order
+and take the dot product from the CBLAS ddot numpy calls, so they give the
+same bits, and both keep the row kernels' divergence contract
+(``kernels.c``); ``kernels.backend`` says which one runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .deterministic import RESCALE_THRESHOLD, rescale
-from .errors import ConfigurationError, DivergenceError, StructuralError
+from .deterministic import RESCALE_THRESHOLD, rescale, start_vector
+from .errors import ConfigurationError, DivergenceError
 from .proxlib import (
     CompositeProblem,
     problem_constants,
@@ -123,7 +124,8 @@ class StochasticState:
     """Mutable SDAPD state with the scaled dual-averaging bookkeeping,
     stepped by ``sdapd_iterate_dense`` with the params it was built with.
 
-    ``params`` and the vectors ``x0``, ``x``, ``xbar``, ``y``, ``u``,
+    The row's two steps are bound once, to the problem the state is built
+    on.  ``params`` and the vectors ``x0``, ``x``, ``xbar``, ``y``, ``u``,
     ``s_hat`` and ``ergodic_x`` cannot be rebound (the vectors are written
     in place): the compiled row kernels keep their values and addresses.
     ``beta_hat``, ``B_hat``, ``inv_scale``, ``t`` and ``touch_counter`` are
@@ -144,9 +146,7 @@ class StochasticState:
         if params.n != n:
             raise ConfigurationError("params were built for a different sample count")
         self._params = params
-        self._x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-        if self._x0.shape != (d,):
-            raise StructuralError("x0 does not match the problem's dimension")
+        self._x0 = start_vector(x0, d, "x0")
         self._x = self._x0.copy()
         self._xbar = self._x0.copy()
         self._y = np.zeros(n)
@@ -155,34 +155,17 @@ class StochasticState:
         self._ergodic_x = np.zeros(d)
         self._scalars = kernels.RowScalars(beta_hat=params.beta0, inv_scale=1.0)
         self.log_scale = 0.0
-        _bind(self, problem)  # sets self._kernel
-
-
-def _bind(state: StochasticState, problem: CompositeProblem):
-    """The row's two steps for this state and problem: the compiled
-    ``sdapd_dense_xbar`` and ``sdapd_dense_update``, or their numpy bodies.
-    Kept in ``state._kernel`` as (problem, steps, what the compiled calls'
-    addresses point into)."""
-    bound = kernels.bind_dense_row(
-        ("sdapd_dense_xbar", "sdapd_dense_update"), problem.matrix, problem.reg,
-        state._scalars, state.params.eta, xi=state.params.xi, x0=state.x0, x=state.x,
-        xbar=state.xbar, u=state.u, y=state.y, s_hat=state.s_hat, ergodic=state.ergodic_x,
-    )
-    steps, keep = bound or (
-        (functools.partial(_xbar_dot_numpy, state, problem),
-         functools.partial(_update_numpy, state, problem)), None)
-    state._kernel = (problem, steps, keep)
-    return steps
+        kernels.bind(
+            self, problem, ("sdapd_dense_xbar", "sdapd_dense_update"),
+            (_xbar_dot_numpy, _update_numpy), x0=self._x0, x=self._x, xbar=self._xbar,
+            u=self._u, y=self._y, s_hat=self._s_hat, ergodic=self._ergodic_x,
+            step=params.eta, xi=params.xi,
+        )
 
 
 def sdapd_iterate_dense(state: StochasticState, problem: CompositeProblem, i: int):
     """One SDAPD iteration on the sampled row i; O(d + nnz(a_i)) dense work."""
-    bound_to, steps, _ = state._kernel
-    if bound_to is not problem:
-        steps = _bind(state, problem)
-    if not 0 <= i < problem.n:
-        raise StructuralError(f"row index {i} out of range for {problem.n} rows")
-    xbar_dot, update = steps
+    xbar_dot, update = kernels.row_calls(state, problem, i)
     params = state.params
 
     dot = xbar_dot(i)
@@ -206,14 +189,13 @@ def _xbar_dot_numpy(state: StochasticState, problem: CompositeProblem, i: int) -
 
 def _update_numpy(state: StochasticState, problem: CompositeProblem, i: int,
                   y_new: float) -> int:
-    """``sdapd_dense_update`` in numpy: B, the dual coordinate, the
-    gradient sum, u, x, the ergodic average and then beta, t and the touch
-    count; returns the row's nonzero count, or -1 when x is not finite
-    (B and the vectors are then written, and the rest is not)."""
+    """``sdapd_dense_update`` in numpy: the dual coordinate, the gradient
+    sum, u, x, the ergodic average and then B, beta, t and the touch count;
+    returns the row's nonzero count, or -1 when x is not finite."""
     cols, vals = problem.matrix.row(i)
     x, y, u, s_hat, ergodic = state.x, state.y, state.u, state.s_hat, state.ergodic_x
     beta_hat = state.beta_hat
-    b_hat = state.B_hat = state.B_hat + beta_hat
+    b_hat = state.B_hat + beta_hat
     dy = y_new - y[i]
     y[i] = y_new
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,6 +209,7 @@ def _update_numpy(state: StochasticState, problem: CompositeProblem, i: int,
         return -1
     # audit: xbar prox d, grad-sum d, recovery d, ergodic d, row ops 3 nnz
     state.touch_counter += 4 * problem.dim + 3 * vals.size
+    state.B_hat = b_hat
     state.beta_hat = beta_hat * state.params.xi
     state.t += 1
     return int(vals.size)

@@ -74,7 +74,8 @@ class Tracer:
 
     Owns the run's wall clock (started at construction) and the evaluation of
     each recorded point.  Every solver fails the same way on a point whose
-    objective is not finite: ``DivergenceError`` naming the epoch.
+    objective is not finite: ``DivergenceError`` naming the epoch (its
+    ``epoch`` field).
     """
 
     def __init__(self, problem, reference_value: float | None, wall_clock: bool):
@@ -89,7 +90,7 @@ class Tracer:
         # tracing (perfbench/tracing.py) patches those names to time them
         value = primal_objective(self.problem, x)
         if not np.isfinite(value):
-            raise DivergenceError(f"non-finite objective at epoch {epoch}", iteration=epoch)
+            raise DivergenceError(f"non-finite objective at epoch {epoch}", epoch=epoch)
         subopt = value - self.reference if self.reference is not None else np.nan
         self.records.append(
             TraceRecord(

@@ -9,7 +9,7 @@ from dapd.deterministic import (
     schedule_for_problem,
     validate_schedule,
 )
-from dapd.errors import ConfigurationError, DivergenceError
+from dapd.errors import ConfigurationError, DivergenceError, StructuralError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
     l2_reg,
@@ -92,6 +92,26 @@ class TestIterate:
             again = recover_primal(prob.reg, state.x0, state.s_hat, state.B_hat, state.inv_scale)
             assert np.allclose(state.x, again, atol=0)
 
+    def test_divergence_leaves_the_scalars_as_they_were(self):
+        # x0 is +inf on one coordinate, so the first x is not finite; no
+        # step scalar advances (the divergence contract of kernels.c)
+        prob, _, _ = random_ridge(np.random.default_rng(9), 5, 3, mu=0.2)
+        sched = schedule_for_problem(prob)
+        state = IterateState(prob, sched, x0=[np.inf, 0.0, 0.0])
+        with pytest.raises(DivergenceError) as err:
+            dapd_iterate(state, prob)
+        assert (err.value.iteration, err.value.epoch) == (0, None)
+        assert (state.t, state.touch_counter, state.B_hat, state.beta_hat, state.inv_scale,
+                state.log_scale) == (0, 0, 0.0, sched.beta0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("start", [{"x0": 1.0}, {"x0": np.zeros(4)}, {"y0": np.zeros(4)},
+                                       {"y0": np.zeros((5, 1))}],
+                             ids=["scalar_x0", "long_x0", "short_y0", "column_y0"])
+    def test_start_of_another_shape_rejected(self, start):
+        prob, _, _ = random_ridge(np.random.default_rng(9), 5, 3, mu=0.2)
+        with pytest.raises(StructuralError):
+            IterateState(prob, schedule_for_problem(prob), **start)
+
 
 class TestRun:
     def test_one_d_convergence(self):
@@ -147,7 +167,7 @@ class TestRun:
         for iterations in (2000, 148):
             with pytest.raises(DivergenceError) as info:
                 run_dapd(prob, bad, iterations=iterations)
-            assert info.value.iteration is not None
+            assert (info.value.epoch, info.value.iteration) == (148, None)
 
 
 class TestTheoremBounds:

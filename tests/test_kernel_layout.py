@@ -20,8 +20,7 @@ MIRRORS = {
     "blas_dot": kernels.BlasDot,
     "sep_reg": kernels.SepReg,
     "row_scalars": kernels.RowScalars,
-    "lazy_problem": kernels.LazyProblem,
-    "dense_row": kernels.DenseRow,
+    "row_problem": kernels.RowProblem,
 }
 
 SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int}

@@ -1,0 +1,58 @@
+"""The solver states with row kernels (the lazy engine, dense SDAPD and
+SPDC) bind their row calls once, to the problem they are built on
+(``kernels.bind``), and check every call against it (``kernels.row_calls``),
+whether the calls are the compiled kernels or their numpy bodies."""
+
+import pytest
+
+from dapd.baselines import SpdcState, spdc_iterate, spdc_steps
+from dapd.errors import ConfigurationError, StructuralError
+from dapd.sparse_engine import LazyState, sparse_iterate
+from dapd.stochastic import StochasticState, perturb_problem, sdapd_iterate_dense
+
+from oracles import KERNEL_REGS, ROW_PATHS, built_on, grid_params, ragged_problem
+
+# name: (state class, its arguments after the problem, its row step)
+STATES = {
+    "lazy": (LazyState, lambda problem: (grid_params(problem),), sparse_iterate),
+    "sdapd": (StochasticState, lambda problem: (grid_params(problem),), sdapd_iterate_dense),
+    "spdc": (SpdcState, lambda problem: spdc_steps(perturb_problem(problem, 1e-3)),
+             spdc_iterate),
+}
+
+
+def stepped_state(path, kind):
+    """(problem, a state of ``kind`` on it after one row, its row step)."""
+    make, arguments, iterate = STATES[kind]
+    problem = ragged_problem("squared", KERNEL_REGS["l2"])
+    state = built_on(path, make, problem, *arguments(problem))
+    iterate(state, problem, 3)
+    return problem, state, iterate
+
+
+def written(state):
+    """What every row step writes, as exact values."""
+    return state.y.tobytes(), state.u.tobytes(), state.t, state.touch_counter
+
+
+@pytest.mark.parametrize("path", ROW_PATHS)
+@pytest.mark.parametrize("kind", list(STATES))
+def test_another_problem_is_refused(path, kind):
+    _, state, iterate = stepped_state(path, kind)
+    before = written(state)
+    # the same data, but not the problem the state is built on
+    other = ragged_problem("squared", KERNEL_REGS["l2"])
+    with pytest.raises(ConfigurationError, match="another problem"):
+        iterate(state, other, 3)
+    assert written(state) == before
+
+
+@pytest.mark.parametrize("row", [-1, 12, 2**40])
+@pytest.mark.parametrize("path", ROW_PATHS)
+@pytest.mark.parametrize("kind", list(STATES))
+def test_row_out_of_range_is_refused(path, kind, row):
+    problem, state, iterate = stepped_state(path, kind)
+    before = written(state)
+    with pytest.raises(StructuralError, match="out of range"):
+        iterate(state, problem, row)
+    assert written(state) == before
