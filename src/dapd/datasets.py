@@ -17,9 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, ParseError
-from .matrix import SparseRowMatrix, build_matrix, matvec
-
-INT64_MAX = 2**63 - 1
+from .matrix import MAX_COLS, SparseRowMatrix, build_matrix, matvec
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,10 +38,11 @@ class Dataset:
 def parse_libsvm(source: str, expected_dim: int | None = None, name: str = "<memory>") -> Dataset:
     """Parse LIBSVM text: ``<label> <index>:<value> ...`` per line.
 
-    Indices are 1-based and must be strictly increasing within a line, and
+    Indices are 1-based, at most ``matrix.MAX_COLS`` (2**31 - 1, so the
+    column indices fit int32) and strictly increasing within a line, and
     labels and values must be finite; the dimension is inferred as the
-    maximum index unless ``expected_dim`` is given (which also catches
-    truncated files).  Blank lines are skipped.
+    maximum index unless ``expected_dim`` (also at most ``MAX_COLS``) is
+    given, which also catches truncated files.  Blank lines are skipped.
 
     The compiled reader (``kernels.libsvm_parse``) takes the text when it
     can; any text outside its grammar goes to ``_parse_python``, which gives
@@ -82,8 +81,14 @@ def _dataset(parsed, parser: str, expected_dim, name: str) -> Dataset:
 
 
 def _check_expected_dim(expected_dim) -> None:
-    if expected_dim is not None and expected_dim < 1:
+    if expected_dim is None:
+        return
+    if expected_dim < 1:
         raise ConfigurationError(f"expected_dim must be at least 1, not {expected_dim!r}")
+    if expected_dim > MAX_COLS:
+        raise ConfigurationError(
+            f"expected_dim {expected_dim} does not fit in int32 (at most {MAX_COLS})"
+        )
 
 
 def _parse_compiled(data: bytes):
@@ -100,7 +105,7 @@ def _parse_compiled(data: bytes):
     nnz = int(counts[1])  # in the grammar, every ':' ends an index
     labels = np.empty(lines)
     offsets = np.empty(lines + 1, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int32)
     values = np.empty(nnz)
     max_index = ctypes.c_int64()
     rows = lib.libsvm_parse(data, len(data), labels.ctypes.data, offsets.ctypes.data,
@@ -116,11 +121,11 @@ def _parse_python(source: str):
     """The reference body of ``parse_libsvm``, and the only one that raises.
 
     Lines arrive in row order with increasing indices, so they are appended
-    straight into CSR arrays.
+    straight into CSR arrays: int32 column indices, int64 offsets.
     """
     labels = array("d")
     offsets = array("q", [0])
-    col_indices = array("q")
+    col_indices = array("i")
     values = array("d")
     max_index = 0
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -145,8 +150,8 @@ def _parse_python(source: str):
                 raise ParseError(f"malformed feature token {tok!r}", line=lineno) from None
             if idx <= 0:
                 raise ParseError(f"nonpositive feature index {idx}", line=lineno)
-            if idx > INT64_MAX:
-                raise ParseError(f"feature index {idx} does not fit in int64", line=lineno)
+            if idx > MAX_COLS:
+                raise ParseError(f"feature index {idx} does not fit in int32", line=lineno)
             if not math.isfinite(val):
                 raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
             if idx <= prev_index:
@@ -210,29 +215,30 @@ def synth_ridge(n: int, d: int, cov="identity", noise_sigma: float = 0.1, seed: 
         raise ConfigurationError("n and d must be at least 1")
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(d)
-    z = rng.standard_normal((n, d))
+    # the same stream as standard_normal((n, d)), row-major
+    values = rng.standard_normal(n * d)
     if cov == "identity":
-        rows = z
         cov_name = "identity"
     else:
         kind, r = cov
         if kind != "ar1" or not 0 <= r < 1:
             raise ConfigurationError(f"unknown covariance spec {cov!r}")
-        rows = np.empty((n, d))
-        rows[:, 0] = z[:, 0]
+        # in place, left to right: column j still holds its draw when read
+        rows = values.reshape(n, d)
         scale = np.sqrt(1.0 - r * r)
         for j in range(1, d):
-            rows[:, j] = r * rows[:, j - 1] + scale * z[:, j]
+            rows[:, j] = r * rows[:, j - 1] + scale * rows[:, j]
         cov_name = f"ar1({r})"
     noise = noise_sigma * rng.standard_normal(n)
     # every entry stored, in row-major order: the arrays build_matrix makes
-    # from the n*d triplets (i, j, rows[i, j]), without building them
+    # from the n*d triplets (i, j, rows[i, j]), without building them; the
+    # matrix takes ``values`` over without a copy
     matrix = SparseRowMatrix(
         n,
         d,
         np.arange(n + 1, dtype=np.int64) * d,
-        np.tile(np.arange(d, dtype=np.int64), n),
-        rows.reshape(-1).copy(),
+        np.tile(np.arange(d, dtype=np.int32), n),
+        values,
     )
     # evaluate the model through the same kernel solvers use, so the
     # zero-noise residual is exactly zero

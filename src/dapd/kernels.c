@@ -10,8 +10,10 @@
  * -ffast-math and with -ffp-contract=off so the compiler neither reorders
  * the sums nor fuses a product into an addition.
  *
- * No bounds checks: SparseRowMatrix guarantees offsets[0] == 0,
- * non-decreasing offsets ending at nnz, and every column in [0, n_cols).
+ * The CSR arrays are int64 offsets (nnz may pass 2^31), int32 column
+ * indices and double values: 12 bytes per nonzero.  No bounds checks:
+ * SparseRowMatrix guarantees offsets[0] == 0, non-decreasing offsets
+ * ending at nnz, and every column in [0, n_cols) with n_cols <= INT32_MAX.
  */
 
 #include <locale.h>
@@ -21,7 +23,7 @@
 #include <string.h>
 
 /* out[i] = sum over k in row i of values[k] * v[cols[k]] */
-void csr_matvec(int64_t n_rows, const int64_t *offsets, const int64_t *cols,
+void csr_matvec(int64_t n_rows, const int64_t *offsets, const int32_t *cols,
                 const double *values, const double *v, double *out)
 {
     for (int64_t i = 0; i < n_rows; ++i) {
@@ -35,7 +37,7 @@ void csr_matvec(int64_t n_rows, const int64_t *offsets, const int64_t *cols,
 /* out[j] = sum over stored (i, j) of values[k] * y[i], scattered in storage
  * order */
 void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
-                 const int64_t *cols, const double *values, const double *y,
+                 const int32_t *cols, const double *values, const double *y,
                  double *out)
 {
     for (int64_t j = 0; j < n_cols; ++j)
@@ -137,7 +139,7 @@ static inline double numpy_dot(const struct blas_dot *f, int64_t k, const double
  * the others are NULL or 0. */
 struct row_problem {
     const int64_t *offsets;
-    const int64_t *cols;
+    const int32_t *cols;
     const double *values;
     const double *targets;   /* lazy, squared loss */
     const double *x0;        /* lazy and SDAPD */
@@ -168,7 +170,7 @@ int64_t lazy_iterate(const struct row_problem *p, int64_t i)
     const double beta_hat = sc->beta_hat, beta_prev_hat = sc->beta_prev_hat;
     const double b_hat = sc->B_hat, inv_scale = sc->inv_scale;
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo;
-    const int64_t *cols = p->cols + lo;
+    const int32_t *cols = p->cols + lo;
     const double *vals = p->values + lo;
 
     for (int64_t m = 0; m < k; ++m) {
@@ -224,9 +226,10 @@ int64_t lazy_iterate(const struct row_problem *p, int64_t i)
 
 /* <a_i, xbar> as numpy's vals @ xbar[cols]: gathered, then numpy_dot.
  * Inline, like every helper but read_number: gcc emits an out-of-line
- * static function ahead of csr_matvec, and that shifted csr_rmatvec's
- * inner loop across a 64-byte line, which made it 15% slower on a dense
- * 2000 x 500 matrix. */
+ * static function ahead of csr_matvec, and in a build without
+ * -falign-loops=64 (a compiler that rejects it) that can shift
+ * csr_rmatvec's inner loop across a 64-byte line, which once made it 15%
+ * slower on a dense 2000 x 500 matrix. */
 static inline double row_dot(const struct row_problem *p, int64_t i)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo;
@@ -258,7 +261,7 @@ double sdapd_dense_xbar(const struct row_problem *p, int64_t i)
 int64_t sdapd_dense_update(const struct row_problem *p, int64_t i, double y_new)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
-    const int64_t *cols = p->cols + lo;
+    const int32_t *cols = p->cols + lo;
     const double *vals = p->values + lo, *x0 = p->x0, *xbar = p->xbar;
     double *x = p->x, *u = p->u, *s_hat = p->s_hat, *ergodic = p->ergodic;
     const struct sep_reg g = p->g;
@@ -307,7 +310,7 @@ double spdc_dot(const struct row_problem *p, int64_t i)
 int64_t spdc_update(const struct row_problem *p, int64_t i, double y_new)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
-    const int64_t *cols = p->cols + lo;
+    const int32_t *cols = p->cols + lo;
     const double *vals = p->values + lo;
     double *x = p->x, *x_ext = p->xbar, *u = p->u;
     const struct sep_reg g = p->g;
@@ -348,17 +351,19 @@ int64_t spdc_update(const struct row_problem *p, int64_t i, double y_new)
  *     optional [eE][+-]?digits; strtod, correctly rounded like Python's
  *     float(), converts it, must stop where the grammar stops, and must
  *     return a finite value;
- *   - an index is decimal digits, at most INT64_MAX, and the indices of a
- *     line increase strictly from 1.
+ *   - an index is decimal digits, at most INT32_MAX (so the column, one
+ *     less, fits the int32 cols; the Python body refuses a larger one),
+ *     and the indices of a line increase strictly from 1.
  * It also returns -1 when the locale's decimal point is not '.', since
  * strtod would then read another one.
  *
  * The caller sizes labels and offsets for every line (the count of '\n',
  * plus one for an unterminated last line; offsets has one entry more) and
- * cols and values for every ':', both counted by libsvm_count.  buf[len] must be readable and must not
- * continue a number: strtod looks at the byte after the last token (Python
- * puts a NUL after the data of a bytes object).  Returns the row count and
- * sets *max_index to the largest index, 0 when there is none.
+ * cols and values for every ':', both counted by libsvm_count.  buf[len]
+ * must be readable and must not continue a number: strtod looks at the
+ * byte after the last token (Python puts a NUL after the data of a bytes
+ * object).  Returns the row count and sets *max_index to the largest
+ * index, 0 when there is none.
  */
 
 /* the number of bytes of w equal to the byte that pattern repeats: each
@@ -440,7 +445,7 @@ static int read_number(const char **p, const char *end, double *out)
 }
 
 int64_t libsvm_parse(const char *buf, int64_t len, double *labels, int64_t *offsets,
-                     int64_t *cols, double *values, int64_t *max_index)
+                     int32_t *cols, double *values, int64_t *max_index)
 {
     if (strcmp(localeconv()->decimal_point, ".") != 0)
         return -1;
@@ -477,7 +482,7 @@ int64_t libsvm_parse(const char *buf, int64_t len, double *labels, int64_t *offs
             const char *const digits = p;
             for (; p < end && is_digit(*p); ++p) {
                 const int d = *p - '0';
-                if (idx > (INT64_MAX - d) / 10)
+                if (idx > (INT32_MAX - d) / 10)
                     return -1;
                 idx = 10 * idx + d;
             }
@@ -486,7 +491,7 @@ int64_t libsvm_parse(const char *buf, int64_t len, double *labels, int64_t *offs
             ++p;
             if (!read_number(&p, end, &values[nnz]))
                 return -1;
-            cols[nnz++] = idx - 1;
+            cols[nnz++] = (int32_t)(idx - 1);
             prev = idx;
         }
         if (prev >= 0) {

@@ -3,6 +3,11 @@
 All values are double precision.  Matrices are immutable after construction
 and safe to share across concurrent solver runs; the kernels are
 single-threaded and deterministic.  ``matvec`` costs O(nnz).
+
+A matrix stores 12 bytes per nonzero (a float64 value and an int32 column
+index) and 8 per row (an int64 offset, so nnz may pass 2**31).  It stores no
+row index per entry: the few readers that need one build it
+(``_row_ids``).
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ import numpy as np
 from . import kernels
 from .errors import StructuralError
 
+# the most columns a matrix may have: every column index, and every 1-based
+# LIBSVM index, then fits int32
+MAX_COLS = 2**31 - 1
 POWER_ITERATION_SEED = 20
 # Lanczos steps between two looks at the top Ritz pair
 LANCZOS_CHECK = 8
@@ -23,8 +31,11 @@ LANCZOS_CHECK = 8
 class SparseRowMatrix:
     """CSR layout: row i owns ``values[row_offsets[i]:row_offsets[i+1]]``.
 
-    Within each row column indices are strictly increasing.  Stored zeros
-    are permitted and do not change any operation's result.
+    ``values`` are float64, ``col_indices`` int32 and ``row_offsets`` int64.
+    Within each row column indices are strictly increasing, and ``n_cols``
+    is at most ``MAX_COLS``.  Column indices of any integer type are checked
+    against ``n_cols`` before they are narrowed to int32, so none wraps.
+    Stored zeros are permitted and do not change any operation's result.
     """
 
     n_rows: int
@@ -32,7 +43,6 @@ class SparseRowMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    row_ids: np.ndarray = field(init=False, repr=False)
     _pointers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -40,9 +50,14 @@ class SparseRowMatrix:
         # checked once here, are what makes that safe
         if self.n_rows < 0 or self.n_cols < 0:
             raise StructuralError("matrix dimensions must be nonnegative")
-        offsets = _owned(self.row_offsets, np.int64, "row_offsets")
-        cols = _owned(self.col_indices, np.int64, "col_indices")
-        values = _owned(self.values, np.float64, "values")
+        if self.n_cols > MAX_COLS:
+            raise StructuralError(
+                f"{self.n_cols} columns: column indices must fit int32 (at most {MAX_COLS} "
+                "columns)"
+            )
+        offsets = _owned(_integers(self.row_offsets, "row_offsets"), np.int64)
+        cols = _integers(self.col_indices, "col_indices")
+        values = _owned(self.values, np.float64)
         nnz = values.size
         if values.ndim != 1 or cols.shape != values.shape:
             raise StructuralError(
@@ -62,6 +77,8 @@ class SparseRowMatrix:
         if nnz and (cols.min() < 0 or cols.max() >= self.n_cols):
             bad = cols[(cols < 0) | (cols >= self.n_cols)][0]
             raise StructuralError(f"column index {bad} out of range for {self.n_cols} columns")
+        # in range, so narrowing cannot wrap
+        cols = _owned(cols, np.int32)
         if nnz > 1:
             # compare views, not a diff, so no nnz-sized int64 temporary;
             # pairs that straddle a row boundary are masked
@@ -75,9 +92,7 @@ class SparseRowMatrix:
                     f"column indices must strictly increase within a row: row {row} has "
                     f"column {cols[k + 1]} after {cols[k]}"
                 )
-        row_ids = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(offsets))
-        for name, arr in (("row_offsets", offsets), ("col_indices", cols), ("values", values),
-                          ("row_ids", row_ids)):
+        for name, arr in (("row_offsets", offsets), ("col_indices", cols), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         # raw addresses for the kernels; the arrays are frozen and owned
@@ -104,16 +119,28 @@ class SparseRowMatrix:
     def to_dense(self) -> np.ndarray:
         """Dense copy; verification oracle only, never on the solver path."""
         out = np.zeros((self.n_rows, self.n_cols))
-        out[self.row_ids, self.col_indices] = self.values
+        out[_row_ids(self), self.col_indices] = self.values
         return out
 
 
-def _owned(arr, dtype, name: str) -> np.ndarray:
+def _row_ids(A: SparseRowMatrix) -> np.ndarray:
+    """The row of each stored entry of A, in storage order: a new int64
+    array of nnz entries, built for the reader that needs it."""
+    return np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.row_offsets))
+
+
+def _integers(arr, name: str) -> np.ndarray:
+    """``arr`` as an array, refused unless it holds integers (or nothing)."""
+    arr = np.asarray(arr)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise StructuralError(f"{name} must hold integers, not {arr.dtype}")
+    return arr
+
+
+def _owned(arr, dtype) -> np.ndarray:
     """``arr`` as a C-contiguous array of ``dtype`` that owns its data,
     copied unless it already is one."""
     arr = np.asarray(arr)
-    if dtype is np.int64 and arr.size and arr.dtype.kind not in "iu":
-        raise StructuralError(f"{name} must hold integers, not {arr.dtype}")
     if arr.dtype != dtype or not arr.flags.c_contiguous or not arr.flags.owndata:
         arr = np.array(arr, dtype=dtype, order="C")
     return arr
@@ -150,7 +177,7 @@ def build_matrix(triplets, n_rows: int, n_cols: int) -> SparseRowMatrix:
             n_rows,
             n_cols,
             np.zeros(n_rows + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
             np.zeros(0),
         )
     rows = np.array([t[0] for t in triplets], dtype=np.int64)
@@ -159,7 +186,8 @@ def build_matrix(triplets, n_rows: int, n_cols: int) -> SparseRowMatrix:
     if rows.min() < 0 or rows.max() >= n_rows:
         bad = rows[(rows < 0) | (rows >= n_rows)][0]
         raise StructuralError(f"row index {bad} out of range for {n_rows} rows")
-    # columns are range-checked, and duplicates refused, by SparseRowMatrix
+    # columns are range-checked (as int64, so none wraps), narrowed, and
+    # duplicates refused, by SparseRowMatrix
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
@@ -207,13 +235,15 @@ def matvec_numpy(A: SparseRowMatrix, v: np.ndarray, transpose: bool = False) -> 
 
     ``np.bincount`` adds the products into each output entry one at a time,
     in storage order, starting from +0.0; the kernels keep that order.
-    ``v`` must already have the right shape.
+    ``v`` must already have the right shape.  The matrix stores no row
+    ids: ``A x`` builds them per call, and ``A.T y`` repeats each y_i over
+    its row.
     """
     if transpose:
-        prod = A.values * v[A.row_ids]
+        prod = A.values * np.repeat(v, np.diff(A.row_offsets))
         return np.bincount(A.col_indices, weights=prod, minlength=A.n_cols)
     prod = A.values * v[A.col_indices]
-    return np.bincount(A.row_ids, weights=prod, minlength=A.n_rows)
+    return np.bincount(_row_ids(A), weights=prod, minlength=A.n_rows)
 
 
 class SpectralEstimate(tuple):
@@ -309,7 +339,7 @@ def stats(A: SparseRowMatrix) -> MatrixStats:
     estimate = power_iteration(A)
     value, converged = estimate
     squares = A.values**2
-    row_sq = np.bincount(A.row_ids, weights=squares, minlength=A.n_rows)
+    row_sq = np.bincount(_row_ids(A), weights=squares, minlength=A.n_rows)
     col_sq = np.bincount(A.col_indices, weights=squares, minlength=A.n_cols)
     max_row = float(np.sqrt(row_sq.max())) if A.n_rows else 0.0
     max_col = float(np.sqrt(col_sq.max())) if A.n_cols else 0.0

@@ -176,14 +176,19 @@ def make_problem(
 
 
 def fold_labels(matrix: SparseRowMatrix, labels) -> SparseRowMatrix:
-    """Scale each row i by labels[i], so hinge margins read max(1 - <a_i, x>, 0)."""
+    """Scale each row i by labels[i], so hinge margins read max(1 - <a_i, x>, 0).
+
+    The result shares ``matrix``'s frozen offsets and column indices; only
+    its values are new.
+    """
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != (matrix.n_rows,):
         raise StructuralError("one label per row required")
-    vals = matrix.values * labels[matrix.row_ids]
-    return SparseRowMatrix(
-        matrix.n_rows, matrix.n_cols, matrix.row_offsets.copy(), matrix.col_indices.copy(), vals
-    )
+    # value * labels[row], written over the repeated labels
+    vals = np.repeat(labels, np.diff(matrix.row_offsets))
+    np.multiply(matrix.values, vals, out=vals)
+    return SparseRowMatrix(matrix.n_rows, matrix.n_cols, matrix.row_offsets, matrix.col_indices,
+                           vals)
 
 
 def svm_problem(matrix, labels, reg):

@@ -14,7 +14,7 @@ from dapd.datasets import (
     synth_sparse_classification,
 )
 from dapd.errors import ConfigurationError, ParseError
-from dapd.matrix import build_matrix, matvec
+from dapd.matrix import MAX_COLS, build_matrix, matvec
 
 
 class TestParseLibsvm:
@@ -94,12 +94,32 @@ class TestParseLibsvm:
         assert (ds.n, ds.dim) == (2, 3)
         assert np.array_equal(ds.matrix.to_dense(), [[0.5, 0.0, -2.0], [0.0, 1.0, 0.0]])
 
-    def test_index_beyond_int64_rejected_with_line_number(self):
-        with pytest.raises(ParseError, match="line 2: feature index 9223372036854775808 does "
-                                             "not fit in int64"):
-            parse_libsvm("1 1:1\n1 9223372036854775808:1\n")
-        ds = parse_libsvm("1 9223372036854775807:1\n")
-        assert ds.dim == 2**63 - 1 and ds.matrix.col_indices[0] == 2**63 - 2
+    @pytest.mark.parametrize("index", [2**31, 2**32 + 1, 2**63])
+    def test_index_beyond_int32_rejected_with_line_number(self, index):
+        with pytest.raises(ParseError, match=f"line 2: feature index {index} does not fit in "
+                                             "int32"):
+            parse_libsvm(f"1 1:1\n1 {index}:1\n")
+        ds = parse_libsvm("1 2147483647:1\n")
+        assert ds.dim == 2**31 - 1 and ds.matrix.col_indices[0] == 2**31 - 2
+        assert ds.matrix.col_indices.dtype == np.int32
+
+    def test_round_trip_at_the_largest_column(self):
+        text = "1 1:0.5 2147483647:-2\n-1 2147483646:3\n"
+        ds = parse_libsvm(text)
+        assert ds.dim == MAX_COLS
+        assert serialize_libsvm(ds) == text
+        again = parse_libsvm(serialize_libsvm(ds))
+        for name in ("row_offsets", "col_indices", "values"):
+            assert getattr(again.matrix, name).tobytes() == getattr(ds.matrix, name).tobytes()
+
+    def test_expected_dim_beyond_int32_refused(self, tmp_path):
+        path = tmp_path / "labels.libsvm"
+        path.write_text("1 1:1\n")
+        assert parse_libsvm("1 1:1\n", expected_dim=MAX_COLS).dim == MAX_COLS
+        with pytest.raises(ConfigurationError, match="expected_dim 2147483648 does not fit"):
+            parse_libsvm("1 1:1\n", expected_dim=MAX_COLS + 1)
+        with pytest.raises(ConfigurationError, match="expected_dim 2147483648 does not fit"):
+            load_libsvm(path, expected_dim=MAX_COLS + 1)
 
     @pytest.mark.parametrize("dim", [0, -3])
     def test_expected_dim_below_one_refused(self, tmp_path, dim):
@@ -291,6 +311,20 @@ class TestSynthRidge:
             )
             for name in ("row_offsets", "col_indices", "values"):
                 assert np.array_equal(getattr(ds.matrix, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("cov", ["identity", ("ar1", 0.7)])
+    def test_values_are_the_rows_built_from_the_draws(self, cov):
+        ds, _ = synth_ridge(7, 5, cov=cov, seed=4)
+        rng = np.random.default_rng(4)
+        rng.standard_normal(5)  # x_true
+        z = rng.standard_normal((7, 5))
+        rows = z.copy()
+        if cov != "identity":
+            r = cov[1]
+            for j in range(1, 5):
+                rows[:, j] = r * rows[:, j - 1] + np.sqrt(1.0 - r * r) * z[:, j]
+        assert ds.matrix.values.tobytes() == rows.tobytes()
+        assert ds.matrix.col_indices.dtype == np.int32
 
     def test_seed_determinism(self):
         a, xa = synth_ridge(6, 4, seed=11)

@@ -111,8 +111,26 @@ class TestCompiledKernels:
             pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
         assert backend() == "compiled"
         names = [p.name for p in fresh_backend.iterdir()]
-        assert len(names) == 1 and names[0].startswith("kernels-")
+        assert names == [kernels._library_name(kernels._find_compiler(), kernels.FLAGS)]
         assert stat.S_IMODE(fresh_backend.stat().st_mode) == 0o700
+
+    def test_compiler_that_rejects_loop_alignment(self, fresh_backend, tmp_path, monkeypatch):
+        real = kernels._find_compiler()
+        if real is None:
+            pytest.skip("no C compiler")
+        wrapper = tmp_path / "cc"
+        wrapper.write_text(f'#!/bin/sh\nfor a in "$@"; do [ "$a" = {kernels.ALIGN_LOOPS} ] '
+                           f'&& exit 1; done\nexec {real} "$@"\n')
+        wrapper.chmod(0o755)
+        monkeypatch.setattr(kernels, "_find_compiler", lambda: str(wrapper))
+        assert backend() == "compiled"
+        plain = tuple(flag for flag in kernels.FLAGS if flag != kernels.ALIGN_LOOPS)
+        names = [p.name for p in fresh_backend.iterdir()]
+        assert names == [kernels._library_name(str(wrapper), plain)]
+        # the next process loads that library without building again
+        kernels.library.cache_clear()
+        monkeypatch.setattr(kernels, "_build", None)
+        assert backend() == "compiled"
 
     @pytest.mark.parametrize(
         "failure", ["no_compiler", "compile_error", "unwritable_cache", "shared_cache", "load_error"]
@@ -182,6 +200,38 @@ class TestConstruction:
         assert np.array_equal(A.to_dense(), [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
         for arr in (A.row_offsets, A.col_indices, A.values):
             assert arr.flags.owndata and not arr.flags.writeable
+
+
+class TestStorage:
+    def test_twelve_bytes_per_nonzero_and_eight_per_row(self):
+        A = random_matrix(np.random.default_rng(4), 9, 7)
+        arrays = {name: value for name, value in vars(A).items()
+                  if isinstance(value, np.ndarray)}
+        assert {name: a.dtype for name, a in arrays.items()} == {
+            "row_offsets": np.int64, "col_indices": np.int32, "values": np.float64}
+        assert sum(a.nbytes for a in arrays.values()) == 12 * A.nnz + 8 * (A.n_rows + 1)
+        assert not hasattr(A, "row_ids")
+
+    def test_the_largest_column_is_kept(self):
+        A = SparseRowMatrix(1, matrix.MAX_COLS, [0, 2], np.array([0, 2**31 - 2]), [1.0, 2.0])
+        assert A.col_indices.dtype == np.int32
+        assert A.col_indices.tolist() == [0, 2**31 - 2]
+
+    @pytest.mark.parametrize("column", [2**31 - 1, 2**31, 2**32, 2**32 + 1, 2**63 - 1])
+    def test_columns_beyond_int32_never_wrap(self, column):
+        for dtype in (np.int64, np.uint64):
+            with pytest.raises(StructuralError, match=f"column index {column} out of range"):
+                SparseRowMatrix(1, matrix.MAX_COLS, [0, 1], np.array([column], dtype), [1.0])
+        with pytest.raises(StructuralError, match=f"column index {column} out of range"):
+            build_matrix([(0, column, 1.0)], 1, matrix.MAX_COLS)
+
+    def test_more_columns_than_int32_refused(self):
+        with pytest.raises(StructuralError, match="must fit int32"):
+            SparseRowMatrix(1, 2**31, [0, 1], np.array([0]), [1.0])
+        with pytest.raises(StructuralError, match="must fit int32"):
+            build_matrix([(0, 0, 1.0)], 1, 2**31)
+        with pytest.raises(StructuralError, match="must fit int32"):
+            build_matrix([], 1, 2**31)
 
 
 class TestBuild:

@@ -336,6 +336,16 @@ class TestFolding:
         folded = fold_labels(A, np.array([-1.0, 1.0]))
         assert np.array_equal(folded.to_dense(), [[-2.0, 0.0], [0.0, 3.0]])
 
+    def test_fold_labels_shares_the_structure(self):
+        rng = np.random.default_rng(2)
+        A = build_matrix([(i, j, rng.normal()) for i in range(5) for j in range(4)
+                          if (i + j) % 3], 5, 4)
+        labels = rng.normal(size=5)
+        folded = fold_labels(A, labels)
+        assert folded.row_offsets is A.row_offsets and folded.col_indices is A.col_indices
+        rows = np.repeat(np.arange(5), np.diff(A.row_offsets))
+        assert folded.values.tobytes() == (A.values * labels[rows]).tobytes()
+
     def test_saddle_consistency_with_primal(self):
         # sup_y F(x, y) = P(x) for smooth f: evaluate at the maximizing y
         prob = one_d_ridge()
