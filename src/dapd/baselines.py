@@ -406,7 +406,8 @@ def run_baseline(
     reference_value: float | None = None,
     wall_clock: bool = True,
 ) -> RunResult:
-    """Run the configured baseline; deterministic methods ignore the seed."""
+    """Run the configured baseline; deterministic methods ignore the seed.
+    Returns the last iterate alone (``x_ergodic`` is None)."""
     check_regularizer(config.method, problem.reg.kind)
     runner, seeded = BASELINES[config.method]
     tracer = Tracer(problem, reference_value, wall_clock)

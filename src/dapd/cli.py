@@ -21,9 +21,8 @@ import numpy as np
 
 from . import kernels, matrix
 from .datasets import load_libsvm
-from .deterministic import schedule_for_problem, validate_schedule
 from .errors import CertificationError, ConfigurationError, DivergenceError, ParseError
-from .harness import RunConfig, build_problem, compute_reference, run_experiment
+from .harness import RunConfig, build_problem, checked_schedule, compute_reference, run_experiment
 from .matrix import stats as matrix_stats
 from .proxlib import composite_gamma, problem_constants
 
@@ -71,10 +70,9 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args)
     problem = build_problem(config)
-    schedule = schedule_for_problem(problem, case_iv_tau=config.solver["case_iv_tau"])
+    schedule, violations = checked_schedule(problem, config.solver["case_iv_tau"], args.horizon)
     gamma_f = composite_gamma(problem)
     _, mu, _, R, _ = problem_constants(problem)
-    violations = validate_schedule(schedule, gamma_f, mu, R, horizon=args.horizon)
     print(f"regime: {schedule.regime}")
     print(f"composite gamma: {gamma_f:.6g}  mu: {mu:.6g}  R: {R:.6g}")
     if not violations:

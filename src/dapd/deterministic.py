@@ -44,7 +44,7 @@ from .proxlib import (
     prox_reg,
     recover_primal,
 )
-from .traces import RunResult, Tracer, check_output_mode, select_output
+from .traces import RunResult, Tracer
 
 # stored beta_hat above which ``rescale`` runs; far from overflow, so the
 # products beta_hat * gradient stay finite
@@ -258,17 +258,20 @@ def start_vector(value, size: int, name: str) -> np.ndarray:
     return vector
 
 
-def rescale(state, s_hat: np.ndarray, beta0: float) -> float:
+def rescale(state, s_hat: np.ndarray, beta0: float, growth: float = 1.0) -> float:
     """Move the growth of a scaled dual-averaging sum into its scale factor.
 
     ``s_hat`` (the state's stored gradient sum), ``state.B_hat`` and
     ``state.beta_hat`` are stored divided by exp(``state.log_scale``).  They
-    are divided in place by factor = beta_hat / beta0, so beta_hat returns to
-    beta0, and log(factor) is added to ``log_scale`` (``inv_scale`` follows).
+    are divided in place by factor = (beta_hat / beta0) * growth, beta_hat
+    becomes beta0, and log(factor) is added to ``log_scale`` (``inv_scale``
+    follows).  Passing the weight ratio beta_{t+1}/beta_t as ``growth``
+    stores the next weight without forming beta_hat * growth, which may
+    overflow.
     ``recover_primal`` gives the same point before and after, up to roundoff.
     Returns the factor, for any further quantity the caller stores scaled.
     """
-    factor = state.beta_hat / beta0
+    factor = state.beta_hat / beta0 * growth
     s_hat /= factor
     state.B_hat /= factor
     state.beta_hat = beta0
@@ -303,6 +306,8 @@ def dapd_iterate(state: IterateState, problem: CompositeProblem):
         x_new = recover_primal(reg, state.x0, state.s_hat, b_hat, state.inv_scale)
 
         state.ergodic_x += (state.beta_hat / b_hat) * (xbar - state.ergodic_x)
+        ratio = schedule.beta_ratio(t)
+        beta_next = state.beta_hat * ratio
 
     if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
         raise DivergenceError(f"non-finite iterate at iteration {t}", iteration=t)
@@ -313,10 +318,15 @@ def dapd_iterate(state: IterateState, problem: CompositeProblem):
     state.y = y_new
     state._aty = aty_new
     state.touch_counter += 3 * A.nnz + 5 * problem.dim + 2 * problem.n
-    state.beta_hat *= schedule.beta_ratio(t)
     state.t += 1
-    if state.beta_hat > RESCALE_THRESHOLD:
-        rescale(state, state.s_hat, schedule.beta0)
+    if not np.isfinite(beta_next):
+        # beta0 * ratio itself may overflow (a huge sc_smooth xi), so the
+        # whole growth goes into the scale and beta_hat stays at beta0
+        rescale(state, state.s_hat, schedule.beta0, ratio)
+    else:
+        state.beta_hat = beta_next
+        if beta_next > RESCALE_THRESHOLD:
+            rescale(state, state.s_hat, schedule.beta0)
     return state
 
 
@@ -324,23 +334,22 @@ def run_dapd(
     problem: CompositeProblem,
     schedule: SolverSchedule,
     iterations: int,
-    output: str = "last",
     reference_value: float | None = None,
     wall_clock: bool = True,
 ) -> RunResult:
     """Run DAPD for ``iterations`` steps, tracing once per iteration (epoch).
 
-    ``output`` selects the returned primal point(s): "last" (the practical
-    choice, preserves sparsity), "ergodic" (the beta-weighted average the
-    theory bounds), or "both".
+    Returns both primal points: ``x``, the last iterate (the practical
+    choice: dual averaging keeps its sparsity), and ``x_ergodic``, the
+    beta-weighted average of the xbar iterates that the theory bounds.
     """
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
-    check_output_mode(output)
     state = IterateState(problem, schedule)
     tracer = Tracer(problem, reference_value, wall_clock)
     for t in range(iterations):
         dapd_iterate(state, problem)
         tracer.record(t + 1, state.x, state.touch_counter)
     resolved = {"regime": schedule.regime, **schedule.params, "iterations": iterations}
-    return select_output(state, output, tracer.records, resolved)
+    return RunResult(x=state.x, trace=tracer.records, x_ergodic=state.ergodic_x, y=state.y,
+                     resolved=resolved)

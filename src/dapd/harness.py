@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -58,7 +59,7 @@ from .proxlib import (
 )
 from .sparse_engine import run_sparse
 from .stochastic import params_for_problem, perturb_problem, run_sdapd
-from .traces import check_output_mode, write_trace
+from .traces import write_trace
 
 DATA_DIR_ENV = "DAPD_DATA_DIR"
 
@@ -238,7 +239,7 @@ _REG_POSITIVE = ("huber_mu", "kl_weight")
 _PROBLEM_KEYS = {"source": dict, "loss": str, "regularizer": dict, "scaling": str}
 _SOLVER_KEYS = {"methods": list, "epochs": int, "seeds": list, "epsilon": _NULLABLE_FLOAT,
                 "case_iv_tau": _NULLABLE_FLOAT}
-_OUTPUT_KEYS = {"dir": str, "mode": str, "reference_accuracy": float, "wall_clock": bool}
+_OUTPUT_KEYS = {"dir": str, "reference_accuracy": float, "wall_clock": bool}
 _TOP_KEYS = {"name": str, "problem": dict, "solver": dict, "output": dict}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
                list: "a list", dict: "a JSON object", type(None): "null"}
@@ -346,10 +347,8 @@ class RunConfig:
         _check_positive(solver, "epsilon", "solver")
         _check_positive(solver, "case_iv_tau", "solver")
         output.setdefault("dir", "traces")
-        output.setdefault("mode", "last")
         output.setdefault("reference_accuracy", 1e-9)
         output.setdefault("wall_clock", True)
-        check_output_mode(output["mode"])
         _check_positive(output, "reference_accuracy", "output")
         return cls(raw.get("name", "experiment"), problem, solver, output)
 
@@ -418,37 +417,37 @@ def build_problem(config: RunConfig) -> CompositeProblem:
 # ---------------------------------------------------------------------------
 
 
-# Cell runners: runner(method, problem, epochs, seed, solver, output_mode,
-# reference_value=..., wall_clock=...) with ``solver`` the config's solver
-# section.
+def checked_schedule(problem: CompositeProblem, case_iv_tau: float | None, horizon: int):
+    """``(schedule, violations)``: the problem's DAPD schedule
+    (``schedule_for_problem``) and its feasibility violations for
+    t = 0..horizon (``validate_schedule``)."""
+    schedule = schedule_for_problem(problem, case_iv_tau=case_iv_tau)
+    _, mu, _, R, _ = problem_constants(problem)
+    return schedule, validate_schedule(schedule, composite_gamma(problem), mu, R, horizon)
 
 
-def _run_dapd_cell(method, problem, epochs, seed, solver, output_mode, **trace):
-    schedule = schedule_for_problem(problem, case_iv_tau=solver["case_iv_tau"])
-    violations = validate_schedule(
-        schedule,
-        composite_gamma(problem),
-        problem_constants(problem)[1],
-        problem.stats.spectral_norm,
-        horizon=min(epochs, 1000),
-    )
+# Cell runners: runner(problem, epochs, seed, solver, reference_value=...,
+# wall_clock=...) with ``solver`` the config's solver section.
+
+
+def _run_dapd_cell(problem, epochs, seed, solver, **trace):
+    schedule, violations = checked_schedule(problem, solver["case_iv_tau"], min(epochs, 1000))
     if violations:
         raise ConfigurationError(f"schedule infeasible: {violations[:3]}")
-    return run_dapd(problem, schedule, epochs, output=output_mode, **trace)
+    return run_dapd(problem, schedule, epochs, **trace)
 
 
-def _run_sdapd_cell(method, problem, epochs, seed, solver, output_mode, **trace):
+def _run_sdapd_cell(problem, epochs, seed, solver, **trace):
     params = params_for_problem(problem)
-    return run_sdapd(problem, params, epochs * problem.n, seed, output=output_mode, **trace)
+    return run_sdapd(problem, params, epochs * problem.n, seed, **trace)
 
 
-def _run_sparse_cell(method, problem, epochs, seed, solver, output_mode, **trace):
-    # the lazy engine returns the last iterate whatever the output mode
+def _run_sparse_cell(problem, epochs, seed, solver, **trace):
     params = params_for_problem(problem)
     return run_sparse(problem, params, epochs * problem.n, seed, **trace)
 
 
-def _run_baseline_cell(method, problem, epochs, seed, solver, output_mode, **trace):
+def _run_baseline_cell(method, problem, epochs, seed, solver, **trace):
     return run_baseline(BaselineConfig(method, epochs, seed), problem, **trace)
 
 
@@ -467,7 +466,8 @@ METHODS = {
     "sdapd_sparse": MethodSpec(_run_sparse_cell, seeded=True, perturbed=True),
     **{
         name: MethodSpec(
-            _run_baseline_cell, name in STOCHASTIC_METHODS, name in _PERTURBED_BASELINES
+            partial(_run_baseline_cell, name), name in STOCHASTIC_METHODS,
+            name in _PERTURBED_BASELINES,
         )
         for name in BASELINE_METHODS
     },
@@ -528,7 +528,6 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
 
     epochs = int(config.solver["epochs"])
     wall_clock = bool(config.output["wall_clock"])
-    output_mode = config.output["mode"]
     trace_paths = []
     failures = {}
     for method in config.solver["methods"]:
@@ -539,7 +538,7 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
             cell = method if seed is None else f"{method}_seed{seed}"
             try:
                 res = spec.runner(
-                    method, cell_problem, epochs, seed or 0, config.solver, output_mode,
+                    cell_problem, epochs, seed or 0, config.solver,
                     reference_value=reference.value, wall_clock=wall_clock,
                 )
             except (DivergenceError, ConfigurationError) as exc:

@@ -97,7 +97,7 @@ DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot", "cbl
 
 # the regularizer codes of ``struct sep_reg``; other kinds have no row kernel
 REG_CODES = {"l2": 0, "l1": 1, "elastic_net": 1}
-# the loss codes of ``struct row_problem``; other kinds have no lazy kernel
+# the loss codes of ``struct row_problem``: one for each of ``proxlib.LOSS_KINDS``
 LOSS_CODES = {"squared": 0, "hinge": 1}
 # the ``RowProblem`` arrays as long as the matrix has rows; the others are
 # as long as it has columns
@@ -149,12 +149,11 @@ def bind(state, problem, names, bodies, **fields) -> None:
     (``state._scalars``) and ``fields``: the struct's other fields by name,
     arrays or numbers, NULL or 0 when not given.  They are the numpy
     ``bodies`` instead, each called as body(state, problem, ...), when
-    ``backend()`` is "numpy" or the regularizer or a field (None) has no
-    compiled form.  Sets ``state._kernel`` to (problem, calls, what the
-    compiled calls' addresses point into, or None)."""
+    ``backend()`` is "numpy" or the regularizer has no compiled form.  Sets
+    ``state._kernel`` to (problem, calls, what the compiled calls' addresses
+    point into, or None)."""
     matrix = problem.matrix
-    if (backend() == "numpy" or problem.reg.kind not in REG_CODES
-            or any(value is None for value in fields.values())):
+    if backend() == "numpy" or problem.reg.kind not in REG_CODES:
         calls = tuple(functools.partial(body, state, problem) for body in bodies)
         state._kernel = (problem, calls, None)
         return

@@ -13,6 +13,7 @@ row index per entry: the few readers that need one build it
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,14 +247,12 @@ def matvec_numpy(A: SparseRowMatrix, v: np.ndarray, transpose: bool = False) -> 
     return np.bincount(_row_ids(A), weights=prod, minlength=A.n_rows)
 
 
-class SpectralEstimate(tuple):
-    """What ``power_iteration`` returns: the pair ``(estimate, converged)``,
-    which unpacks as before, and ``products``, the Gram products it used."""
+class SpectralEstimate(NamedTuple):
+    """What ``power_iteration`` returns."""
 
-    def __new__(cls, estimate: float, converged: bool, products: int):
-        self = super().__new__(cls, (estimate, converged))
-        self.products = products
-        return self
+    estimate: float
+    converged: bool
+    products: int  # the Gram products it used
 
 
 def power_iteration(A: SparseRowMatrix, rel_tol: float = 1e-13, max_iter: int = 1000):
@@ -276,9 +275,7 @@ def power_iteration(A: SparseRowMatrix, rel_tol: float = 1e-13, max_iter: int = 
     value.
     ``max_iter`` caps the Gram products (each look solves a dense k x k
     eigenproblem, so the cap is 1000, not the old 5000); when they run out
-    first the last estimate is returned with ``converged=False``.  The
-    result unpacks as ``(estimate, converged)`` and carries the product
-    count in ``products``.
+    first the last estimate is returned with ``converged=False``.
     """
     if rel_tol <= 0:
         raise StructuralError("rel_tol must be positive")
@@ -336,8 +333,7 @@ def stats(A: SparseRowMatrix) -> MatrixStats:
     O(nnz)), so max_row_norm <= spectral_norm holds by construction,
     converged or not.
     """
-    estimate = power_iteration(A)
-    value, converged = estimate
+    value, converged, products = power_iteration(A)
     squares = A.values**2
     row_sq = np.bincount(_row_ids(A), weights=squares, minlength=A.n_rows)
     col_sq = np.bincount(A.col_indices, weights=squares, minlength=A.n_cols)
@@ -349,5 +345,5 @@ def stats(A: SparseRowMatrix) -> MatrixStats:
         max_row_norm=max_row,
         density=dens,
         spectral_norm_converged=converged,
-        spectral_norm_products=estimate.products,
+        spectral_norm_products=products,
     )

@@ -106,7 +106,7 @@ class LazyState:
         kernels.bind(
             self, problem, ("lazy_iterate",), (_iterate_numpy,),
             targets=np.ascontiguousarray(loss.targets, dtype=np.float64), x0=self._x0,
-            y=self._y, u=self._u, v=self._v, w=self._w, loss=kernels.LOSS_CODES.get(loss.kind),
+            y=self._y, u=self._u, v=self._v, w=self._w, loss=kernels.LOSS_CODES[loss.kind],
             step=params.eta, tau=params.tau, theta=theta, d1=loss.dual_perturbation,
         )
 
@@ -184,7 +184,8 @@ def run_sparse(
     reference_value: float | None = None,
     wall_clock: bool = True,
 ) -> RunResult:
-    """Drive the lazy engine; per-epoch traces, last-iterate output only."""
+    """Drive the lazy engine; per-epoch traces.  Returns the last iterate
+    alone: the engine keeps no average (``x_ergodic`` is None)."""
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
     state = LazyState(problem, params, x0=x0)

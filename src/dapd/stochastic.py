@@ -57,7 +57,7 @@ from .proxlib import (
     prox_reg,
     recover_primal,
 )
-from .traces import RunResult, Tracer, check_output_mode, epoch_rows, select_output
+from .traces import RunResult, Tracer, epoch_rows
 
 
 @dataclass(frozen=True)
@@ -220,16 +220,18 @@ def run_sdapd(
     params: StochasticParams,
     iterations: int,
     seed: int,
-    output: str = "last",
     reference_value: float | None = None,
     x0=None,
     wall_clock: bool = True,
 ) -> RunResult:
     """Seeded, reproducible SDAPD run; one trace record per epoch (n
-    iterations), plus a final record when the horizon is not a multiple."""
+    iterations), plus a final record when the horizon is not a multiple.
+
+    Returns the last iterate in ``x`` and the beta-weighted average of the
+    xbar iterates, which the theorem rates bound, in ``x_ergodic``.
+    """
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
-    check_output_mode(output)
     state = StochasticState(problem, params, x0=x0)
     tracer = Tracer(problem, reference_value, wall_clock)
     for epoch, rows in epoch_rows(problem.n, iterations, seed):
@@ -237,7 +239,8 @@ def run_sdapd(
             sdapd_iterate_dense(state, problem, i)
         tracer.record(epoch, state.x, state.touch_counter)
     resolved = resolved_constants(problem, params, iterations, seed)
-    return select_output(state, output, tracer.records, resolved)
+    return RunResult(x=state.x, trace=tracer.records, x_ergodic=state.ergodic_x, y=state.y,
+                     resolved=resolved)
 
 
 def resolved_constants(problem, params, iterations, seed) -> dict:

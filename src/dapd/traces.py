@@ -9,10 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, StructuralError
+from .errors import DivergenceError, StructuralError
 from .proxlib import primal_objective
-
-OUTPUT_MODES = ("last", "ergodic", "both")
 
 TRACE_HEADER = "epoch,primal_value,suboptimality,nnz_fraction,touches,elapsed_seconds"
 
@@ -40,7 +38,10 @@ class TraceRecord:
 
 @dataclass
 class RunResult:
-    """Solution(s) and trace returned by every solver and baseline."""
+    """Solution(s) and trace returned by every solver and baseline: ``x`` is
+    the last iterate, and ``x_ergodic`` the beta-weighted average that the
+    convergence rates bound, for the solvers that keep one (``run_dapd`` and
+    ``run_sdapd``), else None."""
 
     x: np.ndarray
     trace: list
@@ -102,21 +103,6 @@ class Tracer:
                 elapsed_seconds=time.perf_counter() - self.start if self.wall_clock else 0.0,
             )
         )
-
-
-def check_output_mode(output: str) -> None:
-    """Reject an ``output`` mode before a run starts; see ``select_output``."""
-    if output not in OUTPUT_MODES:
-        raise ConfigurationError(f"unknown output mode {output!r}")
-
-
-def select_output(state, output: str, trace: list, resolved: dict) -> RunResult:
-    """The run result for ``output``: "last" returns the last iterate
-    ``state.x``, "ergodic" the beta-weighted average ``state.ergodic_x``, and
-    "both" the last iterate with the average in ``x_ergodic``."""
-    x_ergodic = state.ergodic_x.copy() if output != "last" else None
-    x = state.ergodic_x.copy() if output == "ergodic" else state.x
-    return RunResult(x=x, trace=trace, x_ergodic=x_ergodic, y=state.y, resolved=resolved)
 
 
 def write_trace(records, path) -> None:

@@ -39,19 +39,25 @@ ENVIRONMENT_FILE = "environment.json"
 KL_BASELINES = ("pdhg", "apgm", "rda", "proxsgd")
 
 
-def _experiment(name, source, loss, regularizer, methods, epochs, seeds, epsilon=None,
-                mode="last", accuracy=1e-9):
-    """A case that runs ``dapd run``'s experiment on one config."""
+def experiment_config(name, source, loss, regularizer, methods, epochs, seeds, epsilon=None,
+                      accuracy=1e-9) -> dict:
+    """A ``dapd run`` config, with ``wall_clock`` off."""
+    return {
+        "name": name,
+        "problem": {"source": source, "loss": loss, "regularizer": regularizer},
+        "solver": {"methods": list(methods), "epochs": epochs, "seeds": seeds,
+                   "epsilon": epsilon},
+        "output": {"reference_accuracy": accuracy, "wall_clock": False},
+    }
+
+
+def _experiment(*args, **kwargs):
+    """A case that runs ``dapd run``'s experiment on
+    ``experiment_config(*args, **kwargs)``."""
+    config = experiment_config(*args, **kwargs)
 
     def write(outdir: Path) -> None:
-        config = RunConfig.from_dict({
-            "name": name,
-            "problem": {"source": source, "loss": loss, "regularizer": regularizer},
-            "solver": {"methods": list(methods), "epochs": epochs, "seeds": seeds,
-                       "epsilon": epsilon},
-            "output": {"mode": mode, "reference_accuracy": accuracy, "wall_clock": False},
-        })
-        run_experiment(config, base_dir=outdir)
+        run_experiment(RunConfig.from_dict(config), base_dir=outdir)
 
     return write
 
@@ -124,13 +130,12 @@ def _kl(outdir: Path) -> None:
 
 
 README_SOURCE = {"kind": "synth_ridge", "n": 200, "d": 200, "noise_sigma": 0.1, "seed": 7}
+# the README's example config
+README_CASE = ("ridge-sweep", README_SOURCE, "squared", {"kind": "l2", "lam": 1e-3},
+               ("dapd", "sdapd", "sdapd_sparse", "proxsgd"), 10, [1, 2, 3])
 
 CASES = {
-    # the README's example config, in mode both
-    "readme": _experiment(
-        "ridge-sweep", README_SOURCE, "squared", {"kind": "l2", "lam": 1e-3},
-        ("dapd", "sdapd", "sdapd_sparse", "proxsgd"), 10, [1, 2, 3], mode="both",
-    ),
+    "readme": _experiment(*README_CASE),
     "hinge_l2": _experiment(
         "hinge-l2", {"kind": "synth_sparse_classification", "n": 12, "d": 6,
                      "density": 0.5, "seed": 4},

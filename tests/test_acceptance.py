@@ -181,7 +181,7 @@ class TestCriterion3:
         ok = True
         for T in (n, 5 * n, 20 * n):
             dists = [
-                float(np.sum((run_sdapd(prob, params, T, seed=s, output="ergodic").x - x_star) ** 2))
+                float(np.sum((run_sdapd(prob, params, T, seed=s).x_ergodic - x_star) ** 2))
                 for s in range(50)
             ]
             bound = delta0 / (params.xi**T - 1.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,27 @@ class TestIterate:
         assert (state.t, state.touch_counter, state.B_hat, state.beta_hat, state.inv_scale,
                 state.log_scale) == (0, 0, 0.0, sched.beta0, 1.0, 0.0)
 
+    def test_weight_ratio_that_overflows_moves_into_the_scale(self):
+        # sc_smooth with beta0 = 3.9e159 and xi = 1.96e159: beta0 * xi is not
+        # a double, so each step's growth reaches log_scale without forming it
+        A = build_matrix([(0, 0, 3e-160), (1, 1, 1e-160), (1, 0, 2e-160)], 2, 2)
+        prob = make_problem(
+            A, squared_loss([1.0, -1.0]), l2_reg(0.5), "deterministic", loss_scale=1.0
+        )
+        sched = schedule_for_problem(prob)
+        xi = sched.params["xi"]
+        assert sched.regime == "sc_smooth" and sched.beta0 > np.finfo(float).max / xi
+        state = IterateState(prob, sched)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):
+                dapd_iterate(state, prob)
+        assert state.log_scale == pytest.approx(3 * np.log(xi), rel=1e-15)
+        assert state.beta_hat == sched.beta0
+        # B = beta0 (1 + xi + xi^2), stored divided by exp(log_scale) = xi^3
+        assert state.B_hat == pytest.approx(sched.beta0 / xi * (1 + (1 + 1 / xi) / xi),
+                                            rel=1e-12)
+
     @pytest.mark.parametrize("start", [{"x0": 1.0}, {"x0": np.zeros(4)}, {"y0": np.zeros(4)},
                                        {"y0": np.zeros((5, 1))}],
                              ids=["scalar_x0", "long_x0", "short_y0", "column_y0"])
@@ -142,13 +165,17 @@ class TestRun:
         offline = (betas[:, None] * np.array(xbars)).sum(axis=0) / betas.sum()
         assert np.allclose(state.ergodic_x, offline, atol=1e-14, rtol=1e-13)
 
-    def test_output_modes(self):
-        prob = one_d_problem()
-        sched = make_schedule(gamma=1.0, mu=1.0, R=1.0)
-        both = run_dapd(prob, sched, iterations=10, output="both")
-        assert both.x_ergodic is not None
-        erg = run_dapd(prob, sched, iterations=10, output="ergodic")
-        assert np.allclose(erg.x, both.x_ergodic)
+    def test_returns_last_iterate_and_ergodic_average(self):
+        rng = np.random.default_rng(12)
+        prob, _, _ = random_ridge(rng, 6, 4, mu=0.4)
+        sched = schedule_for_problem(prob)
+        state = IterateState(prob, sched)
+        for _ in range(10):
+            dapd_iterate(state, prob)
+        res = run_dapd(prob, sched, iterations=10)
+        assert res.x.tobytes() == state.x.tobytes()
+        assert res.x_ergodic.tobytes() == state.ergodic_x.tobytes()
+        assert not np.array_equal(res.x, res.x_ergodic)
 
     def test_zero_iterations_rejected(self):
         prob = one_d_problem()

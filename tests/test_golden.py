@@ -11,6 +11,10 @@ and every non-numeric manifest value.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-300  # values that are zero must stay zero (to underflow)
 # the manifest key that names the matvec backend; environment.json holds it
 BACKEND_KEY = "matrix.backend"
+SRC = Path(kernels.__file__).resolve().parents[1]
+RUN_TIMEOUT_S = 300
 
 
 def _files(root):
@@ -82,6 +88,10 @@ def _mismatch_tolerant(expected, actual):
 def mismatch(expected, actual, exact: bool):
     """None when ``actual`` matches ``expected``, else what differs first."""
     return (_mismatch_exact if exact else _mismatch_tolerant)(expected, actual)
+
+
+def _without_backend(text: str) -> str:
+    return "".join(ln for ln in text.splitlines(True) if not ln.startswith(BACKEND_KEY))
 
 
 def _recorded_environment_matches() -> bool:
@@ -146,8 +156,35 @@ def test_numpy_matvec_gives_the_same_bytes(fresh, tmp_path, monkeypatch):
     for rel in _files(fresh):
         want, got = (fresh / rel).read_text(), (tmp_path / rel).read_text()
         if rel.name == "manifest.txt":
-            want, got = (
-                "".join(ln for ln in text.splitlines(True) if not ln.startswith(BACKEND_KEY))
-                for text in (want, got)
-            )
+            want, got = _without_backend(want), _without_backend(got)
         assert want == got, rel
+
+
+def test_numpy_only_machine(tmp_path):
+    """``dapd run`` on the ``readme`` case's config, with no C compiler on
+    PATH and an empty kernel cache, runs on numpy alone: the manifest names
+    the numpy backend, and every file matches the golden ones apart from
+    that line."""
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(make_golden.experiment_config(*make_golden.README_CASE)))
+    for name in ("bin", "cache"):
+        (tmp_path / name).mkdir()
+    env = {**os.environ, "PATH": str(tmp_path / "bin"),
+           "XDG_CACHE_HOME": str(tmp_path / "cache"), "PYTHONPATH": str(SRC)}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dapd.cli", "run", "--config", str(config), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    golden = GOLDEN / "readme"
+    assert _files(out) == _files(golden)
+    manifest = (out / "manifest.txt").read_text()
+    assert f"{BACKEND_KEY}=numpy\n" in manifest.splitlines(True)
+    (out / "manifest.txt").write_text(_without_backend(manifest))
+    want = tmp_path / "golden_manifest.txt"
+    want.write_text(_without_backend((golden / "manifest.txt").read_text()))
+    exact = _recorded_environment_matches()
+    for rel in _files(golden):
+        expected = want if rel.name == "manifest.txt" else golden / rel
+        assert mismatch(expected, out / rel, exact) is None, rel

@@ -659,7 +659,7 @@ BAD_CONFIGS = {
     "epsilon_not_a_number": _edit(("solver",), "epsilon", "abc"),
     "epsilon_zero": _edit(("solver",), "epsilon", 0),
     "epsilon_negative": _edit(("solver",), "epsilon", -1e-3),
-    "mode_unknown": _edit(("output",), "mode", "bogus"),
+    "mode_unknown": _edit(("output",), "mode", "last"),  # not a key: runs return both points
     "wall_clock_string": _edit(("output",), "wall_clock", "no"),
     "reference_accuracy_zero": _edit(("output",), "reference_accuracy", 0),
     "reference_accuracy_negative": _edit(("output",), "reference_accuracy", -1e-9),

@@ -314,13 +314,13 @@ class TestCompiledRow:
         problem = perturb_problem(ragged_problem("squared", reg), 1e-3)
         params = grid_params(problem)
         x0 = np.full(problem.dim, x0)
-        want = run_sdapd(problem, params, 120, seed=4, x0=x0, output="both", wall_clock=False)
+        want = run_sdapd(problem, params, 120, seed=4, x0=x0, wall_clock=False)
         calls = []
         for name in ("_xbar_dot_numpy", "_update_numpy"):
             body = getattr(stochastic, name)
             monkeypatch.setattr(stochastic, name,
                                 lambda *args, body=body: calls.append(1) or body(*args))
-        got = run_sdapd(problem, params, 120, seed=4, x0=x0, output="both", wall_clock=False)
+        got = run_sdapd(problem, params, 120, seed=4, x0=x0, wall_clock=False)
         assert len(calls) == (0 if reg.kind == "l2" else 240)
         assert got.x.tobytes() == want.x.tobytes()
         assert got.x_ergodic.tobytes() == want.x_ergodic.tobytes()
@@ -423,7 +423,7 @@ class TestTheoremBound:
         for T in (n, 5 * n):
             dists = []
             for seed in range(20):
-                res = run_sdapd(prob, params, T, seed=seed, output="ergodic")
-                dists.append(np.sum((res.x - x_star) ** 2))
+                res = run_sdapd(prob, params, T, seed=seed)
+                dists.append(np.sum((res.x_ergodic - x_star) ** 2))
             bound = delta0 / (params.xi**T - 1.0)
             assert np.mean(dists) <= 1.1 * bound
