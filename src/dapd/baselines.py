@@ -26,16 +26,17 @@ every resolved constant is returned for the experiment manifest.
   spdc      Zhang & Xiao (2017), Math Program 165; published (tau, sigma,
             theta) triple
 
-SPDC runs a row as dense SDAPD does (``stochastic``): two calls around the
-dual step, which stays in Python; the second also counts the row in ``t``
-and the touch count, kept in the state's ``kernels.RowScalars`` block.
-``SpdcState`` binds them once, to the problem it is built on
-(``kernels.bind``): ``spdc_dot`` and ``spdc_update`` of ``kernels.c`` for
-l2, l1 and elastic net, and otherwise, or when the kernels cannot be built,
-their numpy bodies, which give the same bits and are the kernels' oracle.
-A row whose dot product, new dual coordinate or new x is not finite raises
-``DivergenceError`` at that iteration, as SDAPD's does, under the row
-kernels' divergence contract (``kernels.c``).
+SPDC runs an epoch of rows in one call, ``spdc_epoch``: for each row the
+dot product with x_ext, the dual step, the primal prox step and the
+extrapolation, counting the row in ``t`` and the touch count, kept in the
+state's ``kernels.RowScalars`` block.  ``SpdcState`` binds the call once, to
+the problem it is built on (``kernels.bind``): ``spdc_epoch`` of
+``kernels.c`` for l2, l1 and elastic net, and otherwise, or when the kernels
+cannot be built, its numpy body ``_spdc_epoch_numpy``, which gives the same
+bits and is the kernel's oracle.  A row whose dot product, new dual
+coordinate or new x is not finite raises ``DivergenceError`` at that
+iteration, as SDAPD's does, under the row kernels' divergence contract
+(``kernels.c``).
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def _run_rda(problem, epochs, seed, tracer):
     variant = "strongly_convex" if (mu > 0 and lipschitz_loss) else "sqrt_t"
     t = touches = 0
     for epoch, rows in epoch_rows(n, epochs * n, seed):
-        for i in rows:
+        for i in rows.tolist():
             t += 1
             cols, vals = problem.matrix.row(i)
             gi = sample_factor * loss_grad_at(problem.loss, i, float(vals @ x[cols]))
@@ -234,7 +235,7 @@ def _run_proxsgd(problem, epochs, seed, tracer):
     rule = "inverse_mu_t" if mu > 0 else "inverse_sqrt_t"
     t = touches = 0
     for epoch, rows in epoch_rows(n, epochs * n, seed):
-        for i in rows:
+        for i in rows.tolist():
             t += 1
             cols, vals = problem.matrix.row(i)
             gi = sample_factor * loss_grad_at(problem.loss, i, float(vals @ x[cols]))
@@ -269,7 +270,7 @@ def _run_proxsvrg(problem, epochs, seed, tracer):
             touches += 2 * problem.matrix.nnz + problem.dim
         else:
             _, rows = next(sampled)
-            for i in rows:
+            for i in rows.tolist():
                 cols, vals = problem.matrix.row(i)
                 gi = loss_grad_at(problem.loss, i, float(vals @ x[cols]))
                 v = full.copy()
@@ -282,71 +283,80 @@ def _run_proxsvrg(problem, epochs, seed, tracer):
 
 class SpdcState:
     """SPDC's primal x, its extrapolation x_ext, the dual y and
-    u = A^T y / n, stepped by ``spdc_iterate`` with the steps (tau, sigma)
+    u = A^T y / n, stepped by ``spdc_epoch`` with the steps (tau, sigma)
     and the extrapolation theta it was built with; ``t`` counts its rows.
 
-    The row's two steps are bound once, to the problem the state is built
-    on.  ``tau``, ``theta`` and the vectors cannot be rebound (the vectors
-    are written in place): the compiled row kernels keep their values and
-    addresses.  ``t`` and ``touch_counter`` are fields of a
-    ``kernels.RowScalars`` block, which the row's second step advances.
+    The epoch call is bound once, to the problem the state is built on.
+    ``tau``, ``sigma``, ``theta`` and the vectors cannot be rebound (the
+    vectors are written in place): the compiled kernel keeps their values
+    and addresses.  ``t`` and ``touch_counter`` are fields of a
+    ``kernels.RowScalars`` block, which the epoch call advances.
     """
 
-    tau, theta, x, x_ext, y, u = (
-        kernels.fixed(name) for name in ("tau", "theta", "x", "x_ext", "y", "u")
+    tau, sigma, theta, x, x_ext, y, u = (
+        kernels.fixed(name) for name in ("tau", "sigma", "theta", "x", "x_ext", "y", "u")
     )
     t, touch_counter = kernels.scalar("t"), kernels.scalar("touch_counter")
 
     def __init__(self, problem, tau: float, sigma: float, theta: float):
+        if sigma <= 0:
+            raise ConfigurationError("spdc needs a positive dual step sigma")
         d, n = problem.dim, problem.n
-        self._tau, self.sigma, self._theta = tau, sigma, theta
+        self._tau, self._sigma, self._theta = tau, sigma, theta
         self._x = np.zeros(d)
         self._x_ext = np.zeros(d)
         self._y = np.zeros(n)
         self._u = matvec(problem.matrix, self._y, transpose=True) / n
         self._scalars = kernels.RowScalars()
+        loss = problem.loss
         kernels.bind(
-            self, problem, ("spdc_dot", "spdc_update"), (_spdc_dot_numpy, _spdc_update_numpy),
-            x=self._x, xbar=self._x_ext, u=self._u, y=self._y, step=tau, theta=theta,
+            self, problem, ("spdc_epoch",), (_spdc_epoch_numpy,),
+            targets=np.ascontiguousarray(loss.targets, dtype=np.float64), x=self._x,
+            xbar=self._x_ext, u=self._u, y=self._y, loss=kernels.LOSS_CODES[loss.kind],
+            step=tau, tau=sigma, theta=theta, d1=loss.dual_perturbation,
         )
 
 
-def spdc_iterate(state: SpdcState, problem, i: int) -> SpdcState:
-    """One SPDC iteration on the sampled row i; O(d + nnz(a_i))."""
-    row_dot, update = kernels.row_calls(state, problem, i)
-    dot = row_dot(i)
-    y_new_i = prox_conjugate(problem.loss, i, state.sigma, state.y[i] + state.sigma * dot)
-    if not (math.isfinite(dot) and math.isfinite(y_new_i)) or update(i, y_new_i) < 0:
+def spdc_epoch(state: SpdcState, problem, rows) -> SpdcState:
+    """SPDC iterations on the sampled ``rows`` (an integer array), in order;
+    O(d + nnz(a_i)) each.  Every row index is checked before the first row
+    runs."""
+    (epoch,), rows = kernels.epoch_calls(state, problem, rows)
+    if epoch(rows, rows.size) < rows.size:
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     return state
 
 
-def _spdc_dot_numpy(state: SpdcState, problem, i: int) -> float:
-    """``spdc_dot`` in numpy: the dot product of row i with x_ext."""
-    cols, vals = problem.matrix.row(i)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(vals @ state.x_ext[cols])
-
-
-def _spdc_update_numpy(state: SpdcState, problem, i: int, y_new: float) -> int:
-    """``spdc_update`` in numpy: the dual coordinate, the primal prox step
-    on u + dy a_i, the extrapolation and u, then t and the touch count;
-    returns the row's nonzero count, or -1 when x is not finite."""
-    cols, vals = problem.matrix.row(i)
-    dy = y_new - state.y[i]
-    state.y[i] = y_new
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad = state.u.copy()
-        grad[cols] += dy * vals
-        x_new = prox_reg(problem.reg, state.tau, state.x - state.tau * grad)
-        state.u[cols] += (dy / problem.n) * vals
-        state.x_ext[...] = x_new + state.theta * (x_new - state.x)
-    state.x[...] = x_new
-    if not np.isfinite(x_new).all():
-        return -1
-    state.touch_counter += 4 * problem.dim + 3 * vals.size
-    state.t += 1
-    return int(vals.size)
+def _spdc_epoch_numpy(state: SpdcState, problem, rows: np.ndarray, count: int) -> int:
+    """``spdc_epoch`` in numpy: for each of the first ``count`` rows, the
+    dot product with x_ext, the dual step, the primal prox step on
+    u + dy a_i, the extrapolation and u, then t and the touch count.
+    Returns the number of rows completed: ``count``, or the position of the
+    first row whose dot product, new dual coordinate or new x is not
+    finite."""
+    sigma, tau, theta = state.sigma, state.tau, state.theta
+    x, x_ext, y, u = state.x, state.x_ext, state.y, state.u
+    for done, i in enumerate(rows[:count].tolist()):
+        cols, vals = problem.matrix.row(i)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dot = float(vals @ x_ext[cols])
+        y_new = prox_conjugate(problem.loss, i, sigma, y[i] + sigma * dot)
+        if not (math.isfinite(dot) and math.isfinite(y_new)):
+            return done
+        dy = y_new - y[i]
+        y[i] = y_new
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = u.copy()
+            grad[cols] += dy * vals
+            x_new = prox_reg(problem.reg, tau, x - tau * grad)
+            u[cols] += (dy / problem.n) * vals
+            x_ext[...] = x_new + theta * (x_new - x)
+        x[...] = x_new
+        if not np.isfinite(x_new).all():
+            return done
+        state.touch_counter += 4 * problem.dim + 3 * vals.size
+        state.t += 1
+    return count
 
 
 def spdc_steps(problem) -> tuple[float, float, float]:
@@ -368,8 +378,7 @@ def _run_spdc(problem, epochs, seed, tracer):
     n = problem.n
     state = SpdcState(problem, tau, sigma, theta)
     for epoch, rows in epoch_rows(n, epochs * n, seed):
-        for i in rows:
-            spdc_iterate(state, problem, i)
+        spdc_epoch(state, problem, rows)
         tracer.record(epoch, state.x, state.touch_counter)
     return state.x, {"tau": tau, "sigma": sigma, "theta": theta}
 

@@ -28,6 +28,7 @@ keep their sums the same way and call it too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,6 +50,9 @@ from .traces import RunResult, Tracer
 # stored beta_hat above which ``rescale`` runs; far from overflow, so the
 # products beta_hat * gradient stay finite
 RESCALE_THRESHOLD = 1e150
+# the largest log of one division step of ``rescale`` (e^709 is the largest
+# power of e below the float maximum)
+MAX_LOG_STEP = 700.0
 
 
 @dataclass(frozen=True)
@@ -258,26 +262,37 @@ def start_vector(value, size: int, name: str) -> np.ndarray:
     return vector
 
 
-def rescale(state, s_hat: np.ndarray, beta0: float, growth: float = 1.0) -> float:
+def rescale(state, s_hat: np.ndarray, beta0: float, growth: float = 1.0,
+            scaled: tuple = ("B_hat",)) -> None:
     """Move the growth of a scaled dual-averaging sum into its scale factor.
 
-    ``s_hat`` (the state's stored gradient sum), ``state.B_hat`` and
-    ``state.beta_hat`` are stored divided by exp(``state.log_scale``).  They
-    are divided in place by factor = (beta_hat / beta0) * growth, beta_hat
-    becomes beta0, and log(factor) is added to ``log_scale`` (``inv_scale``
-    follows).  Passing the weight ratio beta_{t+1}/beta_t as ``growth``
-    stores the next weight without forming beta_hat * growth, which may
-    overflow.
+    ``s_hat`` (the state's stored gradient sum), ``state.beta_hat`` and the
+    state's scalars named in ``scaled`` (``B_hat``, and the lazy engine's
+    ``beta_prev_hat``) are stored divided by exp(``state.log_scale``).
+    ``s_hat`` and those scalars are divided in place by
+    factor = (beta_hat / beta0) * growth, beta_hat becomes beta0, and
+    log(factor) is added to ``log_scale`` (``inv_scale`` follows).  Passing
+    the weight ratio beta_{t+1}/beta_t as ``growth`` stores the next weight
+    without forming beta_hat * growth, which may overflow.  When the factor
+    itself overflows, its log is log(beta_hat) - log(beta0) + log(growth),
+    and they are divided by it in steps, each below the float maximum.
     ``recover_primal`` gives the same point before and after, up to roundoff.
-    Returns the factor, for any further quantity the caller stores scaled.
     """
-    factor = state.beta_hat / beta0 * growth
-    s_hat /= factor
-    state.B_hat /= factor
+    with np.errstate(over="ignore"):
+        factor = state.beta_hat / beta0 * growth
+    if np.isfinite(factor):
+        log_factor, steps = np.log(factor), (factor,)
+    else:
+        log_factor = np.log(state.beta_hat) - np.log(beta0) + np.log(growth)
+        count = math.ceil(log_factor / MAX_LOG_STEP)
+        steps = (np.exp(log_factor / count),) * count
+    for step in steps:
+        s_hat /= step
+        for name in scaled:
+            setattr(state, name, getattr(state, name) / step)
     state.beta_hat = beta0
-    state.log_scale += np.log(factor)
+    state.log_scale += log_factor
     state.inv_scale = np.exp(-state.log_scale)
-    return factor
 
 
 def dapd_iterate(state: IterateState, problem: CompositeProblem):

@@ -1,8 +1,8 @@
 /* Compiled kernels for dapd: the CSR matrix-vector products of
  * dapd.matrix.matvec, the row kernels (one iteration of the lazy sparse
- * engine, and the O(d) vector work of one dense SDAPD row and one SPDC
- * row, each advancing its state's step scalars), and the LIBSVM reader of
- * dapd.datasets.parse_libsvm.
+ * engine, the O(d) vector work of one dense SDAPD row and a whole epoch of
+ * SPDC rows, each advancing its state's step scalars), and the LIBSVM
+ * reader of dapd.datasets.parse_libsvm.
  *
  * Each matvec output entry is accumulated in storage order, one rounded
  * product at a time, starting from +0.0: the order np.bincount uses in the
@@ -49,19 +49,21 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
     }
 }
 
-/* The row kernels (lazy_iterate, sdapd_dense_*, spdc_*) evaluate the numpy
- * bodies' expressions in their order, so the results are the same bits.
- * Their dot products are not summed here: OpenBLAS picks a ddot kernel,
- * and with it a summation order, per CPU, so the kernels call the CBLAS
- * ddot that numpy's dot calls, as numpy does (numpy_dot).  All five take
- * one struct row_problem, which a solver state binds once, to the problem
- * it is built on; the state checks 0 <= i < n and keeps the struct's
- * arrays and scalar block alive, never rebound.
+/* The row kernels (lazy_iterate, sdapd_dense_*, spdc_epoch) evaluate the
+ * numpy bodies' expressions in their order, so the results are the same
+ * bits.  Their dot products are not summed here: OpenBLAS picks a ddot
+ * kernel, and with it a summation order, per CPU, so the kernels call the
+ * CBLAS ddot that numpy's dot calls, as numpy does (numpy_dot).  All four
+ * take one struct row_problem, which a solver state binds once, to the
+ * problem it is built on; the state checks 0 <= i < n for every row before
+ * it calls a kernel, and keeps the struct's arrays and scalar block alive,
+ * never rebound.
  *
  * The divergence contract, kept also by the numpy bodies and by
  * dapd.deterministic.dapd_iterate: a row whose result is not finite
- * returns -1 and leaves every step scalar (beta, B, t and the touch count)
- * as it was.  Vectors it has written stay written; the run is abandoned.
+ * returns -1 (spdc_epoch: the number of rows completed before it) and
+ * leaves every step scalar (beta, B, t and the touch count) as it was.
+ * Vectors it has written stay written; the run is abandoned.
  *
  * Everything from here on sits after csr_matvec and csr_rmatvec, so a
  * change to the row kernels does not move those two in the library.
@@ -150,17 +152,35 @@ struct row_problem {
     struct row_scalars *scalars;
     struct blas_dot dot;
     struct sep_reg g;
-    int64_t n, d, loss;      /* loss: lazy */
-    /* step: eta, or SPDC's tau; tau, d1: lazy's dual step and perturbation;
-     * theta: lazy's 1/xi, SPDC's extrapolation; xi: SDAPD's beta growth */
+    int64_t n, d, loss;      /* loss: lazy and SPDC */
+    /* step: eta, or SPDC's tau; tau, d1: dual_step's step (lazy's tau,
+     * SPDC's sigma) and perturbation; theta: lazy's 1/xi, SPDC's
+     * extrapolation; xi: SDAPD's beta growth */
     double step, tau, theta, xi, d1;
 };
 
+/* proxlib.prox_conjugate for squared and hinge loss: the new dual
+ * coordinate of row i from y_i and the row's dot product, with the step
+ * p->tau and the perturbation p->d1 (targets: squared loss only) */
+static inline double dual_step(const struct row_problem *p, int64_t i, double yi, double dot)
+{
+    const double tau = p->tau, arg = yi + tau * dot;
+    if (p->loss == LOSS_SQUARED)
+        return (arg - tau * p->targets[i]) / (1.0 + tau * (1.0 + p->d1));
+    /* np.clip to [-1, 0]: keeps the sign of a zero and passes NaN */
+    const double y = (arg - tau) / (1.0 + tau * p->d1);
+    if (y < -1.0)
+        return -1.0;
+    if (y > 0.0)
+        return 0.0;
+    return y;
+}
+
 /* One lazy SDAPD iteration on row i (dapd.sparse_engine.sparse_iterate):
- * the two recoveries of proxlib.recover_primal, the dot product,
- * proxlib.prox_conjugate, the support updates and the scalars: B and the
- * two betas move one step (beta divided by theta), t counts the row and
- * the touch count grows by 6 per nonzero plus 2.  Returns the row's
+ * the two recoveries of proxlib.recover_primal, the dot product, the dual
+ * step, the support updates and the scalars: B and the two betas move one
+ * step (beta divided by theta), t counts the row and the touch count grows
+ * by 6 per nonzero plus 2.  Returns the row's
  * nonzero count, or -1 without writing anything when the dot product or
  * the new dual coordinate is not finite.  The rebase stays with the
  * caller. */
@@ -182,18 +202,7 @@ int64_t lazy_iterate(const struct row_problem *p, int64_t i)
     }
     const double dot = numpy_dot(&p->dot, k, vals, p->gather);
 
-    const double yi = p->y[i], arg = yi + p->tau * dot;
-    double y_new;
-    if (p->loss == LOSS_SQUARED) {
-        y_new = (arg - p->tau * p->targets[i]) / (1.0 + p->tau * (1.0 + p->d1));
-    } else {
-        /* np.clip to [-1, 0]: keeps the sign of a zero and passes NaN */
-        y_new = (arg - p->tau) / (1.0 + p->tau * p->d1);
-        if (y_new < -1.0)
-            y_new = -1.0;
-        else if (y_new > 0.0)
-            y_new = 0.0;
-    }
+    const double yi = p->y[i], y_new = dual_step(p, i, yi, dot);
     if (!isfinite(dot) || !isfinite(y_new))
         return -1;
 
@@ -216,12 +225,12 @@ int64_t lazy_iterate(const struct row_problem *p, int64_t i)
     return k;
 }
 
-/* The dense SDAPD row (dapd.stochastic.sdapd_iterate_dense) and the SPDC
- * row (dapd.baselines.spdc_iterate), each as two calls around the dual
- * step, which stays in Python: the first returns the row's dot product,
- * the second takes the new dual coordinate, does the rest and advances the
- * state's scalars.  Every vector is dense, of length d, and written in
- * place.
+/* The dense SDAPD row (dapd.stochastic.sdapd_iterate_dense), as two calls
+ * around the dual step, which stays in Python: the first returns the row's
+ * dot product, the second takes the new dual coordinate, does the rest and
+ * advances the state's scalars; and an epoch of SPDC rows
+ * (dapd.baselines.spdc_epoch), dual step included, in one call.  Every
+ * vector is dense, of length d, and written in place.
  */
 
 /* <a_i, xbar> as numpy's vals @ xbar[cols]: gathered, then numpy_dot.
@@ -296,18 +305,11 @@ int64_t sdapd_dense_update(const struct row_problem *p, int64_t i, double y_new)
     return k;
 }
 
-/* SPDC, first call: <a_i, x_ext>, with x_ext in the xbar field */
-double spdc_dot(const struct row_problem *p, int64_t i)
-{
-    return row_dot(p, i);
-}
-
-/* SPDC, second call: y_i = y_new, x = prox_{tau g}(x - tau (u + dy a_i)),
- * x_ext = x + theta (x - x_old), u += (dy/n) a_i; then t counts the row
- * and the touch count grows by 4 d + 3 per nonzero.  Returns the row's
- * nonzero count, or -1 when x is not finite.  The row's columns increase,
- * so one cursor finds them. */
-int64_t spdc_update(const struct row_problem *p, int64_t i, double y_new)
+/* One SPDC row after its dual step: y_i = y_new,
+ * x = prox_{tau g}(x - tau (u + dy a_i)), x_ext = x + theta (x - x_old),
+ * u += (dy/n) a_i.  Returns 0 when x is not finite.  The row's columns
+ * increase, so one cursor finds them. */
+static inline int spdc_primal(const struct row_problem *p, int64_t i, double y_new)
 {
     const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo, d = p->d;
     const int32_t *cols = p->cols + lo;
@@ -332,11 +334,28 @@ int64_t spdc_update(const struct row_problem *p, int64_t i, double y_new)
     const double u_coef = dy / (double)p->n;
     for (m = 0; m < k; ++m)
         u[cols[m]] += u_coef * vals[m];
-    if (!finite)
-        return -1;
-    p->scalars->touch_counter += 4 * d + 3 * k;
-    p->scalars->t += 1;
-    return k;
+    return finite;
+}
+
+/* An epoch of SPDC rows (dapd.baselines.spdc_epoch), rows[0..count) in
+ * order: for each, <a_i, x_ext> (x_ext in the xbar field), the dual step
+ * with sigma in the tau field, and spdc_primal; then t counts the row and
+ * the touch count grows by 4 d + 3 per nonzero.  Returns the number of
+ * rows completed: count, or the position of the first row whose dot
+ * product, new dual coordinate or new x is not finite. */
+int64_t spdc_epoch(const struct row_problem *p, const int64_t *rows, int64_t count)
+{
+    struct row_scalars *const sc = p->scalars;
+    for (int64_t r = 0; r < count; ++r) {
+        const int64_t i = rows[r];
+        const double dot = row_dot(p, i);
+        const double y_new = dual_step(p, i, p->y[i], dot);
+        if (!isfinite(dot) || !isfinite(y_new) || !spdc_primal(p, i, y_new))
+            return r;
+        sc->touch_counter += 4 * p->d + 3 * (p->offsets[i + 1] - p->offsets[i]);
+        sc->t += 1;
+    }
+    return count;
 }
 
 /* LIBSVM text into CSR arrays and labels (dapd.datasets.parse_libsvm).

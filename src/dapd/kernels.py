@@ -21,23 +21,24 @@ correctly rounded like Python's ``float``; ``datasets.parse_libsvm`` hands
 any other text, and every error, to its Python body.
 
 The row kernels (``lazy_iterate`` of the lazy engine, ``sdapd_dense_*`` of
-dense SDAPD and ``spdc_*`` of SPDC) also need ``ddot()``: the CBLAS ddot
+dense SDAPD and ``spdc_epoch`` of SPDC) also need ``ddot()``: the CBLAS ddot
 that numpy's dot product calls.  OpenBLAS chooses its ddot kernel, and with
 it the order of the sum, per CPU, so no loop written here gives numpy's bits
 on every machine; calling the same function does.  It is borrowed from
 numpy's own extension module, and when it cannot be found the row kernels'
-callers keep their numpy bodies (``backend``).  All five kernels take one
+callers keep their numpy bodies (``backend``).  All four kernels take one
 struct, ``RowProblem``.  Each solver state ``bind``s its row calls once, in
 its constructor, to the problem it is built on; the struct holds the
 addresses of the state's arrays and of its ``RowScalars`` block, and
 ``fixed`` makes those arrays attributes that cannot be rebound.
-``row_calls`` hands the calls back for each row, after it checks the
-problem and the row index.  The kernels advance the block's step scalars
-(beta, B, t and the touch count; only the callers' rescale changes the
-scale) themselves, so one call does a lazy iteration; the states expose its
-fields as attributes (``scalar``), and their numpy bodies read and write the
-same block.  A row that diverges leaves those scalars as they were: the
-contract is stated once, in ``kernels.c``'s row-kernel comment.
+``row_calls`` hands the calls back for each row, and ``epoch_calls`` for
+each epoch of rows, after they check the problem and every row index.  The
+kernels advance the block's step scalars (beta, B, t and the touch count;
+only the callers' rescale changes the scale) themselves, so one call does a
+lazy iteration or an SPDC epoch; the states expose its fields as attributes
+(``scalar``), and their numpy bodies read and write the same block.  A row
+that diverges leaves those scalars as they were: the contract is stated
+once, in ``kernels.c``'s row-kernel comment.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ COMPILE_TIMEOUT_S = 120
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
+# an epoch's rows: ctypes refuses any other array
+_ROWS = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
 # name: (restype, argtypes)
 SIGNATURES = {
     "csr_matvec": (None, (_I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
@@ -81,10 +84,8 @@ SIGNATURES = {
     "sdapd_dense_xbar": (_F64, (_PTR, _I64)),
     # (row problem, i, y_new) -> row nnz, or -1
     "sdapd_dense_update": (_I64, (_PTR, _I64, _F64)),
-    # (row problem, i) -> <a_i, x_ext>
-    "spdc_dot": (_F64, (_PTR, _I64)),
-    # (row problem, i, y_new) -> row nnz, or -1
-    "spdc_update": (_I64, (_PTR, _I64, _F64)),
+    # (row problem, rows, count) -> rows completed
+    "spdc_epoch": (_I64, (_PTR, _ROWS, _I64)),
     # (text, length, counts): counts = ['\n' count, ':' count]
     "libsvm_count": (None, (ctypes.c_char_p, _I64, _PTR)),
     # (text, length, labels, offsets, cols, values, max_index) -> rows, or -1
@@ -176,15 +177,37 @@ def bind(state, problem, names, bodies, **fields) -> None:
     state._kernel = (problem, calls, (struct, gather, fields))
 
 
-def row_calls(state, problem, i: int) -> tuple:
-    """The calls ``bind`` gave ``state``, once ``problem`` is checked to be
-    the problem they are bound to and ``i`` to be one of its rows."""
+def _bound_calls(state, problem) -> tuple:
     bound_to, calls, _ = state._kernel
     if problem is not bound_to:
         raise ConfigurationError("the state was built on another problem")
+    return calls
+
+
+def row_calls(state, problem, i: int) -> tuple:
+    """The calls ``bind`` gave ``state``, once ``problem`` is checked to be
+    the problem they are bound to and ``i`` to be one of its rows."""
+    calls = _bound_calls(state, problem)
     if not 0 <= i < problem.n:
         raise StructuralError(f"row index {i} out of range for {problem.n} rows")
     return calls
+
+
+def epoch_calls(state, problem, rows) -> tuple:
+    """(the calls ``bind`` gave ``state``, ``rows`` as contiguous int64),
+    once ``problem`` is checked to be the problem they are bound to and
+    every entry of ``rows``, a 1-d integer array, to be one of its rows: an
+    epoch kernel indexes without bounds checks, so a bad row is refused
+    before the first row runs."""
+    calls = _bound_calls(state, problem)
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise StructuralError("the rows of an epoch must be a 1-d integer array")
+    outside = (rows < 0) | (rows >= problem.n)
+    if outside.any():
+        bad = rows[outside.argmax()]
+        raise StructuralError(f"row index {bad} out of range for {problem.n} rows")
+    return calls, np.ascontiguousarray(rows, dtype=np.int64)
 
 
 def fixed(name: str) -> property:

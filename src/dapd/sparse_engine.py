@@ -165,7 +165,7 @@ def rebase(state: LazyState) -> LazyState:
     """Rescale (v, beta, B) by the accumulated growth so stored values stay
     bounded; recovered coordinates are unchanged (to roundoff) because the
     recovery divides the same factor back out via ``inv_scale``."""
-    state.beta_prev_hat /= rescale(state, state.v, state.params.beta0)
+    rescale(state, state.v, state.params.beta0, scaled=("B_hat", "beta_prev_hat"))
     state.rebase_count += 1
     return state
 
@@ -191,7 +191,7 @@ def run_sparse(
     state = LazyState(problem, params, x0=x0)
     tracer = Tracer(problem, reference_value, wall_clock)
     for epoch, rows in epoch_rows(problem.n, iterations, seed):
-        for i in rows:
+        for i in rows.tolist():
             sparse_iterate(state, problem, i)
         x = finalize_x(state, problem.reg)
         tracer.record(epoch, x, state.touch_counter)

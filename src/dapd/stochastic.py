@@ -235,7 +235,7 @@ def run_sdapd(
     state = StochasticState(problem, params, x0=x0)
     tracer = Tracer(problem, reference_value, wall_clock)
     for epoch, rows in epoch_rows(problem.n, iterations, seed):
-        for i in rows:
+        for i in rows.tolist():
             sdapd_iterate_dense(state, problem, i)
         tracer.record(epoch, state.x, state.touch_counter)
     resolved = resolved_constants(problem, params, iterations, seed)

@@ -59,15 +59,15 @@ def nnz_fraction(x: np.ndarray, tol: float = NNZ_TOLERANCE) -> float:
 
 def epoch_rows(n: int, iterations: int, seed: int):
     """Yield ``(epoch, rows)`` for epochs 1, 2, ...: the uniformly sampled
-    rows of each epoch of n iterations (fewer in a final partial epoch),
-    drawn a whole epoch at a time from one ``default_rng(seed)``.
+    rows of each epoch of n iterations (fewer in a final partial epoch), an
+    int64 array drawn a whole epoch at a time from one ``default_rng(seed)``.
 
     A batch of int64 draws is the same stream as one ``rng.integers(n)`` per
     iteration, so a run does not depend on how its draws are grouped.
     """
     rng = np.random.default_rng(seed)
     for epoch, start in enumerate(range(0, iterations, n), start=1):
-        yield epoch, rng.integers(n, size=min(n, iterations - start)).tolist()
+        yield epoch, rng.integers(n, size=min(n, iterations - start))
 
 
 class Tracer:

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from dapd import kernels
+from dapd.baselines import spdc_epoch
 from dapd.deterministic import SolverSchedule, dapd_iterate
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
 from dapd.harness import _certify, _duality_gap
@@ -392,3 +393,8 @@ def built_on(path, make, *args, **kwargs):
         state = make(*args, **kwargs)
     assert (state._kernel[2] is not None) == (path == "compiled")
     return state
+
+
+def spdc_row(state, problem, i):
+    """One SPDC iteration on row i: a one-row epoch."""
+    return spdc_epoch(state, problem, np.array([i]))

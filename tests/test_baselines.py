@@ -7,7 +7,7 @@ from dapd.baselines import (
     BaselineConfig,
     SpdcState,
     run_baseline,
-    spdc_iterate,
+    spdc_epoch,
     spdc_steps,
 )
 from dapd.datasets import synth_ridge
@@ -24,13 +24,17 @@ from dapd.proxlib import (
     svm_problem,
 )
 from dapd.stochastic import perturb_problem
+from dapd.traces import epoch_rows
 
 from oracles import (
     KERNEL_REGS,
+    ROW_PATHS,
+    built_on,
     built_without_kernels,
     ragged_problem,
     ridge_problem,
     sampled_rows,
+    spdc_row,
 )
 
 
@@ -149,7 +153,7 @@ class TestBudgets:
 
 
 # ---------------------------------------------------------------------------
-# the compiled SPDC row (spdc_* in kernels.c) against its numpy body
+# the compiled SPDC epoch (spdc_epoch in kernels.c) against its numpy body
 # ---------------------------------------------------------------------------
 
 
@@ -187,28 +191,41 @@ class TestCompiledSpdcRow:
         rows = sampled_rows(problem.n, seed)
         for t in range(900):
             i = next(rows)
-            spdc_iterate(fast, problem, i)
-            spdc_iterate(slow, problem, i)
+            spdc_row(fast, problem, i)
+            spdc_row(slow, problem, i)
             assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
+    @pytest.mark.parametrize("reg", list(KERNEL_REGS))
+    @pytest.mark.parametrize("loss", ["squared", "hinge"])
+    def test_same_bits_as_numpy_after_every_epoch(self, compiled, loss, reg, epsilon, seed):
+        problem = ragged_problem(loss, KERNEL_REGS[reg])
+        if epsilon is not None:
+            problem = perturb_problem(problem, epsilon)
+        fast, slow = spdc_pair(problem)
+        for epoch, rows in epoch_rows(problem.n, 75 * problem.n, seed):
+            spdc_epoch(fast, problem, rows)
+            spdc_epoch(slow, problem, rows)
+            assert snapshot(fast) == snapshot(slow), f"epoch {epoch}"
+        assert fast.t == 75 * problem.n
 
     @pytest.mark.parametrize("reg", [huber_reg(0.1, 0.5), kl_reg(0.5), l2_reg(0.3)],
                              ids=["huber", "kl", "l2"])
     def test_only_huber_and_kl_run_the_numpy_body(self, compiled, monkeypatch, reg):
         problem = perturb_problem(ragged_problem("squared", reg), 1e-3)
-        draws = sampled_rows(problem.n, 4)
-        rows = [next(draws) for _ in range(120)]
+        epochs = [rows for _, rows in epoch_rows(problem.n, 10 * problem.n, 4)]
         want = SpdcState(problem, *spdc_steps(problem))
-        for i in rows:
-            spdc_iterate(want, problem, i)
+        for rows in epochs:
+            spdc_epoch(want, problem, rows)
         calls = []
-        for name in ("_spdc_dot_numpy", "_spdc_update_numpy"):
-            body = getattr(baselines, name)
-            monkeypatch.setattr(baselines, name,
-                                lambda *args, body=body: calls.append(1) or body(*args))
+        body = baselines._spdc_epoch_numpy
+        monkeypatch.setattr(baselines, "_spdc_epoch_numpy",
+                            lambda *args: calls.append(1) or body(*args))
         got = SpdcState(problem, *spdc_steps(problem))
-        for i in rows:
-            spdc_iterate(got, problem, i)
-        assert len(calls) == (0 if reg.kind == "l2" else 240)
+        for rows in epochs:
+            spdc_epoch(got, problem, rows)
+        assert len(calls) == (0 if reg.kind == "l2" else 10)
         assert snapshot(got) == snapshot(want)
 
     def test_divergence_at_the_same_iteration(self, compiled):
@@ -219,16 +236,17 @@ class TestCompiledSpdcRow:
         states = [SpdcState(problem, *steps), built_without_kernels(SpdcState, problem, *steps)]
         failed = []
         for state in states:
-            rows = sampled_rows(problem.n, 0)
-            touches = 0  # of the completed rows
             with pytest.raises(DivergenceError) as err:
-                for _ in range(5000):
-                    i = next(rows)
-                    spdc_iterate(state, problem, i)
-                    touches += 4 * problem.dim + 3 * problem.matrix.row(i)[0].size
-            assert state.touch_counter == touches
+                for _, rows in epoch_rows(problem.n, 25 * problem.n, 0):
+                    start = state.t
+                    spdc_epoch(state, problem, rows)
+            # the rows before the diverging one, in every epoch so far
+            done = np.concatenate([r for _, r in epoch_rows(problem.n, start, 0)]
+                                  + [rows[:state.t - start]])
+            assert state.touch_counter == sum(
+                4 * problem.dim + 3 * problem.matrix.row(i)[0].size for i in done.tolist())
             failed.append(err.value.iteration)
-        assert failed[0] == failed[1] == states[0].t == 1365
+        assert failed[0] == failed[1] == states[0].t == states[1].t == 1365
         assert snapshot(states[0]) == snapshot(states[1])
 
     def test_run_same_bits_without_kernels(self, compiled, monkeypatch):
@@ -239,7 +257,7 @@ class TestCompiledSpdcRow:
         got = run_baseline(config, problem, wall_clock=False)
         assert got.x.tobytes() == want.x.tobytes() and got.trace == want.trace
 
-    @pytest.mark.parametrize("name", ["tau", "theta", "x", "x_ext", "y", "u"])
+    @pytest.mark.parametrize("name", ["tau", "sigma", "theta", "x", "x_ext", "y", "u"])
     def test_bound_attributes_cannot_be_rebound(self, name):
         state = spdc_pair(ragged_problem("squared", KERNEL_REGS["l2"]))[0]
         value = getattr(state, name)
@@ -247,13 +265,30 @@ class TestCompiledSpdcRow:
             setattr(state, name, np.zeros(3))
         assert getattr(state, name) is value
 
+    @pytest.mark.parametrize("at", [0, 5, 11])
     @pytest.mark.parametrize("row", [-1, 12, 2**40])
-    def test_row_out_of_range_writes_nothing(self, row):
+    @pytest.mark.parametrize("path", ROW_PATHS)
+    def test_row_out_of_range_writes_nothing(self, path, row, at):
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        state = built_on(path, SpdcState, problem, *spdc_steps(perturb_problem(problem, 1e-3)))
+        spdc_epoch(state, problem, np.arange(problem.n))
+        before = snapshot(state)
+        rows = np.arange(problem.n)
+        rows[at] = row
+        with pytest.raises(StructuralError, match="out of range"):
+            spdc_epoch(state, problem, rows)
+        assert snapshot(state) == before
+
+    @pytest.mark.parametrize("rows", [np.array([1.0, 2.0]), np.zeros((2, 2), dtype=np.int64)],
+                             ids=["float", "2-d"])
+    def test_rows_that_are_not_a_1d_integer_array_are_refused(self, rows):
         problem = ragged_problem("squared", KERNEL_REGS["l2"])
         state = spdc_pair(problem)[0]
-        for i in range(problem.n):
-            spdc_iterate(state, problem, i)
-        before = snapshot(state)
-        with pytest.raises(StructuralError, match="out of range"):
-            spdc_iterate(state, problem, row)
-        assert snapshot(state) == before
+        with pytest.raises(StructuralError, match="1-d integer array"):
+            spdc_epoch(state, problem, rows)
+        assert state.t == 0
+
+    def test_non_positive_sigma_is_refused(self):
+        problem = ragged_problem("squared", KERNEL_REGS["l2"])
+        with pytest.raises(ConfigurationError, match="sigma"):
+            SpdcState(problem, 0.5, 0.0, 0.5)

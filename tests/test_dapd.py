@@ -127,6 +127,25 @@ class TestIterate:
         assert state.B_hat == pytest.approx(sched.beta0 / xi * (1 + (1 + 1 / xi) / xi),
                                             rel=1e-12)
 
+    def test_rescale_factor_that_overflows_is_taken_in_steps(self):
+        # sc_smooth with beta0 = 2.74e-16 and xi = 2.74e154: the second
+        # iteration stores beta = 2.06e293, over the threshold, and
+        # beta / beta0 is not a double
+        A = build_matrix([(0, 0, 3e-70), (1, 1, 1e-70), (1, 0, 2e-70)], 2, 2)
+        prob = make_problem(A, squared_loss([1.0, -1.0]), l2_reg(1e170), "deterministic")
+        sched = schedule_for_problem(prob)
+        xi = sched.params["xi"]
+        assert sched.regime == "sc_smooth"
+        state = IterateState(prob, sched)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(4):
+                dapd_iterate(state, prob)
+        # each pair of iterations grows beta by xi^2 = beta0 xi^2 / beta0
+        assert state.log_scale == pytest.approx(4 * np.log(xi), rel=1e-12)
+        assert np.isfinite(state.log_scale) and state.beta_hat == sched.beta0
+        assert 0 < state.B_hat < np.inf and np.isfinite(state.s_hat).all()
+
     @pytest.mark.parametrize("start", [{"x0": 1.0}, {"x0": np.zeros(4)}, {"y0": np.zeros(4)},
                                        {"y0": np.zeros((5, 1))}],
                              ids=["scalar_x0", "long_x0", "short_y0", "column_y0"])

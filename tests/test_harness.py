@@ -396,6 +396,7 @@ class TestEpochRows:
         epochs = list(epoch_rows(n, iterations, 13))
         assert [e for e, _ in epochs] == list(range(1, -(-iterations // n) + 1))
         assert all(len(rows) == n for _, rows in epochs[:-1])
+        assert all(rows.dtype == np.int64 for _, rows in epochs)
         rng = np.random.default_rng(13)
         scalar = [int(rng.integers(n)) for _ in range(iterations)]
         assert [i for _, rows in epochs for i in rows] == scalar

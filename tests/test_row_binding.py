@@ -1,23 +1,25 @@
 """The solver states with row kernels (the lazy engine, dense SDAPD and
 SPDC) bind their row calls once, to the problem they are built on
-(``kernels.bind``), and check every call against it (``kernels.row_calls``),
-whether the calls are the compiled kernels or their numpy bodies."""
+(``kernels.bind``), and check every call against it (``kernels.row_calls``
+and ``kernels.epoch_calls``), whether the calls are the compiled kernels or
+their numpy bodies."""
 
 import pytest
 
-from dapd.baselines import SpdcState, spdc_iterate, spdc_steps
+from dapd.baselines import SpdcState, spdc_steps
 from dapd.errors import ConfigurationError, StructuralError
 from dapd.sparse_engine import LazyState, sparse_iterate
 from dapd.stochastic import StochasticState, perturb_problem, sdapd_iterate_dense
 
-from oracles import KERNEL_REGS, ROW_PATHS, built_on, grid_params, ragged_problem
+from oracles import KERNEL_REGS, ROW_PATHS, built_on, grid_params, ragged_problem, spdc_row
+
 
 # name: (state class, its arguments after the problem, its row step)
 STATES = {
     "lazy": (LazyState, lambda problem: (grid_params(problem),), sparse_iterate),
     "sdapd": (StochasticState, lambda problem: (grid_params(problem),), sdapd_iterate_dense),
     "spdc": (SpdcState, lambda problem: spdc_steps(perturb_problem(problem, 1e-3)),
-             spdc_iterate),
+             spdc_row),
 }
 
 

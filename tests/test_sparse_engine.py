@@ -1,4 +1,5 @@
 import ctypes
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,25 @@ class TestRebase:
             for (xa, xba), (xb, xbb) in zip(coords_after, coords_before):
                 assert xa == pytest.approx(xb, rel=1e-12, abs=1e-12)
             assert state.rebase_count == 1
+
+    def test_growth_factor_that_overflows_keeps_the_recovery(self):
+        # beta0 = 1e-200 grown to about 1e120: beta / beta0 is not a double
+        reg = l2_reg(0.3)
+        prob = sparse_problem(np.random.default_rng(5), 4, 6, 0.5, reg)
+        params = StochasticParams(eta=0.5, tau=0.5, beta0=1e-200, xi=1e10, n=4)
+        state = LazyState(prob, params)
+        rows = sampled_rows(4, 2)
+        for _ in range(32):
+            sparse_iterate(state, prob, next(rows))
+        assert state.beta_hat / params.beta0 > 1e308
+        before = finalize_x(state, reg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rebase(state)
+        assert np.isfinite(state.log_scale) and state.beta_hat == params.beta0
+        assert state.beta_prev_hat == pytest.approx(params.beta0 * state.theta, rel=1e-12)
+        assert np.allclose(finalize_x(state, reg), before, rtol=1e-12, atol=1e-300)
+        assert state.B_hat > 0
 
     def test_threshold_triggers_and_values_stay_finite(self, monkeypatch):
         monkeypatch.setattr(sparse_engine, "RESCALE_THRESHOLD", 1e6)
