@@ -118,6 +118,8 @@ def _cmd_stats(args) -> int:
     print(f"spectral_norm (R): {st.spectral_norm:.12g}")
     print(f"max_row_norm (Rbar): {st.max_row_norm:.12g}")
     print(f"spectral_norm_products: {st.spectral_norm_products}")
+    print(f"spectral_norm_rel_tol: {matrix.SPECTRAL_NORM_REL_TOL:g}")
+    print(f"spectral_norm_margin: {matrix.SPECTRAL_NORM_MARGIN:g}")
     print(f"datasets.parser: {dataset.meta['parser']}")
     print(f"matrix.backend: {matrix.backend()}")
     # the lazy engine and the dense SDAPD and SPDC rows: compiled for l2, l1

@@ -155,13 +155,14 @@ def schedule_for_problem(
 ) -> SolverSchedule:
     """Build the regime schedule from the problem's composite constants.
 
-    A converged Lanczos estimate of R (``matrix.power_iteration``) matches
-    the top singular value to a few ulps, but may sit up to about 5 ulp
-    below it, so eta*tau <= 1/R^2 can fail against the true R by a
-    rounding-sized amount; it is used as it is (a guaranteed over-estimate
-    is ROADMAP.md item 6).  When the run did not converge the estimate may
-    be further low; it is then inflated by 1/0.99 (equivalently, both step
-    sizes shrink by 0.99) before the schedule is formed.
+    A converged Lanczos estimate of R (``matrix.power_iteration``) is an
+    over-estimate of the top singular value, by at most a relative
+    (1 + SPECTRAL_NORM_REL_TOL) * (1 + SPECTRAL_NORM_MARGIN) - 1, about
+    2e-4, so eta*tau <= 1/R^2 holds against the true norm (as likely as
+    ``power_iteration`` states); it is used as it is.  When the run did not
+    converge the estimate may be low; it is then inflated by 1/0.99
+    (equivalently, both step sizes shrink by 0.99) before the schedule is
+    formed.
     """
     gamma_f = composite_gamma(problem)
     _, mu, _, R, _ = problem_constants(problem)

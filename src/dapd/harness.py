@@ -37,7 +37,7 @@ from .deterministic import (
     validate_schedule,
 )
 from .errors import CertificationError, ConfigurationError, DivergenceError
-from .matrix import backend, matvec
+from .matrix import SPECTRAL_NORM_MARGIN, SPECTRAL_NORM_REL_TOL, backend, matvec
 from .proxlib import (
     CompositeProblem,
     SCALINGS,
@@ -509,6 +509,8 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
         "problem.mu": mu,
         "problem.spectral_norm_converged": problem.stats.spectral_norm_converged,
         "problem.spectral_norm_products": problem.stats.spectral_norm_products,
+        "problem.spectral_norm_rel_tol": SPECTRAL_NORM_REL_TOL,
+        "problem.spectral_norm_margin": SPECTRAL_NORM_MARGIN,
         "matrix.backend": backend(),
     }
     reference = compute_reference(problem, config.output["reference_accuracy"])

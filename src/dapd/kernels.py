@@ -6,8 +6,9 @@ library in ``$XDG_CACHE_HOME/dapd``, or ``~/.cache/dapd`` when that variable
 is unset.  A compiler that rejects ``ALIGN_LOOPS`` builds without it.  The
 file is named by a hash of the source, the flags the build used and the
 compiler, so a changed source or compiler builds a new file next to the old
-one; the old files are never removed, and can be deleted while no process
-uses them.  Each build writes a temporary file and renames it into place,
+one.  Once a library has loaded, every other ``kernels-*.so`` of the
+directory is deleted (README.md says what that does to a process that still
+uses one).  Each build writes a temporary file and renames it into place,
 so processes that build at the same time never load a half-written library.
 
 Any failure (no compiler, a compile error, a cache directory that cannot be
@@ -64,7 +65,12 @@ SOURCE = Path(__file__).with_name("kernels.c")
 # does not move its inner loop across one (that once made csr_rmatvec 15%
 # slower); a compiler that rejects the flag builds without it
 ALIGN_LOOPS = "-falign-loops=64"
-# no -ffast-math or -march=native: the kernels must round exactly as numpy
+# no -ffast-math: the kernels must round exactly as numpy.  -march=native
+# keeps the bits too under -ffp-contract=off (every test passes with it),
+# but is left out for speed: on a 2-CPU AVX-512 x86-64 machine (gcc 12.2)
+# it made the dense matvecs slower (matrix.stats on the 2000 x 500 benchmark
+# matrix: 111-153 ms against 102-115 ms), though the lazy row kernels about
+# 15% faster
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", ALIGN_LOOPS)
 COMPILERS = ("cc", "gcc")
 COMPILE_TIMEOUT_S = 120
@@ -290,12 +296,24 @@ def _load() -> ctypes.CDLL | None:
             _build(compiler, FLAGS, target)
         except subprocess.CalledProcessError:
             _build(compiler, plain, fallback)
-    lib = ctypes.CDLL(str(target if target.exists() else fallback))
+    path = target if target.exists() else fallback
+    lib = ctypes.CDLL(str(path))
     for name, (restype, argtypes) in SIGNATURES.items():
         func = getattr(lib, name)
         func.argtypes = argtypes
         func.restype = restype
+    _remove_stale(cache, path)
     return lib
+
+
+def _remove_stale(cache: Path, keep: Path) -> None:
+    """Delete every ``kernels-*.so`` of ``cache`` but ``keep``: libraries of
+    another source, flags or compiler.  No other file there is touched, and
+    a file that cannot be deleted is left."""
+    for path in cache.glob("kernels-*.so"):
+        if path != keep:
+            with contextlib.suppress(OSError):
+                path.unlink()
 
 
 @functools.cache

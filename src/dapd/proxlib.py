@@ -231,8 +231,18 @@ def loss_grad_at(loss: LossFamily, i: int, u: float) -> float:
         g = u - loss.targets[i]
         return g / (1.0 + d1) if d1 > 0 else g
     if d1 > 0:
-        return float(np.clip((u - 1.0) / d1, -1.0, 0.0))
+        return _unit_clip((u - 1.0) / d1)
     return -1.0 if u < 1.0 else 0.0
+
+
+def _unit_clip(u: float) -> float:
+    """``float(np.clip(u, -1.0, 0.0))`` for one number, without numpy's
+    per-call cost: -0.0 and NaN (with its sign) pass through as they do there."""
+    if u < -1.0:
+        return -1.0
+    if u > 0.0:
+        return 0.0
+    return float(u)
 
 
 def conjugate_values(loss: LossFamily, y: np.ndarray) -> np.ndarray:
@@ -250,7 +260,7 @@ def prox_conjugate(loss: LossFamily, i: int, tau: float, v: float) -> float:
     d1 = loss.dual_perturbation
     if loss.kind == "squared":
         return (v - tau * loss.targets[i]) / (1.0 + tau * (1.0 + d1))
-    return float(np.clip((v - tau) / (1.0 + tau * d1), -1.0, 0.0))
+    return _unit_clip((v - tau) / (1.0 + tau * d1))
 
 
 def dual_prox(loss: LossFamily, loss_scale: float, tau: float, v: np.ndarray) -> np.ndarray:

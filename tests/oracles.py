@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dapd import kernels
+from dapd import kernels, matrix
 from dapd.baselines import spdc_epoch
 from dapd.deterministic import SolverSchedule, dapd_iterate
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
@@ -229,6 +229,31 @@ def cvxpy_reference(problem, accuracy):
         # duals of (1 - u - t <= 0) are the negated saddle duals
         y_candidate = -np.asarray(hinge_cons.dual_value, dtype=np.float64).reshape(n)
     return _certify(x_val, *_duality_gap(problem, x_val, y_candidate), accuracy, "cvxpy")
+
+
+def assert_spectral_bound(R, A):
+    """``matrix.power_iteration``'s contract for a converged estimate R of
+    A's norm, against the dense SVD with no ulp allowance: sigma_max <= R <=
+    sigma_max * (1 + SPECTRAL_NORM_REL_TOL) * (1 + SPECTRAL_NORM_MARGIN)."""
+    sigma = np.linalg.svd(A.to_dense(), compute_uv=False)[0] if A.nnz else 0.0
+    assert sigma <= R <= sigma * (1 + matrix.SPECTRAL_NORM_REL_TOL) * (
+        1 + matrix.SPECTRAL_NORM_MARGIN), (R, sigma)
+
+
+def clustered_matrix(rng, short, long, wide, top, gap, scale):
+    """A dense short x long matrix (long x short unless ``wide``) with
+    random singular vectors, whose ``top`` largest singular values lie in
+    [scale * (1 - gap), scale] and the rest below scale: from a random
+    start, the top Ritz value can settle on one of the cluster below
+    sigma_max."""
+    n_rows, n_cols = (short, long) if wide else (long, short)
+    U = np.linalg.qr(rng.standard_normal((n_rows, short)))[0]
+    V = np.linalg.qr(rng.standard_normal((n_cols, short)))[0]
+    s = rng.uniform(0.0, 1.0, short)
+    s[:top] = 1.0 - gap * rng.random(top)
+    M = (U * s) @ V.T * scale
+    return build_matrix([(i, j, M[i, j]) for i in range(n_rows) for j in range(n_cols)],
+                        n_rows, n_cols)
 
 
 # test-only helpers over the package

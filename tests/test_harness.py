@@ -459,7 +459,8 @@ class TestRunExperiment:
         for key in ("problem.R=", "problem.Rbar=", "problem.spectral_norm_products=",
                     "reference.value=", "matrix.backend=", "cell.sdapd_seed7.eta=",
                     "cell.sdapd_seed7.xi=", "reference.iterations=0\n",
-                    "reference.restarts=0\n"):
+                    "reference.restarts=0\n", "problem.spectral_norm_rel_tol=1e-06\n",
+                    "problem.spectral_norm_margin=0.0002\n"):
             assert key in manifest
 
     def test_manifest_records_the_native_reference_work(self, tmp_path):
@@ -567,6 +568,7 @@ class TestCli:
         assert "spectral_norm" in out and "density" in out and "matrix.backend" in out
         # the identity's Gram matrix: the first Lanczos step ends the run
         assert "spectral_norm_products: 1\n" in out
+        assert "spectral_norm_rel_tol: 1e-06\nspectral_norm_margin: 0.0002\n" in out
         assert out.count(".backend: ") == 2  # matrix and kernels
         assert f"kernels.backend: {kernels.backend()}" in out
         assert "datasets.parser: " in out

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dapd.errors import StructuralError
 from dapd.matrix import build_matrix
 from dapd.proxlib import (
+    _unit_clip,
     composite_gamma,
     dual_objective,
     dual_prox,
@@ -27,6 +28,7 @@ from dapd.proxlib import (
 )
 
 from oracles import (
+    assert_spectral_bound,
     elastic_fn,
     hinge_conj,
     huber_fn,
@@ -89,6 +91,30 @@ class TestProxConjugate:
     def test_bad_tau(self):
         with pytest.raises(StructuralError):
             prox_conjugate(squared_loss([0.0]), 0, 0.0, 1.0)
+
+    # signed zeros, NaNs of both signs, infinities, the bounds, and the
+    # nearest doubles on either side of each bound
+    CLIP_INPUTS = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, -1.0,
+                   np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0),
+                   np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0), 0.5, -7.25)
+
+    @pytest.mark.parametrize("u", CLIP_INPUTS)
+    def test_unit_clip_bits(self, u):
+        want = np.float64(np.clip(u, -1.0, 0.0))
+        for arg in (float(u), np.float64(u)):
+            got = _unit_clip(arg)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("delta1", [0.0, 0.1])
+    @pytest.mark.parametrize("v", CLIP_INPUTS)
+    def test_hinge_step_bits(self, v, delta1):
+        # the numpy expression the hinge branch once returned
+        loss = replace(hinge_loss([1.0]), dual_perturbation=delta1)
+        for tau in (0.5, 1.0):
+            want = np.float64(np.clip((v - tau) / (1.0 + tau * delta1), -1.0, 0.0))
+            got = np.float64(prox_conjugate(loss, 0, tau, v))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestProxReg:
@@ -266,7 +292,7 @@ class TestConstants:
         prob = ridge_problem(A, rng.normal(size=4), 0.25)
         gamma, mu, L, R, rbar = problem_constants(prob)
         assert gamma == 1.0 and mu == 0.25
-        assert R == pytest.approx(np.linalg.svd(A.to_dense(), compute_uv=False)[0], rel=1e-8)
+        assert_spectral_bound(R, A)
         assert rbar == pytest.approx(np.linalg.norm(A.to_dense(), axis=1).max())
 
     def test_hinge_l1_constants(self):
