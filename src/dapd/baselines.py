@@ -48,7 +48,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, DivergenceError
-from .matrix import matvec
+from .matrix import matvec, ordered_dot
 from .proxlib import (
     CompositeProblem,
     composite_gamma,
@@ -209,7 +209,7 @@ def _run_rda(problem, epochs, seed, tracer):
         for i in rows.tolist():
             t += 1
             cols, vals = problem.matrix.row(i)
-            gi = sample_factor * loss_grad_at(problem.loss, i, float(vals @ x[cols]))
+            gi = sample_factor * loss_grad_at(problem.loss, i, ordered_dot(vals, x[cols]))
             gbar *= (t - 1) / t
             gbar[cols] += (gi / t) * vals
             if variant == "strongly_convex":
@@ -238,7 +238,7 @@ def _run_proxsgd(problem, epochs, seed, tracer):
         for i in rows.tolist():
             t += 1
             cols, vals = problem.matrix.row(i)
-            gi = sample_factor * loss_grad_at(problem.loss, i, float(vals @ x[cols]))
+            gi = sample_factor * loss_grad_at(problem.loss, i, ordered_dot(vals, x[cols]))
             alpha = min(1.0 / (mu * t), alpha_cap) if mu > 0 else alpha0 / np.sqrt(t)
             step_vec = x.copy()
             step_vec[cols] -= alpha * gi * vals
@@ -272,7 +272,7 @@ def _run_proxsvrg(problem, epochs, seed, tracer):
             _, rows = next(sampled)
             for i in rows.tolist():
                 cols, vals = problem.matrix.row(i)
-                gi = loss_grad_at(problem.loss, i, float(vals @ x[cols]))
+                gi = loss_grad_at(problem.loss, i, ordered_dot(vals, x[cols]))
                 v = full.copy()
                 v[cols] += (sample_factor / n) * (gi - grads_snap[i]) * vals
                 x = prox_reg(problem.reg, eta, x - eta * v)
@@ -338,8 +338,7 @@ def _spdc_epoch_numpy(state: SpdcState, problem, rows: np.ndarray, count: int) -
     x, x_ext, y, u = state.x, state.x_ext, state.y, state.u
     for done, i in enumerate(rows[:count].tolist()):
         cols, vals = problem.matrix.row(i)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dot = float(vals @ x_ext[cols])
+        dot = ordered_dot(vals, x_ext[cols])
         y_new = prox_conjugate(problem.loss, i, sigma, y[i] + sigma * dot)
         if not (math.isfinite(dot) and math.isfinite(y_new)):
             return done

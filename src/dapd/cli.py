@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, matrix
+from . import matrix
 from .datasets import load_libsvm
 from .errors import CertificationError, ConfigurationError, DivergenceError, ParseError
 from .harness import RunConfig, build_problem, checked_schedule, compute_reference, run_experiment
@@ -122,9 +122,6 @@ def _cmd_stats(args) -> int:
     print(f"spectral_norm_margin: {matrix.SPECTRAL_NORM_MARGIN:g}")
     print(f"datasets.parser: {dataset.meta['parser']}")
     print(f"matrix.backend: {matrix.backend()}")
-    # the lazy engine and the dense SDAPD and SPDC rows: compiled for l2, l1
-    # and elastic net
-    print(f"kernels.backend: {kernels.backend()}")
     if not st.spectral_norm_converged:
         print("warning: Lanczos did not converge; R is a best estimate")
     return 0

@@ -4,11 +4,13 @@
  * SPDC rows, each advancing its state's step scalars), and the LIBSVM
  * reader of dapd.datasets.parse_libsvm.
  *
- * Each matvec output entry is accumulated in storage order, one rounded
- * product at a time, starting from +0.0: the order np.bincount uses in the
- * numpy path, so both paths return the same bits.  Build without
- * -ffast-math and with -ffp-contract=off so the compiler neither reorders
- * the sums nor fuses a product into an addition.
+ * Every sum of products here, a matvec output entry or a row kernel's dot
+ * product, is accumulated in storage order, one rounded product at a time,
+ * starting from +0.0: the order np.bincount uses in the numpy path
+ * (dapd.matrix.matvec_numpy and dapd.matrix.ordered_dot), so both paths
+ * return the same bits on every machine.  Build without -ffast-math and
+ * with -ffp-contract=off so the compiler neither reorders the sums nor
+ * fuses a product into an addition.
  *
  * The CSR arrays are int64 offsets (nnz may pass 2^31), int32 column
  * indices and double values: 12 bytes per nonzero.  No bounds checks:
@@ -22,16 +24,24 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* sum over k in [lo, hi) of values[k] * v[cols[k]], in storage order from
+ * +0.0: the inner loop of csr_matvec and the row kernels' dot product.
+ * Inline, like every helper but read_number (see row_dot). */
+static inline double row_sum(const int32_t *cols, const double *values, const double *v,
+                             int64_t lo, int64_t hi)
+{
+    double s = 0.0;
+    for (int64_t k = lo; k < hi; ++k)
+        s += values[k] * v[cols[k]];
+    return s;
+}
+
 /* out[i] = sum over k in row i of values[k] * v[cols[k]] */
 void csr_matvec(int64_t n_rows, const int64_t *offsets, const int32_t *cols,
                 const double *values, const double *v, double *out)
 {
-    for (int64_t i = 0; i < n_rows; ++i) {
-        double s = 0.0;
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k)
-            s += values[k] * v[cols[k]];
-        out[i] = s;
-    }
+    for (int64_t i = 0; i < n_rows; ++i)
+        out[i] = row_sum(cols, values, v, offsets[i], offsets[i + 1]);
 }
 
 /* out[j] = sum over stored (i, j) of values[k] * y[i], scattered in storage
@@ -51,13 +61,13 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
 
 /* The row kernels (lazy_iterate, sdapd_dense_*, spdc_epoch) evaluate the
  * numpy bodies' expressions in their order, so the results are the same
- * bits.  Their dot products are not summed here: OpenBLAS picks a ddot
- * kernel, and with it a summation order, per CPU, so the kernels call the
- * CBLAS ddot that numpy's dot calls, as numpy does (numpy_dot).  All four
- * take one struct row_problem, which a solver state binds once, to the
- * problem it is built on; the state checks 0 <= i < n for every row before
- * it calls a kernel, and keeps the struct's arrays and scalar block alive,
- * never rebound.
+ * bits.  A row's dot product is summed in storage order from +0.0, as
+ * csr_matvec sums (row_sum) and as the numpy bodies sum
+ * (dapd.matrix.ordered_dot); no BLAS routine is called, so those bits do
+ * not depend on the BLAS build or the CPU.  All four take one struct
+ * row_problem, which a solver state binds once, to the problem it is built
+ * on; the state checks 0 <= i < n for every row before it calls a kernel,
+ * and keeps the struct's arrays and scalar block alive, never rebound.
  *
  * The divergence contract, kept also by the numpy bodies and by
  * dapd.deterministic.dapd_iterate: a row whose result is not finite
@@ -69,19 +79,8 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
  * change to the row kernels does not move those two in the library.
  */
 
-#define NPY_CBLAS_CHUNK ((int64_t)1 << 30) /* for 32-bit BLAS integers */
-
-typedef double (*ddot64_fn)(int64_t, const double *, int64_t, const double *, int64_t);
-typedef double (*ddot32_fn)(int, const double *, int, const double *, int);
-
 enum { LOSS_SQUARED = 0, LOSS_HINGE = 1 };
 enum { REG_L2 = 0, REG_L1 = 1 }; /* REG_L1 also serves elastic net */
-
-/* numpy's CBLAS ddot; mirrored by dapd.kernels.BlasDot */
-struct blas_dot {
-    void *fn;
-    int64_t ilp64;
-};
 
 /* l2, l1 or elastic net with the delta2 perturbation; mirrored by
  * dapd.kernels.SepReg */
@@ -102,8 +101,8 @@ struct row_scalars {
 };
 
 /* recover_primal for l2, l1 and elastic net: prox_{B g~}(z / inv) with
- * B = b / inv.  It and numpy_dot are inline: a call per coordinate would
- * cost the row kernels more than the arithmetic does. */
+ * B = b / inv.  Inline: a call per coordinate would cost the row kernels
+ * more than the arithmetic does. */
 static inline double recover(const struct sep_reg *g, double z, double b, double inv)
 {
     if (g->kind == REG_L2)
@@ -112,28 +111,6 @@ static inline double recover(const struct sep_reg *g, double z, double b, double
     if (!(m > 0))
         return 0.0;
     return (z > 0 ? m : -m) / (inv + b * (g->lam2 + g->d2));
-}
-
-/* numpy's DOUBLE_dot: 0.0 plus one ddot per chunk of NPY_CBLAS_CHUNK
- * entries, the largest power of two below the BLAS integer's maximum; with
- * 64-bit BLAS integers the whole row is one chunk */
-static inline double numpy_dot(const struct blas_dot *f, int64_t k, const double *x,
-                               const double *y)
-{
-    double sum = 0.0;
-    if (f->ilp64) {
-        if (k > 0)
-            sum += ((ddot64_fn)f->fn)(k, x, 1, y, 1);
-        return sum;
-    }
-    while (k > 0) {
-        const int64_t chunk = k < NPY_CBLAS_CHUNK ? k : NPY_CBLAS_CHUNK;
-        sum += ((ddot32_fn)f->fn)((int)chunk, x, 1, y, 1);
-        x += chunk;
-        y += chunk;
-        k -= chunk;
-    }
-    return sum;
 }
 
 /* The row kernels' one struct, mirrored field for field by
@@ -148,9 +125,7 @@ struct row_problem {
     double *x, *xbar, *u, *y; /* SPDC's x_ext is xbar; lazy uses only u, y */
     double *s_hat, *ergodic; /* SDAPD */
     double *v, *w;           /* lazy */
-    double *gather;          /* scratch, as long as the longest row */
     struct row_scalars *scalars;
-    struct blas_dot dot;
     struct sep_reg g;
     int64_t n, d, loss;      /* loss: lazy and SPDC */
     /* step: eta, or SPDC's tau; tau, d1: dual_step's step (lazy's tau,
@@ -193,14 +168,15 @@ int64_t lazy_iterate(const struct row_problem *p, int64_t i)
     const int32_t *cols = p->cols + lo;
     const double *vals = p->values + lo;
 
+    /* <a_i, xbar^{t+1}>, summed in storage order as each xbar_j is recovered */
+    double dot = 0.0;
     for (int64_t m = 0; m < k; ++m) {
         const int64_t j = cols[m];
         /* x^t_j = prox_{B_{t-1} g_j}(x^0_j - s^t_j), then xbar^{t+1}_j */
         const double s_hat = p->v[j] + beta_prev_hat * p->w[j];
         const double x = recover(&p->g, p->x0[j] * inv_scale - s_hat, b_hat, inv_scale);
-        p->gather[m] = recover(&p->g, x - p->step * p->u[j], p->step, 1.0);
+        dot += vals[m] * recover(&p->g, x - p->step * p->u[j], p->step, 1.0);
     }
-    const double dot = numpy_dot(&p->dot, k, vals, p->gather);
 
     const double yi = p->y[i], y_new = dual_step(p, i, yi, dot);
     if (!isfinite(dot) || !isfinite(y_new))
@@ -233,7 +209,7 @@ int64_t lazy_iterate(const struct row_problem *p, int64_t i)
  * vector is dense, of length d, and written in place.
  */
 
-/* <a_i, xbar> as numpy's vals @ xbar[cols]: gathered, then numpy_dot.
+/* <a_i, xbar>, as dapd.matrix.ordered_dot(vals, xbar[cols]).
  * Inline, like every helper but read_number: gcc emits an out-of-line
  * static function ahead of csr_matvec, and in a build without
  * -falign-loops=64 (a compiler that rejects it) that can shift
@@ -241,10 +217,7 @@ int64_t lazy_iterate(const struct row_problem *p, int64_t i)
  * slower on a dense 2000 x 500 matrix. */
 static inline double row_dot(const struct row_problem *p, int64_t i)
 {
-    const int64_t lo = p->offsets[i], k = p->offsets[i + 1] - lo;
-    for (int64_t m = 0; m < k; ++m)
-        p->gather[m] = p->xbar[p->cols[lo + m]];
-    return numpy_dot(&p->dot, k, p->values + lo, p->gather);
+    return row_sum(p->cols, p->values, p->xbar, p->offsets[i], p->offsets[i + 1]);
 }
 
 /* The loops below read the struct's fields into locals first: a store

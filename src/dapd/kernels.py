@@ -22,13 +22,12 @@ correctly rounded like Python's ``float``; ``datasets.parse_libsvm`` hands
 any other text, and every error, to its Python body.
 
 The row kernels (``lazy_iterate`` of the lazy engine, ``sdapd_dense_*`` of
-dense SDAPD and ``spdc_epoch`` of SPDC) also need ``ddot()``: the CBLAS ddot
-that numpy's dot product calls.  OpenBLAS chooses its ddot kernel, and with
-it the order of the sum, per CPU, so no loop written here gives numpy's bits
-on every machine; calling the same function does.  It is borrowed from
-numpy's own extension module, and when it cannot be found the row kernels'
-callers keep their numpy bodies (``backend``).  All four kernels take one
-struct, ``RowProblem``.  Each solver state ``bind``s its row calls once, in
+dense SDAPD and ``spdc_epoch`` of SPDC) sum each row's dot product in
+storage order from +0.0, as ``csr_matvec`` does and as their numpy bodies do
+through ``matrix.ordered_dot``, so both give the same bits on any machine;
+when the library cannot be built or loaded (``matrix.backend``), the
+callers keep their numpy bodies.  All four kernels take one struct,
+``RowProblem``.  Each solver state ``bind``s its row calls once, in
 its constructor, to the problem it is built on; the struct holds the
 addresses of the state's arrays and of its ``RowScalars`` block, and
 ``fixed`` makes those arrays attributes that cannot be rebound.
@@ -97,9 +96,6 @@ SIGNATURES = {
     # (text, length, labels, offsets, cols, values, max_index) -> rows, or -1
     "libsvm_parse": (_I64, (ctypes.c_char_p, _I64, _PTR, _PTR, _PTR, _PTR, _PTR)),
 }
-# numpy's CBLAS ddot under the names of the builds numpy ships or links;
-# a trailing "64_" marks the 64-bit-integer (ILP64) interface
-DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_", "scipy_cblas_ddot", "cblas_ddot")
 
 
 # the regularizer codes of ``struct sep_reg``; other kinds have no row kernel
@@ -109,12 +105,6 @@ LOSS_CODES = {"squared": 0, "hinge": 1}
 # the ``RowProblem`` arrays as long as the matrix has rows; the others are
 # as long as it has columns
 _ROW_LENGTH = ("targets", "y")
-
-
-class BlasDot(ctypes.Structure):
-    """``struct blas_dot`` of ``kernels.c``: ``ddot()``."""
-
-    _fields_ = [("fn", _PTR), ("ilp64", _I64)]
 
 
 class SepReg(ctypes.Structure):
@@ -142,9 +132,8 @@ class RowProblem(ctypes.Structure):
 
     _fields_ = [
         *((name, _PTR) for name in ("offsets", "cols", "values", "targets", "x0", "x", "xbar",
-                                    "u", "y", "s_hat", "ergodic", "v", "w", "gather",
-                                    "scalars")),
-        ("dot", BlasDot), ("g", SepReg), *((name, _I64) for name in ("n", "d", "loss")),
+                                    "u", "y", "s_hat", "ergodic", "v", "w", "scalars")),
+        ("g", SepReg), *((name, _I64) for name in ("n", "d", "loss")),
         *((name, _F64) for name in ("step", "tau", "theta", "xi", "d1")),
     ]
 
@@ -155,12 +144,12 @@ def bind(state, problem, names, bodies, **fields) -> None:
     problem's matrix and regularizer, the state's ``RowScalars`` block
     (``state._scalars``) and ``fields``: the struct's other fields by name,
     arrays or numbers, NULL or 0 when not given.  They are the numpy
-    ``bodies`` instead, each called as body(state, problem, ...), when
-    ``backend()`` is "numpy" or the regularizer has no compiled form.  Sets
-    ``state._kernel`` to (problem, calls, what the compiled calls' addresses
-    point into, or None)."""
+    ``bodies`` instead, each called as body(state, problem, ...), when the
+    library cannot be loaded (``matrix.backend()`` is "numpy") or the
+    regularizer has no compiled form.  Sets ``state._kernel`` to (problem,
+    calls, what the compiled calls' addresses point into, or None)."""
     matrix = problem.matrix
-    if backend() == "numpy" or problem.reg.kind not in REG_CODES:
+    if library() is None or problem.reg.kind not in REG_CODES:
         calls = tuple(functools.partial(body, state, problem) for body in bodies)
         state._kernel = (problem, calls, None)
         return
@@ -172,15 +161,13 @@ def bind(state, problem, names, bodies, **fields) -> None:
                     and value.flags.c_contiguous):
                 raise StructuralError(f"{name} is not {length} contiguous float64 values")
             values[name] = value.ctypes.data
-    gather = np.empty(max(matrix.max_row_nnz, 1))
     struct = RowProblem(
-        *matrix._pointers, **values, gather=gather.ctypes.data,
-        scalars=ctypes.addressof(state._scalars), dot=BlasDot(*ddot()),
+        *matrix._pointers, **values, scalars=ctypes.addressof(state._scalars),
         g=SepReg.of(problem.reg), n=matrix.n_rows, d=matrix.n_cols,
     )
     lib, address = library(), ctypes.addressof(struct)
     calls = tuple(functools.partial(getattr(lib, name), address) for name in names)
-    state._kernel = (problem, calls, (struct, gather, fields))
+    state._kernel = (problem, calls, (struct, fields))
 
 
 def _bound_calls(state, problem) -> tuple:
@@ -328,35 +315,3 @@ def library() -> ctypes.CDLL | None:
         # OSError: cache directory, compiler or dlopen; AttributeError: a
         # kernel missing from the library
         return None
-
-
-def backend() -> str:
-    """"compiled" when the row kernels can run in this process: the library
-    loads and numpy's ddot is found; "numpy" otherwise."""
-    return "numpy" if library() is None or ddot() is None else "compiled"
-
-
-@functools.cache
-def ddot() -> tuple[int, bool] | None:
-    """(address, ILP64) of the CBLAS ddot numpy's dot product calls, or None.
-
-    Looked up in numpy's ``_multiarray_umath`` extension, whose symbol
-    lookup also searches the BLAS library it links.  Decided once per
-    process; ``ddot.cache_clear()`` forgets the decision.
-    """
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    path = getattr(_multiarray_umath, "__file__", None)
-    if path is None:
-        return None
-    try:
-        numpy_ext = ctypes.CDLL(path)
-    except OSError:
-        return None
-    for name in DDOT_SYMBOLS:
-        func = getattr(numpy_ext, name, None)
-        if func is not None:
-            return ctypes.cast(func, _PTR).value, name.endswith("64_")
-    return None

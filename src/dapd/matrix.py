@@ -116,11 +116,6 @@ class SparseRowMatrix:
     def nnz(self) -> int:
         return int(self.values.size)
 
-    @property
-    def max_row_nnz(self) -> int:
-        """The most entries stored in one row; 0 when there is none."""
-        return int(np.diff(self.row_offsets).max(initial=0))
-
     def row(self, i: int):
         """Column indices and values of row i (views, not copies)."""
         if not 0 <= i < self.n_rows:
@@ -209,8 +204,10 @@ def build_matrix(triplets, n_rows: int, n_cols: int) -> SparseRowMatrix:
 
 
 def backend() -> str:
-    """"compiled" when ``matvec`` runs the C kernels of ``kernels.c``, "numpy"
-    when they could not be built or loaded in this process."""
+    """"compiled" when the C kernels of ``kernels.c`` load in this process,
+    "numpy" when they could not be built or loaded.  ``matvec`` runs them
+    when they load, and so do the solvers' row steps for l2, l1 and elastic
+    net."""
     return "numpy" if kernels.library() is None else "compiled"
 
 
@@ -256,6 +253,22 @@ def matvec_numpy(A: SparseRowMatrix, v: np.ndarray, transpose: bool = False) -> 
         return np.bincount(A.col_indices, weights=prod, minlength=A.n_cols)
     prod = A.values * v[A.col_indices]
     return np.bincount(_row_ids(A), weights=prod, minlength=A.n_rows)
+
+
+def ordered_dot(values: np.ndarray, w: np.ndarray) -> float:
+    """The dot product of a row's ``values`` with ``w`` (its entries at the
+    row's columns), summed as ``matvec_numpy`` sums an output entry: one
+    rounded product at a time, in storage order, from +0.0.
+
+    It is the one summation rule for a row's dot product: every numpy row
+    body and every compiled row kernel follows it, so row i gives the bits
+    of ``matvec(A, x)[i]`` on any machine.  ``np.bincount`` into one bin
+    keeps that order, an empty row included.  The product does not warn on
+    overflow or inf * 0: a row that diverges is its caller's to report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = values * w
+    return float(np.bincount(np.zeros(prod.size, np.intp), weights=prod, minlength=1)[0])
 
 
 class SpectralEstimate(NamedTuple):

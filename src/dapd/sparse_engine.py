@@ -37,9 +37,10 @@ is built on (``kernels.bind``).  Either one also advances the state's step
 scalars (beta, B, t and the touch count), which live in the state's
 ``kernels.RowScalars`` block, and leaves them as they were on a row that
 diverges; only the rebase check stays in Python.  The kernel evaluates the
-numpy body's expressions in their order and takes the dot product from the
-CBLAS ddot that numpy calls (``kernels.ddot``), so both give the same bits;
-``kernels.backend`` says which one runs.
+numpy body's expressions in their order and sums the row's dot product in
+storage order from +0.0, as the numpy body does (``matrix.ordered_dot``),
+so both give the same bits on any machine; ``matrix.backend`` says whether
+the kernels can run.
 
 Ergodic averaging is intentionally unavailable here: maintaining the average
 would cost O(d) per iteration.  The last iterate is the practical output
@@ -54,6 +55,7 @@ import numpy as np
 from . import kernels
 from .deterministic import RESCALE_THRESHOLD, rescale, start_vector
 from .errors import ConfigurationError, DivergenceError
+from .matrix import ordered_dot
 from .proxlib import CompositeProblem, prox_conjugate, recover_primal
 from .stochastic import StochasticParams, resolved_constants
 from .traces import RunResult, Tracer, epoch_rows
@@ -139,7 +141,7 @@ def _iterate_numpy(state: LazyState, problem: CompositeProblem, i: int) -> int:
     xbar_c = recover_primal(
         problem.reg, x_c - eta * state.u[cols], np.zeros_like(x_c), eta, 1.0, coords=cols
     )
-    dot = float(vals @ xbar_c)
+    dot = ordered_dot(vals, xbar_c)
     y_new = prox_conjugate(problem.loss, i, tau, state.y[i] + tau * dot)
     if not (np.isfinite(dot) and np.isfinite(y_new)):
         return -1

@@ -34,9 +34,10 @@ otherwise, or when the kernels cannot be built, their numpy bodies
 (``_xbar_dot_numpy`` and ``_update_numpy``, the kernels' oracle).
 ``StochasticState`` binds them once, to the problem it is built on
 (``kernels.bind``).  Both evaluate the same expressions in the same order
-and take the dot product from the CBLAS ddot numpy calls, so they give the
-same bits, and both keep the row kernels' divergence contract
-(``kernels.c``); ``kernels.backend`` says which one runs.
+and sum the row's dot product in storage order from +0.0
+(``matrix.ordered_dot``), so they give the same bits on any machine, and
+both keep the row kernels' divergence contract (``kernels.c``);
+``matrix.backend`` says whether the kernels can run.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import numpy as np
 from . import kernels
 from .deterministic import RESCALE_THRESHOLD, rescale, start_vector
 from .errors import ConfigurationError, DivergenceError
+from .matrix import ordered_dot
 from .proxlib import (
     CompositeProblem,
     problem_constants,
@@ -184,7 +186,7 @@ def _xbar_dot_numpy(state: StochasticState, problem: CompositeProblem, i: int) -
     cols, vals = problem.matrix.row(i)
     with np.errstate(over="ignore", invalid="ignore"):
         state.xbar[...] = prox_reg(problem.reg, eta, state.x - eta * state.u)
-        return float(vals @ state.xbar[cols])
+    return ordered_dot(vals, state.xbar[cols])
 
 
 def _update_numpy(state: StochasticState, problem: CompositeProblem, i: int,

@@ -3,10 +3,14 @@ fresh run of the same cases (``make_golden.py``).
 
 On the machine the files were written on (same numpy, BLAS, SIMD features
 and matvec backend, as recorded in ``environment.json``) the files must be
-byte-identical.  Elsewhere, OpenBLAS's per-CPU kernels and numpy's SIMD
-dispatch of exp/log may change the last bits, so the comparison is
-tolerant instead: relative 1e-9 on values, exact on ``epoch``, ``touches``
-and every non-numeric manifest value.
+byte-identical.  Every matvec and row dot product is summed in storage
+order by the package itself, but three computations still leave their
+last bits to the BLAS build and the CPU: Lanczos's ``q @ w`` in
+``matrix.power_iteration`` (and through R every step size), the
+``np.linalg.solve`` of the direct reference, and numpy's SIMD dispatch of
+exp/log.  So ``environment.json`` records the BLAS, and elsewhere the
+comparison is tolerant instead: relative 1e-9 on values, exact on
+``epoch``, ``touches`` and every non-numeric manifest value.
 """
 
 import json

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dapd import kernels
+from dapd import matrix
 from dapd.cli import main as cli_main
 from dapd.datasets import synth_ridge, synth_sparse_classification
 from dapd.deterministic import IterateState, dapd_iterate, run_dapd, schedule_for_problem
@@ -569,8 +569,8 @@ class TestCli:
         # the identity's Gram matrix: the first Lanczos step ends the run
         assert "spectral_norm_products: 1\n" in out
         assert "spectral_norm_rel_tol: 1e-06\nspectral_norm_margin: 0.0002\n" in out
-        assert out.count(".backend: ") == 2  # matrix and kernels
-        assert f"kernels.backend: {kernels.backend()}" in out
+        assert out.count(".backend: ") == 1
+        assert f"matrix.backend: {matrix.backend()}\n" in out
         assert "datasets.parser: " in out
 
     @pytest.mark.parametrize(

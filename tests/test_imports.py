@@ -29,3 +29,38 @@ def test_package_imports_only_stdlib_and_numpy():
         if module.partition(".")[0] not in ALLOWED
     ]
     assert foreign == []
+
+
+# the calls that load a shared library
+LOADERS = {"CDLL", "PyDLL", "LoadLibrary", "load_library"}
+
+
+def library_loads(tree):
+    """(line, enclosing function) of each call to one of ``LOADERS``."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in LOADERS:
+                    yield child.lineno, function
+            yield from visit(child, function)
+    return visit(tree, None)
+
+
+def test_no_borrowed_blas():
+    """The kernels sum every dot product themselves: no module reaches into
+    numpy's extension or its BLAS, and the one library loaded is the
+    package's own, by ``kernels._load``."""
+    found = []
+    for path in sorted(Path(dapd.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        found += [f"{path.name}: mentions {word}" for word in ("_multiarray_umath", "cblas")
+                  if word in text.lower()]
+        found += [f"{path.name}:{line}: loads a library in {function}"
+                  for line, function in library_loads(ast.parse(text, str(path)))
+                  if (path.name, function) != ("kernels.py", "_load")]
+    assert found == []

@@ -19,7 +19,6 @@ CODE = re.sub(r"/\*.*?\*/", " ", SOURCE, flags=re.S)
 
 # the ctypes class that mirrors each struct of kernels.c
 MIRRORS = {
-    "blas_dot": kernels.BlasDot,
     "sep_reg": kernels.SepReg,
     "row_scalars": kernels.RowScalars,
     "row_problem": kernels.RowProblem,

@@ -4,7 +4,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dapd import kernels, matrix
 from dapd.datasets import synth_ridge
@@ -15,6 +15,7 @@ from dapd.matrix import (
     build_matrix,
     matvec,
     matvec_numpy,
+    ordered_dot,
     power_iteration,
     stats,
 )
@@ -105,6 +106,11 @@ class TestCompiledKernels:
             expected = matvec_numpy(A, np.asarray(v, dtype=np.float64), transpose)
             # raw bytes, so that -0.0 and +0.0 differ
             assert matvec(A, v, transpose).tobytes() == expected.tobytes()
+        # each row's dot product, summed as the row kernels sum it, gives
+        # the bits of that row's matvec entry
+        x = np.asarray(data.draw(vectors(A.n_cols)), dtype=np.float64)
+        rows = [ordered_dot(vals, x[cols]) for cols, vals in map(A.row, range(A.n_rows))]
+        assert np.array(rows, dtype=np.float64).tobytes() == matvec(A, x).tobytes()
 
     def test_cold_build_into_private_cache(self, fresh_backend):
         if kernels.library() is None:
@@ -186,6 +192,36 @@ class TestCompiledKernels:
         if failure == "compile_error":
             # the failed build leaves no temporary file behind
             assert not list(fresh_backend.glob(".build-*"))
+
+
+INF, NAN = float("inf"), float("nan")
+# factors of every size, both zeros, both infinities and NaN
+FACTORS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, INF, -INF, NAN]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FACTORS, FACTORS), max_size=12))
+@example([])
+@example([(3.0, -0.5)])
+@example([(-0.0, 1.0), (0.0, -2.0), (-1.0, 0.0)])
+@example([(1.0, INF), (-1.0, INF), (2.0, 3.0)])
+@example([(1e308, 10.0), (1e308, -10.0)])
+@example([(NAN, 1.0), (1.0, 2.0)])
+def test_ordered_dot_is_a_left_to_right_sum(pairs):
+    """``ordered_dot`` gives the bits of s = 0.0; s += a * b over the row in
+    order: -0.0 products sum to +0.0, and an overflow or inf - inf is NaN
+    (any NaN: the hardware may pick either operand's payload)."""
+    total = 0.0
+    for a, b in pairs:
+        total += a * b
+    values = np.array([a for a, _ in pairs], dtype=np.float64)
+    w = np.array([b for _, b in pairs], dtype=np.float64)
+    got = ordered_dot(values, w)
+    assert type(got) is float
+    if np.isnan(total):
+        assert np.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(total).tobytes()
 
 
 class TestConstruction:

@@ -1,10 +1,9 @@
-import ctypes
 import warnings
 
 import numpy as np
 import pytest
 
-from dapd import kernels, sparse_engine
+from dapd import kernels, matrix, sparse_engine
 from dapd.datasets import synth_ridge
 from dapd.errors import ConfigurationError, DivergenceError, StructuralError
 from dapd.matrix import build_matrix
@@ -364,16 +363,8 @@ class TestFinalize:
 
 @pytest.fixture
 def compiled():
-    if kernels.backend() != "compiled":
-        pytest.skip("the compiled kernels or numpy's ddot are unavailable here")
-
-
-@pytest.fixture
-def fresh_ddot():
-    """numpy's ddot is looked up again in the test, and again after it."""
-    kernels.ddot.cache_clear()
-    yield
-    kernels.ddot.cache_clear()
+    if matrix.backend() != "compiled":
+        pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
 
 
 def numpy_state(problem, params, **kwargs):
@@ -420,16 +411,6 @@ class TestCompiledIteration:
         assert finalize_x(fast, problem.reg).tobytes() == finalize_x(slow, problem.reg).tobytes()
         assert fast.rebase_count == (0 if threshold is None else 1)
 
-    def test_borrowed_ddot_sums_as_numpy_dot(self, compiled):
-        address, ilp64 = kernels.ddot()
-        index = ctypes.c_int64 if ilp64 else ctypes.c_int
-        ddot = ctypes.CFUNCTYPE(ctypes.c_double, index, ctypes.c_void_p, index, ctypes.c_void_p,
-                                index)(address)
-        rng = np.random.default_rng(0)
-        for k in rng.integers(1, 120, size=2000):
-            a, b = rng.normal(size=k), rng.normal(size=k)
-            assert 0.0 + ddot(int(k), a.ctypes.data, 1, b.ctypes.data, 1) == a @ b, k
-
 
 class TestCompiledFallbacks:
     def run_bytes(self, problem, params):
@@ -441,16 +422,7 @@ class TestCompiledFallbacks:
         params = grid_params(problem)
         want = self.run_bytes(problem, params)
         monkeypatch.setattr(kernels, "library", lambda: None)
-        assert kernels.backend() == "numpy"
-        assert self.run_bytes(problem, params) == want
-
-    def test_unresolvable_ddot(self, compiled, fresh_ddot, monkeypatch):
-        problem = ragged_problem("squared", KERNEL_REGS["l1"])
-        params = grid_params(problem)
-        want = self.run_bytes(problem, params)
-        monkeypatch.setattr(kernels, "DDOT_SYMBOLS", ("no_such_ddot",))
-        kernels.ddot.cache_clear()
-        assert kernels.ddot() is None and kernels.backend() == "numpy"
+        assert matrix.backend() == "numpy"
         assert self.run_bytes(problem, params) == want
 
     @pytest.mark.parametrize("reg, x0", [(huber_reg(0.1, 0.5), 0.0), (kl_reg(0.5), 1.0),
