@@ -6,7 +6,7 @@ import pytest
 from dapd import kernels, matrix, sparse_engine
 from dapd.datasets import synth_ridge
 from dapd.errors import ConfigurationError, DivergenceError, StructuralError
-from dapd.matrix import build_matrix
+from dapd.matrix import build_matrix, ordered_dot
 from dapd.proxlib import (
     huber_reg,
     kl_reg,
@@ -410,6 +410,34 @@ class TestCompiledIteration:
             assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
         assert finalize_x(fast, problem.reg).tobytes() == finalize_x(slow, problem.reg).tobytes()
         assert fast.rebase_count == (0 if threshold is None else 1)
+
+    def test_long_cancelling_rows_same_bits_as_numpy(self, compiled):
+        # rows of 150 entries spread over six decades with both signs, so
+        # that a sum in any order other than storage order changes the bits
+        rng = np.random.default_rng(7)
+        n, d, k = 6, 200, 150
+        triplets = [
+            (i, int(j), float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)))
+            for i in range(n)
+            for j in sorted(rng.choice(d, size=k, replace=False))
+        ]
+        problem = make_problem(build_matrix(triplets, n, d), squared_loss(rng.normal(size=n)),
+                               KERNEL_REGS["l2"], "finite_sum")
+        w = rng.normal(size=d)
+        rows = [problem.matrix.row(i) for i in range(n)]
+        assert any(ordered_dot(vals, w[cols]) != ordered_dot(vals[::-1], w[cols][::-1])
+                   for cols, vals in rows)
+        params = grid_params(problem)
+        fast = LazyState(problem, params)
+        slow = numpy_state(problem, params)
+        rows = sampled_rows(n, 5)
+        for t in range(300):
+            i = next(rows)
+            sparse_iterate(fast, problem, i)
+            sparse_iterate(slow, problem, i)
+            assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
+        assert finalize_x(fast, problem.reg).tobytes() == finalize_x(slow, problem.reg).tobytes()
+        assert np.all(np.isfinite(finalize_x(fast, problem.reg)))
 
 
 class TestCompiledFallbacks:
