@@ -12,6 +12,7 @@ on the original problem.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -41,7 +42,6 @@ from .matrix import SPECTRAL_NORM_MARGIN, SPECTRAL_NORM_REL_TOL, backend, matvec
 from .proxlib import (
     CompositeProblem,
     SCALINGS,
-    Regularizer,
     composite_gamma,
     dual_objective,
     elastic_net_reg,
@@ -209,210 +209,6 @@ def compute_reference(
 
 
 # ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-# every key of each config object, with the type its value must have
-_NULLABLE_FLOAT = (float, type(None))
-_SOURCE_KEYS = {
-    "synth_ridge": {"kind": str, "n": int, "d": int, "cov": str, "ar1_r": float,
-                    "noise_sigma": float, "seed": int},
-    "synth_sparse_classification": {"kind": str, "n": int, "d": int, "density": float,
-                                    "seed": int},
-    "libsvm": {"kind": str, "path": str, "expected_dim": (int, type(None))},
-}
-_SOURCE_REQUIRED = {
-    "synth_ridge": ("n", "d"),
-    "synth_sparse_classification": ("n", "d", "density"),
-    "libsvm": ("path",),
-}
-# the constants of each regularizer kind: all required but kl_weight, all
-# nonnegative, and positive where the regularizer divides by them
-_REG_KEYS = {
-    "l2": ("lam",),
-    "l1": ("lam",),
-    "elastic_net": ("lam", "lam2"),
-    "huber": ("lam", "huber_mu"),
-    "kl": ("kl_weight",),
-}
-_REG_POSITIVE = ("huber_mu", "kl_weight")
-_PROBLEM_KEYS = {"source": dict, "loss": str, "regularizer": dict, "scaling": str}
-_SOLVER_KEYS = {"methods": list, "epochs": int, "seeds": list, "epsilon": _NULLABLE_FLOAT,
-                "case_iv_tau": _NULLABLE_FLOAT}
-_OUTPUT_KEYS = {"dir": str, "reference_accuracy": float, "wall_clock": bool}
-_TOP_KEYS = {"name": str, "problem": dict, "solver": dict, "output": dict}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
-               list: "a list", dict: "a JSON object", type(None): "null"}
-
-
-def _is_a(value, kind) -> bool:
-    if kind is int:
-        return _is_int(value)
-    if kind is float:
-        return _is_int(value) or isinstance(value, (float, np.floating))
-    return isinstance(value, kind)
-
-
-def _config_object(section, spec: dict, where: str, required=()) -> dict:
-    """A copy of the config object ``section``, refused unless it is a JSON
-    object whose keys are in ``spec``, include ``required``, and hold values
-    of the types ``spec`` gives them."""
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{where} must be a JSON object, not {section!r}")
-    unknown = set(section) - set(spec)
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = [key for key in required if key not in section]
-    if missing:
-        raise ConfigurationError(f"missing key(s) {missing} in {where}")
-    for key, value in section.items():
-        kinds = spec[key] if isinstance(spec[key], tuple) else (spec[key],)
-        if not any(_is_a(value, kind) for kind in kinds):
-            expected = " or ".join(_TYPE_NAMES[kind] for kind in kinds)
-            raise ConfigurationError(f"{where}.{key} must be {expected}, not {value!r}")
-    return dict(section)
-
-
-def _check_positive(section: dict, key: str, where: str, strict: bool = True):
-    value = section.get(key)
-    if value is not None and not (value > 0 if strict else value >= 0):
-        sign = "positive" if strict else "nonnegative"
-        raise ConfigurationError(f"{where}.{key} must be {sign}, not {value!r}")
-
-
-@dataclass
-class RunConfig:
-    """Validated experiment configuration; see ``RunConfig.from_dict``."""
-
-    name: str
-    problem: dict
-    solver: dict
-    output: dict
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        """Check every key, type and value that can be checked without the
-        data, and fill in the defaults."""
-        raw = _config_object(raw, _TOP_KEYS, "config")
-        problem = _config_object(raw.get("problem", {}), _PROBLEM_KEYS, "problem")
-        solver = _config_object(raw.get("solver", {}), _SOLVER_KEYS, "solver")
-        output = _config_object(raw.get("output", {}), _OUTPUT_KEYS, "output")
-        source = problem.get("source", {})
-        kind = source.get("kind") if isinstance(source, dict) else None
-        if kind not in _SOURCE_KEYS:
-            raise ConfigurationError(f"problem.source.kind must be one of {sorted(_SOURCE_KEYS)}")
-        problem["source"] = _config_object(source, _SOURCE_KEYS[kind], "problem.source",
-                                          _SOURCE_REQUIRED[kind])
-        _check_positive(source, "expected_dim", "problem.source")
-        if source.get("cov", "identity") not in ("identity", "ar1"):
-            raise ConfigurationError("problem.source.cov must be 'identity' or 'ar1'")
-        if problem.get("loss") not in ("squared", "hinge"):
-            raise ConfigurationError("problem.loss must be 'squared' or 'hinge'")
-        regspec = problem.get("regularizer", {})
-        kind = regspec.get("kind") if isinstance(regspec, dict) else None
-        if kind not in _REG_KEYS:
-            raise ConfigurationError(
-                f"problem.regularizer.kind must be one of {sorted(_REG_KEYS)}"
-            )
-        consts = _REG_KEYS[kind]
-        problem["regularizer"] = _config_object(
-            regspec, {"kind": str, **dict.fromkeys(consts, float)}, "problem.regularizer",
-            [key for key in consts if key != "kl_weight"],
-        )
-        for key in consts:
-            _check_positive(regspec, key, "problem.regularizer", key in _REG_POSITIVE)
-        problem.setdefault("scaling", "finite_sum")
-        if problem["scaling"] not in SCALINGS:
-            raise ConfigurationError(f"problem.scaling must be one of {list(SCALINGS)}")
-        methods = solver.get("methods", [])
-        for m in methods:
-            if m not in ALL_METHODS:
-                raise ConfigurationError(f"unknown method {m!r}; known: {ALL_METHODS}")
-            check_regularizer(m, problem["regularizer"]["kind"])
-        if not methods:
-            raise ConfigurationError("solver.methods must be a nonempty list")
-        solver.setdefault("epochs", 50)
-        solver.setdefault("seeds", [0])
-        if solver["epochs"] < 1:
-            raise ConfigurationError(
-                f"solver.epochs must be a positive integer, not {solver['epochs']!r}"
-            )
-        seeds = solver["seeds"]
-        if not seeds or not all(_is_int(s) for s in seeds):
-            raise ConfigurationError(
-                f"solver.seeds must be a nonempty list of integers, not {seeds!r}"
-            )
-        solver.setdefault("epsilon", None)
-        solver.setdefault("case_iv_tau", None)
-        _check_positive(solver, "epsilon", "solver")
-        _check_positive(solver, "case_iv_tau", "solver")
-        output.setdefault("dir", "traces")
-        output.setdefault("reference_accuracy", 1e-9)
-        output.setdefault("wall_clock", True)
-        _check_positive(output, "reference_accuracy", "output")
-        return cls(raw.get("name", "experiment"), problem, solver, output)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _build_regularizer(spec: dict) -> Regularizer:
-    kind = spec.get("kind")
-    if kind == "l2":
-        return l2_reg(float(spec["lam"]))
-    if kind == "l1":
-        return l1_reg(float(spec["lam"]))
-    if kind == "elastic_net":
-        return elastic_net_reg(float(spec["lam"]), float(spec["lam2"]))
-    if kind == "huber":
-        return huber_reg(float(spec["lam"]), float(spec["huber_mu"]))
-    if kind == "kl":
-        return kl_reg(float(spec.get("kl_weight", 1.0)))
-    raise ConfigurationError(f"unknown regularizer kind {kind!r}")
-
-
-def _load_dataset(source: dict) -> Dataset:
-    kind = source["kind"]
-    if kind == "synth_ridge":
-        cov = source.get("cov", "identity")
-        if cov == "ar1":
-            cov = ("ar1", float(source.get("ar1_r", 0.5)))
-        ds, _ = synth_ridge(
-            int(source["n"]),
-            int(source["d"]),
-            cov=cov,
-            noise_sigma=float(source.get("noise_sigma", 0.1)),
-            seed=int(source.get("seed", 0)),
-        )
-        return ds
-    if kind == "synth_sparse_classification":
-        return synth_sparse_classification(
-            int(source["n"]), int(source["d"]),
-            float(source["density"]), seed=int(source.get("seed", 0)),
-        )
-    path = Path(source["path"])
-    if not path.exists():
-        data_dir = os.environ.get(DATA_DIR_ENV)
-        if data_dir and (Path(data_dir) / path).exists():
-            path = Path(data_dir) / path
-    return load_libsvm(path, expected_dim=source.get("expected_dim"))
-
-
-def build_problem(config: RunConfig) -> CompositeProblem:
-    dataset = _load_dataset(config.problem["source"])
-    reg = _build_regularizer(config.problem["regularizer"])
-    if config.problem["loss"] == "hinge":
-        labels = dataset.labels
-        if not set(np.unique(labels)) <= {-1.0, 1.0}:
-            raise ConfigurationError("hinge loss requires +-1 labels")
-        return svm_problem(dataset.matrix, labels, reg)
-    return make_problem(
-        dataset.matrix, squared_loss(dataset.labels), reg, config.problem["scaling"]
-    )
-
-
-# ---------------------------------------------------------------------------
 # experiment execution
 # ---------------------------------------------------------------------------
 
@@ -557,3 +353,205 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
         for key in sorted(manifest):
             fh.write(f"{key}={manifest[key]}\n")
     return ExperimentResult(manifest_path, trace_paths, failures)
+
+
+# ---------------------------------------------------------------------------
+# configuration
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a key that the file must set
+
+
+class _Key(NamedTuple):
+    """One key of a config object: the type(s) its value must have, its
+    default, and the range a value set in the file must lie in, as
+    ``(test(value, the object with its defaults filled in), words)``.  Null
+    is in every range."""
+
+    kinds: type | tuple
+    default: object = _REQUIRED
+    range: tuple | None = None
+
+
+_POSITIVE = (lambda value, _: value > 0, "positive")
+_NONNEGATIVE = (lambda value, _: value >= 0, "nonnegative")
+
+
+def _distinct(item_ok: Callable, items: str) -> tuple:
+    """The range of a nonempty list of distinct items that pass ``item_ok``."""
+    return (lambda values, _: bool(values) and all(map(item_ok, values))
+            and len(set(values)) == len(values), f"a nonempty list of distinct {items}")
+
+
+_COUNT = _Key(int, range=_POSITIVE)
+_SEED = _Key(int, 0, _NONNEGATIVE)
+_LAM = _Key(float, range=_NONNEGATIVE)
+_NULLABLE_FLOAT = (float, type(None))
+# every key of each config object, checked in table order; the ``kind`` of a
+# source or a regularizer picks its table
+_SOURCE_KEYS = {
+    "synth_ridge": {
+        "n": _COUNT,
+        "d": _COUNT,
+        "cov": _Key(str, "identity", (lambda cov, _: cov in ("identity", "ar1"),
+                                      "'identity' or 'ar1'")),
+        "ar1_r": _Key(float, 0.5, (lambda r, source: source["cov"] == "ar1" and 0 <= r < 1,
+                                   "in [0, 1), and set only with cov 'ar1'")),
+        "noise_sigma": _Key(float, 0.1, _NONNEGATIVE),
+        "seed": _SEED,
+    },
+    "synth_sparse_classification": {
+        "n": _COUNT,
+        "d": _COUNT,
+        "density": _Key(float, range=(lambda rho, source: 0 < rho <= 1 and rho * source["d"] >= 1,
+                                      "in (0, 1] and at least 1/d")),
+        "seed": _SEED,
+    },
+    "libsvm": {"path": _Key(str), "expected_dim": _Key((int, type(None)), None, _POSITIVE)},
+}
+# each regularizer kind's builder, and its constants in the builder's argument order
+_REGULARIZERS = {
+    "l2": (l2_reg, {"lam": _LAM}),
+    "l1": (l1_reg, {"lam": _LAM}),
+    "elastic_net": (elastic_net_reg, {"lam": _LAM, "lam2": _LAM}),
+    "huber": (huber_reg, {"lam": _LAM, "huber_mu": _Key(float, range=_POSITIVE)}),
+    "kl": (kl_reg, {"kl_weight": _Key(float, 1.0, _POSITIVE)}),
+}
+_PROBLEM_KEYS = {
+    "source": _Key(dict),
+    "loss": _Key(str, range=(lambda loss, _: loss in ("squared", "hinge"),
+                             "'squared' or 'hinge'")),
+    "regularizer": _Key(dict),
+    "scaling": _Key(str, "finite_sum", (  # ``svm_problem`` fixes finite_sum
+        lambda scaling, problem: scaling in SCALINGS
+        and (scaling == "finite_sum" or problem["loss"] == "squared"),
+        f"one of {list(SCALINGS)}, and 'finite_sum' with the hinge loss",
+    )),
+}
+_SOLVER_KEYS = {
+    "methods": _Key(list, range=_distinct(lambda m: m in ALL_METHODS,
+                                          f"methods from {list(ALL_METHODS)}")),
+    "epochs": _Key(int, 50, _POSITIVE),
+    "seeds": _Key(list, [0], _distinct(lambda s: _is_int(s) and s >= 0, "nonnegative integers")),
+    "epsilon": _Key(_NULLABLE_FLOAT, None, _POSITIVE),
+    "case_iv_tau": _Key(_NULLABLE_FLOAT, None, _POSITIVE),
+}
+_OUTPUT_KEYS = {
+    "dir": _Key(str, "traces"),
+    "reference_accuracy": _Key(float, 1e-9, _POSITIVE),
+    "wall_clock": _Key(bool, True),
+}
+_TOP_KEYS = {"name": _Key(str, "experiment"), "problem": _Key(dict), "solver": _Key(dict),
+             "output": _Key(dict, {})}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               list: "a list", dict: "a JSON object", type(None): "null"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_a(value, kind) -> bool:
+    if kind is int:
+        return _is_int(value)
+    if kind is float:
+        return _is_int(value) or isinstance(value, (float, np.floating))
+    return isinstance(value, kind)
+
+
+def _config_object(section, keys: dict, where: str) -> dict:
+    """A copy of the config object ``section`` with its defaults filled in,
+    refused unless it is a JSON object that sets only keys of ``keys``, and
+    every required one, to values of their types in their ranges."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, not {section!r}")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = [key for key, spec in keys.items()
+               if spec.default is _REQUIRED and key not in section]
+    if missing:
+        raise ConfigurationError(f"missing key(s) {missing} in {where}")
+    for key, value in section.items():
+        kinds = keys[key].kinds if isinstance(keys[key].kinds, tuple) else (keys[key].kinds,)
+        if not any(_is_a(value, kind) for kind in kinds):
+            expected = " or ".join(_TYPE_NAMES[kind] for kind in kinds)
+            raise ConfigurationError(f"{where}.{key} must be {expected}, not {value!r}")
+    resolved = {key: copy.copy(spec.default) for key, spec in keys.items()
+                if spec.default is not _REQUIRED}
+    resolved.update(section)
+    for key, spec in keys.items():
+        value = section.get(key)
+        if value is not None and spec.range:
+            in_range, words = spec.range
+            if not in_range(value, resolved):
+                raise ConfigurationError(f"{where}.{key} must be {words}, not {value!r}")
+    return resolved
+
+
+def _kind_object(section, kinds: dict, where: str) -> dict:
+    """``_config_object`` with the keys that ``kinds`` gives the section's ``kind``."""
+    kind = section.get("kind") if isinstance(section, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(f"{where}.kind must be one of {sorted(kinds)}, not {kind!r}")
+    return _config_object(section, {"kind": _Key(str), **kinds[kind]}, where)
+
+
+@dataclass
+class RunConfig:
+    """Validated experiment configuration; see ``RunConfig.from_dict``."""
+
+    name: str
+    problem: dict
+    solver: dict
+    output: dict
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "RunConfig":
+        """Check every key, type and value that can be checked without the
+        data, and fill in the defaults."""
+        raw = _config_object(raw, _TOP_KEYS, "config")
+        problem = _config_object(raw["problem"], _PROBLEM_KEYS, "problem")
+        problem["source"] = _kind_object(problem["source"], _SOURCE_KEYS, "problem.source")
+        problem["regularizer"] = _kind_object(
+            problem["regularizer"], {kind: keys for kind, (_, keys) in _REGULARIZERS.items()},
+            "problem.regularizer",
+        )
+        solver = _config_object(raw["solver"], _SOLVER_KEYS, "solver")
+        for method in solver["methods"]:
+            check_regularizer(method, problem["regularizer"]["kind"])
+        output = _config_object(raw["output"], _OUTPUT_KEYS, "output")
+        return cls(raw["name"], problem, solver, output)
+
+
+def _load_dataset(source: dict) -> Dataset:
+    kind = source["kind"]
+    if kind == "synth_ridge":
+        cov = ("ar1", float(source["ar1_r"])) if source["cov"] == "ar1" else "identity"
+        ds, _ = synth_ridge(int(source["n"]), int(source["d"]), cov=cov,
+                            noise_sigma=float(source["noise_sigma"]), seed=int(source["seed"]))
+        return ds
+    if kind == "synth_sparse_classification":
+        return synth_sparse_classification(int(source["n"]), int(source["d"]),
+                                           float(source["density"]), seed=int(source["seed"]))
+    path = Path(source["path"])
+    if not path.exists():
+        data_dir = os.environ.get(DATA_DIR_ENV)
+        if data_dir and (Path(data_dir) / path).exists():
+            path = Path(data_dir) / path
+    return load_libsvm(path, expected_dim=source["expected_dim"])
+
+
+def build_problem(config: RunConfig) -> CompositeProblem:
+    dataset = _load_dataset(config.problem["source"])
+    spec = config.problem["regularizer"]
+    build, keys = _REGULARIZERS[spec["kind"]]
+    reg = build(*(float(spec[key]) for key in keys))
+    if config.problem["loss"] == "hinge":
+        labels = dataset.labels
+        if not set(np.unique(labels)) <= {-1.0, 1.0}:
+            raise ConfigurationError("hinge loss requires +-1 labels")
+        return svm_problem(dataset.matrix, labels, reg)
+    return make_problem(
+        dataset.matrix, squared_loss(dataset.labels), reg, config.problem["scaling"]
+    )

@@ -124,7 +124,7 @@ class SparseRowMatrix:
         return self.col_indices[lo:hi], self.values[lo:hi]
 
     def to_dense(self) -> np.ndarray:
-        """Dense copy; verification oracle only, never on the solver path."""
+        """Dense copy, for the direct ridge reference and test oracles only."""
         out = np.zeros((self.n_rows, self.n_cols))
         out[_row_ids(self), self.col_indices] = self.values
         return out

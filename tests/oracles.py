@@ -406,15 +406,20 @@ def built_without_kernels(make, *args, **kwargs):
 ROW_PATHS = ("compiled", "numpy")
 
 
+def skip_unless_compiled():
+    """Skip the calling test where the compiled kernels cannot be built."""
+    if matrix.backend() != "compiled":
+        pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
+
+
 def built_on(path, make, *args, **kwargs):
     """``make(*args, **kwargs)`` running its compiled row kernels
     (``path="compiled"``; the test is skipped where they cannot run) or its
     numpy body (``"numpy"``, ``built_without_kernels``)."""
     if path == "numpy":
         state = built_without_kernels(make, *args, **kwargs)
-    elif matrix.backend() != "compiled":
-        pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
     else:
+        skip_unless_compiled()
         state = make(*args, **kwargs)
     assert (state._kernel[2] is not None) == (path == "compiled")
     return state

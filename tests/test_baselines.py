@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dapd import baselines, kernels, matrix
+from dapd import baselines, kernels
 from dapd.baselines import (
     BASELINE_METHODS,
     BaselineConfig,
@@ -155,12 +155,6 @@ class TestBudgets:
 # ---------------------------------------------------------------------------
 # the compiled SPDC epoch (spdc_epoch in kernels.c) against its numpy body
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def compiled():
-    if matrix.backend() != "compiled":
-        pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
 
 
 def snapshot(state):

@@ -150,12 +150,6 @@ class TestParseLibsvmWithoutCompiler(TestParseLibsvm):
         monkeypatch.setattr(kernels, "library", lambda: None)
 
 
-@pytest.fixture
-def compiled():
-    if kernels.library() is None:
-        pytest.skip("the compiled kernels cannot be built here")
-
-
 def _outcome(text, use_kernels):
     """``parse_libsvm(text)``, or the text of its ``ParseError``; with
     ``use_kernels`` false, the Python body alone."""

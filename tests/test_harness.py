@@ -4,12 +4,13 @@ import re
 import sys
 import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dapd import matrix
+from dapd import harness, matrix
 from dapd.cli import main as cli_main
 from dapd.datasets import synth_ridge, synth_sparse_classification
 from dapd.deterministic import IterateState, dapd_iterate, run_dapd, schedule_for_problem
@@ -505,9 +506,19 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=f"solver.{match} must be"):
             RunConfig.from_dict(cfg)
 
+    def test_defaults_filled_in_and_not_shared(self, tmp_path):
+        cfg = base_config(tmp_path, ["sdapd"], seeds=[1])
+        del cfg["solver"]["seeds"]
+        first, second = RunConfig.from_dict(cfg), RunConfig.from_dict(cfg)
+        first.solver["seeds"].append(5)
+        assert second.solver["seeds"] == [0]
+        assert first.problem["source"] == {**cfg["problem"]["source"], "cov": "identity",
+                                           "ar1_r": 0.5}
+        assert (second.solver["epochs"], second.solver["epsilon"]) == (3, None)
+
     def test_unknown_method_rejected(self, tmp_path):
         cfg = base_config(tmp_path, ["adamw"], seeds=[0])
-        with pytest.raises(ConfigurationError, match="unknown method"):
+        with pytest.raises(ConfigurationError, match=r"solver.methods must be .* not \['adamw'\]"):
             RunConfig.from_dict(cfg)
 
     def test_data_dir_env_var(self, tmp_path, monkeypatch):
@@ -606,8 +617,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--method", "bogus"], ["--seeds", "1,x"], ["--epochs", "0"]],
-        ids=["method", "seeds", "epochs"],
+        [["--method", "bogus"], ["--seeds", "1,x"], ["--epochs", "0"], ["--seeds", "-1"],
+         ["--seeds", "2,2"]],
+        ids=["method", "seeds", "epochs", "seed_negative", "seeds_repeated"],
     )
     def test_bad_override_refused_before_running(self, tmp_path, capsys, flags):
         rc = cli_main(["run", "--config", str(self.write_config(tmp_path)), *flags])
@@ -674,7 +686,35 @@ BAD_CONFIGS = {
                                    {"kind": "libsvm", "path": "x.libsvm", "expected_dim": -3}),
     "kl_with_da": _kl_with("da"),
     "kl_with_proxsvrg": _kl_with("proxsvrg"),
+    "solver_seed_negative": _edit(("solver",), "seeds", [1, -1]),
+    "source_seed_negative": _edit(("problem", "source"), "seed", -3),
+    "methods_repeated": _edit(("solver",), "methods", ["sdapd", "sdapd"]),
+    "seeds_repeated": _edit(("solver",), "seeds", [1, 1]),
+    "hinge_deterministic": _edit((), "problem", {**HINGE_L2, "scaling": "deterministic"}),
+    "ar1_r_without_ar1": _edit(("problem", "source"), "ar1_r", 0.3),
+    "ar1_r_one": _edit(("problem",), "source",
+                       {"kind": "synth_ridge", "n": 12, "d": 6, "cov": "ar1", "ar1_r": 1.0}),
+    "n_zero": _edit(("problem", "source"), "n", 0),
+    "d_zero": _edit(("problem", "source"), "d", 0),
+    "noise_sigma_negative": _edit(("problem", "source"), "noise_sigma", -0.1),
+    "density_zero": _edit(("problem",), "source", {**HINGE_L2["source"], "density": 0}),
+    "density_above_one": _edit(("problem",), "source", {**HINGE_L2["source"], "density": 1.5}),
+    "density_below_one_over_d": _edit(("problem",), "source",
+                                      {**HINGE_L2["source"], "density": 0.1}),
+    "source_kind_a_list": _edit(("problem", "source"), "kind", []),
 }
+
+
+def test_readme_names_every_config_key():
+    """README.md names every key of every config table in backticks, and
+    every source and regularizer kind."""
+    tables = [harness._TOP_KEYS, harness._PROBLEM_KEYS, harness._SOLVER_KEYS,
+              harness._OUTPUT_KEYS, *harness._SOURCE_KEYS.values(),
+              *(keys for _, keys in harness._REGULARIZERS.values())]
+    names = {"kind", *harness._SOURCE_KEYS, *harness._REGULARIZERS,
+             *(key for table in tables for key in table)}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert sorted(name for name in names if f"`{name}`" not in readme) == []
 
 
 @pytest.mark.parametrize("make_text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())

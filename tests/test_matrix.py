@@ -20,7 +20,7 @@ from dapd.matrix import (
     stats,
 )
 
-from oracles import assert_spectral_bound, clustered_matrix, row_dot
+from oracles import assert_spectral_bound, clustered_matrix, row_dot, skip_unless_compiled
 
 
 def random_matrix(rng, n_rows, n_cols, density=0.6):
@@ -80,12 +80,6 @@ def vectors(draw, length):
     return values[::2] if kind == "strided" else values[:length].copy()
 
 
-@pytest.fixture(scope="module")
-def compiled():
-    if kernels.library() is None:
-        pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
-
-
 @pytest.fixture
 def fresh_backend(monkeypatch, tmp_path):
     """The backend is decided again in the test, with an empty kernel cache
@@ -113,8 +107,7 @@ class TestCompiledKernels:
         assert np.array(rows, dtype=np.float64).tobytes() == matvec(A, x).tobytes()
 
     def test_cold_build_into_private_cache(self, fresh_backend):
-        if kernels.library() is None:
-            pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
+        skip_unless_compiled()
         assert backend() == "compiled"
         names = [p.name for p in fresh_backend.iterdir()]
         assert names == [kernels._library_name(kernels._find_compiler(), kernels.FLAGS)]

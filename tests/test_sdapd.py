@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dapd import matrix, stochastic
+from dapd import stochastic
 from dapd.deterministic import IterateState, dapd_iterate
 from dapd.errors import ConfigurationError, DivergenceError, StructuralError
 from dapd.matrix import build_matrix, matvec
@@ -241,12 +241,6 @@ class TestRun:
 # ---------------------------------------------------------------------------
 # the compiled row (sdapd_dense_* in kernels.c) against its numpy body
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def compiled():
-    if matrix.backend() != "compiled":
-        pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
 
 
 def snapshot(state):

@@ -361,12 +361,6 @@ class TestFinalize:
 # the compiled iteration (lazy_iterate in kernels.c) against the numpy body
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def compiled():
-    if matrix.backend() != "compiled":
-        pytest.skip("the compiled kernels cannot be built here (no C compiler?)")
-
-
 def numpy_state(problem, params, **kwargs):
     """A LazyState that runs the numpy body (``built_without_kernels``)."""
     return built_without_kernels(LazyState, problem, params, **kwargs)
