@@ -382,20 +382,21 @@ def _run_spdc(problem, epochs, seed, tracer):
     return state.x, {"tau": tau, "sigma": sigma, "theta": theta}
 
 
-# name -> (runner, seeded).  Every runner is called as
+# name -> (runner, seeded, perturbed).  Every runner is called as
 # runner(problem, epochs, seed, tracer), records each epoch on the
 # tracer and returns (x, resolved constants); unseeded runners ignore seed.
+# A perturbed method needs smoothness and strong convexity, so ``dapd run``
+# gives it the perturbed problem (``perturb_problem``) when epsilon is set.
 BASELINES = {
-    "pdhg": (_run_pdhg, False),
-    "apgm": (_run_apgm, False),
-    "da": (_run_da, False),
-    "rda": (_run_rda, True),
-    "proxsgd": (_run_proxsgd, True),
-    "proxsvrg": (_run_proxsvrg, True),
-    "spdc": (_run_spdc, True),
+    "pdhg": (_run_pdhg, False, False),
+    "apgm": (_run_apgm, False, True),
+    "da": (_run_da, False, False),
+    "rda": (_run_rda, True, False),
+    "proxsgd": (_run_proxsgd, True, False),
+    "proxsvrg": (_run_proxsvrg, True, True),
+    "spdc": (_run_spdc, True, True),
 }
 BASELINE_METHODS = tuple(BASELINES)
-STOCHASTIC_METHODS = tuple(m for m, (_, seeded) in BASELINES.items() if seeded)
 
 
 def check_regularizer(method: str, reg_kind: str) -> None:
@@ -417,7 +418,7 @@ def run_baseline(
     """Run the configured baseline; deterministic methods ignore the seed.
     Returns the last iterate alone (``x_ergodic`` is None)."""
     check_regularizer(config.method, problem.reg.kind)
-    runner, seeded = BASELINES[config.method]
+    runner, seeded, _ = BASELINES[config.method]
     tracer = Tracer(problem, reference_value, wall_clock)
     x, resolved = runner(problem, config.epochs, config.seed, tracer)
     resolved = {"method": config.method, "epochs": config.epochs, **resolved}

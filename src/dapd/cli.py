@@ -70,7 +70,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args)
     problem = build_problem(config)
-    schedule, violations = checked_schedule(problem, config.solver["case_iv_tau"], args.horizon)
+    schedule, violations = checked_schedule(problem, args.horizon)
     gamma_f = composite_gamma(problem)
     _, mu, _, R, _ = problem_constants(problem)
     print(f"regime: {schedule.regime}")

@@ -22,6 +22,10 @@ from .matrix import MAX_COLS, SparseRowMatrix, build_matrix, matvec
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """A matrix, one label per row, and ``meta``: ``"parser"`` for a parsed
+    dataset (which reader ran) and ``"plant"`` for a sparse classification
+    one (its planted hyperplane)."""
+
     matrix: SparseRowMatrix
     labels: np.ndarray
     meta: dict
@@ -35,7 +39,7 @@ class Dataset:
         return self.matrix.n_cols
 
 
-def parse_libsvm(source: str, expected_dim: int | None = None, name: str = "<memory>") -> Dataset:
+def parse_libsvm(source: str, expected_dim: int | None = None) -> Dataset:
     """Parse LIBSVM text: ``<label> <index>:<value> ...`` per line.
 
     Indices are 1-based, at most ``matrix.MAX_COLS`` (2**31 - 1, so the
@@ -52,11 +56,11 @@ def parse_libsvm(source: str, expected_dim: int | None = None, name: str = "<mem
     _check_expected_dim(expected_dim)
     parsed = _parse_compiled(source.encode("ascii")) if source.isascii() else None
     if parsed is None:
-        return _dataset(_parse_python(source), "python", expected_dim, name)
-    return _dataset(parsed, "compiled", expected_dim, name)
+        return _dataset(_parse_python(source), "python", expected_dim)
+    return _dataset(parsed, "compiled", expected_dim)
 
 
-def _dataset(parsed, parser: str, expected_dim, name: str) -> Dataset:
+def _dataset(parsed, parser: str, expected_dim) -> Dataset:
     """The dataset from ``parsed`` = (labels, offsets, cols, values,
     max_index), as the reader ``parser`` returned them."""
     labels, offsets, cols, values, max_index = parsed
@@ -68,16 +72,7 @@ def _dataset(parsed, parser: str, expected_dim, name: str) -> Dataset:
                 f"feature index {max_index} exceeds the declared dimension {expected_dim}"
             )
         dim = expected_dim
-    matrix = SparseRowMatrix(rows, dim, offsets, cols, values)
-    meta = {
-        "name": name,
-        "n": rows,
-        "d": dim,
-        "density": matrix.nnz / (rows * dim) if dim else 0.0,
-        "source": "libsvm",
-        "parser": parser,
-    }
-    return Dataset(matrix, labels, meta)
+    return Dataset(SparseRowMatrix(rows, dim, offsets, cols, values), labels, {"parser": parser})
 
 
 def _check_expected_dim(expected_dim) -> None:
@@ -182,7 +177,7 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
         data = fh.read()
     parsed = _parse_compiled(data)
     if parsed is not None:
-        return _dataset(parsed, "compiled", expected_dim, path)
+        return _dataset(parsed, "compiled", expected_dim)
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
@@ -190,7 +185,7 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
         line = len((data[:exc.start].decode() + "x").splitlines())
         raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}", line=line) from None
     del data  # the text alone while parsing
-    return _dataset(_parse_python(text), "python", expected_dim, path)
+    return _dataset(_parse_python(text), "python", expected_dim)
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
@@ -217,9 +212,7 @@ def synth_ridge(n: int, d: int, cov="identity", noise_sigma: float = 0.1, seed: 
     x_true = rng.standard_normal(d)
     # the same stream as standard_normal((n, d)), row-major
     values = rng.standard_normal(n * d)
-    if cov == "identity":
-        cov_name = "identity"
-    else:
+    if cov != "identity":
         kind, r = cov
         if kind != "ar1" or not 0 <= r < 1:
             raise ConfigurationError(f"unknown covariance spec {cov!r}")
@@ -228,7 +221,6 @@ def synth_ridge(n: int, d: int, cov="identity", noise_sigma: float = 0.1, seed: 
         scale = np.sqrt(1.0 - r * r)
         for j in range(1, d):
             rows[:, j] = r * rows[:, j - 1] + scale * rows[:, j]
-        cov_name = f"ar1({r})"
     noise = noise_sigma * rng.standard_normal(n)
     # every entry stored, in row-major order: the arrays build_matrix makes
     # from the n*d triplets (i, j, rows[i, j]), without building them; the
@@ -243,17 +235,7 @@ def synth_ridge(n: int, d: int, cov="identity", noise_sigma: float = 0.1, seed: 
     # evaluate the model through the same kernel solvers use, so the
     # zero-noise residual is exactly zero
     b = matvec(matrix, x_true) + noise
-    meta = {
-        "name": f"synth_ridge(n={n},d={d},cov={cov_name},sigma={noise_sigma},seed={seed})",
-        "n": n,
-        "d": d,
-        "density": 1.0,
-        "source": "synthetic",
-        "noise_sigma": noise_sigma,
-        "cov": cov_name,
-        "seed": seed,
-    }
-    return Dataset(matrix, b, meta), x_true
+    return Dataset(matrix, b, {}), x_true
 
 
 def synth_sparse_classification(n: int, d: int, density: float, seed: int = 0) -> Dataset:
@@ -282,15 +264,5 @@ def synth_sparse_classification(n: int, d: int, density: float, seed: int = 0) -
                 break
         labels[i] = 1.0 if margin > 0 else -1.0
         triplets.extend((i, int(c), float(v)) for c, v in zip(cols, vals))
-    matrix = build_matrix(triplets, n, d)
     plant.setflags(write=False)
-    meta = {
-        "name": f"synth_sparse(n={n},d={d},rho={density},seed={seed})",
-        "n": n,
-        "d": d,
-        "density": matrix.nnz / (n * d),
-        "source": "synthetic",
-        "seed": seed,
-        "plant": plant,
-    }
-    return Dataset(matrix, labels, meta)
+    return Dataset(build_matrix(triplets, n, d), labels, {"plant": plant})

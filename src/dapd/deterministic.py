@@ -150,10 +150,9 @@ def make_schedule(
     )
 
 
-def schedule_for_problem(
-    problem: CompositeProblem, case_iv_tau: float | None = None
-) -> SolverSchedule:
-    """Build the regime schedule from the problem's composite constants.
+def schedule_for_problem(problem: CompositeProblem) -> SolverSchedule:
+    """Build the regime schedule from the problem's composite constants,
+    with tau = 1 in the ``neither`` regime.
 
     A converged Lanczos estimate of R (``matrix.power_iteration``) is an
     over-estimate of the top singular value, by at most a relative
@@ -169,7 +168,7 @@ def schedule_for_problem(
     if not problem.stats.spectral_norm_converged:
         R = R / 0.99
     L = composite_lipschitz(problem)
-    return make_schedule(gamma_f, mu, R, L=L, case_iv_tau=case_iv_tau)
+    return make_schedule(gamma_f, mu, R, L=L)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .baselines import (
-    BASELINE_METHODS,
-    STOCHASTIC_METHODS,
-    BaselineConfig,
-    check_regularizer,
-    run_baseline,
-)
+from .baselines import BASELINES, BaselineConfig, check_regularizer, run_baseline
 from .datasets import Dataset, load_libsvm, synth_ridge, synth_sparse_classification
 from .deterministic import (
     IterateState,
@@ -38,7 +32,7 @@ from .deterministic import (
     validate_schedule,
 )
 from .errors import CertificationError, ConfigurationError, DivergenceError
-from .matrix import SPECTRAL_NORM_MARGIN, SPECTRAL_NORM_REL_TOL, backend, matvec
+from .matrix import MAX_COLS, SPECTRAL_NORM_MARGIN, SPECTRAL_NORM_REL_TOL, backend, matvec
 from .proxlib import (
     CompositeProblem,
     SCALINGS,
@@ -81,6 +75,14 @@ def _is_ridge_form(problem: CompositeProblem) -> bool:
         and problem.loss.dual_perturbation == 0.0
         and problem.reg.primal_perturbation == 0.0
     )
+
+
+def _dual_candidate(problem: CompositeProblem, x, y=None):
+    """The dual point y(x) = c * f'(A x) made from x, or ``y`` itself when
+    it is given and the loss is not squared."""
+    if y is not None and problem.loss.kind != "squared":
+        return y
+    return problem.loss_scale * loss_grads(problem.loss, matvec(problem.matrix, x))
 
 
 def _duality_gap(problem, x, y_candidate):
@@ -145,8 +147,7 @@ def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSo
     point the loss's gradient at A x = 0 gives."""
     if problem.stats.spectral_norm == 0:
         x = np.zeros(problem.dim)
-        y_candidate = problem.loss_scale * loss_grads(problem.loss, matvec(problem.matrix, x))
-        value, gap = _duality_gap(problem, x, y_candidate)
+        value, gap = _duality_gap(problem, x, _dual_candidate(problem, x))
         return _certify(x, value, gap, accuracy, "dapd_run",
                         " at x = 0 (the matrix's spectral norm is 0)")
     schedule = schedule_for_problem(problem)
@@ -156,12 +157,7 @@ def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSo
     for checkpoint in REFERENCE_CHECKPOINTS:
         while done + state.t < checkpoint:
             dapd_iterate(state, problem)
-        if problem.loss.kind == "squared":
-            u = matvec(problem.matrix, state.x)
-            y_candidate = problem.loss_scale * (u - problem.loss.targets)
-        else:
-            y_candidate = state.y
-        value, gap = _duality_gap(problem, state.x, y_candidate)
+        value, gap = _duality_gap(problem, state.x, _dual_candidate(problem, state.x, state.y))
         if not np.isfinite(gap):
             continue
         if gap <= accuracy:
@@ -213,37 +209,38 @@ def compute_reference(
 # ---------------------------------------------------------------------------
 
 
-def checked_schedule(problem: CompositeProblem, case_iv_tau: float | None, horizon: int):
+def checked_schedule(problem: CompositeProblem, horizon: int):
     """``(schedule, violations)``: the problem's DAPD schedule
     (``schedule_for_problem``) and its feasibility violations for
     t = 0..horizon (``validate_schedule``)."""
-    schedule = schedule_for_problem(problem, case_iv_tau=case_iv_tau)
+    schedule = schedule_for_problem(problem)
     _, mu, _, R, _ = problem_constants(problem)
     return schedule, validate_schedule(schedule, composite_gamma(problem), mu, R, horizon)
 
 
-# Cell runners: runner(problem, epochs, seed, solver, reference_value=...,
-# wall_clock=...) with ``solver`` the config's solver section.
+# Cell runners: runner(problem, epochs, seed, reference_value=..., wall_clock=...).
+# Each looks its solver up by this module's global name when called, so a
+# wrapper installed on that name sees the call.
 
 
-def _run_dapd_cell(problem, epochs, seed, solver, **trace):
-    schedule, violations = checked_schedule(problem, solver["case_iv_tau"], min(epochs, 1000))
+def _run_dapd_cell(problem, epochs, seed, **trace):
+    schedule, violations = checked_schedule(problem, min(epochs, 1000))
     if violations:
         raise ConfigurationError(f"schedule infeasible: {violations[:3]}")
     return run_dapd(problem, schedule, epochs, **trace)
 
 
-def _run_sdapd_cell(problem, epochs, seed, solver, **trace):
+def _run_sdapd_cell(problem, epochs, seed, **trace):
     params = params_for_problem(problem)
     return run_sdapd(problem, params, epochs * problem.n, seed, **trace)
 
 
-def _run_sparse_cell(problem, epochs, seed, solver, **trace):
+def _run_sparse_cell(problem, epochs, seed, **trace):
     params = params_for_problem(problem)
     return run_sparse(problem, params, epochs * problem.n, seed, **trace)
 
 
-def _run_baseline_cell(method, problem, epochs, seed, solver, **trace):
+def _run_baseline_cell(method, problem, epochs, seed, **trace):
     return run_baseline(BaselineConfig(method, epochs, seed), problem, **trace)
 
 
@@ -253,19 +250,13 @@ class MethodSpec(NamedTuple):
     perturbed: bool  # solves the perturbed problem when solver.epsilon is set
 
 
-# baselines that need smoothness and strong convexity (``perturb_problem``)
-_PERTURBED_BASELINES = ("apgm", "proxsvrg", "spdc")
-
 METHODS = {
     "dapd": MethodSpec(_run_dapd_cell, seeded=False, perturbed=False),
     "sdapd": MethodSpec(_run_sdapd_cell, seeded=True, perturbed=True),
     "sdapd_sparse": MethodSpec(_run_sparse_cell, seeded=True, perturbed=True),
     **{
-        name: MethodSpec(
-            partial(_run_baseline_cell, name), name in STOCHASTIC_METHODS,
-            name in _PERTURBED_BASELINES,
-        )
-        for name in BASELINE_METHODS
+        name: MethodSpec(partial(_run_baseline_cell, name), seeded, perturbed)
+        for name, (_, seeded, perturbed) in BASELINES.items()
     },
 }
 ALL_METHODS = tuple(METHODS)
@@ -283,12 +274,11 @@ class ExperimentResult:
         return not self.failures
 
 
-def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
-    """Execute every (method, seed) cell; one CSV per cell plus a manifest."""
-    if not isinstance(config, RunConfig):
-        config = RunConfig.from_dict(config)
-    outdir = Path(base_dir) if base_dir is not None else Path(config.output["dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+def run_experiment(config: RunConfig) -> ExperimentResult:
+    """Execute every (method, seed) cell; one CSV per cell plus a manifest,
+    in ``output.dir``, made only once the problem, its reference and its
+    perturbation are built.  A kl problem has no certified reference
+    (``compute_reference``), so its cells run without one."""
     problem = build_problem(config)
     gamma, mu, L, R, rbar = problem_constants(problem)
     manifest = {
@@ -309,12 +299,17 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
         "problem.spectral_norm_margin": SPECTRAL_NORM_MARGIN,
         "matrix.backend": backend(),
     }
-    reference = compute_reference(problem, config.output["reference_accuracy"])
-    manifest["reference.value"] = reference.value
-    manifest["reference.method"] = reference.method
-    manifest["reference.certified_gap"] = reference.certified_gap
-    manifest["reference.iterations"] = reference.iterations
-    manifest["reference.restarts"] = reference.restarts
+    reference_value = None
+    if problem.reg.kind == "kl":
+        manifest["reference.method"] = "none"
+    else:
+        reference = compute_reference(problem, config.output["reference_accuracy"])
+        reference_value = reference.value
+        manifest["reference.value"] = reference.value
+        manifest["reference.method"] = reference.method
+        manifest["reference.certified_gap"] = reference.certified_gap
+        manifest["reference.iterations"] = reference.iterations
+        manifest["reference.restarts"] = reference.restarts
 
     epsilon = config.solver["epsilon"]
     perturbed = None
@@ -324,6 +319,8 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
         manifest["perturbation.delta1"] = perturbed.loss.dual_perturbation
         manifest["perturbation.delta2"] = perturbed.reg.primal_perturbation
 
+    outdir = Path(config.output["dir"])
+    outdir.mkdir(parents=True, exist_ok=True)
     epochs = int(config.solver["epochs"])
     wall_clock = bool(config.output["wall_clock"])
     trace_paths = []
@@ -335,10 +332,8 @@ def run_experiment(config: RunConfig, base_dir=None) -> ExperimentResult:
         for seed in seeds:
             cell = method if seed is None else f"{method}_seed{seed}"
             try:
-                res = spec.runner(
-                    cell_problem, epochs, seed or 0, config.solver,
-                    reference_value=reference.value, wall_clock=wall_clock,
-                )
+                res = spec.runner(cell_problem, epochs, seed or 0,
+                                  reference_value=reference_value, wall_clock=wall_clock)
             except (DivergenceError, ConfigurationError) as exc:
                 failures[cell] = str(exc)
                 manifest[f"cell.{cell}.error"] = str(exc)
@@ -386,7 +381,6 @@ def _distinct(item_ok: Callable, items: str) -> tuple:
 _COUNT = _Key(int, range=_POSITIVE)
 _SEED = _Key(int, 0, _NONNEGATIVE)
 _LAM = _Key(float, range=_NONNEGATIVE)
-_NULLABLE_FLOAT = (float, type(None))
 # every key of each config object, checked in table order; the ``kind`` of a
 # source or a regularizer picks its table
 _SOURCE_KEYS = {
@@ -407,7 +401,11 @@ _SOURCE_KEYS = {
                                       "in (0, 1] and at least 1/d")),
         "seed": _SEED,
     },
-    "libsvm": {"path": _Key(str), "expected_dim": _Key((int, type(None)), None, _POSITIVE)},
+    "libsvm": {
+        "path": _Key(str),
+        "expected_dim": _Key((int, type(None)), None,
+                             (lambda d, _: 1 <= d <= MAX_COLS, f"in [1, {MAX_COLS}]")),
+    },
 }
 # each regularizer kind's builder, and its constants in the builder's argument order
 _REGULARIZERS = {
@@ -433,8 +431,7 @@ _SOLVER_KEYS = {
                                           f"methods from {list(ALL_METHODS)}")),
     "epochs": _Key(int, 50, _POSITIVE),
     "seeds": _Key(list, [0], _distinct(lambda s: _is_int(s) and s >= 0, "nonnegative integers")),
-    "epsilon": _Key(_NULLABLE_FLOAT, None, _POSITIVE),
-    "case_iv_tau": _Key(_NULLABLE_FLOAT, None, _POSITIVE),
+    "epsilon": _Key((float, type(None)), None, _POSITIVE),
 }
 _OUTPUT_KEYS = {
     "dir": _Key(str, "traces"),

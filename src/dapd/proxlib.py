@@ -2,9 +2,8 @@
 
 The problem solved everywhere is ``minimize  f(A x) + g(x)`` with
 ``f(u) = loss_scale * sum_i f_i(u_i)`` separable and ``g`` separable with an
-easy prox.  Two scalings are supported: ``deterministic`` (loss_scale is
-free, default 1) and ``finite_sum`` (loss_scale fixed to 1/n, the empirical
-risk form).
+easy prox.  The scaling fixes loss_scale: 1 for ``deterministic`` and 1/n
+for ``finite_sum`` (the empirical risk form).
 
 Perturbations: ``dual_perturbation`` (delta1) adds ``delta1/2 * y^2`` to each
 per-sample conjugate, ``primal_perturbation`` (delta2) adds
@@ -155,7 +154,6 @@ def make_problem(
     loss: LossFamily,
     reg: Regularizer,
     scaling: str = "finite_sum",
-    loss_scale: float | None = None,
 ) -> CompositeProblem:
     if scaling not in SCALINGS:
         raise ConfigurationError(f"unknown scaling {scaling!r}")
@@ -163,16 +161,11 @@ def make_problem(
         raise StructuralError(
             f"loss has {loss.targets.size} targets for {matrix.n_rows} rows"
         )
-    if scaling == "finite_sum":
-        if loss_scale is not None and not np.isclose(loss_scale, 1.0 / matrix.n_rows):
-            raise ConfigurationError("finite_sum scaling fixes loss_scale to 1/n")
-        loss_scale = 1.0 / matrix.n_rows
-    elif loss_scale is None:
-        loss_scale = 1.0
+    loss_scale = 1.0 / matrix.n_rows if scaling == "finite_sum" else 1.0
     if reg.kind == "kl" and not np.isscalar(reg.kl_weights):
         if np.asarray(reg.kl_weights).shape != (matrix.n_cols,):
             raise StructuralError("kl weight vector length must equal n_cols")
-    return CompositeProblem(matrix, loss, reg, scaling, float(loss_scale), matrix_stats(matrix))
+    return CompositeProblem(matrix, loss, reg, scaling, loss_scale, matrix_stats(matrix))
 
 
 def fold_labels(matrix: SparseRowMatrix, labels) -> SparseRowMatrix:

@@ -50,11 +50,11 @@ class RunResult:
     resolved: dict = field(default_factory=dict)
 
 
-def nnz_fraction(x: np.ndarray, tol: float = NNZ_TOLERANCE) -> float:
+def nnz_fraction(x: np.ndarray) -> float:
     x = np.asarray(x)
     if x.size == 0:
         return 0.0
-    return float(np.count_nonzero(np.abs(x) > tol)) / x.size
+    return float(np.count_nonzero(np.abs(x) > NNZ_TOLERANCE)) / x.size
 
 
 def epoch_rows(n: int, iterations: int, seed: int):

@@ -57,7 +57,9 @@ def _experiment(*args, **kwargs):
     config = experiment_config(*args, **kwargs)
 
     def write(outdir: Path) -> None:
-        run_experiment(RunConfig.from_dict(config), base_dir=outdir)
+        run_experiment(RunConfig.from_dict(
+            {**config, "output": {**config["output"], "dir": str(outdir)}}
+        ))
 
     return write
 

@@ -290,8 +290,8 @@ def prox_reg_coord(reg, j, step, v):
     return float(recover_primal(reg, np.float64(v), 0.0, step, 1.0, coords=j))
 
 
-def ridge_problem(matrix, targets, lam, scaling="finite_sum", loss_scale=None):
-    return make_problem(matrix, squared_loss(targets), l2_reg(lam), scaling, loss_scale)
+def ridge_problem(matrix, targets, lam, scaling="finite_sum"):
+    return make_problem(matrix, squared_loss(targets), l2_reg(lam), scaling)
 
 
 def lasso_problem(matrix, targets, lam):

@@ -70,17 +70,17 @@ def report(number, label, ok, detail=""):
     assert ok, f"criterion {number} failed: {detail}"
 
 
-def dense_to_problem(rows, b, reg, scaling="finite_sum", loss_scale=None):
+def dense_to_problem(rows, b, reg, scaling="finite_sum"):
     n, d = rows.shape
     A = build_matrix([(i, j, rows[i, j]) for i in range(n) for j in range(d)], n, d)
-    return make_problem(A, squared_loss(b), reg, scaling, loss_scale)
+    return make_problem(A, squared_loss(b), reg, scaling)
 
 
 def deterministic_ridge_instance(rng, n=20, d=20, mu=0.1):
     """0.5||Ax-b||^2 + mu/2||x||^2 with closed-form saddle point."""
     rows = rng.standard_normal((n, d)) / np.sqrt(d)
     b = rng.standard_normal(n)
-    prob = dense_to_problem(rows, b, l2_reg(mu), "deterministic", loss_scale=1.0)
+    prob = dense_to_problem(rows, b, l2_reg(mu), "deterministic")
     x_star = np.linalg.solve(rows.T @ rows + mu * np.eye(d), rows.T @ b)
     y_star = rows @ x_star - b
     return prob, x_star, y_star

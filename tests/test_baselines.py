@@ -40,7 +40,7 @@ from oracles import (
 
 def one_d_ridge():
     A = build_matrix([(0, 0, 1.0)], 1, 1)
-    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic", loss_scale=1.0)
+    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic")
 
 
 def well_conditioned_ridge(rng, n=20, d=20, lam=1.0):

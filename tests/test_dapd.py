@@ -27,7 +27,7 @@ from oracles import dapd_iterate_ergodic_y, geometric_schedule, saddle_value
 
 def one_d_problem():
     A = build_matrix([(0, 0, 1.0)], 1, 1)
-    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic", loss_scale=1.0)
+    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic")
 
 
 def random_ridge(rng, n, d, mu):
@@ -36,7 +36,7 @@ def random_ridge(rng, n, d, mu):
     triplets = [(i, j, rng.normal() / np.sqrt(d)) for i in range(n) for j in range(d)]
     A = build_matrix(triplets, n, d)
     b = rng.normal(size=n)
-    prob = make_problem(A, squared_loss(b), l2_reg(mu), "deterministic", loss_scale=1.0)
+    prob = make_problem(A, squared_loss(b), l2_reg(mu), "deterministic")
     dense = A.to_dense()
     x_star = np.linalg.solve(dense.T @ dense + mu * np.eye(d), dense.T @ b)
     y_star = dense @ x_star - b
@@ -56,7 +56,7 @@ class TestIterate:
     def test_zero_matrix_decouples(self):
         A = build_matrix([], 2, 3)
         prob = make_problem(
-            A, squared_loss([1.0, -1.0]), l2_reg(0.5), "deterministic", loss_scale=1.0
+            A, squared_loss([1.0, -1.0]), l2_reg(0.5), "deterministic"
         )
         sched = geometric_schedule(eta=1.0, tau=1.0, beta0=1.0, xi=2.0)
         x0 = np.array([1.0, -2.0, 3.0])
@@ -111,7 +111,7 @@ class TestIterate:
         # a double, so each step's growth reaches log_scale without forming it
         A = build_matrix([(0, 0, 3e-160), (1, 1, 1e-160), (1, 0, 2e-160)], 2, 2)
         prob = make_problem(
-            A, squared_loss([1.0, -1.0]), l2_reg(0.5), "deterministic", loss_scale=1.0
+            A, squared_loss([1.0, -1.0]), l2_reg(0.5), "deterministic"
         )
         sched = schedule_for_problem(prob)
         xi = sched.params["xi"]

@@ -46,7 +46,7 @@ from test_matrix import sparse_matrices
 
 def one_d_ridge():
     A = build_matrix([(0, 0, 1.0)], 1, 1)
-    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic", loss_scale=1.0)
+    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic")
 
 
 def random_ridge_problem(rng, n=20, d=20, lam=0.1):
@@ -475,16 +475,17 @@ class TestRunExperiment:
 
     def test_reproducible_traces(self, tmp_path):
         cfg = base_config(tmp_path, ["sdapd", "rda"], seeds=[5])
-        first = run_experiment(RunConfig.from_dict(cfg), base_dir=tmp_path / "a")
-        second = run_experiment(RunConfig.from_dict(cfg), base_dir=tmp_path / "b")
+        first = run_experiment(RunConfig.from_dict(cfg))
+        cfg["output"]["dir"] = str(tmp_path / "b")
+        second = run_experiment(RunConfig.from_dict(cfg))
         for p1, p2 in zip(first.trace_paths, second.trace_paths):
             assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize(
         "key, value",
         [("learning_rate", 0.1), ("overrides", {"pdhg": {"tau": 0.5}}), ("c1", 0.2),
-         ("c2", 0.2)],
-        ids=["learning_rate", "overrides", "c1", "c2"],
+         ("c2", 0.2), ("case_iv_tau", 0.5)],
+        ids=["learning_rate", "overrides", "c1", "c2", "case_iv_tau"],
     )
     def test_unknown_keys_rejected(self, tmp_path, key, value):
         cfg = base_config(tmp_path, ["dapd"], seeds=[0])
@@ -531,6 +532,21 @@ class TestRunExperiment:
         cfg["problem"]["source"] = {"kind": "libsvm", "path": "toy.libsvm"}
         result = run_experiment(RunConfig.from_dict(cfg))
         assert result.ok
+
+    def test_kl_runs_without_a_reference(self, tmp_path, capsys):
+        """No certified reference exists for kl, so its cells run without
+        one: suboptimality is nan and the manifest names no reference."""
+        cfg = base_config(tmp_path, ["dapd", "pdhg"], seeds=[1])
+        cfg["problem"]["regularizer"] = {"kind": "kl", "kl_weight": 1.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["run", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        for cell in ("dapd", "pdhg"):
+            records = read_trace(out / f"{cell}.csv")
+            assert len(records) == 3 and all(np.isnan(r.suboptimality) for r in records)
+        manifest = (out / "manifest.txt").read_text()
+        assert "reference.method=none\n" in manifest and "reference.value=" not in manifest
 
     def test_suboptimality_nonnegative_in_traces(self, tmp_path):
         cfg = base_config(tmp_path, ["dapd", "sdapd"], seeds=[1], epochs=10)
@@ -628,6 +644,25 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
+    @pytest.mark.parametrize(
+        "problem, message",
+        [({"source": {"kind": "libsvm", "path": "missing.libsvm"}}, "error: [Errno"),
+         ({"loss": "hinge"}, "error: hinge loss requires +-1 labels")],
+        ids=["libsvm_missing", "hinge_on_real_labels"],
+    )
+    def test_data_error_writes_nothing(self, tmp_path, capsys, monkeypatch, problem, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DAPD_DATA_DIR", raising=False)
+        cfg = base_config(tmp_path, ["dapd"], seeds=[1])
+        cfg["problem"].update(problem)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli_main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nope": 1}))
@@ -684,6 +719,10 @@ BAD_CONFIGS = {
                                {"kind": "libsvm", "path": "x.libsvm", "expected_dim": 0}),
     "expected_dim_negative": _edit(("problem",), "source",
                                    {"kind": "libsvm", "path": "x.libsvm", "expected_dim": -3}),
+    "expected_dim_beyond_int32": _edit(
+        ("problem",), "source", {"kind": "libsvm", "path": "x.libsvm", "expected_dim": 2**31}
+    ),
+    "case_iv_tau": _edit(("solver",), "case_iv_tau", 0.5),
     "kl_with_da": _kl_with("da"),
     "kl_with_proxsvrg": _kl_with("proxsvrg"),
     "solver_seed_negative": _edit(("solver",), "seeds", [1, -1]),

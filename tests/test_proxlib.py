@@ -233,7 +233,7 @@ def test_nonexpansiveness(kind, v1, v2, step):
 
 def one_d_ridge():
     A = build_matrix([(0, 0, 1.0)], 1, 1)
-    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic", loss_scale=1.0)
+    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic")
 
 
 class TestObjective:
