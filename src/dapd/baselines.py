@@ -30,10 +30,10 @@ SPDC runs an epoch of rows in one call, ``spdc_epoch``: for each row the
 dot product with x_ext, the dual step, the primal prox step and the
 extrapolation, counting the row in ``t`` and the touch count, kept in the
 state's ``kernels.RowScalars`` block.  ``SpdcState`` binds the call once, to
-the problem it is built on (``kernels.bind``): ``spdc_epoch`` of
-``kernels.c`` for l2, l1 and elastic net, and otherwise, or when the kernels
-cannot be built, its numpy body ``_spdc_epoch_numpy``, which gives the same
-bits and is the kernel's oracle.  A row whose dot product, new dual
+its ``problem`` (``kernels.bind``): ``spdc_epoch`` of ``kernels.c`` for l2,
+l1 and elastic net, and otherwise, or when the kernels cannot be built, its
+numpy body ``_spdc_epoch_numpy``, which gives the same bits and is the
+kernel's oracle.  A row whose dot product, new dual
 coordinate or new x is not finite raises ``DivergenceError`` at that
 iteration, as SDAPD's does, under the row kernels' divergence contract
 (``kernels.c``).
@@ -86,11 +86,9 @@ def _reg_subgradient(reg, x):
         out = reg.lam * np.sign(x)
     elif reg.kind == "elastic_net":
         out = reg.lam * np.sign(x) + reg.lam2 * x
-    elif reg.kind == "huber":
+    else:  # huber; ``check_regularizer`` refuses da on kl
         cut = reg.lam / (2.0 * reg.huber_mu)
         out = np.where(np.abs(x) <= cut, 2.0 * reg.huber_mu * x, reg.lam * np.sign(x))
-    else:  # kl
-        out = -reg.weight() / x
     if reg.primal_perturbation > 0:
         out = out + reg.primal_perturbation * x
     return out
@@ -283,18 +281,19 @@ def _run_proxsvrg(problem, epochs, seed, tracer):
 
 class SpdcState:
     """SPDC's primal x, its extrapolation x_ext, the dual y and
-    u = A^T y / n, stepped by ``spdc_epoch`` with the steps (tau, sigma)
-    and the extrapolation theta it was built with; ``t`` counts its rows.
+    u = A^T y / n, stepped by ``spdc_epoch`` on the problem, the steps (tau,
+    sigma) and the extrapolation theta it holds; ``t`` counts its rows.
 
-    The epoch call is bound once, to the problem the state is built on.
-    ``tau``, ``sigma``, ``theta`` and the vectors cannot be rebound (the
-    vectors are written in place): the compiled kernel keeps their values
-    and addresses.  ``t`` and ``touch_counter`` are fields of a
-    ``kernels.RowScalars`` block, which the epoch call advances.
+    The epoch call is bound once, to ``problem``.  ``problem``, ``tau``,
+    ``sigma``, ``theta`` and the vectors cannot be rebound (the vectors are
+    written in place): the compiled kernel keeps their values and addresses.
+    ``t`` and ``touch_counter`` are fields of a ``kernels.RowScalars``
+    block, which the epoch call advances.
     """
 
-    tau, sigma, theta, x, x_ext, y, u = (
-        kernels.fixed(name) for name in ("tau", "sigma", "theta", "x", "x_ext", "y", "u")
+    problem, tau, sigma, theta, x, x_ext, y, u = (
+        kernels.fixed(name)
+        for name in ("problem", "tau", "sigma", "theta", "x", "x_ext", "y", "u")
     )
     t, touch_counter = kernels.scalar("t"), kernels.scalar("touch_counter")
 
@@ -302,39 +301,37 @@ class SpdcState:
         if sigma <= 0:
             raise ConfigurationError("spdc needs a positive dual step sigma")
         d, n = problem.dim, problem.n
+        self._problem = problem
         self._tau, self._sigma, self._theta = tau, sigma, theta
         self._x = np.zeros(d)
         self._x_ext = np.zeros(d)
         self._y = np.zeros(n)
         self._u = matvec(problem.matrix, self._y, transpose=True) / n
         self._scalars = kernels.RowScalars()
-        loss = problem.loss
         kernels.bind(
-            self, problem, ("spdc_epoch",), (_spdc_epoch_numpy,),
-            targets=np.ascontiguousarray(loss.targets, dtype=np.float64), x=self._x,
-            xbar=self._x_ext, u=self._u, y=self._y, loss=kernels.LOSS_CODES[loss.kind],
-            step=tau, tau=sigma, theta=theta, d1=loss.dual_perturbation,
+            self, ("spdc_epoch",), (_spdc_epoch_numpy,), x=self._x, xbar=self._x_ext, u=self._u,
+            y=self._y, step=tau, tau=sigma, theta=theta,
         )
 
 
-def spdc_epoch(state: SpdcState, problem, rows) -> SpdcState:
-    """SPDC iterations on the sampled ``rows`` (an integer array), in order;
-    O(d + nnz(a_i)) each.  Every row index is checked before the first row
-    runs."""
-    (epoch,), rows = kernels.epoch_calls(state, problem, rows)
+def spdc_epoch(state: SpdcState, rows) -> SpdcState:
+    """SPDC iterations on the sampled ``rows`` (an integer array) of the
+    state's problem, in order; O(d + nnz(a_i)) each.  Every row index is
+    checked before the first row runs."""
+    (epoch,), rows = kernels.epoch_calls(state, rows)
     if epoch(rows, rows.size) < rows.size:
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     return state
 
 
-def _spdc_epoch_numpy(state: SpdcState, problem, rows: np.ndarray, count: int) -> int:
+def _spdc_epoch_numpy(state: SpdcState, rows: np.ndarray, count: int) -> int:
     """``spdc_epoch`` in numpy: for each of the first ``count`` rows, the
     dot product with x_ext, the dual step, the primal prox step on
     u + dy a_i, the extrapolation and u, then t and the touch count.
     Returns the number of rows completed: ``count``, or the position of the
     first row whose dot product, new dual coordinate or new x is not
     finite."""
-    sigma, tau, theta = state.sigma, state.tau, state.theta
+    problem, sigma, tau, theta = state.problem, state.sigma, state.tau, state.theta
     x, x_ext, y, u = state.x, state.x_ext, state.y, state.u
     for done, i in enumerate(rows[:count].tolist()):
         cols, vals = problem.matrix.row(i)
@@ -377,7 +374,7 @@ def _run_spdc(problem, epochs, seed, tracer):
     n = problem.n
     state = SpdcState(problem, tau, sigma, theta)
     for epoch, rows in epoch_rows(n, epochs * n, seed):
-        spdc_epoch(state, problem, rows)
+        spdc_epoch(state, rows)
         tracer.record(epoch, state.x, state.touch_counter)
     return state.x, {"tau": tau, "sigma": sigma, "theta": theta}
 

@@ -37,17 +37,19 @@ def _load_config(args) -> RunConfig:
     overrides = {"solver": {}, "output": {}}
     if args.epochs is not None:
         overrides["solver"]["epochs"] = args.epochs
-    if args.seeds:
+    if args.seeds is not None:
         try:
             overrides["solver"]["seeds"] = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigurationError(
                 f"--seeds must be comma-separated integers, not {args.seeds!r}"
             ) from None
-    if args.method:
+    if args.method is not None:
         overrides["solver"]["methods"] = args.method
-    if args.out:
+    if args.out is not None:
         overrides["output"]["dir"] = args.out
+    if vars(args).get("accuracy") is not None:  # ``dapd reference`` alone has the flag
+        overrides["output"]["reference_accuracy"] = args.accuracy
     if isinstance(raw, dict):  # anything else is refused by ``from_dict``
         for name, values in overrides.items():
             section = raw.get(name, {})
@@ -87,7 +89,7 @@ def _cmd_validate(args) -> int:
 def _cmd_reference(args) -> int:
     config = _load_config(args)
     problem = build_problem(config)
-    accuracy = args.accuracy or config.output["reference_accuracy"]
+    accuracy = config.output["reference_accuracy"]
     ref = compute_reference(problem, accuracy)
     outdir = Path(config.output["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -149,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ref = sub.add_parser("reference", help="compute and cache the optimal value")
     add_config_flags(p_ref)
-    p_ref.add_argument("--accuracy", type=float, help="certification accuracy")
+    p_ref.add_argument("--accuracy", type=float, help="override output.reference_accuracy")
     p_ref.set_defaults(func=_cmd_reference)
 
     p_stats = sub.add_parser("stats", help="dataset R / Rbar / density report")

@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigurationError, DivergenceError, StructuralError
 from .matrix import matvec
 from .proxlib import (
@@ -222,8 +223,8 @@ def validate_schedule(
 
 
 class IterateState:
-    """Mutable DAPD state, stepped by ``dapd_iterate`` with the schedule it
-    was built with.
+    """Mutable DAPD state, stepped by ``dapd_iterate`` on the problem and
+    with the schedule it was built with; ``problem`` cannot be rebound.
 
     ``s_hat``, ``B_hat`` and ``beta_hat`` are the gradient sum, B_{t-1} and
     beta_t divided by exp(log_scale); ``inv_scale`` caches exp(-log_scale).
@@ -231,9 +232,12 @@ class IterateState:
     The run starts from (x0, y0), zero where not given.
     """
 
+    problem = kernels.fixed("problem")
+
     def __init__(self, problem: CompositeProblem, schedule: SolverSchedule, x0=None,
                  y0=None):
         d, n = problem.dim, problem.n
+        self._problem = problem
         self.schedule = schedule
         self.x0 = start_vector(x0, d, "x0")
         self.x = self.x0.copy()
@@ -295,13 +299,13 @@ def rescale(state, s_hat: np.ndarray, beta0: float, growth: float = 1.0,
     state.inv_scale = np.exp(-state.log_scale)
 
 
-def dapd_iterate(state: IterateState, problem: CompositeProblem):
-    """Advance one full DAPD iteration; cost O(nnz + n + d).  A non-finite
-    iterate raises ``DivergenceError`` under the row kernels' divergence
-    contract (``kernels.c``): B, beta, t and the touch count stay as they
-    were."""
+def dapd_iterate(state: IterateState):
+    """Advance one full DAPD iteration on the state's problem; cost
+    O(nnz + n + d).  A non-finite iterate raises ``DivergenceError`` under
+    the row kernels' divergence contract (``kernels.c``): B, beta, t and the
+    touch count stay as they were."""
     t = state.t
-    schedule = state.schedule
+    problem, schedule = state.problem, state.schedule
     eta_t = schedule.eta(t)
     tau_t = schedule.tau(t)
     A = problem.matrix
@@ -363,7 +367,7 @@ def run_dapd(
     state = IterateState(problem, schedule)
     tracer = Tracer(problem, reference_value, wall_clock)
     for t in range(iterations):
-        dapd_iterate(state, problem)
+        dapd_iterate(state)
         tracer.record(t + 1, state.x, state.touch_counter)
     resolved = {"regime": schedule.regime, **schedule.params, "iterations": iterations}
     return RunResult(x=state.x, trace=tracer.records, x_ergodic=state.ergodic_x, y=state.y,

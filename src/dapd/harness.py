@@ -13,6 +13,7 @@ on the original problem.
 from __future__ import annotations
 
 import copy
+import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -156,7 +157,7 @@ def _solver_reference(problem: CompositeProblem, accuracy: float) -> ReferenceSo
     base = None
     for checkpoint in REFERENCE_CHECKPOINTS:
         while done + state.t < checkpoint:
-            dapd_iterate(state, problem)
+            dapd_iterate(state)
         value, gap = _duality_gap(problem, state.x, _dual_candidate(problem, state.x, state.y))
         if not np.isfinite(gap):
             continue
@@ -187,8 +188,8 @@ def compute_reference(
     with numpy alone.  ``method="direct"`` accepts ridge-form problems only.
     ``kl`` problems cannot be certified (``feasible_dual_point`` rejects
     them), so every method refuses them before solving anything."""
-    if accuracy <= 0:
-        raise ConfigurationError("accuracy must be positive")
+    if not 0 < accuracy < math.inf:
+        raise ConfigurationError(f"accuracy must be positive and finite, not {accuracy!r}")
     if problem.reg.kind == "kl":
         raise CertificationError(
             "no feasible dual point exists for kl; a kl reference cannot be certified"
@@ -435,7 +436,8 @@ _SOLVER_KEYS = {
 }
 _OUTPUT_KEYS = {
     "dir": _Key(str, "traces"),
-    "reference_accuracy": _Key(float, 1e-9, _POSITIVE),
+    "reference_accuracy": _Key(float, 1e-9, (lambda accuracy, _: 0 < accuracy < math.inf,
+                                             "positive and finite")),
     "wall_clock": _Key(bool, True),
 }
 _TOP_KEYS = {"name": _Key(str, "experiment"), "problem": _Key(dict), "solver": _Key(dict),

@@ -66,8 +66,9 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
  * (dapd.matrix.ordered_dot); no BLAS routine is called, so those bits do
  * not depend on the BLAS build or the CPU.  All four take one struct
  * row_problem, which a solver state binds once, to the problem it is built
- * on; the state checks 0 <= i < n for every row before it calls a kernel,
- * and keeps the struct's arrays and scalar block alive, never rebound.
+ * on and holds (no step takes another); the state checks 0 <= i < n for
+ * every row before it calls a kernel, since no kernel checks bounds, and
+ * keeps the struct's arrays and scalar block alive, never rebound.
  *
  * The divergence contract, kept also by the numpy bodies and by
  * dapd.deterministic.dapd_iterate: a row whose result is not finite

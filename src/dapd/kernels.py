@@ -27,16 +27,16 @@ storage order from +0.0, as ``csr_matvec`` does and as their numpy bodies do
 through ``matrix.ordered_dot``, so both give the same bits on any machine;
 when the library cannot be built or loaded (``matrix.backend``), the
 callers keep their numpy bodies.  All four kernels take one struct,
-``RowProblem``.  Each solver state ``bind``s its row calls once, in
-its constructor, to the problem it is built on; the struct holds the
-addresses of the state's arrays and of its ``RowScalars`` block, and
-``fixed`` makes those arrays attributes that cannot be rebound.
-``row_calls`` hands the calls back for each row, and ``epoch_calls`` for
-each epoch of rows, after they check the problem and every row index.  The
-kernels advance the block's step scalars (beta, B, t and the touch count;
-only the callers' rescale changes the scale) themselves, so one call does a
-lazy iteration or an SPDC epoch; the states expose its fields as attributes
-(``scalar``), and their numpy bodies read and write the same block.  A row
+``RowProblem``.  Each solver state ``bind``s its row calls once, in its
+constructor, to its ``problem``; the struct holds the addresses of the
+state's arrays and of its ``RowScalars`` block, and ``fixed`` makes the
+problem and those arrays attributes that cannot be rebound.  ``row_calls``
+hands the calls back for each row, and ``epoch_calls`` for each epoch of
+rows, after they check every row index.  The kernels advance the block's
+step scalars (beta, B, t and the touch count; only the callers' rescale
+changes the scale) themselves, so one call does a lazy iteration or an SPDC
+epoch; the states expose its fields as attributes (``scalar``), and their
+numpy bodies read and write the same block.  A row
 that diverges leaves those scalars as they were: the contract is stated
 once, in ``kernels.c``'s row-kernel comment.
 """
@@ -57,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, StructuralError
+from .errors import StructuralError
 
 SOURCE = Path(__file__).with_name("kernels.c")
 # every loop starts a 64-byte line, so where a kernel lands in the library
@@ -138,21 +138,22 @@ class RowProblem(ctypes.Structure):
     ]
 
 
-def bind(state, problem, names, bodies, **fields) -> None:
-    """Bind ``state``'s row calls, once, to ``problem``, the problem it is
-    built on.  They are the kernels ``names`` on a ``RowProblem`` of the
-    problem's matrix and regularizer, the state's ``RowScalars`` block
-    (``state._scalars``) and ``fields``: the struct's other fields by name,
-    arrays or numbers, NULL or 0 when not given.  They are the numpy
-    ``bodies`` instead, each called as body(state, problem, ...), when the
-    library cannot be loaded (``matrix.backend()`` is "numpy") or the
-    regularizer has no compiled form.  Sets ``state._kernel`` to (problem,
-    calls, what the compiled calls' addresses point into, or None)."""
-    matrix = problem.matrix
+def bind(state, names, bodies, **fields) -> None:
+    """Bind ``state``'s row calls, once, to ``state.problem``, the problem
+    it is built on.  They are the kernels ``names`` on a ``RowProblem`` of
+    the problem's matrix, regularizer and loss, the state's ``RowScalars``
+    block (``state._scalars``) and ``fields``: the struct's other fields by
+    name, arrays or numbers, NULL or 0 when not given.  They are the numpy
+    ``bodies`` instead, each called as body(state, ...), when the library
+    cannot be loaded (``matrix.backend()`` is "numpy") or the regularizer
+    has no compiled form.  Sets ``state._kernel`` to (calls, what the
+    compiled calls' addresses point into, or None)."""
+    problem, matrix, loss = state.problem, state.problem.matrix, state.problem.loss
     if library() is None or problem.reg.kind not in REG_CODES:
-        calls = tuple(functools.partial(body, state, problem) for body in bodies)
-        state._kernel = (problem, calls, None)
+        state._kernel = (tuple(functools.partial(body, state) for body in bodies), None)
         return
+    fields.update(targets=np.ascontiguousarray(loss.targets, dtype=np.float64),
+                  loss=LOSS_CODES[loss.kind], d1=loss.dual_perturbation)
     values = dict(fields)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -167,47 +168,39 @@ def bind(state, problem, names, bodies, **fields) -> None:
     )
     lib, address = library(), ctypes.addressof(struct)
     calls = tuple(functools.partial(getattr(lib, name), address) for name in names)
-    state._kernel = (problem, calls, (struct, fields))
+    state._kernel = (calls, (struct, fields))
 
 
-def _bound_calls(state, problem) -> tuple:
-    bound_to, calls, _ = state._kernel
-    if problem is not bound_to:
-        raise ConfigurationError("the state was built on another problem")
-    return calls
+def row_calls(state, i: int) -> tuple:
+    """The calls ``bind`` gave ``state``, once ``i`` is checked to be one of
+    its problem's rows: a row kernel indexes without bounds checks."""
+    n = state.problem.n
+    if not 0 <= i < n:
+        raise StructuralError(f"row index {i} out of range for {n} rows")
+    return state._kernel[0]
 
 
-def row_calls(state, problem, i: int) -> tuple:
-    """The calls ``bind`` gave ``state``, once ``problem`` is checked to be
-    the problem they are bound to and ``i`` to be one of its rows."""
-    calls = _bound_calls(state, problem)
-    if not 0 <= i < problem.n:
-        raise StructuralError(f"row index {i} out of range for {problem.n} rows")
-    return calls
-
-
-def epoch_calls(state, problem, rows) -> tuple:
+def epoch_calls(state, rows) -> tuple:
     """(the calls ``bind`` gave ``state``, ``rows`` as contiguous int64),
-    once ``problem`` is checked to be the problem they are bound to and
-    every entry of ``rows``, a 1-d integer array, to be one of its rows: an
-    epoch kernel indexes without bounds checks, so a bad row is refused
-    before the first row runs."""
-    calls = _bound_calls(state, problem)
+    once every entry of ``rows``, a 1-d integer array, is checked to be one
+    of its problem's rows: an epoch kernel indexes without bounds checks,
+    so a bad row is refused before the first row runs."""
+    n = state.problem.n
     rows = np.asarray(rows)
     if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
         raise StructuralError("the rows of an epoch must be a 1-d integer array")
-    outside = (rows < 0) | (rows >= problem.n)
+    outside = (rows < 0) | (rows >= n)
     if outside.any():
         bad = rows[outside.argmax()]
-        raise StructuralError(f"row index {bad} out of range for {problem.n} rows")
-    return calls, np.ascontiguousarray(rows, dtype=np.int64)
+        raise StructuralError(f"row index {bad} out of range for {n} rows")
+    return state._kernel[0], np.ascontiguousarray(rows, dtype=np.int64)
 
 
 def fixed(name: str) -> property:
-    """A read-only attribute ``name``, stored as ``_name``: a bound kernel
-    keeps the address of the array it holds."""
+    """A read-only attribute ``name``, stored as ``_name``: a state's
+    problem, or a value or array (by its address) a bound kernel keeps."""
     return property(operator.attrgetter("_" + name),
-                    doc=f"``{name}``, read-only: the compiled kernels are bound to it")
+                    doc=f"``{name}``, read-only: the state's steps are bound to it")
 
 
 def scalar(name: str) -> property:

@@ -32,8 +32,8 @@ dense SDAPD samples at the same seed.
 ``sparse_iterate`` does a row in one call of the compiled ``lazy_iterate``
 (``kernels.c``) for squared and hinge losses with l2, l1 or elastic net,
 and in numpy (``_iterate_numpy``, the kernel's oracle) otherwise, or when
-the kernels cannot be built; ``LazyState`` binds it once, to the problem it
-is built on (``kernels.bind``).  Either one also advances the state's step
+the kernels cannot be built; ``LazyState`` binds it once, to its
+``problem`` (``kernels.bind``).  Either one also advances the state's step
 scalars (beta, B, t and the touch count), which live in the state's
 ``kernels.RowScalars`` block, and leaves them as they were on a row that
 diverges; only the rebase check stays in Python.  The kernel evaluates the
@@ -62,23 +62,23 @@ from .traces import RunResult, Tracer, epoch_rows
 
 
 class LazyState:
-    """Two-sequence decomposition state, stepped by ``sparse_iterate`` with
-    the params it was built with; it starts from y^0 = 0.
+    """Two-sequence decomposition state, stepped by ``sparse_iterate`` on the
+    problem and with the params it was built with; it starts from y^0 = 0.
 
     ``v`` and the scalars ``beta_hat`` (beta_t), ``beta_prev_hat``
     (beta_{t-1}) and ``B_hat`` (B_{t-1}) are stored divided by
     exp(log_scale); ``w`` and ``u`` are unscaled.  Only coordinates in the
     sampled row's support are written per iteration.  The iteration is
-    bound once, to the problem the state is built on.  ``params``,
-    ``theta`` and the vectors ``x0``, ``y``, ``u``, ``v`` and ``w`` cannot
-    be rebound (the vectors are written in place): the compiled iteration
-    keeps their values and addresses.  ``beta_hat``, ``beta_prev_hat``,
-    ``B_hat``, ``inv_scale``, ``t`` and ``touch_counter`` are fields of one
+    bound once, to ``problem``.  ``problem``, ``params``, ``theta`` and the
+    vectors ``x0``, ``y``, ``u``, ``v`` and ``w`` cannot be rebound (the
+    vectors are written in place): the compiled iteration keeps their
+    values and addresses.  ``beta_hat``, ``beta_prev_hat``, ``B_hat``,
+    ``inv_scale``, ``t`` and ``touch_counter`` are fields of one
     ``kernels.RowScalars`` block, which the iteration advances in place.
     """
 
-    params, theta, x0, y, u, v, w = (
-        kernels.fixed(name) for name in ("params", "theta", "x0", "y", "u", "v", "w")
+    problem, params, theta, x0, y, u, v, w = (
+        kernels.fixed(name) for name in ("problem", "params", "theta", "x0", "y", "u", "v", "w")
     )
     beta_hat, beta_prev_hat, B_hat, inv_scale, t, touch_counter = (
         kernels.scalar(name)
@@ -92,6 +92,7 @@ class LazyState:
             raise ConfigurationError("geometric schedule requires theta = 1/xi in (0, 1)")
         if params.n != n:
             raise ConfigurationError("params were built for a different sample count")
+        self._problem = problem
         self._x0 = start_vector(x0, d, "x0")
         self._params = params
         self._theta = theta
@@ -104,25 +105,23 @@ class LazyState:
         )
         self.log_scale = 0.0
         self.rebase_count = 0
-        loss = problem.loss
         kernels.bind(
-            self, problem, ("lazy_iterate",), (_iterate_numpy,),
-            targets=np.ascontiguousarray(loss.targets, dtype=np.float64), x0=self._x0,
-            y=self._y, u=self._u, v=self._v, w=self._w, loss=kernels.LOSS_CODES[loss.kind],
-            step=params.eta, tau=params.tau, theta=theta, d1=loss.dual_perturbation,
+            self, ("lazy_iterate",), (_iterate_numpy,), x0=self._x0, y=self._y, u=self._u,
+            v=self._v, w=self._w, step=params.eta, tau=params.tau, theta=theta,
         )
 
 
-def _recover_x(state: LazyState, reg, cols):
+def _recover_x(state: LazyState, cols):
     """x^t_j = prox_{B_{t-1} g_j}(x^0_j - s^t_j) for the coordinates ``cols``
     (an index array, or ``slice(None)`` for all of them)."""
     s_hat = state.v[cols] + state.beta_prev_hat * state.w[cols]
-    return recover_primal(reg, state.x0[cols], s_hat, state.B_hat, state.inv_scale, coords=cols)
+    return recover_primal(state.problem.reg, state.x0[cols], s_hat, state.B_hat, state.inv_scale,
+                          coords=cols)
 
 
-def sparse_iterate(state: LazyState, problem: CompositeProblem, i: int):
-    """One SDAPD iteration on the sampled row i, touching only its support."""
-    (iterate,) = kernels.row_calls(state, problem, i)
+def sparse_iterate(state: LazyState, i: int):
+    """One SDAPD iteration on row i of the state's problem, touching only its support."""
+    (iterate,) = kernels.row_calls(state, i)
     if iterate(i) < 0:
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     if state.beta_hat > RESCALE_THRESHOLD:
@@ -130,14 +129,15 @@ def sparse_iterate(state: LazyState, problem: CompositeProblem, i: int):
     return state
 
 
-def _iterate_numpy(state: LazyState, problem: CompositeProblem, i: int) -> int:
+def _iterate_numpy(state: LazyState, i: int) -> int:
     """``lazy_iterate`` in numpy: the dual step, the support updates and
     the scalars of one iteration; returns the row's nonzero count, or -1
     without writing anything when the dot product or the new dual
     coordinate is not finite."""
+    problem = state.problem
     n, eta, tau = problem.n, state.params.eta, state.params.tau
     cols, vals = problem.matrix.row(i)
-    x_c = _recover_x(state, problem.reg, cols)
+    x_c = _recover_x(state, cols)
     xbar_c = recover_primal(
         problem.reg, x_c - eta * state.u[cols], np.zeros_like(x_c), eta, 1.0, coords=cols
     )
@@ -172,9 +172,9 @@ def rebase(state: LazyState) -> LazyState:
     return state
 
 
-def finalize_x(state: LazyState, reg) -> np.ndarray:
+def finalize_x(state: LazyState) -> np.ndarray:
     """Recover the full last iterate x^t; O(d), done once per trace point."""
-    return _recover_x(state, reg, slice(None))
+    return _recover_x(state, slice(None))
 
 
 def run_sparse(
@@ -194,8 +194,8 @@ def run_sparse(
     tracer = Tracer(problem, reference_value, wall_clock)
     for epoch, rows in epoch_rows(problem.n, iterations, seed):
         for i in rows.tolist():
-            sparse_iterate(state, problem, i)
-        x = finalize_x(state, problem.reg)
+            sparse_iterate(state, i)
+        x = finalize_x(state)
         tracer.record(epoch, x, state.touch_counter)
     resolved = resolved_constants(problem, params, iterations, seed)
     resolved["theta"] = state.theta

@@ -32,12 +32,12 @@ Python.  For l2, l1 and elastic net they are the compiled
 ``sdapd_dense_xbar`` and ``sdapd_dense_update`` (``kernels.c``), and
 otherwise, or when the kernels cannot be built, their numpy bodies
 (``_xbar_dot_numpy`` and ``_update_numpy``, the kernels' oracle).
-``StochasticState`` binds them once, to the problem it is built on
-(``kernels.bind``).  Both evaluate the same expressions in the same order
-and sum the row's dot product in storage order from +0.0
-(``matrix.ordered_dot``), so they give the same bits on any machine, and
-both keep the row kernels' divergence contract (``kernels.c``);
-``matrix.backend`` says whether the kernels can run.
+``StochasticState`` binds them once, to its ``problem`` (``kernels.bind``).
+Both evaluate the same expressions in the same order and sum the row's dot
+product in storage order from +0.0 (``matrix.ordered_dot``), so they give
+the same bits on any machine, and both keep the row kernels' divergence
+contract (``kernels.c``); ``matrix.backend`` says whether the kernels can
+run.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def perturb_problem(
 
 class StochasticState:
     """Mutable SDAPD state with the scaled dual-averaging bookkeeping,
-    stepped by ``sdapd_iterate_dense`` with the params it was built with.
+    stepped by ``sdapd_iterate_dense`` on the problem and params it holds.
 
-    The row's two steps are bound once, to the problem the state is built
-    on.  ``params`` and the vectors ``x0``, ``x``, ``xbar``, ``y``, ``u``,
+    The row's two steps are bound once, to ``problem``.  ``problem``,
+    ``params`` and the vectors ``x0``, ``x``, ``xbar``, ``y``, ``u``,
     ``s_hat`` and ``ergodic_x`` cannot be rebound (the vectors are written
     in place): the compiled row kernels keep their values and addresses.
     ``beta_hat``, ``B_hat``, ``inv_scale``, ``t`` and ``touch_counter`` are
@@ -135,9 +135,9 @@ class StochasticState:
     advances in place.
     """
 
-    params, x0, x, xbar, y, u, s_hat, ergodic_x = (
+    problem, params, x0, x, xbar, y, u, s_hat, ergodic_x = (
         kernels.fixed(name)
-        for name in ("params", "x0", "x", "xbar", "y", "u", "s_hat", "ergodic_x")
+        for name in ("problem", "params", "x0", "x", "xbar", "y", "u", "s_hat", "ergodic_x")
     )
     beta_hat, B_hat, inv_scale, t, touch_counter = (
         kernels.scalar(name) for name in ("beta_hat", "B_hat", "inv_scale", "t", "touch_counter")
@@ -147,6 +147,7 @@ class StochasticState:
         d, n = problem.dim, problem.n
         if params.n != n:
             raise ConfigurationError("params were built for a different sample count")
+        self._problem = problem
         self._params = params
         self._x0 = start_vector(x0, d, "x0")
         self._x = self._x0.copy()
@@ -158,20 +159,20 @@ class StochasticState:
         self._scalars = kernels.RowScalars(beta_hat=params.beta0, inv_scale=1.0)
         self.log_scale = 0.0
         kernels.bind(
-            self, problem, ("sdapd_dense_xbar", "sdapd_dense_update"),
+            self, ("sdapd_dense_xbar", "sdapd_dense_update"),
             (_xbar_dot_numpy, _update_numpy), x0=self._x0, x=self._x, xbar=self._xbar,
             u=self._u, y=self._y, s_hat=self._s_hat, ergodic=self._ergodic_x,
             step=params.eta, xi=params.xi,
         )
 
 
-def sdapd_iterate_dense(state: StochasticState, problem: CompositeProblem, i: int):
-    """One SDAPD iteration on the sampled row i; O(d + nnz(a_i)) dense work."""
-    xbar_dot, update = kernels.row_calls(state, problem, i)
+def sdapd_iterate_dense(state: StochasticState, i: int):
+    """One SDAPD iteration on row i of the state's problem; O(d + nnz(a_i)) dense work."""
+    xbar_dot, update = kernels.row_calls(state, i)
     params = state.params
 
     dot = xbar_dot(i)
-    y_new_i = prox_conjugate(problem.loss, i, params.tau, state.y[i] + params.tau * dot)
+    y_new_i = prox_conjugate(state.problem.loss, i, params.tau, state.y[i] + params.tau * dot)
     if not (math.isfinite(dot) and math.isfinite(y_new_i)) or update(i, y_new_i) < 0:
         raise DivergenceError(f"non-finite iterate at iteration {state.t}", iteration=state.t)
     if state.beta_hat > RESCALE_THRESHOLD:
@@ -179,21 +180,21 @@ def sdapd_iterate_dense(state: StochasticState, problem: CompositeProblem, i: in
     return state
 
 
-def _xbar_dot_numpy(state: StochasticState, problem: CompositeProblem, i: int) -> float:
+def _xbar_dot_numpy(state: StochasticState, i: int) -> float:
     """``sdapd_dense_xbar`` in numpy: xbar = prox_{eta g}(x - eta u), and
     the dot product of row i with it."""
-    eta = state.params.eta
+    problem, eta = state.problem, state.params.eta
     cols, vals = problem.matrix.row(i)
     with np.errstate(over="ignore", invalid="ignore"):
         state.xbar[...] = prox_reg(problem.reg, eta, state.x - eta * state.u)
     return ordered_dot(vals, state.xbar[cols])
 
 
-def _update_numpy(state: StochasticState, problem: CompositeProblem, i: int,
-                  y_new: float) -> int:
+def _update_numpy(state: StochasticState, i: int, y_new: float) -> int:
     """``sdapd_dense_update`` in numpy: the dual coordinate, the gradient
     sum, u, x, the ergodic average and then B, beta, t and the touch count;
     returns the row's nonzero count, or -1 when x is not finite."""
+    problem = state.problem
     cols, vals = problem.matrix.row(i)
     x, y, u, s_hat, ergodic = state.x, state.y, state.u, state.s_hat, state.ergodic_x
     beta_hat = state.beta_hat
@@ -238,7 +239,7 @@ def run_sdapd(
     tracer = Tracer(problem, reference_value, wall_clock)
     for epoch, rows in epoch_rows(problem.n, iterations, seed):
         for i in rows.tolist():
-            sdapd_iterate_dense(state, problem, i)
+            sdapd_iterate_dense(state, i)
         tracer.record(epoch, state.x, state.touch_counter)
     resolved = resolved_constants(problem, params, iterations, seed)
     return RunResult(x=state.x, trace=tracer.records, x_ergodic=state.ergodic_x, y=state.y,

@@ -326,12 +326,12 @@ def geometric_schedule(eta, tau, beta0, xi):
     )
 
 
-def dapd_iterate_ergodic_y(state, problem, ergodic_y):
+def dapd_iterate_ergodic_y(state, ergodic_y):
     """``dapd_iterate``, and ``ergodic_y`` moved in place to the
     beta-weighted average of the y iterates, with the weight the iteration
     gives ``ergodic_x``: beta_t / B_t."""
     beta_hat, b_hat = state.beta_hat, state.B_hat
-    dapd_iterate(state, problem)
+    dapd_iterate(state)
     ergodic_y += (beta_hat / (b_hat + beta_hat)) * (state.y - ergodic_y)
 
 
@@ -345,14 +345,14 @@ def materialize_s(state):
         return (state.v + state.beta_prev_hat * state.w) / state.inv_scale
 
 
-def lazy_primal_coord(state, j, reg):
+def lazy_primal_coord(state, j):
     """(x_j, xbar_j) recovered from the lazy state in O(1); counts 2 touches."""
     if not 0 <= j < state.x0.size:
         raise StructuralError(f"coordinate {j} out of range")
     cols = np.array([j])
-    x = _recover_x(state, reg, cols)
+    x = _recover_x(state, cols)
     eta = state.params.eta
-    xbar = recover_primal(reg, x - eta * state.u[cols], np.zeros_like(x), eta, 1.0, coords=cols)
+    xbar = recover_primal(state.problem.reg, x - eta * state.u[cols], np.zeros_like(x), eta, 1.0, coords=cols)
     state.touch_counter += 2
     return float(x[0]), float(xbar[0])
 
@@ -421,10 +421,10 @@ def built_on(path, make, *args, **kwargs):
     else:
         skip_unless_compiled()
         state = make(*args, **kwargs)
-    assert (state._kernel[2] is not None) == (path == "compiled")
+    assert (state._kernel[1] is not None) == (path == "compiled")
     return state
 
 
-def spdc_row(state, problem, i):
+def spdc_row(state, i):
     """One SPDC iteration on row i: a one-row epoch."""
-    return spdc_epoch(state, problem, np.array([i]))
+    return spdc_epoch(state, np.array([i]))

@@ -103,7 +103,7 @@ class TestCriterion1:
             floor = 1e-12 * (1.0 + abs(f_star))
             ergodic_y = np.zeros(prob.n)
             for t in range(500):
-                dapd_iterate_ergodic_y(state, prob, ergodic_y)
+                dapd_iterate_ergodic_y(state, ergodic_y)
                 gap = (
                     saddle_value(prob, state.ergodic_x, y_star)
                     - saddle_value(prob, x_star, ergodic_y)
@@ -137,7 +137,7 @@ class TestCriterion2:
             floor = (1e-12 * (1.0 + np.linalg.norm(x_star))) ** 2
             dists = []
             for t in range(1, 501):
-                dapd_iterate(state, prob)
+                dapd_iterate(state)
                 d2 = float(np.sum((state.ergodic_x - x_star) ** 2))
                 dists.append(d2)
                 worst_ratio = max(worst_ratio, (d2 - floor) * (xi**t - 1.0) / numerator)
@@ -224,7 +224,7 @@ class TestCriterion4:
         worst = 0.0
         for t in range(500):
             i = next(rows)
-            sparse_iterate(lazy, prob, i)
+            sparse_iterate(lazy, i)
             x = recover_primal(prob.reg, x0, s, B, 1.0)
             xbar = prox_reg(prob.reg, params.eta, x - params.eta * u)
             cols, vals = prob.matrix.row(i)
@@ -272,13 +272,13 @@ class TestCriterion6:
         iterations = 2000
         rows = sampled_rows(n, 4)
         for _ in range(iterations):
-            sparse_iterate(state, prob, next(rows))
+            sparse_iterate(state, next(rows))
         mean_touches = state.touch_counter / iterations
         dense_state = StochasticState(prob, params)
         rows = sampled_rows(n, 4)
         for _ in range(50):
             before = dense_state.touch_counter
-            sdapd_iterate_dense(dense_state, prob, next(rows))
+            sdapd_iterate_dense(dense_state, next(rows))
         dense_per_iter = dense_state.touch_counter / 50
         ok = mean_touches <= 10.0 * (mean_nnz + 1.0) and dense_per_iter >= d
         report(6, "per-iteration work bound at rho=1e-3, d=1e4", ok,
@@ -450,7 +450,7 @@ class TestCriterion10:
         state = IterateState(prob, sched)
         dapd_x = None
         for t in range(100_000):
-            dapd_iterate(state, prob)
+            dapd_iterate(state)
             if (t + 1) % 25 == 0 and primal_objective(prob, state.x) - pstar <= 1e-8:
                 dapd_x = state.x.copy()
                 break
@@ -463,7 +463,7 @@ class TestCriterion10:
         sdapd_x = None
         rows = sampled_rows(pert.n, 3)
         for t in range(1_000_000):
-            sdapd_iterate_dense(sstate, pert, next(rows))
+            sdapd_iterate_dense(sstate, next(rows))
             if (t + 1) % 200 == 0 and primal_objective(prob, sstate.x) - pstar <= 1e-8:
                 sdapd_x = sstate.x.copy()
                 break
@@ -479,7 +479,7 @@ class TestCriterion10:
         match_state = IterateState(prob, sched)
         matched_nnz = None
         for t in range(100_000):
-            dapd_iterate(match_state, prob)
+            dapd_iterate(match_state)
             if primal_objective(prob, match_state.x) - pstar <= sgd_subopt:
                 matched_nnz = nnz_fraction(match_state.x)
                 break
@@ -536,7 +536,7 @@ class TestCriterion11:
                 hit = None
                 rows = sampled_rows(pert.n, 5)
                 for t in range(2_000_000):
-                    sdapd_iterate_dense(state, pert, next(rows))
+                    sdapd_iterate_dense(state, next(rows))
                     if (t + 1) % 10 == 0:
                         if primal_objective(prob, state.x) - ref.value <= eps:
                             hit = t + 1

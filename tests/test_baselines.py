@@ -181,12 +181,12 @@ class TestCompiledSpdcRow:
         if epsilon is not None:
             problem = perturb_problem(problem, epsilon)
         fast, slow = spdc_pair(problem)
-        assert fast._kernel[2] is not None and slow._kernel[2] is None
+        assert fast._kernel[1] is not None and slow._kernel[1] is None
         rows = sampled_rows(problem.n, seed)
         for t in range(900):
             i = next(rows)
-            spdc_row(fast, problem, i)
-            spdc_row(slow, problem, i)
+            spdc_row(fast, i)
+            spdc_row(slow, i)
             assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -199,8 +199,8 @@ class TestCompiledSpdcRow:
             problem = perturb_problem(problem, epsilon)
         fast, slow = spdc_pair(problem)
         for epoch, rows in epoch_rows(problem.n, 75 * problem.n, seed):
-            spdc_epoch(fast, problem, rows)
-            spdc_epoch(slow, problem, rows)
+            spdc_epoch(fast, rows)
+            spdc_epoch(slow, rows)
             assert snapshot(fast) == snapshot(slow), f"epoch {epoch}"
         assert fast.t == 75 * problem.n
 
@@ -211,14 +211,14 @@ class TestCompiledSpdcRow:
         epochs = [rows for _, rows in epoch_rows(problem.n, 10 * problem.n, 4)]
         want = SpdcState(problem, *spdc_steps(problem))
         for rows in epochs:
-            spdc_epoch(want, problem, rows)
+            spdc_epoch(want, rows)
         calls = []
         body = baselines._spdc_epoch_numpy
         monkeypatch.setattr(baselines, "_spdc_epoch_numpy",
                             lambda *args: calls.append(1) or body(*args))
         got = SpdcState(problem, *spdc_steps(problem))
         for rows in epochs:
-            spdc_epoch(got, problem, rows)
+            spdc_epoch(got, rows)
         assert len(calls) == (0 if reg.kind == "l2" else 10)
         assert snapshot(got) == snapshot(want)
 
@@ -233,7 +233,7 @@ class TestCompiledSpdcRow:
             with pytest.raises(DivergenceError) as err:
                 for _, rows in epoch_rows(problem.n, 25 * problem.n, 0):
                     start = state.t
-                    spdc_epoch(state, problem, rows)
+                    spdc_epoch(state, rows)
             # the rows before the diverging one, in every epoch so far
             done = np.concatenate([r for _, r in epoch_rows(problem.n, start, 0)]
                                   + [rows[:state.t - start]])
@@ -265,12 +265,12 @@ class TestCompiledSpdcRow:
     def test_row_out_of_range_writes_nothing(self, path, row, at):
         problem = ragged_problem("squared", KERNEL_REGS["l2"])
         state = built_on(path, SpdcState, problem, *spdc_steps(perturb_problem(problem, 1e-3)))
-        spdc_epoch(state, problem, np.arange(problem.n))
+        spdc_epoch(state, np.arange(problem.n))
         before = snapshot(state)
         rows = np.arange(problem.n)
         rows[at] = row
         with pytest.raises(StructuralError, match="out of range"):
-            spdc_epoch(state, problem, rows)
+            spdc_epoch(state, rows)
         assert snapshot(state) == before
 
     @pytest.mark.parametrize("rows", [np.array([1.0, 2.0]), np.zeros((2, 2), dtype=np.int64)],
@@ -279,7 +279,7 @@ class TestCompiledSpdcRow:
         problem = ragged_problem("squared", KERNEL_REGS["l2"])
         state = spdc_pair(problem)[0]
         with pytest.raises(StructuralError, match="1-d integer array"):
-            spdc_epoch(state, problem, rows)
+            spdc_epoch(state, rows)
         assert state.t == 0
 
     def test_non_positive_sigma_is_refused(self):

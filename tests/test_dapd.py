@@ -48,7 +48,7 @@ class TestIterate:
         prob = one_d_problem()
         sched = make_schedule(gamma=1.0, mu=1.0, R=1.0)
         state = IterateState(prob, sched)
-        dapd_iterate(state, prob)
+        dapd_iterate(state)
         assert state.xbar[0] == 0.0
         assert state.y[0] == pytest.approx(-0.5, abs=0)
         assert state.x[0] == pytest.approx(0.25, abs=0)
@@ -61,7 +61,7 @@ class TestIterate:
         sched = geometric_schedule(eta=1.0, tau=1.0, beta0=1.0, xi=2.0)
         x0 = np.array([1.0, -2.0, 3.0])
         state = IterateState(prob, sched, x0=x0)
-        dapd_iterate(state, prob)
+        dapd_iterate(state)
         # dual decouples to a pure conjugate prox, primal to a g-prox of x0
         want_y = [prox_conjugate(prob.loss, i, 1.0, 0.0) for i in range(2)]
         assert np.allclose(state.y, want_y, atol=0)
@@ -74,7 +74,7 @@ class TestIterate:
         state = IterateState(prob, sched)
         ys = []
         for _ in range(40):
-            dapd_iterate(state, prob)
+            dapd_iterate(state)
             ys.append(state.y.copy())
         recomputed = np.zeros(4)
         for k, y in enumerate(ys):
@@ -90,7 +90,7 @@ class TestIterate:
         from dapd.proxlib import recover_primal
 
         for _ in range(25):
-            dapd_iterate(state, prob)
+            dapd_iterate(state)
             again = recover_primal(prob.reg, state.x0, state.s_hat, state.B_hat, state.inv_scale)
             assert np.allclose(state.x, again, atol=0)
 
@@ -101,7 +101,7 @@ class TestIterate:
         sched = schedule_for_problem(prob)
         state = IterateState(prob, sched, x0=[np.inf, 0.0, 0.0])
         with pytest.raises(DivergenceError) as err:
-            dapd_iterate(state, prob)
+            dapd_iterate(state)
         assert (err.value.iteration, err.value.epoch) == (0, None)
         assert (state.t, state.touch_counter, state.B_hat, state.beta_hat, state.inv_scale,
                 state.log_scale) == (0, 0, 0.0, sched.beta0, 1.0, 0.0)
@@ -120,7 +120,7 @@ class TestIterate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(3):
-                dapd_iterate(state, prob)
+                dapd_iterate(state)
         assert state.log_scale == pytest.approx(3 * np.log(xi), rel=1e-15)
         assert state.beta_hat == sched.beta0
         # B = beta0 (1 + xi + xi^2), stored divided by exp(log_scale) = xi^3
@@ -140,7 +140,7 @@ class TestIterate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(4):
-                dapd_iterate(state, prob)
+                dapd_iterate(state)
         # each pair of iterations grows beta by xi^2 = beta0 xi^2 / beta0
         assert state.log_scale == pytest.approx(4 * np.log(xi), rel=1e-12)
         assert np.isfinite(state.log_scale) and state.beta_hat == sched.beta0
@@ -177,7 +177,7 @@ class TestRun:
         state = IterateState(prob, sched)
         xbars, betas = [], []
         for t in range(30):
-            dapd_iterate(state, prob)
+            dapd_iterate(state)
             xbars.append(state.xbar.copy())
             betas.append(sched.beta(t))
         betas = np.array(betas)
@@ -190,7 +190,7 @@ class TestRun:
         sched = schedule_for_problem(prob)
         state = IterateState(prob, sched)
         for _ in range(10):
-            dapd_iterate(state, prob)
+            dapd_iterate(state)
         res = run_dapd(prob, sched, iterations=10)
         assert res.x.tobytes() == state.x.tobytes()
         assert res.x_ergodic.tobytes() == state.ergodic_x.tobytes()
@@ -229,7 +229,7 @@ class TestTheoremBounds:
             f_star = saddle_value(prob, x_star, y_star)
             ergodic_y = np.zeros(prob.n)
             for t in range(300):
-                dapd_iterate_ergodic_y(state, prob, ergodic_y)
+                dapd_iterate_ergodic_y(state, ergodic_y)
                 gap = (
                     saddle_value(prob, state.ergodic_x, y_star)
                     - saddle_value(prob, x_star, ergodic_y)
@@ -249,7 +249,7 @@ class TestTheoremBounds:
         numerator = np.dot(x_star, x_star) + (gamma / mu) * np.dot(y_star, y_star)
         dists = []
         for t in range(1, 301):
-            dapd_iterate(state, prob)
+            dapd_iterate(state)
             d2 = float(np.sum((state.ergodic_x - x_star) ** 2))
             dists.append(d2)
             assert d2 <= numerator / (xi**t - 1.0) * 1.05

@@ -96,9 +96,9 @@ def _record_runs(monkeypatch):
     which each of its DAPD runs starts."""
     calls, starts = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return dapd_iterate(*args)
+    def counted(state):
+        calls.append(state)
+        return dapd_iterate(state)
 
     def recorded(*args, **kwargs):
         starts.append(len(calls))
@@ -206,7 +206,7 @@ class TestReference:
             if start:
                 state = IterateState(problem, schedule, x0=state.x, y0=state.y)
             for _ in range(stop - start):
-                dapd_iterate(state, problem)
+                dapd_iterate(state)
         value = primal_objective(problem, state.x)
         y = feasible_dual_point(problem, _dual_candidate(problem, state.x, state.y))
         assert (ref.value, ref.certified_gap) == (value, value - dual_objective(problem, y))
@@ -218,8 +218,8 @@ class TestReference:
         default = IterateState(problem, schedule)
         zero = IterateState(problem, schedule, y0=np.zeros(problem.n))
         for _ in range(40):
-            dapd_iterate(default, problem)
-            dapd_iterate(zero, problem)
+            dapd_iterate(default)
+            dapd_iterate(zero)
         for name in ("x", "xbar", "y", "s_hat", "ergodic_x"):
             assert getattr(zero, name).tobytes() == getattr(default, name).tobytes(), name
         assert (zero.B_hat, zero.beta_hat, zero.log_scale) == (
@@ -315,6 +315,15 @@ class TestReference:
     def test_zero_accuracy_rejected(self):
         with pytest.raises(ConfigurationError):
             compute_reference(one_d_ridge(), 0.0)
+
+    @pytest.mark.parametrize("accuracy", [np.nan, np.inf])
+    def test_non_finite_accuracy_rejected(self, monkeypatch, accuracy):
+        def never(*args, **kwargs):
+            raise AssertionError("a reference ran to a non-finite accuracy")
+
+        monkeypatch.setattr("dapd.harness.dapd_iterate", never)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            compute_reference(golden_hinge_l2_problem(), accuracy)
 
     def test_rounding_never_certifies_a_negative_gap(self, monkeypatch):
         # P(x) - D(y) rounds to -2.2e-16 at this problem's first checkpoint
@@ -586,6 +595,21 @@ class TestCli:
         )
         assert (out_dir / "reference_x.npy").exists()
 
+    def test_reference_accuracy_flag_overrides_the_config(self, tmp_path):
+        path = self.write_config(tmp_path)
+        rc = cli_main(["reference", "--config", str(path), "--accuracy", "1e-6"])
+        assert rc == 0
+        assert json.loads((tmp_path / "out" / "reference.json").read_text())["accuracy"] == 1e-6
+
+    @pytest.mark.parametrize("accuracy", ["0", "-1", "nan", "inf"])
+    def test_reference_accuracy_must_be_positive_and_finite(self, tmp_path, capsys, accuracy):
+        path = self.write_config(tmp_path)
+        rc = cli_main(["reference", "--config", str(path), "--accuracy", accuracy])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "reference.json").exists()
+
     def test_stats_verb(self, tmp_path, capsys):
         data = tmp_path / "toy.libsvm"
         data.write_text("1 1:1\n-1 2:1\n")
@@ -634,8 +658,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags",
         [["--method", "bogus"], ["--seeds", "1,x"], ["--epochs", "0"], ["--seeds", "-1"],
-         ["--seeds", "2,2"]],
-        ids=["method", "seeds", "epochs", "seed_negative", "seeds_repeated"],
+         ["--seeds", "2,2"], ["--seeds", ""]],
+        ids=["method", "seeds", "epochs", "seed_negative", "seeds_repeated", "seeds_empty"],
     )
     def test_bad_override_refused_before_running(self, tmp_path, capsys, flags):
         rc = cli_main(["run", "--config", str(self.write_config(tmp_path)), *flags])
@@ -713,6 +737,8 @@ BAD_CONFIGS = {
     "wall_clock_string": _edit(("output",), "wall_clock", "no"),
     "reference_accuracy_zero": _edit(("output",), "reference_accuracy", 0),
     "reference_accuracy_negative": _edit(("output",), "reference_accuracy", -1e-9),
+    "reference_accuracy_nan": _edit(("output",), "reference_accuracy", float("nan")),
+    "reference_accuracy_inf": _edit(("output",), "reference_accuracy", float("inf")),
     "regularizer_key_of_another_kind": _edit(("problem", "regularizer"), "lam2", 0.1),
     "cov_unknown": _edit(("problem", "source"), "cov", "bogus"),
     "expected_dim_zero": _edit(("problem",), "source",

@@ -1,13 +1,15 @@
-"""The solver states with row kernels (the lazy engine, dense SDAPD and
-SPDC) bind their row calls once, to the problem they are built on
-(``kernels.bind``), and check every call against it (``kernels.row_calls``
-and ``kernels.epoch_calls``), whether the calls are the compiled kernels or
-their numpy bodies."""
+"""Every solver state holds the problem it is built on as ``problem``,
+which cannot be rebound, and its steps take the state and its rows alone.
+The states with row kernels (the lazy engine, dense SDAPD and SPDC) bind
+their row calls once, to that problem (``kernels.bind``), and check every
+row index before a call (``kernels.row_calls`` and ``kernels.epoch_calls``),
+whether the calls are the compiled kernels or their numpy bodies."""
 
 import pytest
 
 from dapd.baselines import SpdcState, spdc_steps
-from dapd.errors import ConfigurationError, StructuralError
+from dapd.deterministic import IterateState, schedule_for_problem
+from dapd.errors import StructuralError
 from dapd.sparse_engine import LazyState, sparse_iterate
 from dapd.stochastic import StochasticState, perturb_problem, sdapd_iterate_dense
 
@@ -28,7 +30,7 @@ def stepped_state(path, kind):
     make, arguments, iterate = STATES[kind]
     problem = ragged_problem("squared", KERNEL_REGS["l2"])
     state = built_on(path, make, problem, *arguments(problem))
-    iterate(state, problem, 3)
+    iterate(state, 3)
     return problem, state, iterate
 
 
@@ -37,16 +39,19 @@ def written(state):
     return state.y.tobytes(), state.u.tobytes(), state.t, state.touch_counter
 
 
-@pytest.mark.parametrize("path", ROW_PATHS)
-@pytest.mark.parametrize("kind", list(STATES))
-def test_another_problem_is_refused(path, kind):
-    _, state, iterate = stepped_state(path, kind)
-    before = written(state)
+@pytest.mark.parametrize("kind", ["dapd", *STATES])
+def test_problem_cannot_be_rebound(kind):
+    problem = ragged_problem("squared", KERNEL_REGS["l2"])
+    if kind == "dapd":
+        state = IterateState(problem, schedule_for_problem(problem))
+    else:
+        make, arguments, _ = STATES[kind]
+        state = make(problem, *arguments(problem))
     # the same data, but not the problem the state is built on
     other = ragged_problem("squared", KERNEL_REGS["l2"])
-    with pytest.raises(ConfigurationError, match="another problem"):
-        iterate(state, other, 3)
-    assert written(state) == before
+    with pytest.raises(AttributeError):
+        state.problem = other
+    assert state.problem is problem
 
 
 @pytest.mark.parametrize("row", [-1, 12, 2**40])
@@ -56,5 +61,5 @@ def test_row_out_of_range_is_refused(path, kind, row):
     problem, state, iterate = stepped_state(path, kind)
     before = written(state)
     with pytest.raises(StructuralError, match="out of range"):
-        iterate(state, problem, row)
+        iterate(state, row)
     assert written(state) == before

@@ -109,7 +109,7 @@ class TestSingleSample:
         prob = one_d_unit_problem()
         params = sdapd_params(1, 1.0, 1.0, 1.0)
         state = StochasticState(prob, params)
-        sdapd_iterate_dense(state, prob, 0)  # the only row
+        sdapd_iterate_dense(state, 0)  # the only row
         assert state.xbar[0] == 0.0
         assert state.y[0] == pytest.approx(-0.5, abs=0)
         assert state.x[0] == pytest.approx(0.25, abs=0)
@@ -121,8 +121,8 @@ class TestSingleSample:
         s_state = StochasticState(prob, params)
         d_state = IterateState(prob, sched)
         for _ in range(60):
-            sdapd_iterate_dense(s_state, prob, 0)
-            dapd_iterate(d_state, prob)
+            sdapd_iterate_dense(s_state, 0)
+            dapd_iterate(d_state)
             assert s_state.x[0] == pytest.approx(d_state.x[0], abs=1e-15)
             assert s_state.y[0] == pytest.approx(d_state.y[0], abs=1e-15)
 
@@ -143,7 +143,7 @@ class TestIterate:
         state = StochasticState(prob, params)
         rows = sampled_rows(prob.n, 7)
         for _ in range(1000):
-            sdapd_iterate_dense(state, prob, next(rows))
+            sdapd_iterate_dense(state, next(rows))
         fresh = matvec(prob.matrix, state.y, transpose=True) / prob.n
         assert np.allclose(state.u, fresh, rtol=1e-10, atol=1e-12)
 
@@ -157,7 +157,7 @@ class TestIterate:
         for _ in range(50):
             before = state.touch_counter
             i = next(rows)
-            sdapd_iterate_dense(state, prob, i)
+            sdapd_iterate_dense(state, i)
             nnz_row = prob.matrix.row(i)[1].size
             delta = state.touch_counter - before
             assert delta <= 10 * (d + nnz_row)
@@ -172,7 +172,7 @@ class TestIterate:
         state = StochasticState(prob, params)
         rows = sampled_rows(prob.n, 2)
         for _ in range(3):
-            sdapd_iterate_dense(state, prob, next(rows))
+            sdapd_iterate_dense(state, next(rows))
         n = prob.n
         xbar = prox_reg(prob.reg, params.eta, state.x - params.eta * state.u)
         ax = matvec(prob.matrix, xbar)
@@ -197,7 +197,7 @@ class TestIterate:
         prev = state.beta_hat
         rows = sampled_rows(prob.n, 0)
         for _ in range(100):
-            sdapd_iterate_dense(state, prob, next(rows))
+            sdapd_iterate_dense(state, next(rows))
             assert state.beta_hat / prev == pytest.approx(params.xi, rel=1e-15)
             prev = state.beta_hat
 
@@ -269,12 +269,12 @@ class TestCompiledRow:
             problem = perturb_problem(problem, epsilon)
         fast = StochasticState(problem, params)
         slow = built_without_kernels(StochasticState, problem, params)
-        assert fast._kernel[2] is not None and slow._kernel[2] is None
+        assert fast._kernel[1] is not None and slow._kernel[1] is None
         rows = sampled_rows(problem.n, seed)
         for t in range(900):
             i = next(rows)
-            sdapd_iterate_dense(fast, problem, i)
-            sdapd_iterate_dense(slow, problem, i)
+            sdapd_iterate_dense(fast, i)
+            sdapd_iterate_dense(slow, i)
             assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
         # beta reaches 1e3 at iteration 462 (grid_params)
         assert (fast.log_scale > 0) == (threshold is not None)
@@ -296,7 +296,7 @@ class TestCompiledRow:
             rows = sampled_rows(problem.n, 3)
             with pytest.raises(DivergenceError) as err:
                 for _ in range(5000):
-                    sdapd_iterate_dense(state, problem, next(rows))
+                    sdapd_iterate_dense(state, next(rows))
             failed.append(err.value.iteration)
         assert failed[0] == failed[1] == states[0].t
         assert (failed[0] > 0) == (start == "divergent_steps")
@@ -335,10 +335,10 @@ class TestCompiledRow:
         problem = ragged_problem("squared", KERNEL_REGS["l2"])
         state = StochasticState(problem, grid_params(problem))
         for i in range(problem.n):
-            sdapd_iterate_dense(state, problem, i)
+            sdapd_iterate_dense(state, i)
         before = snapshot(state)
         with pytest.raises(StructuralError, match="out of range"):
-            sdapd_iterate_dense(state, problem, row)
+            sdapd_iterate_dense(state, row)
         assert snapshot(state) == before
 
     def test_x0_of_another_dimension_rejected(self):
@@ -370,7 +370,7 @@ class TestStepScalars:
         x0[held if where == "dual_step" else not_held] = np.inf
         state = built_on(path, StochasticState, problem, params, x0=x0)
         with pytest.raises(DivergenceError) as err:
-            sdapd_iterate_dense(state, problem, i)
+            sdapd_iterate_dense(state, i)
         assert err.value.iteration == 0
         assert step_scalars(state) == (0, 0, 0.0, params.beta0, 1.0, 0.0)
 
@@ -382,10 +382,10 @@ class TestStepScalars:
         state = built_on(path, StochasticState, problem, params)
         rows = sampled_rows(problem.n, 5)
         for _ in range(10):
-            sdapd_iterate_dense(state, problem, next(rows))
+            sdapd_iterate_dense(state, next(rows))
         assert state.beta_hat <= stochastic.RESCALE_THRESHOLD and state.log_scale == 0.0
         monkeypatch.setattr(stochastic, "RESCALE_THRESHOLD", state.beta_hat)
-        sdapd_iterate_dense(state, problem, next(rows))
+        sdapd_iterate_dense(state, next(rows))
         assert state.beta_hat == params.beta0 and state.t == 11
         assert state.log_scale > 0 and state.inv_scale < 1.0
 

@@ -97,26 +97,26 @@ class TestLemmaBaseCase:
         A = build_matrix([(0, 0, 1.0)], 1, 1)
         prob = make_problem(A, squared_loss([-0.5]), l2_reg(1.0), "finite_sum")
         state = LazyState(prob, unit_params(), x0=np.array([3.0]))
-        sparse_iterate(state, prob, 0)
+        sparse_iterate(state, 0)
         assert state.y[0] == pytest.approx(1.0, abs=1e-15)
         assert state.v[0] == pytest.approx(-1.0, abs=1e-14)
         assert state.w[0] == pytest.approx(2.0, abs=1e-14)
         assert materialize_s(state)[0] == pytest.approx(1.0, abs=1e-14)
-        assert finalize_x(state, prob.reg)[0] == pytest.approx(1.0, abs=1e-14)
+        assert finalize_x(state)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 class TestLazyRecovery:
     def test_fresh_state_identity(self):
         reg = l1_reg(0.5)
         state = LazyState(one_row_problem(2, reg), unit_params(), x0=np.array([1.5, -2.0]))
-        x0_j, _ = lazy_primal_coord(state, 0, reg)
+        x0_j, _ = lazy_primal_coord(state, 0)
         assert x0_j == 1.5  # B_{-1} = 0 serves x0 directly
         assert state.touch_counter == 2
 
     def test_out_of_range(self):
         state = LazyState(one_row_problem(), unit_params())
         with pytest.raises(StructuralError):
-            lazy_primal_coord(state, 5, l1_reg(0.1))
+            lazy_primal_coord(state, 5)
 
     def test_matches_dense_shadow(self):
         rng = np.random.default_rng(3)
@@ -128,10 +128,10 @@ class TestLazyRecovery:
         rows = sampled_rows(8, 11)
         for _ in range(300):
             i = next(rows)
-            sdapd_iterate_dense(dense, prob, i)
-            sparse_iterate(lazy, prob, i)
+            sdapd_iterate_dense(dense, i)
+            sparse_iterate(lazy, i)
         for j in range(12):
-            x_j, _ = lazy_primal_coord(lazy, j, prob.reg)
+            x_j, _ = lazy_primal_coord(lazy, j)
             assert x_j == pytest.approx(dense.x[j], abs=1e-10)
 
     def test_soft_threshold_kill_zone(self):
@@ -142,8 +142,8 @@ class TestLazyRecovery:
         lazy = LazyState(prob, params)
         rows = sampled_rows(6, 0)
         for _ in range(200):
-            sparse_iterate(lazy, prob, next(rows))
-        assert np.all(finalize_x(lazy, prob.reg) == 0.0)
+            sparse_iterate(lazy, next(rows))
+        assert np.all(finalize_x(lazy) == 0.0)
         assert np.any(materialize_s(lazy) != 0.0)
 
 
@@ -157,7 +157,7 @@ class TestSparseIterate:
         params = params_for_problem(prob)
         state = LazyState(prob, params)
         before = state.touch_counter
-        sparse_iterate(state, prob, 0)
+        sparse_iterate(state, 0)
         assert state.touch_counter - before <= 8 * 3 + 4
 
     def test_empty_row_updates_only_dual(self):
@@ -165,7 +165,7 @@ class TestSparseIterate:
         prob = make_problem(A, squared_loss([2.0]), l2_reg(0.3), "finite_sum")
         params = unit_params(n=1)
         state = LazyState(prob, params)
-        sparse_iterate(state, prob, 0)
+        sparse_iterate(state, 0)
         assert state.y[0] != 0.0
         assert np.all(state.v == 0) and np.all(state.w == 0) and np.all(state.u == 0)
 
@@ -178,7 +178,7 @@ class TestSparseIterate:
         for _ in range(40):
             v0, w0, u0 = state.v.copy(), state.w.copy(), state.u.copy()
             i = next(rows)
-            sparse_iterate(state, prob, i)
+            sparse_iterate(state, i)
             cols = prob.matrix.row(i)[0]
             mask = np.ones(30, dtype=bool)
             mask[cols] = False
@@ -205,7 +205,7 @@ class TestMaterialize:
         x0 = np.zeros(15)
         for t in range(200):
             i = next(rows)
-            sparse_iterate(lazy, prob, i)
+            sparse_iterate(lazy, i)
             x = recover_primal(prob.reg, x0, s, B, 1.0)
             xbar = prox_reg(prob.reg, params.eta, x - params.eta * u)
             cols, vals = prob.matrix.row(i)
@@ -227,9 +227,9 @@ class TestRebase:
     def test_rebase_right_after_init_is_noop(self):
         reg = l2_reg(0.5)
         state = LazyState(one_row_problem(reg=reg), unit_params(), x0=np.array([2.0]))
-        before = lazy_primal_coord(state, 0, reg)
+        before = lazy_primal_coord(state, 0)
         rebase(state)
-        assert lazy_primal_coord(state, 0, reg) == before
+        assert lazy_primal_coord(state, 0) == before
 
     def test_recovery_unchanged_at_arbitrary_t(self):
         rng = np.random.default_rng(7)
@@ -241,12 +241,12 @@ class TestRebase:
             state = LazyState(prob, params, x0=x0)
             rows = sampled_rows(8, 3)
             for _ in range(137):
-                sparse_iterate(state, prob, next(rows))
-            before = finalize_x(state, prob.reg)
-            coords_before = [lazy_primal_coord(state, j, prob.reg) for j in range(12)]
+                sparse_iterate(state, next(rows))
+            before = finalize_x(state)
+            coords_before = [lazy_primal_coord(state, j) for j in range(12)]
             rebase(state)
-            after = finalize_x(state, prob.reg)
-            coords_after = [lazy_primal_coord(state, j, prob.reg) for j in range(12)]
+            after = finalize_x(state)
+            coords_after = [lazy_primal_coord(state, j) for j in range(12)]
             assert np.allclose(after, before, rtol=1e-12, atol=1e-12)
             for (xa, xba), (xb, xbb) in zip(coords_after, coords_before):
                 assert xa == pytest.approx(xb, rel=1e-12, abs=1e-12)
@@ -260,15 +260,15 @@ class TestRebase:
         state = LazyState(prob, params)
         rows = sampled_rows(4, 2)
         for _ in range(32):
-            sparse_iterate(state, prob, next(rows))
+            sparse_iterate(state, next(rows))
         assert state.beta_hat / params.beta0 > 1e308
-        before = finalize_x(state, reg)
+        before = finalize_x(state)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rebase(state)
         assert np.isfinite(state.log_scale) and state.beta_hat == params.beta0
         assert state.beta_prev_hat == pytest.approx(params.beta0 * state.theta, rel=1e-12)
-        assert np.allclose(finalize_x(state, reg), before, rtol=1e-12, atol=1e-300)
+        assert np.allclose(finalize_x(state), before, rtol=1e-12, atol=1e-300)
         assert state.B_hat > 0
 
     def test_threshold_triggers_and_values_stay_finite(self, monkeypatch):
@@ -293,20 +293,21 @@ class TestRebase:
         checkpoints = {200_000, 400_000, 800_000}
         rows = sampled_rows(4, 6)
         for t in range(800_000):
-            sparse_iterate(state, prob, next(rows))
+            sparse_iterate(state, next(rows))
             if t + 1 in checkpoints:
-                x = finalize_x(state, prob.reg)
+                x = finalize_x(state)
                 assert np.isfinite(x).all()
                 assert np.isfinite(state.v).all() and np.isfinite(state.w).all()
         assert state.rebase_count >= 10
         assert state.inv_scale == 0.0  # deep-scale regime really was exercised
-        assert np.isfinite(finalize_x(state, prob.reg)).all()
+        assert np.isfinite(finalize_x(state)).all()
 
 
 class TestFinalize:
     def test_t0_identity(self):
-        state = LazyState(one_row_problem(2), unit_params(), x0=np.array([0.7, -0.2]))
-        assert np.array_equal(finalize_x(state, l1_reg(0.5)), [0.7, -0.2])
+        state = LazyState(one_row_problem(2, l1_reg(0.5)), unit_params(),
+                          x0=np.array([0.7, -0.2]))
+        assert np.array_equal(finalize_x(state), [0.7, -0.2])
 
     def test_matches_dense_last_iterate(self):
         rng = np.random.default_rng(9)
@@ -399,10 +400,10 @@ class TestCompiledIteration:
         rows = sampled_rows(problem.n, 3)
         for t in range(900):
             i = next(rows)
-            sparse_iterate(fast, problem, i)
-            sparse_iterate(slow, problem, i)
+            sparse_iterate(fast, i)
+            sparse_iterate(slow, i)
             assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
-        assert finalize_x(fast, problem.reg).tobytes() == finalize_x(slow, problem.reg).tobytes()
+        assert finalize_x(fast).tobytes() == finalize_x(slow).tobytes()
         assert fast.rebase_count == (0 if threshold is None else 1)
 
     def test_long_cancelling_rows_same_bits_as_numpy(self, compiled):
@@ -427,11 +428,11 @@ class TestCompiledIteration:
         rows = sampled_rows(n, 5)
         for t in range(300):
             i = next(rows)
-            sparse_iterate(fast, problem, i)
-            sparse_iterate(slow, problem, i)
+            sparse_iterate(fast, i)
+            sparse_iterate(slow, i)
             assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
-        assert finalize_x(fast, problem.reg).tobytes() == finalize_x(slow, problem.reg).tobytes()
-        assert np.all(np.isfinite(finalize_x(fast, problem.reg)))
+        assert finalize_x(fast).tobytes() == finalize_x(slow).tobytes()
+        assert np.all(np.isfinite(finalize_x(fast)))
 
 
 class TestCompiledFallbacks:
@@ -472,10 +473,10 @@ class TestCompiledSafety:
         problem = ragged_problem("squared", KERNEL_REGS["l2"])
         state = LazyState(problem, grid_params(problem))
         for i in range(problem.n):
-            sparse_iterate(state, problem, i)
+            sparse_iterate(state, i)
         before = snapshot(state)
         with pytest.raises(StructuralError, match="out of range"):
-            sparse_iterate(state, problem, row)
+            sparse_iterate(state, row)
         assert snapshot(state) == before
 
     @pytest.mark.parametrize("name", ["params", "theta", "x0", "y", "u", "v", "w"])
@@ -506,7 +507,7 @@ class TestCompiledSafety:
                 for _ in range(200):
                     before = snapshot(state)
                     i = next(rows)
-                    sparse_iterate(state, problem, i)
+                    sparse_iterate(state, i)
                     t, touches = t + 1, touches + 6 * problem.matrix.row(i)[0].size + 2
                     b_hat, beta_prev_hat, beta_hat = (b_hat + beta_hat, beta_hat,
                                                       beta_hat / state.theta)
@@ -526,9 +527,9 @@ class TestStepScalars:
         state = built_on(path, LazyState, problem, params)
         rows = sampled_rows(problem.n, 5)
         for _ in range(10):
-            sparse_iterate(state, problem, next(rows))
+            sparse_iterate(state, next(rows))
         assert state.beta_hat <= sparse_engine.RESCALE_THRESHOLD and state.rebase_count == 0
         monkeypatch.setattr(sparse_engine, "RESCALE_THRESHOLD", state.beta_hat)
-        sparse_iterate(state, problem, next(rows))
+        sparse_iterate(state, next(rows))
         assert state.rebase_count == 1 and state.beta_hat == params.beta0
         assert state.log_scale > 0 and state.inv_scale < 1.0
