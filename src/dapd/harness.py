@@ -369,8 +369,8 @@ class _Key(NamedTuple):
     range: tuple | None = None
 
 
-_POSITIVE = (lambda value, _: value > 0, "positive")
-_NONNEGATIVE = (lambda value, _: value >= 0, "nonnegative")
+_POSITIVE = (lambda value, _: 0 < value < math.inf, "positive and finite")
+_NONNEGATIVE = (lambda value, _: 0 <= value < math.inf, "nonnegative and finite")
 
 
 def _distinct(item_ok: Callable, items: str) -> tuple:
@@ -435,9 +435,9 @@ _SOLVER_KEYS = {
     "epsilon": _Key((float, type(None)), None, _POSITIVE),
 }
 _OUTPUT_KEYS = {
-    "dir": _Key(str, "traces"),
-    "reference_accuracy": _Key(float, 1e-9, (lambda accuracy, _: 0 < accuracy < math.inf,
-                                             "positive and finite")),
+    # an empty path would write into the working directory
+    "dir": _Key(str, "traces", (lambda path, _: path != "", "a nonempty path")),
+    "reference_accuracy": _Key(float, 1e-9, _POSITIVE),
     "wall_clock": _Key(bool, True),
 }
 _TOP_KEYS = {"name": _Key(str, "experiment"), "problem": _Key(dict), "solver": _Key(dict),

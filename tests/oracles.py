@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from dapd import kernels, matrix
-from dapd.baselines import spdc_epoch
 from dapd.deterministic import SolverSchedule, dapd_iterate
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
 from dapd.harness import _certify, _duality_gap
@@ -423,8 +422,3 @@ def built_on(path, make, *args, **kwargs):
         state = make(*args, **kwargs)
     assert (state._kernel[1] is not None) == (path == "compiled")
     return state
-
-
-def spdc_row(state, i):
-    """One SPDC iteration on row i: a one-row epoch."""
-    return spdc_epoch(state, np.array([i]))

@@ -90,7 +90,7 @@ class TestCriterion1:
     def test_theorem_gap_bound(self):
         start = time.perf_counter()
         rng = np.random.default_rng(1001)
-        worst_ratio = 0.0
+        worst_ratio, lowest_gap = 0.0, 0.0
         for _ in range(20):
             prob, x_star, y_star = deterministic_ridge_instance(rng)
             sched = schedule_for_problem(prob)
@@ -110,13 +110,16 @@ class TestCriterion1:
                 )
                 bound = numerator * np.exp(-(np.log(state.B_hat) + state.log_scale))
                 worst_ratio = max(worst_ratio, (gap - floor) / bound)
+                # a saddle gap is nonnegative, up to the same roundoff
+                lowest_gap = min(lowest_gap, gap / (1.0 + abs(f_star)))
         elapsed = time.perf_counter() - start
-        ok = worst_ratio <= 1.05 and elapsed < 10.0
+        ok = worst_ratio <= 1.05 and lowest_gap >= -1e-9 and elapsed < 10.0
         report(
             1,
             "saddle-gap bound, 20 ridge instances, T<=500",
             ok,
-            f"worst (gap-floor)/bound={worst_ratio:.4f} (<=1.05), {elapsed:.1f}s (<10s)",
+            f"worst (gap-floor)/bound={worst_ratio:.4f} (<=1.05), "
+            f"lowest gap/(1+|F*|)={lowest_gap:.1e} (>=-1e-9), {elapsed:.1f}s (<10s)",
         )
 
 

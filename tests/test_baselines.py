@@ -1,7 +1,11 @@
+"""The baseline methods (``dapd.baselines``): examples, applicability,
+iteration budgets, and SPDC's compiled epoch against its numpy body after
+every epoch.  The row contract SPDC shares with the other solver states is
+tested once, over the table of ``test_states.py``."""
+
 import numpy as np
 import pytest
 
-from dapd import baselines, kernels
 from dapd.baselines import (
     BASELINE_METHODS,
     BaselineConfig,
@@ -10,11 +14,9 @@ from dapd.baselines import (
     spdc_epoch,
     spdc_steps,
 )
-from dapd.datasets import synth_ridge
-from dapd.errors import ConfigurationError, DivergenceError, StructuralError
+from dapd.errors import ConfigurationError, StructuralError
 from dapd.matrix import build_matrix
 from dapd.proxlib import (
-    huber_reg,
     kl_reg,
     l1_reg,
     l2_reg,
@@ -26,16 +28,8 @@ from dapd.proxlib import (
 from dapd.stochastic import perturb_problem
 from dapd.traces import epoch_rows
 
-from oracles import (
-    KERNEL_REGS,
-    ROW_PATHS,
-    built_on,
-    built_without_kernels,
-    ragged_problem,
-    ridge_problem,
-    sampled_rows,
-    spdc_row,
-)
+from oracles import KERNEL_REGS, built_without_kernels, ragged_problem, ridge_problem
+from test_states import STATES, exact
 
 
 def one_d_ridge():
@@ -153,14 +147,9 @@ class TestBudgets:
 
 
 # ---------------------------------------------------------------------------
-# the compiled SPDC epoch (spdc_epoch in kernels.c) against its numpy body
+# the compiled SPDC epoch (spdc_epoch in kernels.c) against its numpy body;
+# the cases every row kernel shares are in test_states.py
 # ---------------------------------------------------------------------------
-
-
-def snapshot(state):
-    """Everything an iteration writes, as exact values."""
-    return (*(getattr(state, name).tobytes() for name in ("x", "x_ext", "y", "u")),
-            state.t, state.touch_counter)
 
 
 def spdc_pair(problem):
@@ -172,23 +161,6 @@ def spdc_pair(problem):
 
 
 class TestCompiledSpdcRow:
-    @pytest.mark.parametrize("seed", [3, 4])
-    @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
-    @pytest.mark.parametrize("reg", list(KERNEL_REGS))
-    @pytest.mark.parametrize("loss", ["squared", "hinge"])
-    def test_same_bits_as_numpy_after_every_row(self, compiled, loss, reg, epsilon, seed):
-        problem = ragged_problem(loss, KERNEL_REGS[reg])
-        if epsilon is not None:
-            problem = perturb_problem(problem, epsilon)
-        fast, slow = spdc_pair(problem)
-        assert fast._kernel[1] is not None and slow._kernel[1] is None
-        rows = sampled_rows(problem.n, seed)
-        for t in range(900):
-            i = next(rows)
-            spdc_row(fast, i)
-            spdc_row(slow, i)
-            assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
-
     @pytest.mark.parametrize("seed", [3, 4, 5])
     @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
     @pytest.mark.parametrize("reg", list(KERNEL_REGS))
@@ -198,80 +170,12 @@ class TestCompiledSpdcRow:
         if epsilon is not None:
             problem = perturb_problem(problem, epsilon)
         fast, slow = spdc_pair(problem)
+        written = STATES["spdc"].written
         for epoch, rows in epoch_rows(problem.n, 75 * problem.n, seed):
             spdc_epoch(fast, rows)
             spdc_epoch(slow, rows)
-            assert snapshot(fast) == snapshot(slow), f"epoch {epoch}"
+            assert exact(fast, written) == exact(slow, written), f"epoch {epoch}"
         assert fast.t == 75 * problem.n
-
-    @pytest.mark.parametrize("reg", [huber_reg(0.1, 0.5), kl_reg(0.5), l2_reg(0.3)],
-                             ids=["huber", "kl", "l2"])
-    def test_only_huber_and_kl_run_the_numpy_body(self, compiled, monkeypatch, reg):
-        problem = perturb_problem(ragged_problem("squared", reg), 1e-3)
-        epochs = [rows for _, rows in epoch_rows(problem.n, 10 * problem.n, 4)]
-        want = SpdcState(problem, *spdc_steps(problem))
-        for rows in epochs:
-            spdc_epoch(want, rows)
-        calls = []
-        body = baselines._spdc_epoch_numpy
-        monkeypatch.setattr(baselines, "_spdc_epoch_numpy",
-                            lambda *args: calls.append(1) or body(*args))
-        got = SpdcState(problem, *spdc_steps(problem))
-        for rows in epochs:
-            spdc_epoch(got, rows)
-        assert len(calls) == (0 if reg.kind == "l2" else 10)
-        assert snapshot(got) == snapshot(want)
-
-    def test_divergence_at_the_same_iteration(self, compiled):
-        data, _ = synth_ridge(200, 50)
-        problem = ridge_problem(data.matrix, data.labels, 0.1)
-        # (tau, sigma, theta): x overflows at row 1365, mid-way through epoch 7
-        steps = (0.9, 0.5, 0.1)
-        states = [SpdcState(problem, *steps), built_without_kernels(SpdcState, problem, *steps)]
-        failed = []
-        for state in states:
-            with pytest.raises(DivergenceError) as err:
-                for _, rows in epoch_rows(problem.n, 25 * problem.n, 0):
-                    start = state.t
-                    spdc_epoch(state, rows)
-            # the rows before the diverging one, in every epoch so far
-            done = np.concatenate([r for _, r in epoch_rows(problem.n, start, 0)]
-                                  + [rows[:state.t - start]])
-            assert state.touch_counter == sum(
-                4 * problem.dim + 3 * problem.matrix.row(i)[0].size for i in done.tolist())
-            failed.append(err.value.iteration)
-        assert failed[0] == failed[1] == states[0].t == states[1].t == 1365
-        assert snapshot(states[0]) == snapshot(states[1])
-
-    def test_run_same_bits_without_kernels(self, compiled, monkeypatch):
-        problem = perturb_problem(ragged_problem("hinge", KERNEL_REGS["elastic_net"]), 1e-3)
-        config = BaselineConfig("spdc", epochs=30, seed=2)
-        want = run_baseline(config, problem, wall_clock=False)
-        monkeypatch.setattr(kernels, "library", lambda: None)
-        got = run_baseline(config, problem, wall_clock=False)
-        assert got.x.tobytes() == want.x.tobytes() and got.trace == want.trace
-
-    @pytest.mark.parametrize("name", ["tau", "sigma", "theta", "x", "x_ext", "y", "u"])
-    def test_bound_attributes_cannot_be_rebound(self, name):
-        state = spdc_pair(ragged_problem("squared", KERNEL_REGS["l2"]))[0]
-        value = getattr(state, name)
-        with pytest.raises(AttributeError):
-            setattr(state, name, np.zeros(3))
-        assert getattr(state, name) is value
-
-    @pytest.mark.parametrize("at", [0, 5, 11])
-    @pytest.mark.parametrize("row", [-1, 12, 2**40])
-    @pytest.mark.parametrize("path", ROW_PATHS)
-    def test_row_out_of_range_writes_nothing(self, path, row, at):
-        problem = ragged_problem("squared", KERNEL_REGS["l2"])
-        state = built_on(path, SpdcState, problem, *spdc_steps(perturb_problem(problem, 1e-3)))
-        spdc_epoch(state, np.arange(problem.n))
-        before = snapshot(state)
-        rows = np.arange(problem.n)
-        rows[at] = row
-        with pytest.raises(StructuralError, match="out of range"):
-            spdc_epoch(state, rows)
-        assert snapshot(state) == before
 
     @pytest.mark.parametrize("rows", [np.array([1.0, 2.0]), np.zeros((2, 2), dtype=np.int64)],
                              ids=["float", "2-d"])
@@ -286,3 +190,4 @@ class TestCompiledSpdcRow:
         problem = ragged_problem("squared", KERNEL_REGS["l2"])
         with pytest.raises(ConfigurationError, match="sigma"):
             SpdcState(problem, 0.5, 0.0, 0.5)
+

@@ -1,3 +1,9 @@
+"""Deterministic DAPD (``dapd.deterministic``): hand iterations, the
+scaled dual-averaging bookkeeping, rescales and the driver.  The checks it
+shares with the other solver states (no rebinding, the start point's shape)
+are in the table of ``test_states.py``; the theorem's saddle-gap and
+distance bounds are acceptance criteria 1 and 2."""
+
 import warnings
 
 import numpy as np
@@ -11,7 +17,7 @@ from dapd.deterministic import (
     schedule_for_problem,
     validate_schedule,
 )
-from dapd.errors import ConfigurationError, DivergenceError, StructuralError
+from dapd.errors import ConfigurationError, DivergenceError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
     l2_reg,
@@ -22,7 +28,7 @@ from dapd.proxlib import (
     squared_loss,
 )
 
-from oracles import dapd_iterate_ergodic_y, geometric_schedule, saddle_value
+from oracles import geometric_schedule
 
 
 def one_d_problem():
@@ -146,14 +152,6 @@ class TestIterate:
         assert np.isfinite(state.log_scale) and state.beta_hat == sched.beta0
         assert 0 < state.B_hat < np.inf and np.isfinite(state.s_hat).all()
 
-    @pytest.mark.parametrize("start", [{"x0": 1.0}, {"x0": np.zeros(4)}, {"y0": np.zeros(4)},
-                                       {"y0": np.zeros((5, 1))}],
-                             ids=["scalar_x0", "long_x0", "short_y0", "column_y0"])
-    def test_start_of_another_shape_rejected(self, start):
-        prob, _, _ = random_ridge(np.random.default_rng(9), 5, 3, mu=0.2)
-        with pytest.raises(StructuralError):
-            IterateState(prob, schedule_for_problem(prob), **start)
-
 
 class TestRun:
     def test_one_d_convergence(self):
@@ -217,47 +215,6 @@ class TestRun:
 
 
 class TestTheoremBounds:
-    def test_saddle_gap_bound(self):
-        # gap(T) <= (beta0/(2 tau0) ||y0-y*||^2 + 0.5 ||x0-x*||^2) / B_{T-1}
-        rng = np.random.default_rng(12)
-        for trial in range(3):
-            prob, x_star, y_star = random_ridge(rng, 8, 8, mu=0.1)
-            sched = schedule_for_problem(prob)
-            state = IterateState(prob, sched)
-            numerator = (sched.beta(0) / (2 * sched.tau(0))) * np.dot(y_star, y_star)
-            numerator += 0.5 * np.dot(x_star, x_star)
-            f_star = saddle_value(prob, x_star, y_star)
-            ergodic_y = np.zeros(prob.n)
-            for t in range(300):
-                dapd_iterate_ergodic_y(state, ergodic_y)
-                gap = (
-                    saddle_value(prob, state.ergodic_x, y_star)
-                    - saddle_value(prob, x_star, ergodic_y)
-                )
-                bound = numerator * np.exp(-(np.log(state.B_hat) + state.log_scale))
-                assert gap <= bound * 1.05 + 1e-12
-                assert gap >= -1e-9 * (1 + abs(f_star))
-
-    def test_distance_bound_and_rate(self):
-        rng = np.random.default_rng(13)
-        prob, x_star, y_star = random_ridge(rng, 8, 8, mu=0.1)
-        gamma, mu = 1.0, 0.1
-        R = prob.stats.spectral_norm
-        xi = 1.0 + np.sqrt(mu * gamma) / R
-        sched = schedule_for_problem(prob)
-        state = IterateState(prob, sched)
-        numerator = np.dot(x_star, x_star) + (gamma / mu) * np.dot(y_star, y_star)
-        dists = []
-        for t in range(1, 301):
-            dapd_iterate(state)
-            d2 = float(np.sum((state.ergodic_x - x_star) ** 2))
-            dists.append(d2)
-            assert d2 <= numerator / (xi**t - 1.0) * 1.05
-        # empirical geometric factor over the last 100 iterations no worse than 1/xi
-        logs = np.log(dists[-100:])
-        slope = np.polyfit(np.arange(100), logs, 1)[0]
-        assert np.exp(slope) <= (1.0 / xi) * 1.01
-
     def test_case_i_beta_growth_exact(self):
         sched = make_schedule(gamma=0.7, mu=0.2, R=2.0)
         xi = 1.0 + np.sqrt(0.7 * 0.2) / 2.0

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import re
 import sys
 import types
@@ -658,15 +659,17 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags",
         [["--method", "bogus"], ["--seeds", "1,x"], ["--epochs", "0"], ["--seeds", "-1"],
-         ["--seeds", "2,2"], ["--seeds", ""]],
-        ids=["method", "seeds", "epochs", "seed_negative", "seeds_repeated", "seeds_empty"],
+         ["--seeds", "2,2"], ["--seeds", ""], ["--out", ""]],
+        ids=["method", "seeds", "epochs", "seed_negative", "seeds_repeated", "seeds_empty",
+             "out_empty"],
     )
-    def test_bad_override_refused_before_running(self, tmp_path, capsys, flags):
+    def test_bad_override_refused_before_running(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)  # where an empty --out would write
         rc = cli_main(["run", "--config", str(self.write_config(tmp_path)), *flags])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "out" / "manifest.txt").exists()
+        assert not list(tmp_path.rglob("manifest.txt"))
 
     @pytest.mark.parametrize(
         "problem, message",
@@ -767,6 +770,16 @@ BAD_CONFIGS = {
     "density_below_one_over_d": _edit(("problem",), "source",
                                       {**HINGE_L2["source"], "density": 0.1}),
     "source_kind_a_list": _edit(("problem", "source"), "kind", []),
+    # json.dumps writes inf as Infinity, which json.load reads back
+    "lam_inf": _edit(("problem", "regularizer"), "lam", math.inf),
+    "lam2_inf": _edit(("problem",), "regularizer",
+                      {"kind": "elastic_net", "lam": 0.1, "lam2": math.inf}),
+    "huber_mu_inf": _edit(("problem",), "regularizer",
+                          {"kind": "huber", "lam": 0.1, "huber_mu": math.inf}),
+    "kl_weight_inf": _edit(("problem",), "regularizer", {"kind": "kl", "kl_weight": math.inf}),
+    "noise_sigma_inf": _edit(("problem", "source"), "noise_sigma", math.inf),
+    "epsilon_inf": _edit(("solver",), "epsilon", math.inf),
+    "dir_empty": _edit(("output",), "dir", ""),
 }
 
 

@@ -1,13 +1,17 @@
+"""Dense SDAPD (``dapd.stochastic``): its steps, the perturbation, the
+iterate identities and the driver.  The contract it shares with the other
+solver states (no rebinding, the start point's shape, row bounds, the same
+bits as the numpy bodies, the fallback, divergence, rescales) is tested
+once, over the table of ``test_states.py``; the theorem's expected-distance
+bound is acceptance criterion 3."""
+
 import numpy as np
 import pytest
 
-from dapd import stochastic
 from dapd.deterministic import IterateState, dapd_iterate
-from dapd.errors import ConfigurationError, DivergenceError, StructuralError
+from dapd.errors import ConfigurationError, DivergenceError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import (
-    huber_reg,
-    kl_reg,
     l1_reg,
     l2_reg,
     make_problem,
@@ -27,18 +31,7 @@ from dapd.stochastic import (
     sdapd_params,
 )
 
-from oracles import (
-    KERNEL_REGS,
-    ROW_PATHS,
-    built_on,
-    built_without_kernels,
-    geometric_schedule,
-    grid_params,
-    ragged_problem,
-    ridge_problem,
-    saddle_value,
-    sampled_rows,
-)
+from oracles import geometric_schedule, ridge_problem, sampled_rows
 
 
 def finite_sum_ridge(rng, n, d, mu, row_scale=1.0):
@@ -236,188 +229,3 @@ class TestRun:
         assert [r.epoch for r in res.trace] == [1, 2, 3, 4]
         partial = run_sdapd(prob, params_for_problem(prob), 15, seed=1)
         assert [r.epoch for r in partial.trace] == [1, 2, 3]
-
-
-# ---------------------------------------------------------------------------
-# the compiled row (sdapd_dense_* in kernels.c) against its numpy body
-# ---------------------------------------------------------------------------
-
-
-def snapshot(state):
-    """Everything an iteration writes, as exact values."""
-    return (
-        *(getattr(state, name).tobytes()
-          for name in ("x", "xbar", "y", "u", "s_hat", "ergodic_x")),
-        state.beta_hat, state.B_hat, state.log_scale, state.inv_scale, state.t,
-        state.touch_counter,
-    )
-
-
-class TestCompiledRow:
-    @pytest.mark.parametrize("seed", [3, 4])
-    @pytest.mark.parametrize("threshold", [None, 1e3], ids=["no_rescale", "rescale_1e3"])
-    @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
-    @pytest.mark.parametrize("reg", list(KERNEL_REGS))
-    @pytest.mark.parametrize("loss", ["squared", "hinge"])
-    def test_same_bits_as_numpy_after_every_row(self, compiled, monkeypatch, loss, reg,
-                                                  epsilon, threshold, seed):
-        if threshold is not None:
-            monkeypatch.setattr(stochastic, "RESCALE_THRESHOLD", threshold)
-        problem = ragged_problem(loss, KERNEL_REGS[reg])
-        params = grid_params(problem)
-        if epsilon is not None:
-            problem = perturb_problem(problem, epsilon)
-        fast = StochasticState(problem, params)
-        slow = built_without_kernels(StochasticState, problem, params)
-        assert fast._kernel[1] is not None and slow._kernel[1] is None
-        rows = sampled_rows(problem.n, seed)
-        for t in range(900):
-            i = next(rows)
-            sdapd_iterate_dense(fast, i)
-            sdapd_iterate_dense(slow, i)
-            assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
-        # beta reaches 1e3 at iteration 462 (grid_params)
-        assert (fast.log_scale > 0) == (threshold is not None)
-
-    @pytest.mark.parametrize("start", ["inf_x0", "divergent_steps"])
-    def test_divergence_at_the_same_iteration(self, compiled, start):
-        if start == "inf_x0":
-            problem = ragged_problem("squared", KERNEL_REGS["l2"])
-            params, x0 = grid_params(problem), np.zeros(problem.dim)
-            x0[3] = np.inf
-        else:  # as in TestRun.test_divergence_reported_with_iteration
-            problem, _, _ = finite_sum_ridge(np.random.default_rng(11), 5, 3, mu=0.2)
-            params = StochasticParams(eta=200.0, tau=200.0, beta0=1.0, xi=1.5, n=5)
-            x0 = None
-        states = [StochasticState(problem, params, x0=x0),
-                  built_without_kernels(StochasticState, problem, params, x0=x0)]
-        failed = []
-        for state in states:
-            rows = sampled_rows(problem.n, 3)
-            with pytest.raises(DivergenceError) as err:
-                for _ in range(5000):
-                    sdapd_iterate_dense(state, next(rows))
-            failed.append(err.value.iteration)
-        assert failed[0] == failed[1] == states[0].t
-        assert (failed[0] > 0) == (start == "divergent_steps")
-        assert snapshot(states[0]) == snapshot(states[1])
-
-    @pytest.mark.parametrize("reg, x0", [(huber_reg(0.1, 0.5), 0.0), (kl_reg(0.5), 1.0),
-                                         (l2_reg(0.3), 0.0)], ids=["huber", "kl", "l2"])
-    def test_only_huber_and_kl_run_the_numpy_body(self, compiled, monkeypatch, reg, x0):
-        problem = perturb_problem(ragged_problem("squared", reg), 1e-3)
-        params = grid_params(problem)
-        x0 = np.full(problem.dim, x0)
-        want = run_sdapd(problem, params, 120, seed=4, x0=x0, wall_clock=False)
-        calls = []
-        for name in ("_xbar_dot_numpy", "_update_numpy"):
-            body = getattr(stochastic, name)
-            monkeypatch.setattr(stochastic, name,
-                                lambda *args, body=body: calls.append(1) or body(*args))
-        got = run_sdapd(problem, params, 120, seed=4, x0=x0, wall_clock=False)
-        assert len(calls) == (0 if reg.kind == "l2" else 240)
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.x_ergodic.tobytes() == want.x_ergodic.tobytes()
-        assert got.y.tobytes() == want.y.tobytes() and got.trace == want.trace
-
-    @pytest.mark.parametrize("name", ["params", "x0", "x", "xbar", "y", "u", "s_hat",
-                                      "ergodic_x"])
-    def test_bound_attributes_cannot_be_rebound(self, name):
-        problem = ragged_problem("squared", KERNEL_REGS["l2"])
-        state = StochasticState(problem, grid_params(problem))
-        value = getattr(state, name)
-        with pytest.raises(AttributeError):
-            setattr(state, name, np.zeros(3))
-        assert getattr(state, name) is value
-
-    @pytest.mark.parametrize("row", [-1, 12, 2**40])
-    def test_row_out_of_range_writes_nothing(self, row):
-        problem = ragged_problem("squared", KERNEL_REGS["l2"])
-        state = StochasticState(problem, grid_params(problem))
-        for i in range(problem.n):
-            sdapd_iterate_dense(state, i)
-        before = snapshot(state)
-        with pytest.raises(StructuralError, match="out of range"):
-            sdapd_iterate_dense(state, row)
-        assert snapshot(state) == before
-
-    def test_x0_of_another_dimension_rejected(self):
-        problem = ragged_problem("squared", KERNEL_REGS["l2"])
-        with pytest.raises(StructuralError):
-            StochasticState(problem, grid_params(problem), x0=np.zeros(problem.dim + 1))
-
-
-def step_scalars(state):
-    """The scalars ``sdapd_dense_update`` advances, with the scale."""
-    return (state.t, state.touch_counter, state.B_hat, state.beta_hat, state.inv_scale,
-            state.log_scale)
-
-
-class TestStepScalars:
-    @pytest.mark.parametrize("path", ROW_PATHS)
-    @pytest.mark.parametrize("where", ["dual_step", "update"])
-    def test_divergence_leaves_the_scalars_as_they_were(self, path, where):
-        # x0 is +inf on one column.  A first row that holds it has an
-        # infinite dot product; a first row that does not gives an infinite
-        # x in the update.  Either way no step scalar advances (the
-        # divergence contract of kernels.c)
-        problem = ragged_problem("squared", KERNEL_REGS["l2"])
-        params = grid_params(problem)
-        i = 3
-        cols = problem.matrix.row(i)[0]
-        x0 = np.zeros(problem.dim)
-        held, not_held = cols[0], np.setdiff1d(np.arange(problem.dim), cols)[0]
-        x0[held if where == "dual_step" else not_held] = np.inf
-        state = built_on(path, StochasticState, problem, params, x0=x0)
-        with pytest.raises(DivergenceError) as err:
-            sdapd_iterate_dense(state, i)
-        assert err.value.iteration == 0
-        assert step_scalars(state) == (0, 0, 0.0, params.beta0, 1.0, 0.0)
-
-    @pytest.mark.parametrize("path", ROW_PATHS)
-    def test_threshold_patched_after_the_state_is_built_rescales_at_the_next_row(
-            self, monkeypatch, path):
-        problem = ragged_problem("hinge", KERNEL_REGS["elastic_net"])
-        params = grid_params(problem)
-        state = built_on(path, StochasticState, problem, params)
-        rows = sampled_rows(problem.n, 5)
-        for _ in range(10):
-            sdapd_iterate_dense(state, next(rows))
-        assert state.beta_hat <= stochastic.RESCALE_THRESHOLD and state.log_scale == 0.0
-        monkeypatch.setattr(stochastic, "RESCALE_THRESHOLD", state.beta_hat)
-        sdapd_iterate_dense(state, next(rows))
-        assert state.beta_hat == params.beta0 and state.t == 11
-        assert state.log_scale > 0 and state.inv_scale < 1.0
-
-
-def theorem_bound_delta0(problem, params, x_star, y_star, x0, y0):
-    """Constant in E||xhat - x*||^2 <= Delta0/(xi^T - 1), assembled from the
-    final inequality of the linear-convergence proof."""
-    gamma, mu, _, _, _ = problem_constants(problem)
-    n = problem.n
-    alpha = 1.0 + (n - 1) * gamma * params.tau / n
-    c = problem.loss_scale
-    f_at_star = saddle_value(problem, x_star, c * y_star)
-    f_at_y0 = saddle_value(problem, x_star, c * y0)
-    total = 0.5 * np.sum((x0 - x_star) ** 2)
-    total += (alpha * params.beta0 / (2 * params.tau)) * np.sum((y0 - y_star) ** 2)
-    total += (n - 1) * params.beta0 * (f_at_star - f_at_y0)
-    return 2.0 * (params.xi - 1.0) / (mu * params.beta0) * total
-
-
-class TestTheoremBound:
-    def test_expected_distance_bound(self):
-        rng = np.random.default_rng(13)
-        prob, x_star, y_star = finite_sum_ridge(rng, 30, 10, mu=0.2)
-        params = params_for_problem(prob)
-        x0 = np.zeros(10)
-        y0 = np.zeros(30)
-        delta0 = theorem_bound_delta0(prob, params, x_star, y_star, x0, y0)
-        n = prob.n
-        for T in (n, 5 * n):
-            dists = []
-            for seed in range(20):
-                res = run_sdapd(prob, params, T, seed=seed)
-                dists.append(np.sum((res.x_ergodic - x_star) ** 2))
-            bound = delta0 / (params.xi**T - 1.0)
-            assert np.mean(dists) <= 1.1 * bound

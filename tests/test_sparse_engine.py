@@ -1,14 +1,19 @@
+"""The lazy sparse engine (``dapd.sparse_engine``): the two-sequence
+recovery, the work per row, rebases and agreement with dense SDAPD.  The
+contract it shares with the other solver states is tested once, over the
+table of ``test_states.py``; the compiled iteration's own case here is rows
+on which only storage order gives the numpy body's bits."""
+
 import warnings
 
 import numpy as np
 import pytest
 
-from dapd import kernels, matrix, sparse_engine
+from dapd import sparse_engine
 from dapd.datasets import synth_ridge
-from dapd.errors import ConfigurationError, DivergenceError, StructuralError
+from dapd.errors import ConfigurationError, StructuralError
 from dapd.matrix import build_matrix, ordered_dot
 from dapd.proxlib import (
-    huber_reg,
     kl_reg,
     l1_reg,
     l2_reg,
@@ -33,15 +38,13 @@ from dapd.stochastic import (
 
 from oracles import (
     KERNEL_REGS,
-    ROW_PATHS,
-    built_on,
     built_without_kernels,
     grid_params,
     lazy_primal_coord,
     materialize_s,
-    ragged_problem,
     sampled_rows,
 )
+from test_states import STATES, exact
 
 
 def sparse_problem(rng, n, d, density, reg, row_scale=1.0):
@@ -79,10 +82,6 @@ class TestInit:
     def test_other_sample_count_rejected(self):
         with pytest.raises(ConfigurationError, match="sample count"):
             LazyState(one_row_problem(), unit_params(n=2))
-
-    def test_x0_of_another_dimension_rejected(self):
-        with pytest.raises(StructuralError):
-            LazyState(one_row_problem(d=2), unit_params(), x0=np.zeros(3))
 
 
 class TestLemmaBaseCase:
@@ -359,53 +358,12 @@ class TestFinalize:
 
 
 # ---------------------------------------------------------------------------
-# the compiled iteration (lazy_iterate in kernels.c) against the numpy body
+# the compiled iteration (lazy_iterate in kernels.c) against the numpy body;
+# the cases every row kernel shares are in test_states.py
 # ---------------------------------------------------------------------------
-
-def numpy_state(problem, params, **kwargs):
-    """A LazyState that runs the numpy body (``built_without_kernels``)."""
-    return built_without_kernels(LazyState, problem, params, **kwargs)
-
-
-def snapshot(state):
-    """Everything an iteration writes, as exact values."""
-    return (
-        *(getattr(state, name).tobytes() for name in ("y", "u", "v", "w")),
-        state.beta_hat, state.beta_prev_hat, state.B_hat, state.log_scale, state.inv_scale,
-        state.t, state.touch_counter, state.rebase_count,
-    )
-
-
-def step_scalars(state):
-    """The scalars ``lazy_iterate`` advances, with the scale."""
-    return (state.t, state.touch_counter, state.B_hat, state.beta_hat, state.beta_prev_hat,
-            state.inv_scale, state.log_scale)
 
 
 class TestCompiledIteration:
-    @pytest.mark.parametrize("threshold", [None, 1e3], ids=["no_rebase", "rebase_1e3"])
-    @pytest.mark.parametrize("epsilon", [None, 1e-3], ids=["unperturbed", "eps_1e-3"])
-    @pytest.mark.parametrize("reg", list(KERNEL_REGS))
-    @pytest.mark.parametrize("loss", ["squared", "hinge"])
-    def test_same_bits_as_numpy_after_every_iteration(self, compiled, monkeypatch, loss, reg,
-                                                      epsilon, threshold):
-        if threshold is not None:
-            monkeypatch.setattr(sparse_engine, "RESCALE_THRESHOLD", threshold)
-        problem = ragged_problem(loss, KERNEL_REGS[reg])
-        params = grid_params(problem)
-        if epsilon is not None:
-            problem = perturb_problem(problem, epsilon)
-        fast = LazyState(problem, params)
-        slow = numpy_state(problem, params)
-        rows = sampled_rows(problem.n, 3)
-        for t in range(900):
-            i = next(rows)
-            sparse_iterate(fast, i)
-            sparse_iterate(slow, i)
-            assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
-        assert finalize_x(fast).tobytes() == finalize_x(slow).tobytes()
-        assert fast.rebase_count == (0 if threshold is None else 1)
-
     def test_long_cancelling_rows_same_bits_as_numpy(self, compiled):
         # rows of 150 entries spread over six decades with both signs, so
         # that a sum in any order other than storage order changes the bits
@@ -424,112 +382,12 @@ class TestCompiledIteration:
                    for cols, vals in rows)
         params = grid_params(problem)
         fast = LazyState(problem, params)
-        slow = numpy_state(problem, params)
-        rows = sampled_rows(n, 5)
+        slow = built_without_kernels(LazyState, problem, params)
+        rows, written = sampled_rows(n, 5), STATES["lazy"].written
         for t in range(300):
             i = next(rows)
             sparse_iterate(fast, i)
             sparse_iterate(slow, i)
-            assert snapshot(fast) == snapshot(slow), f"iteration {t}, row {i}"
+            assert exact(fast, written) == exact(slow, written), f"iteration {t}, row {i}"
         assert finalize_x(fast).tobytes() == finalize_x(slow).tobytes()
         assert np.all(np.isfinite(finalize_x(fast)))
-
-
-class TestCompiledFallbacks:
-    def run_bytes(self, problem, params):
-        res = run_sparse(problem, params, 300, seed=4, wall_clock=False)
-        return res.x.tobytes(), res.y.tobytes(), [(r.primal_value, r.touches) for r in res.trace]
-
-    def test_no_library(self, compiled, monkeypatch):
-        problem = ragged_problem("hinge", KERNEL_REGS["elastic_net"])
-        params = grid_params(problem)
-        want = self.run_bytes(problem, params)
-        monkeypatch.setattr(kernels, "library", lambda: None)
-        assert matrix.backend() == "numpy"
-        assert self.run_bytes(problem, params) == want
-
-    @pytest.mark.parametrize("reg, x0", [(huber_reg(0.1, 0.5), 0.0), (kl_reg(0.5), 1.0),
-                                         (l2_reg(0.3), 0.0)], ids=["huber", "kl", "l2"])
-    def test_only_huber_and_kl_run_the_numpy_body(self, compiled, monkeypatch, reg, x0):
-        problem = ragged_problem("squared", reg)
-        params = grid_params(problem)
-        x0 = np.full(problem.dim, x0)
-        want = run_sparse(problem, params, 120, seed=4, x0=x0, wall_clock=False)
-        calls = []
-        body = sparse_engine._iterate_numpy
-        monkeypatch.setattr(sparse_engine, "_iterate_numpy",
-                            lambda *args: calls.append(1) or body(*args))
-        got = run_sparse(problem, params, 120, seed=4, x0=x0, wall_clock=False)
-        assert len(calls) == (0 if reg.kind == "l2" else 120)
-        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
-        monkeypatch.setattr(kernels, "library", lambda: None)
-        hidden = run_sparse(problem, params, 120, seed=4, x0=x0, wall_clock=False)
-        assert hidden.x.tobytes() == want.x.tobytes()
-
-
-class TestCompiledSafety:
-    @pytest.mark.parametrize("row", [-1, 12, 2**40])
-    def test_row_out_of_range_writes_nothing(self, compiled, row):
-        problem = ragged_problem("squared", KERNEL_REGS["l2"])
-        state = LazyState(problem, grid_params(problem))
-        for i in range(problem.n):
-            sparse_iterate(state, i)
-        before = snapshot(state)
-        with pytest.raises(StructuralError, match="out of range"):
-            sparse_iterate(state, row)
-        assert snapshot(state) == before
-
-    @pytest.mark.parametrize("name", ["params", "theta", "x0", "y", "u", "v", "w"])
-    def test_bound_attributes_cannot_be_rebound(self, name):
-        problem = ragged_problem("squared", KERNEL_REGS["l2"])
-        state = LazyState(problem, grid_params(problem))
-        value = getattr(state, name)
-        with pytest.raises(AttributeError):
-            setattr(state, name, np.zeros(3))
-        assert getattr(state, name) is value
-
-    def test_divergence_at_the_numpy_iteration_with_state_untouched(self, compiled):
-        # x0 is +inf on a column that one row holds, so the iteration that
-        # first samples that row has an infinite dot product
-        problem = ragged_problem("squared", KERNEL_REGS["l2"])
-        counts = np.bincount(problem.matrix.col_indices, minlength=problem.dim)
-        x0 = np.zeros(problem.dim)
-        x0[np.flatnonzero(counts == 1)[0]] = np.inf
-        params = grid_params(problem)
-        states = [LazyState(problem, params, x0=x0), numpy_state(problem, params, x0=x0)]
-        failed = []
-        for state in states:
-            rows = sampled_rows(problem.n, 3)
-            # the scalars of the completed rows, replayed one row at a time
-            t, touches, b_hat = 0, 0, 0.0
-            beta_hat, beta_prev_hat = params.beta0, params.beta0 * state.theta
-            with pytest.raises(DivergenceError) as err:
-                for _ in range(200):
-                    before = snapshot(state)
-                    i = next(rows)
-                    sparse_iterate(state, i)
-                    t, touches = t + 1, touches + 6 * problem.matrix.row(i)[0].size + 2
-                    b_hat, beta_prev_hat, beta_hat = (b_hat + beta_hat, beta_hat,
-                                                      beta_hat / state.theta)
-            assert snapshot(state) == before
-            assert step_scalars(state) == (t, touches, b_hat, beta_hat, beta_prev_hat, 1.0, 0.0)
-            failed.append(err.value.iteration)
-        assert failed[0] == failed[1] > 0
-        assert snapshot(states[0]) == snapshot(states[1])
-
-
-class TestStepScalars:
-    @pytest.mark.parametrize("path", ROW_PATHS)
-    def test_threshold_patched_after_the_state_is_built_rebases_at_the_next_row(
-            self, monkeypatch, path):
-        problem = ragged_problem("hinge", KERNEL_REGS["elastic_net"])
-        params = grid_params(problem)
-        state = built_on(path, LazyState, problem, params)
-        rows = sampled_rows(problem.n, 5)
-        for _ in range(10):
-            sparse_iterate(state, next(rows))
-        assert state.beta_hat <= sparse_engine.RESCALE_THRESHOLD and state.rebase_count == 0
-        monkeypatch.setattr(sparse_engine, "RESCALE_THRESHOLD", state.beta_hat)
-        sparse_iterate(state, next(rows))
-        assert state.rebase_count == 1 and state.beta_hat == params.beta0
-        assert state.log_scale > 0 and state.inv_scale < 1.0
