@@ -3,7 +3,7 @@
 Verbs:
   run        execute an experiment config, writing trace CSVs + manifest
   validate   step-size feasibility report for the config's problem
-  reference  compute and cache the certified optimal value
+  reference  compute and write the certified optimal value
   stats      matrix norm / density report for a dataset file
 
 Flags override the corresponding config fields; see README for the config
@@ -105,7 +105,7 @@ def _cmd_reference(args) -> int:
     with open(outdir / "reference.json", "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"P* = {ref.value:.17g} ({ref.method}, certified gap {ref.certified_gap:.3e})")
-    print(f"cached in {outdir}")
+    print(f"written to {outdir}")
     return 0
 
 
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--horizon", type=int, default=10_000)
     p_val.set_defaults(func=_cmd_validate)
 
-    p_ref = sub.add_parser("reference", help="compute and cache the optimal value")
+    p_ref = sub.add_parser("reference", help="compute and write the optimal value")
     add_config_flags(p_ref)
     p_ref.add_argument("--accuracy", type=float, help="override output.reference_accuracy")
     p_ref.set_defaults(func=_cmd_reference)

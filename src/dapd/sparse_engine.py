@@ -137,22 +137,23 @@ def _iterate_numpy(state: LazyState, i: int) -> int:
     problem = state.problem
     n, eta, tau = problem.n, state.params.eta, state.params.tau
     cols, vals = problem.matrix.row(i)
-    x_c = _recover_x(state, cols)
-    xbar_c = recover_primal(
-        problem.reg, x_c - eta * state.u[cols], np.zeros_like(x_c), eta, 1.0, coords=cols
-    )
-    dot = ordered_dot(vals, xbar_c)
-    y_new = prox_conjugate(problem.loss, i, tau, state.y[i] + tau * dot)
-    if not (np.isfinite(dot) and np.isfinite(y_new)):
-        return -1
-    dy = y_new - state.y[i]
-    state.y[i] = y_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_c = _recover_x(state, cols)
+        xbar_c = recover_primal(
+            problem.reg, x_c - eta * state.u[cols], np.zeros_like(x_c), eta, 1.0, coords=cols
+        )
+        dot = ordered_dot(vals, xbar_c)
+        y_new = prox_conjugate(problem.loss, i, tau, state.y[i] + tau * dot)
+        if not (np.isfinite(dot) and np.isfinite(y_new)):
+            return -1
+        dy = y_new - state.y[i]
+        state.y[i] = y_new
 
-    beta_hat = state.beta_hat
-    delta = (dy / n) * vals
-    state.u[cols] += delta
-    state.v[cols] += (beta_hat * (n - 1.0 / (1.0 - state.theta))) * delta
-    state.w[cols] += delta / (1.0 - state.theta)
+        beta_hat = state.beta_hat
+        delta = (dy / n) * vals
+        state.u[cols] += delta
+        state.v[cols] += (beta_hat * (n - 1.0 / (1.0 - state.theta))) * delta
+        state.w[cols] += delta / (1.0 - state.theta)
 
     state.B_hat += beta_hat
     state.beta_prev_hat = beta_hat

@@ -297,6 +297,12 @@ def lasso_problem(matrix, targets, lam):
     return make_problem(matrix, squared_loss(targets), l1_reg(lam), "finite_sum")
 
 
+def one_d_ridge():
+    """min 0.5 (x - 1)^2 + 0.5 x^2, with x* = 0.5 and P* = 0.25."""
+    return make_problem(build_matrix([(0, 0, 1.0)], 1, 1), squared_loss([1.0]), l2_reg(1.0),
+                        "deterministic")
+
+
 def saddle_value(problem, x, y):
     """F(x, y) = g~(x) + <y, A x> - f~*(y) for the problem's scaling, where
     g~ = g + delta2/2 ||x||^2 and f~* adds delta1/2 (y_i/c)^2 to each

@@ -328,11 +328,14 @@ class TestCriterion7:
                  lambda s, v, dd=d2: prox_oracle(
                      kl_fn(1.3, dd), s, v, 1e-9, abs(v) + np.sqrt(4 * s * 1.3) + 5))
             )
+        lowest_kl = np.inf
         for name, fn, orc in cases:
             for step in self.STEPS:
                 for v in self.VGRID:
-                    err = abs(fn(step, float(v)) - orc(step, float(v)))
-                    worst = max(worst, err)
+                    got = fn(step, float(v))
+                    worst = max(worst, abs(got - orc(step, float(v))))
+                    if name == "kl":
+                        lowest_kl = min(lowest_kl, got)
         # Moreau identity for both losses
         worst_moreau = 0.0
         for loss in (squared_loss([0.4]), hinge_loss([1.0])):
@@ -342,9 +345,10 @@ class TestCriterion7:
                         loss, 0, 1.0 / tau, float(v) / tau
                     )
                     worst_moreau = max(worst_moreau, abs(lhs - v))
-        ok = worst <= 1e-6 and worst_moreau <= 1e-10
+        ok = worst <= 1e-6 and worst_moreau <= 1e-10 and lowest_kl > 0
         report(7, "prox oracle suite + Moreau identity", ok,
-               f"worst prox err={worst:.2e} (<=1e-6), worst Moreau err={worst_moreau:.2e} (<=1e-10)")
+               f"worst prox err={worst:.2e} (<=1e-6), worst Moreau err={worst_moreau:.2e} (<=1e-10), "
+               f"lowest kl prox={lowest_kl:.2e} (>0)")
 
 
 class TestCriterion8:

@@ -1,8 +1,10 @@
 """Deterministic DAPD (``dapd.deterministic``): hand iterations, the
 scaled dual-averaging bookkeeping, rescales and the driver.  The checks it
 shares with the other solver states (no rebinding, the start point's shape)
-are in the table of ``test_states.py``; the theorem's saddle-gap and
-distance bounds are acceptance criteria 1 and 2."""
+are in the table of ``test_states.py``, and the run-level contract it
+shares with every method (budgets, seeds, the trace schema, refusals) in
+the table of ``test_methods.py``; the theorem's saddle-gap and distance
+bounds are acceptance criteria 1 and 2."""
 
 import warnings
 
@@ -17,23 +19,11 @@ from dapd.deterministic import (
     schedule_for_problem,
     validate_schedule,
 )
-from dapd.errors import ConfigurationError, DivergenceError
+from dapd.errors import DivergenceError
 from dapd.matrix import build_matrix, matvec
-from dapd.proxlib import (
-    l2_reg,
-    make_problem,
-    primal_objective,
-    prox_conjugate,
-    prox_reg,
-    squared_loss,
-)
+from dapd.proxlib import l2_reg, make_problem, prox_conjugate, prox_reg, squared_loss
 
-from oracles import geometric_schedule
-
-
-def one_d_problem():
-    A = build_matrix([(0, 0, 1.0)], 1, 1)
-    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic")
+from oracles import geometric_schedule, one_d_ridge
 
 
 def random_ridge(rng, n, d, mu):
@@ -51,7 +41,7 @@ def random_ridge(rng, n, d, mu):
 
 class TestIterate:
     def test_one_d_hand_iteration(self):
-        prob = one_d_problem()
+        prob = one_d_ridge()
         sched = make_schedule(gamma=1.0, mu=1.0, R=1.0)
         state = IterateState(prob, sched)
         dapd_iterate(state)
@@ -154,20 +144,6 @@ class TestIterate:
 
 
 class TestRun:
-    def test_one_d_convergence(self):
-        prob = one_d_problem()
-        sched = make_schedule(gamma=1.0, mu=1.0, R=1.0)
-        res = run_dapd(prob, sched, iterations=200)
-        # min 0.5 (x-1)^2 + 0.5 x^2 has x* = 0.5, P* = 0.25
-        assert primal_objective(prob, res.x) - 0.25 <= 1e-10
-
-    def test_single_iteration_trace(self):
-        prob = one_d_problem()
-        sched = make_schedule(gamma=1.0, mu=1.0, R=1.0)
-        res = run_dapd(prob, sched, iterations=1)
-        assert len(res.trace) == 1
-        assert res.trace[0].epoch == 1
-
     def test_ergodic_matches_offline_average(self):
         rng = np.random.default_rng(10)
         prob, _, _ = random_ridge(rng, 6, 4, mu=0.4)
@@ -193,12 +169,6 @@ class TestRun:
         assert res.x.tobytes() == state.x.tobytes()
         assert res.x_ergodic.tobytes() == state.ergodic_x.tobytes()
         assert not np.array_equal(res.x, res.x_ergodic)
-
-    def test_zero_iterations_rejected(self):
-        prob = one_d_problem()
-        sched = make_schedule(gamma=1.0, mu=1.0, R=1.0)
-        with pytest.raises(ConfigurationError):
-            run_dapd(prob, sched, iterations=0)
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(11)

@@ -41,13 +41,8 @@ from dapd.proxlib import (
 )
 from dapd.traces import TraceRecord, epoch_rows, read_trace, write_trace
 
-from oracles import cvxpy_reference, lasso_problem, ridge_problem
+from oracles import cvxpy_reference, lasso_problem, one_d_ridge, ridge_problem
 from test_matrix import sparse_matrices
-
-
-def one_d_ridge():
-    A = build_matrix([(0, 0, 1.0)], 1, 1)
-    return make_problem(A, squared_loss([1.0]), l2_reg(1.0), "deterministic")
 
 
 def random_ridge_problem(rng, n=20, d=20, lam=0.1):

@@ -2,8 +2,10 @@
 iterate identities and the driver.  The contract it shares with the other
 solver states (no rebinding, the start point's shape, row bounds, the same
 bits as the numpy bodies, the fallback, divergence, rescales) is tested
-once, over the table of ``test_states.py``; the theorem's expected-distance
-bound is acceptance criterion 3."""
+once, over the table of ``test_states.py``, and the run-level contract it
+shares with every method (budgets, seeds, the trace schema, refusals) over
+the table of ``test_methods.py``; the theorem's expected-distance bound is
+acceptance criterion 3."""
 
 import numpy as np
 import pytest
@@ -196,21 +198,6 @@ class TestIterate:
 
 
 class TestRun:
-    def test_seeded_determinism(self):
-        rng = np.random.default_rng(8)
-        prob, x_star, _ = finite_sum_ridge(rng, 9, 5, mu=0.2)
-        ref = None
-        a = run_sdapd(prob, params_for_problem(prob), 200, seed=42, wall_clock=False)
-        b = run_sdapd(prob, params_for_problem(prob), 200, seed=42, wall_clock=False)
-        assert np.array_equal(a.x, b.x)
-        assert a.trace == b.trace
-
-    def test_zero_iterations_rejected(self):
-        rng = np.random.default_rng(10)
-        prob, _, _ = finite_sum_ridge(rng, 5, 3, mu=0.2)
-        with pytest.raises(ConfigurationError):
-            run_sdapd(prob, params_for_problem(prob), 0, seed=0)
-
     def test_divergence_reported_with_iteration(self):
         rng = np.random.default_rng(11)
         prob, _, _ = finite_sum_ridge(rng, 5, 3, mu=0.2)

@@ -186,42 +186,6 @@ class TestSparseIterate:
             assert np.array_equal(state.u[mask], u0[mask])
 
 
-class TestMaterialize:
-    def test_matches_dense_accumulation(self):
-        rng = np.random.default_rng(6)
-        prob = sparse_problem(rng, 10, 15, 0.3, l2_reg(0.4))
-        params = params_for_problem(prob)
-        lazy = LazyState(prob, params)
-        # dense shadow accumulates s directly on the same rows
-        rows = sampled_rows(10, 21)
-        y = np.zeros(10)
-        u = np.zeros(15)
-        s = np.zeros(15)
-        beta = params.beta0
-        from dapd.proxlib import prox_conjugate, prox_reg, recover_primal
-
-        B = 0.0
-        x0 = np.zeros(15)
-        for t in range(200):
-            i = next(rows)
-            sparse_iterate(lazy, i)
-            x = recover_primal(prob.reg, x0, s, B, 1.0)
-            xbar = prox_reg(prob.reg, params.eta, x - params.eta * u)
-            cols, vals = prob.matrix.row(i)
-            dot = float(vals @ xbar[cols])
-            ynew = prox_conjugate(prob.loss, i, params.tau, y[i] + params.tau * dot)
-            dy = ynew - y[i]
-            y[i] = ynew
-            s += beta * u
-            s[cols] += beta * dy * vals
-            u[cols] += (dy / 10) * vals
-            B += beta
-            beta *= params.xi
-        got = materialize_s(lazy)
-        scale = 1.0 + np.abs(s).max()
-        assert np.abs(got - s).max() <= 1e-9 * scale
-
-
 class TestRebase:
     def test_rebase_right_after_init_is_noop(self):
         reg = l2_reg(0.5)
