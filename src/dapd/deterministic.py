@@ -24,6 +24,17 @@ log is tracked separately; primal recovery goes through
 ``recover_primal``, which is exact for any scale.  ``rescale`` is the one
 rule that moves growth into that factor; SDAPD and the lazy sparse engine
 keep their sums the same way and call it too.
+
+``dapd_iterate`` does an iteration in one call of the compiled ``dapd_step``
+(``kernels.c``) for squared and hinge losses with l2, l1 or elastic net,
+products included, and in numpy (``_iterate_numpy``, the kernel's oracle)
+otherwise, or when the kernels cannot be built; ``IterateState`` binds it
+once, to its ``problem`` (``kernels.bind``).  Either one writes the state's
+vectors in place and advances B, t and the touch count in its
+``kernels.RowScalars`` block; the schedule (eta_t, tau_t and beta's growth)
+and the rescale stay in Python.  The kernel evaluates the numpy body's
+expressions in their order and sums the products as ``matvec`` does, so
+both give the same bits on any machine.
 """
 
 from __future__ import annotations
@@ -224,34 +235,49 @@ def validate_schedule(
 
 class IterateState:
     """Mutable DAPD state, stepped by ``dapd_iterate`` on the problem and
-    with the schedule it was built with; ``problem`` cannot be rebound.
+    with the schedule it was built with.
 
     ``s_hat``, ``B_hat`` and ``beta_hat`` are the gradient sum, B_{t-1} and
     beta_t divided by exp(log_scale); ``inv_scale`` caches exp(-log_scale).
-    After every full iteration x equals prox_{B_{t-1} g}(x0 - grad_sum).
-    The run starts from (x0, y0), zero where not given.
+    After every full iteration x equals prox_{B_{t-1} g}(x0 - grad_sum), and
+    ``aty`` holds A^T y.  The run starts from (x0, y0), zero where not given.
+
+    The iteration is bound once, to ``problem`` (``kernels.bind``).
+    ``problem`` and the vectors ``x0``, ``x``, ``xbar``, ``y``, ``s_hat``,
+    ``ergodic_x`` and ``aty`` cannot be rebound (the vectors are written in
+    place): the compiled step keeps their addresses.  ``beta_hat``,
+    ``B_hat``, ``inv_scale``, ``t`` and ``touch_counter`` are fields of one
+    ``kernels.RowScalars`` block, which the step advances in place.
     """
 
-    problem = kernels.fixed("problem")
+    problem, x0, x, xbar, y, s_hat, ergodic_x, aty = (
+        kernels.fixed(name)
+        for name in ("problem", "x0", "x", "xbar", "y", "s_hat", "ergodic_x", "aty")
+    )
+    beta_hat, B_hat, inv_scale, t, touch_counter = (
+        kernels.scalar(name) for name in ("beta_hat", "B_hat", "inv_scale", "t", "touch_counter")
+    )
 
     def __init__(self, problem: CompositeProblem, schedule: SolverSchedule, x0=None,
                  y0=None):
         d, n = problem.dim, problem.n
         self._problem = problem
         self.schedule = schedule
-        self.x0 = start_vector(x0, d, "x0")
-        self.x = self.x0.copy()
-        self.xbar = self.x0.copy()
-        self.y = start_vector(y0, n, "y0")
-        self.s_hat = np.zeros(d)
-        self.B_hat = 0.0
-        self.beta_hat = schedule.beta(0)
+        self._x0 = start_vector(x0, d, "x0")
+        self._x = self._x0.copy()
+        self._xbar = self._x0.copy()
+        self._y = start_vector(y0, n, "y0")
+        self._s_hat = np.zeros(d)
+        self._ergodic_x = np.zeros(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._aty = matvec(problem.matrix, self._y, transpose=True)
+        self._scalars = kernels.RowScalars(beta_hat=schedule.beta(0), inv_scale=1.0)
         self.log_scale = 0.0
-        self.inv_scale = 1.0
-        self.t = 0
-        self.ergodic_x = np.zeros(d)
-        self.touch_counter = 0
-        self._aty = None  # cached A^T y for the current y
+        kernels.bind(
+            self, ("dapd_step",), (_iterate_numpy,), x0=self._x0, x=self._x, xbar=self._xbar,
+            y=self._y, u=self._aty, s_hat=self._s_hat, ergodic=self._ergodic_x,
+            loss_scale=problem.loss_scale,
+        )
 
 
 def start_vector(value, size: int, name: str) -> np.ndarray:
@@ -301,43 +327,19 @@ def rescale(state, s_hat: np.ndarray, beta0: float, growth: float = 1.0,
 
 def dapd_iterate(state: IterateState):
     """Advance one full DAPD iteration on the state's problem; cost
-    O(nnz + n + d).  A non-finite iterate raises ``DivergenceError`` under
-    the row kernels' divergence contract (``kernels.c``): B, beta, t and the
-    touch count stay as they were."""
-    t = state.t
-    problem, schedule = state.problem, state.schedule
-    eta_t = schedule.eta(t)
-    tau_t = schedule.tau(t)
-    A = problem.matrix
-    reg = problem.reg
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if state._aty is None:
-            state._aty = matvec(A, state.y, transpose=True)
-        xbar = prox_reg(reg, eta_t, state.x - eta_t * state._aty)
-        y_new = dual_prox(
-            problem.loss, problem.loss_scale, tau_t, state.y + tau_t * matvec(A, xbar)
-        )
-        aty_new = matvec(A, y_new, transpose=True)
-
-        state.s_hat += state.beta_hat * aty_new
-        b_hat = state.B_hat + state.beta_hat
-        x_new = recover_primal(reg, state.x0, state.s_hat, b_hat, state.inv_scale)
-
-        state.ergodic_x += (state.beta_hat / b_hat) * (xbar - state.ergodic_x)
-        ratio = schedule.beta_ratio(t)
-        beta_next = state.beta_hat * ratio
-
-    if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
+    O(nnz + n + d).  The bound step (``dapd_step`` of ``kernels.c``, or
+    ``_iterate_numpy``) takes the schedule's eta_t and tau_t and advances B,
+    t and the touch count; beta's growth and the rescale stay here.  A
+    non-finite iterate raises ``DivergenceError`` under the row kernels'
+    divergence contract (``kernels.c``): B, beta, t and the touch count stay
+    as they were."""
+    t, schedule = state.t, state.schedule
+    (step,) = state._kernel[0]
+    if step(schedule.eta(t), schedule.tau(t)) < 0:
         raise DivergenceError(f"non-finite iterate at iteration {t}", iteration=t)
-
-    state.B_hat = b_hat
-    state.x = x_new
-    state.xbar = xbar
-    state.y = y_new
-    state._aty = aty_new
-    state.touch_counter += 3 * A.nnz + 5 * problem.dim + 2 * problem.n
-    state.t += 1
+    ratio = schedule.beta_ratio(t)
+    with np.errstate(over="ignore"):
+        beta_next = state.beta_hat * ratio
     if not np.isfinite(beta_next):
         # beta0 * ratio itself may overflow (a huge sc_smooth xi), so the
         # whole growth goes into the scale and beta_hat stays at beta0
@@ -347,6 +349,31 @@ def dapd_iterate(state: IterateState):
         if beta_next > RESCALE_THRESHOLD:
             rescale(state, state.s_hat, schedule.beta0)
     return state
+
+
+def _iterate_numpy(state: IterateState, eta: float, tau: float) -> int:
+    """``dapd_step`` in numpy: xbar, y, A^T y, the gradient sum, x and the
+    ergodic average, each written in place, and then B, t and the touch
+    count; returns 0, or -1 when x or y is not finite."""
+    problem = state.problem
+    A, reg = problem.matrix, problem.reg
+    x, xbar, y, aty, s_hat, ergodic = (state.x, state.xbar, state.y, state.aty, state.s_hat,
+                                       state.ergodic_x)
+    beta_hat = state.beta_hat
+    b_hat = state.B_hat + beta_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar[...] = prox_reg(reg, eta, x - eta * aty)
+        y[...] = dual_prox(problem.loss, problem.loss_scale, tau, y + tau * matvec(A, xbar))
+        aty[...] = matvec(A, y, transpose=True)
+        s_hat += beta_hat * aty
+        x[...] = recover_primal(reg, state.x0, s_hat, b_hat, state.inv_scale)
+        ergodic += (beta_hat / b_hat) * (xbar - ergodic)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return -1
+    state.B_hat = b_hat
+    state.t += 1
+    state.touch_counter += 3 * A.nnz + 5 * problem.dim + 2 * problem.n
+    return 0
 
 
 def run_dapd(

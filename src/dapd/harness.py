@@ -225,6 +225,8 @@ def checked_schedule(problem: CompositeProblem, horizon: int):
 
 
 def _run_dapd_cell(problem, epochs, seed, **trace):
+    if epochs < 1:  # the budget, before the schedule check that takes it as horizon
+        raise ConfigurationError("epochs must be at least 1")
     schedule, violations = checked_schedule(problem, min(epochs, 1000))
     if violations:
         raise ConfigurationError(f"schedule infeasible: {violations[:3]}")

@@ -1,8 +1,9 @@
 /* Compiled kernels for dapd: the CSR matrix-vector products of
  * dapd.matrix.matvec, the row kernels (one iteration of the lazy sparse
- * engine, the O(d) vector work of one dense SDAPD row and a whole epoch of
- * SPDC rows, each advancing its state's step scalars), and the LIBSVM
- * reader of dapd.datasets.parse_libsvm.
+ * engine, the O(d) vector work of one dense SDAPD row, a whole epoch of
+ * SPDC rows and a whole deterministic DAPD iteration, products included,
+ * each advancing its state's step scalars), and the LIBSVM reader of
+ * dapd.datasets.parse_libsvm.
  *
  * Every sum of products here, a matvec output entry or a row kernel's dot
  * product, is accumulated in storage order, one rounded product at a time,
@@ -59,22 +60,23 @@ void csr_rmatvec(int64_t n_rows, int64_t n_cols, const int64_t *offsets,
     }
 }
 
-/* The row kernels (lazy_iterate, sdapd_dense_*, spdc_epoch) evaluate the
- * numpy bodies' expressions in their order, so the results are the same
- * bits.  A row's dot product is summed in storage order from +0.0, as
- * csr_matvec sums (row_sum) and as the numpy bodies sum
- * (dapd.matrix.ordered_dot); no BLAS routine is called, so those bits do
- * not depend on the BLAS build or the CPU.  All four take one struct
- * row_problem, which a solver state binds once, to the problem it is built
- * on and holds (no step takes another); the state checks 0 <= i < n for
- * every row before it calls a kernel, since no kernel checks bounds, and
- * keeps the struct's arrays and scalar block alive, never rebound.
+/* The row kernels (lazy_iterate, sdapd_dense_*, spdc_epoch, dapd_step)
+ * evaluate the numpy bodies' expressions in their order, so the results
+ * are the same bits.  A row's dot product is summed in storage order from
+ * +0.0, as csr_matvec sums (row_sum) and as the numpy bodies sum
+ * (dapd.matrix.ordered_dot, or dapd.matrix.matvec for DAPD); no BLAS
+ * routine is called, so those bits do not depend on the BLAS build or the
+ * CPU.  All five take one struct row_problem, which a solver state binds
+ * once, to the problem it is built on and holds (no step takes another);
+ * the state checks 0 <= i < n for every row before it calls a kernel,
+ * since no kernel checks bounds, and keeps the struct's arrays and scalar
+ * block alive, never rebound.
  *
- * The divergence contract, kept also by the numpy bodies and by
- * dapd.deterministic.dapd_iterate: a row whose result is not finite
- * returns -1 (spdc_epoch: the number of rows completed before it) and
- * leaves every step scalar (beta, B, t and the touch count) as it was.
- * Vectors it has written stay written; the run is abandoned.
+ * The divergence contract, kept also by the numpy bodies: a row (dapd_step:
+ * an iteration) whose result is not finite returns -1 (spdc_epoch: the
+ * number of rows completed before it) and leaves every step scalar (beta,
+ * B, t and the touch count) as it was.  Vectors it has written stay
+ * written; the run is abandoned.
  *
  * Everything from here on sits after csr_matvec and csr_rmatvec, so a
  * change to the row kernels does not move those two in the library.
@@ -111,7 +113,10 @@ static inline double recover(const struct sep_reg *g, double z, double b, double
     const double m = fabs(z) - b * g->lam;
     if (!(m > 0))
         return 0.0;
-    return (z > 0 ? m : -m) / (inv + b * (g->lam2 + g->d2));
+    /* m > 0 means z is nonzero and not NaN, so copysign gives np.sign(z) * m;
+     * unlike (z > 0 ? m : -m) it compiles to no branch, which signs that
+     * vary would mispredict */
+    return copysign(m, z) / (inv + b * (g->lam2 + g->d2));
 }
 
 /* The row kernels' one struct, mirrored field for field by
@@ -122,17 +127,20 @@ struct row_problem {
     const int32_t *cols;
     const double *values;
     const double *targets;   /* lazy, squared loss */
-    const double *x0;        /* lazy and SDAPD */
-    double *x, *xbar, *u, *y; /* SPDC's x_ext is xbar; lazy uses only u, y */
-    double *s_hat, *ergodic; /* SDAPD */
+    const double *x0;        /* lazy, SDAPD and DAPD */
+    /* SPDC's x_ext is xbar; lazy uses only u, y; u is (1/n) A^T y in SDAPD
+     * and A^T y in DAPD */
+    double *x, *xbar, *u, *y;
+    double *s_hat, *ergodic; /* SDAPD and DAPD */
     double *v, *w;           /* lazy */
     struct row_scalars *scalars;
     struct sep_reg g;
-    int64_t n, d, loss;      /* loss: lazy and SPDC */
-    /* step: eta, or SPDC's tau; tau, d1: dual_step's step (lazy's tau,
-     * SPDC's sigma) and perturbation; theta: lazy's 1/xi, SPDC's
-     * extrapolation; xi: SDAPD's beta growth */
-    double step, tau, theta, xi, d1;
+    int64_t n, d, loss;      /* loss: lazy, SPDC and DAPD */
+    /* step: eta, or SPDC's tau; tau: dual_step's step (lazy's tau, SPDC's
+     * sigma); d1: the dual perturbation; theta: lazy's 1/xi, SPDC's
+     * extrapolation; xi: SDAPD's beta growth; loss_scale: DAPD's c (DAPD
+     * takes its steps per call) */
+    double step, tau, theta, xi, d1, loss_scale;
 };
 
 /* proxlib.prox_conjugate for squared and hinge loss: the new dual
@@ -330,6 +338,70 @@ int64_t spdc_epoch(const struct row_problem *p, const int64_t *rows, int64_t cou
         sc->t += 1;
     }
     return count;
+}
+
+/* One DAPD iteration (dapd.deterministic.dapd_iterate) with the steps eta
+ * and tau of the caller's schedule; every vector is dense and written in
+ * place, and A^T y is kept in the u field:
+ *   xbar = prox_{eta g}(x - eta A^T y);
+ *   y = prox_{tau f*}(y + tau A xbar), row by row in proxlib.dual_prox's
+ *     form: the loss scale c enters as tau / c, and the hinge clips to
+ *     [-c, 0] (not dual_step);
+ *   A^T y of the new y (csr_rmatvec), s_hat += beta A^T y, x =
+ *     recover_primal with B_hat + beta_hat, and the ergodic average of xbar;
+ * then B_hat += beta_hat, t counts the iteration and the touch count grows
+ * by 3 nnz + 5 d + 2 n.  Returns 0, or -1 when x or y is not finite, once
+ * every vector is written, as the numpy body writes them.  beta's growth
+ * and the rescale stay with the caller. */
+int64_t dapd_step(const struct row_problem *p, double eta, double tau)
+{
+    const int64_t n = p->n, d = p->d, *offsets = p->offsets;
+    const int32_t *cols = p->cols;
+    const double *vals = p->values, *x0 = p->x0;
+    double *x = p->x, *xbar = p->xbar, *aty = p->u, *y = p->y;
+    double *s_hat = p->s_hat, *ergodic = p->ergodic;
+    const struct sep_reg g = p->g;
+    struct row_scalars *const sc = p->scalars;
+
+    for (int64_t j = 0; j < d; ++j)
+        xbar[j] = recover(&g, x[j] - eta * aty[j], eta, 1.0);
+
+    const double c = p->loss_scale;
+    int finite = 1;
+    if (p->loss == LOSS_SQUARED) {
+        const double *targets = p->targets;
+        const double den = 1.0 + (tau / c) * (1.0 + p->d1);
+        for (int64_t i = 0; i < n; ++i) {
+            const double v = y[i] + tau * row_sum(cols, vals, xbar, offsets[i], offsets[i + 1]);
+            y[i] = (v - tau * targets[i]) / den;
+            finite &= isfinite(y[i]) != 0;
+        }
+    } else {
+        const double den = 1.0 + (tau / c) * p->d1;
+        for (int64_t i = 0; i < n; ++i) {
+            const double v = y[i] + tau * row_sum(cols, vals, xbar, offsets[i], offsets[i + 1]);
+            /* np.clip to [-c, 0]: keeps the sign of a zero and passes NaN */
+            const double yi = (v - tau) / den;
+            y[i] = yi < -c ? -c : (yi > 0.0 ? 0.0 : yi);
+            finite &= isfinite(y[i]) != 0;
+        }
+    }
+    csr_rmatvec(n, d, offsets, cols, vals, y, aty);
+
+    const double beta_hat = sc->beta_hat, b_hat = sc->B_hat + beta_hat;
+    const double inv_scale = sc->inv_scale, weight = beta_hat / b_hat;
+    for (int64_t j = 0; j < d; ++j) {
+        s_hat[j] += beta_hat * aty[j];
+        x[j] = recover(&g, x0[j] * inv_scale - s_hat[j], b_hat, inv_scale);
+        finite &= isfinite(x[j]) != 0;
+        ergodic[j] += weight * (xbar[j] - ergodic[j]);
+    }
+    if (!finite)
+        return -1;
+    sc->B_hat = b_hat;
+    sc->t += 1;
+    sc->touch_counter += 3 * offsets[n] + 5 * d + 2 * n;
+    return 0;
 }
 
 /* LIBSVM text into CSR arrays and labels (dapd.datasets.parse_libsvm).

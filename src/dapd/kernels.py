@@ -22,23 +22,25 @@ correctly rounded like Python's ``float``; ``datasets.parse_libsvm`` hands
 any other text, and every error, to its Python body.
 
 The row kernels (``lazy_iterate`` of the lazy engine, ``sdapd_dense_*`` of
-dense SDAPD and ``spdc_epoch`` of SPDC) sum each row's dot product in
-storage order from +0.0, as ``csr_matvec`` does and as their numpy bodies do
-through ``matrix.ordered_dot``, so both give the same bits on any machine;
-when the library cannot be built or loaded (``matrix.backend``), the
-callers keep their numpy bodies.  All four kernels take one struct,
-``RowProblem``.  Each solver state ``bind``s its row calls once, in its
-constructor, to its ``problem``; the struct holds the addresses of the
-state's arrays and of its ``RowScalars`` block, and ``fixed`` makes the
-problem and those arrays attributes that cannot be rebound.  ``row_calls``
-hands the calls back for each row, and ``epoch_calls`` for each epoch of
-rows, after they check every row index.  The kernels advance the block's
-step scalars (beta, B, t and the touch count; only the callers' rescale
-changes the scale) themselves, so one call does a lazy iteration or an SPDC
-epoch; the states expose its fields as attributes (``scalar``), and their
-numpy bodies read and write the same block.  A row
-that diverges leaves those scalars as they were: the contract is stated
-once, in ``kernels.c``'s row-kernel comment.
+dense SDAPD, ``spdc_epoch`` of SPDC and ``dapd_step``, a whole DAPD
+iteration) sum each row's dot product in storage order from +0.0, as
+``csr_matvec`` does and as their numpy bodies do through
+``matrix.ordered_dot`` (DAPD's through ``matrix.matvec``), so both give the
+same bits on any machine; when the library cannot be built or loaded
+(``matrix.backend``), the callers keep their numpy bodies.  All five
+kernels take one struct, ``RowProblem``.  Each solver state ``bind``s its
+row calls once, in its constructor, to its ``problem``; the struct holds
+the addresses of the state's arrays and of its ``RowScalars`` block, and
+``fixed`` makes the problem and those arrays attributes that cannot be
+rebound.  ``row_calls`` hands the calls back for each row, and
+``epoch_calls`` for each epoch of rows, after they check every row index;
+``dapd_step`` takes no row.  The kernels advance the block's step scalars
+(beta, B, t and the touch count; only the callers' rescale changes the
+scale, and DAPD's caller grows beta by its schedule) themselves, so one
+call does a lazy iteration, an SPDC epoch or a DAPD iteration; the states
+expose its fields as attributes (``scalar``), and their numpy bodies read
+and write the same block.  A row that diverges leaves those scalars as they
+were: the contract is stated once, in ``kernels.c``'s row-kernel comment.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import shutil
 import stat
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,8 @@ SIGNATURES = {
     "sdapd_dense_update": (_I64, (_PTR, _I64, _F64)),
     # (row problem, rows, count) -> rows completed
     "spdc_epoch": (_I64, (_PTR, _ROWS, _I64)),
+    # (row problem, eta, tau) -> 0, or -1
+    "dapd_step": (_I64, (_PTR, _F64, _F64)),
     # (text, length, counts): counts = ['\n' count, ':' count]
     "libsvm_count": (None, (ctypes.c_char_p, _I64, _PTR)),
     # (text, length, labels, offsets, cols, values, max_index) -> rows, or -1
@@ -134,7 +139,7 @@ class RowProblem(ctypes.Structure):
         *((name, _PTR) for name in ("offsets", "cols", "values", "targets", "x0", "x", "xbar",
                                     "u", "y", "s_hat", "ergodic", "v", "w", "scalars")),
         ("g", SepReg), *((name, _I64) for name in ("n", "d", "loss")),
-        *((name, _F64) for name in ("step", "tau", "theta", "xi", "d1")),
+        *((name, _F64) for name in ("step", "tau", "theta", "xi", "d1", "loss_scale")),
     ]
 
 
@@ -144,13 +149,17 @@ def bind(state, names, bodies, **fields) -> None:
     the problem's matrix, regularizer and loss, the state's ``RowScalars``
     block (``state._scalars``) and ``fields``: the struct's other fields by
     name, arrays or numbers, NULL or 0 when not given.  They are the numpy
-    ``bodies`` instead, each called as body(state, ...), when the library
-    cannot be loaded (``matrix.backend()`` is "numpy") or the regularizer
-    has no compiled form.  Sets ``state._kernel`` to (calls, what the
-    compiled calls' addresses point into, or None)."""
+    ``bodies`` instead, each called as body(state, ...) with a weak proxy
+    of the state, when the library cannot be loaded (``matrix.backend()``
+    is "numpy") or the regularizer has no compiled form.  Sets
+    ``state._kernel`` to (calls, what the compiled calls' addresses point
+    into, or None)."""
     problem, matrix, loss = state.problem, state.problem.matrix, state.problem.loss
     if library() is None or problem.reg.kind not in REG_CODES:
-        state._kernel = (tuple(functools.partial(body, state) for body in bodies), None)
+        # a proxy: the state holding calls bound to itself would be a cycle,
+        # which keeps it and its problem alive until a full collection
+        owner = weakref.proxy(state)
+        state._kernel = (tuple(functools.partial(body, owner) for body in bodies), None)
         return
     fields.update(targets=np.ascontiguousarray(loss.targets, dtype=np.float64),
                   loss=LOSS_CODES[loss.kind], d1=loss.dual_perturbation)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from dapd import kernels, matrix
-from dapd.deterministic import SolverSchedule, dapd_iterate
+from dapd.deterministic import SolverSchedule, dapd_iterate, schedule_for_problem
 from dapd.errors import CertificationError, ConfigurationError, StructuralError
 from dapd.harness import _certify, _duality_gap
 from dapd.matrix import build_matrix, matvec
@@ -396,6 +396,13 @@ def grid_params(problem):
     SDAPD does not cover, stays finite)."""
     params = params_for_problem(perturb_problem(problem, 1e-3))
     return dataclasses.replace(params, beta0=100.0, xi=1.005)
+
+
+def grid_schedule(problem):
+    """DAPD's constant steps for the problem perturbed by 1e-3, with the
+    weights of ``grid_params``: beta0 = 100 and xi = 1.005."""
+    params = schedule_for_problem(perturb_problem(problem, 1e-3)).params
+    return geometric_schedule(params["eta"], params["tau"], 100.0, 1.005)
 
 
 def built_without_kernels(make, *args, **kwargs):

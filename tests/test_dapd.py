@@ -19,7 +19,7 @@ from dapd.deterministic import (
     schedule_for_problem,
     validate_schedule,
 )
-from dapd.errors import DivergenceError
+from dapd.errors import ConfigurationError, DivergenceError
 from dapd.matrix import build_matrix, matvec
 from dapd.proxlib import l2_reg, make_problem, prox_conjugate, prox_reg, squared_loss
 
@@ -182,6 +182,13 @@ class TestRun:
             with pytest.raises(DivergenceError) as info:
                 run_dapd(prob, bad, iterations=iterations)
             assert (info.value.epoch, info.value.iteration) == (148, None)
+
+    def test_zero_iterations_refused(self):
+        # run_dapd's own guard: the dapd cell refuses a zero budget before it
+        # builds a schedule (test_methods.py)
+        prob = one_d_ridge()
+        with pytest.raises(ConfigurationError, match="iterations must be at least 1"):
+            run_dapd(prob, schedule_for_problem(prob), iterations=0)
 
 
 class TestTheoremBounds:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dapd import harness, matrix
+from dapd import harness, kernels, matrix
 from dapd.cli import main as cli_main
 from dapd.datasets import synth_ridge, synth_sparse_classification
 from dapd.deterministic import IterateState, dapd_iterate, run_dapd, schedule_for_problem
@@ -264,6 +264,11 @@ class TestReference:
             assert alive() is None
         finally:
             gc.enable()
+
+    def test_native_reference_on_the_numpy_bodies_frees_its_problem(self, monkeypatch):
+        # the state's numpy body is bound to a weak proxy of it, not to it
+        monkeypatch.setattr(kernels, "library", lambda: None)
+        self.test_native_reference_frees_its_problem()
 
     def test_native_reference_raises_after_its_last_checkpoint(self, monkeypatch):
         problem, grid, accuracy = small_hinge_problem(), (10, 20, 30), 1e-12

@@ -109,7 +109,7 @@ def test_every_method_has_a_row():
 
 @pytest.mark.parametrize("name", list(ROWS))
 def test_zero_budget_is_refused(name):
-    with pytest.raises(ConfigurationError, match="must be at least 1"):
+    with pytest.raises(ConfigurationError, match="(iterations|epochs) must be at least 1"):
         run(name, RIDGE, 0)
 
 

@@ -1,17 +1,19 @@
 """The solver-state contract, tested once for every state in ``STATES``.
 
 Every solver state holds the problem it is built on as ``problem``, which
-cannot be rebound, and its steps take the state and its rows alone.  The
-states with row kernels (the lazy engine, dense SDAPD and SPDC) bind their
-row calls once, in the constructor, to that problem (``kernels.bind``): the
-compiled kernels of ``kernels.c``, or the numpy bodies that are their
-oracle.  Each row of ``STATES`` says what a state's row writes, what a
-diverging row leaves as it was, which numpy bodies it binds and whether it
-rescales; one test per contract runs over the table:
+cannot be rebound, and its steps take the state and its rows alone.  Every
+state binds its row calls once, in the constructor, to that problem
+(``kernels.bind``): the compiled kernels of ``kernels.c``, or the numpy
+bodies that are their oracle.  DAPD's one call is a whole iteration over
+every row, so its step runs one iteration per row it is given.  Each row of
+``STATES`` says what a state's row writes, what a diverging row leaves as it
+was, which numpy bodies it binds and whether it rescales; one test per
+contract runs over the table:
 
 - the problem and the bound vectors cannot be rebound;
 - a start point of the wrong shape is refused;
-- a row out of range is refused, on both row paths, and nothing is written;
+- a row out of range is refused, on both row paths, and nothing is written
+  (where the step takes rows);
 - the compiled kernel and the numpy body give the same bits after every row;
 - only huber and kl run the numpy body where the kernels can be built, and
   a state built with no library gives the same bits;
@@ -35,9 +37,10 @@ import pytest
 
 from dapd import kernels, matrix
 from dapd.baselines import SpdcState, spdc_epoch, spdc_steps
-from dapd.deterministic import IterateState, schedule_for_problem
+from dapd.deterministic import IterateState, dapd_iterate
 from dapd.errors import DivergenceError, StructuralError
-from dapd.proxlib import huber_reg, kl_reg, l2_reg
+from dapd.matrix import build_matrix
+from dapd.proxlib import huber_reg, kl_reg, l2_reg, make_problem, squared_loss
 from dapd.sparse_engine import LazyState, sparse_iterate
 from dapd.stochastic import StochasticParams, StochasticState, perturb_problem, sdapd_iterate_dense
 from dapd.traces import epoch_rows
@@ -46,7 +49,9 @@ from oracles import (
     KERNEL_REGS,
     ROW_PATHS,
     built_on,
+    geometric_schedule,
     grid_params,
+    grid_schedule,
     ragged_problem,
     sampled_rows,
 )
@@ -61,6 +66,7 @@ class State(NamedTuple):
     starts: tuple = ()  # the start-point keywords: x0 (length d), y0 (length n)
     # the row contract, for the states with row kernels
     step: Callable = None  # step(state, rows) runs the rows in order
+    rows: bool = True  # its step takes row indices (DAPD's does not)
     epoch: bool = False  # one call per epoch, which checks every row first
     written: tuple = ()  # everything a row writes
     kept: tuple = ()  # what a diverging row leaves as it was
@@ -92,8 +98,16 @@ def too_large_stochastic(problem):
 STOCHASTIC_SCALARS = ("beta_hat", "B_hat", "log_scale", "inv_scale", "t", "touch_counter")
 LAZY_WRITTEN = ("y", "u", "v", "w", "beta_prev_hat", *STOCHASTIC_SCALARS, "rebase_count")
 STATES = {
-    "dapd": State(IterateState, lambda problem: (schedule_for_problem(problem),),
-                  bound=("problem",), starts=("x0", "y0")),
+    "dapd": State(
+        IterateState, lambda problem: (grid_schedule(problem),),
+        bound=("problem", "x0", "x", "xbar", "y", "s_hat", "ergodic_x", "aty"),
+        starts=("x0", "y0"), step=lambda state, rows: [dapd_iterate(state) for _ in rows],
+        rows=False, written=("x", "xbar", "y", "s_hat", "ergodic_x", "aty", *STOCHASTIC_SCALARS),
+        kept=STOCHASTIC_SCALARS,
+        touches=lambda problem, i: 3 * problem.matrix.nnz + 5 * problem.dim + 2 * problem.n,
+        too_large=lambda problem: (geometric_schedule(50.0, 50.0, 1.0, 2.0),),
+        bodies=("_iterate_numpy",), rescales=True,
+    ),
     "lazy": State(
         LazyState, lambda problem: (grid_params(problem),),
         bound=("problem", "params", "theta", "x0", "y", "u", "v", "w"), starts=("x0",),
@@ -166,7 +180,7 @@ def test_start_of_another_shape_is_refused(kind, name, shape):
 @pytest.mark.parametrize("at", [0, 5, 11])
 @pytest.mark.parametrize("row", [-1, 12, 2**40])
 @pytest.mark.parametrize("path", ROW_PATHS)
-@pytest.mark.parametrize("kind", kinds("step"))
+@pytest.mark.parametrize("kind", kinds("rows"))
 def test_row_out_of_range_is_refused_and_nothing_is_written(kind, path, row, at):
     spec = STATES[kind]
     problem = ragged_problem("squared", KERNEL_REGS["l2"])
@@ -244,8 +258,34 @@ def test_only_huber_and_kl_run_the_numpy_body(compiled, monkeypatch, kind, reg, 
     assert ran() == want
 
 
+@pytest.mark.parametrize("reg", ["l1", "elastic_net"])
+@pytest.mark.parametrize("kind", ["dapd", "lazy"])
+def test_recovery_on_the_edge_of_the_threshold_gives_the_same_bits(compiled, kind, reg):
+    """The first xbar recovery of DAPD (y0 = 0, so A^T y = 0) and of a lazy
+    row (u = 0, and its first recovery, with B = 0, gives x0 back) sees
+    z = x0 exactly.  x0 holds +0.0, -0.0, +-eta lam (so |z| - eta lam = 0)
+    and +-nextafter(eta lam, inf): the edges of the compiled kernels'
+    copysign, which must give the numpy body's bits."""
+    spec = STATES[kind]
+    matrix_ = build_matrix([(0, j, 1.0 + j) for j in range(6)] + [(1, 0, 0.5)], 2, 6)
+    problem = make_problem(matrix_, squared_loss([0.5, -1.0]), KERNEL_REGS[reg])
+    arguments = spec.arguments(problem)
+    eta = arguments[0].eta
+    edge = (eta(0) if callable(eta) else eta) * problem.reg.lam
+    above = np.nextafter(edge, np.inf)
+    x0 = np.array([0.0, -0.0, edge, -edge, above, -above])
+    fast, slow = (built_on(path, spec.make, problem, *arguments, x0=x0) for path in ROW_PATHS)
+    spec.step(fast, [0])
+    spec.step(slow, [0])
+    assert exact(fast, spec.written) == exact(slow, spec.written)
+    if kind == "dapd":
+        assert fast.xbar[:4].tobytes() == np.zeros(4).tobytes()
+        assert fast.xbar[4] > 0 > fast.xbar[5]
+
+
 # (state, start) -> the iteration at which a row of seed 3 first diverges
 DIVERGING = {
+    ("dapd", "inf_x0_held"): 0, ("dapd", "inf_x0_not_held"): 0, ("dapd", "too_large"): 324,
     ("lazy", "inf_x0_held"): 0, ("lazy", "inf_x0_not_held"): 31, ("lazy", "too_large"): 6742,
     ("sdapd", "inf_x0_held"): 0, ("sdapd", "inf_x0_not_held"): 0, ("sdapd", "too_large"): 6740,
     ("spdc", "too_large"): 1362,  # in the middle of the epoch call
@@ -294,13 +334,14 @@ def test_threshold_patched_after_the_state_is_built_rescales_at_the_next_row(mon
                                                                              path):
     spec, module = STATES[kind], module_of(STATES[kind])
     problem = ragged_problem("hinge", KERNEL_REGS["elastic_net"])
-    state = built_on(path, spec.make, problem, *spec.arguments(problem))
+    arguments = spec.arguments(problem)  # params or a schedule: either has beta0
+    state = built_on(path, spec.make, problem, *arguments)
     rows = sampled_rows(problem.n, 5)
     spec.step(state, [next(rows) for _ in range(10)])
     assert state.beta_hat <= module.RESCALE_THRESHOLD and state.log_scale == 0.0
     monkeypatch.setattr(module, "RESCALE_THRESHOLD", state.beta_hat)
     spec.step(state, [next(rows)])
-    assert state.beta_hat == state.params.beta0 and state.t == 11
+    assert state.beta_hat == arguments[0].beta0 and state.t == 11
     assert state.log_scale > 0 and state.inv_scale < 1.0
 
 
