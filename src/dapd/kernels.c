@@ -413,22 +413,24 @@ int64_t dapd_step(const struct row_problem *p, double eta, double tau)
  *     '\t', and a line holds only blanks, or a label followed by
  *     blank-separated <index>:<value> tokens;
  *   - a label or value is [+-]?(digits[.[digits]] | .digits) with an
- *     optional [eE][+-]?digits; strtod, correctly rounded like Python's
- *     float(), converts it, must stop where the grammar stops, and must
- *     return a finite value;
+ *     optional [eE][+-]?digits, converted correctly rounded like Python's
+ *     float(): by exact_decimal when it fits that function's window and
+ *     is not a tie or near one, else by strtod, which must stop where the
+ *     grammar stops and return a finite value;
  *   - an index is decimal digits, at most INT32_MAX (so the column, one
  *     less, fits the int32 cols; the Python body refuses a larger one),
  *     and the indices of a line increase strictly from 1.
  * It also returns -1 when the locale's decimal point is not '.', since
- * strtod would then read another one.
+ * strtod would then read another one (exact_decimal reads only '.').
  *
  * The caller sizes labels and offsets for every line (the count of '\n',
  * plus one for an unterminated last line; offsets has one entry more) and
  * cols and values for every ':', both counted by libsvm_count.  buf[len]
  * must be readable and must not continue a number: strtod looks at the
  * byte after the last token (Python puts a NUL after the data of a bytes
- * object).  Returns the row count and sets *max_index to the largest
- * index, 0 when there is none.
+ * object); the grammar scan and exact_decimal read nothing past len.
+ * Returns the row count and sets *max_index to the largest index, 0 when
+ * there is none.
  */
 
 /* the number of bytes of w equal to the byte that pattern repeats: each
@@ -466,12 +468,204 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-static const char *skip_digits(const char *p, const char *end)
+/* The digits of a number token, and their exact conversion.
+ *
+ * A token's significand w is its digits with the point and the leading
+ * zeros dropped, and e its decimal exponent once the fraction digits are
+ * folded in: the token is w * 10^e.  When w has at most 19 digits (so it
+ * fits a uint64) and -27 <= e <= 19, exact_decimal rounds w * 10^e to the
+ * nearest double, ties to even, in integer arithmetic, but for e < 0 leaves
+ * a tie or near-tie to strtod, which converts every other token too. */
+
+/* the window: the significant digits a uint64 holds, and e's bounds */
+enum { MAX_DIGITS = 19, MIN_EXP10 = -27, MAX_EXP10 = 19 };
+
+/* read_number stops accumulating an exponent's digits once its magnitude
+ * reaches this, and strtod then reads the token: e is not known, since a
+ * long fraction may cancel any part of the exponent ("0." with 99,999
+ * zeros and "1e100000" is 1) */
+#define EXP_CAP 100000
+
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+/* whether the 8 bytes of chunk, in memory order, are all ASCII digits:
+ * adding 0x46 carries into bit 7 of a byte above '9', and subtracting 0x30
+ * borrows into it from a byte below '0' */
+static inline int eight_digits(uint64_t chunk)
 {
-    while (p < end && is_digit(*p))
-        ++p;
+    return !(((chunk + 0x4646464646464646ULL) | (chunk - 0x3030303030303030ULL))
+             & 0x8080808080808080ULL);
+}
+
+/* the value of the 8 digits of chunk, the first in the lowest byte: each
+ * even byte first takes its pair's two-digit value (10 * byte + the next),
+ * then two masked multiplies weight the four pairs by 10^6, 10^4, 10^2 and
+ * 1 and sum them in bits 32 to 63 */
+static inline uint64_t eight_digit_value(uint64_t chunk)
+{
+    const uint64_t mask = 0x000000ff000000ffULL;
+    chunk -= 0x3030303030303030ULL;
+    chunk = chunk * 10 + (chunk >> 8);
+    return ((chunk & mask) * 0x000f424000000064ULL
+            + ((chunk >> 16) & mask) * 0x0000271000000001ULL) >> 32;
+}
+#define CHUNKED_DIGITS 1
+#endif
+
+/* The digits from p on: returns the end of the run.  Each significant digit
+ * (from the token's first nonzero one on) counts in *digits and, while
+ * *digits is at most MAX_DIGITS, is appended to *w; eight at a time where
+ * eight are there. */
+static inline const char *scan_digits(const char *p, const char *end, uint64_t *w,
+                                      int64_t *digits)
+{
+    if (*digits == 0)
+        while (p < end && *p == '0')
+            ++p;
+#ifdef CHUNKED_DIGITS
+    while (*digits <= MAX_DIGITS - 8 && end - p >= 8) {
+        uint64_t chunk;
+        memcpy(&chunk, p, 8);
+        if (!eight_digits(chunk))
+            break;
+        *w = *w * 100000000 + eight_digit_value(chunk);
+        *digits += 8;
+        p += 8;
+    }
+#endif
+    for (; p < end && is_digit(*p); ++p) {
+        if (*digits < MAX_DIGITS)
+            *w = 10 * *w + (uint64_t)(*p - '0');
+        ++*digits;
+    }
     return p;
 }
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* POW5[k] = 5^k; 10^e is POW5[e] << e */
+static const uint64_t POW5[1 - MIN_EXP10] = {
+    1ULL, 5ULL, 25ULL, 125ULL,
+    625ULL, 3125ULL, 15625ULL, 78125ULL,
+    390625ULL, 1953125ULL, 9765625ULL, 48828125ULL,
+    244140625ULL, 1220703125ULL, 6103515625ULL, 30517578125ULL,
+    152587890625ULL, 762939453125ULL, 3814697265625ULL, 19073486328125ULL,
+    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
+    59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL,
+};
+
+/* RECIP5[k - 1] = floor(2^(127 + L) / 5^k), L the bit length of 5^k, as
+ * {high 64 bits, low 64 bits}: 5^-k scaled to 128 bits with the top one
+ * set */
+static const uint64_t RECIP5[-MIN_EXP10][2] = {
+    {0xccccccccccccccccULL, 0xccccccccccccccccULL}, /* 1 */
+    {0xa3d70a3d70a3d70aULL, 0x3d70a3d70a3d70a3ULL}, /* 2 */
+    {0x83126e978d4fdf3bULL, 0x645a1cac083126e9ULL}, /* 3 */
+    {0xd1b71758e219652bULL, 0xd3c36113404ea4a8ULL}, /* 4 */
+    {0xa7c5ac471b478423ULL, 0x0fcf80dc33721d53ULL}, /* 5 */
+    {0x8637bd05af6c69b5ULL, 0xa63f9a49c2c1b10fULL}, /* 6 */
+    {0xd6bf94d5e57a42bcULL, 0x3d32907604691b4cULL}, /* 7 */
+    {0xabcc77118461cefcULL, 0xfdc20d2b36ba7c3dULL}, /* 8 */
+    {0x89705f4136b4a597ULL, 0x31680a88f8953030ULL}, /* 9 */
+    {0xdbe6fecebdedd5beULL, 0xb573440e5a884d1bULL}, /* 10 */
+    {0xafebff0bcb24aafeULL, 0xf78f69a51539d748ULL}, /* 11 */
+    {0x8cbccc096f5088cbULL, 0xf93f87b7442e45d3ULL}, /* 12 */
+    {0xe12e13424bb40e13ULL, 0x2865a5f206b06fb9ULL}, /* 13 */
+    {0xb424dc35095cd80fULL, 0x538484c19ef38c94ULL}, /* 14 */
+    {0x901d7cf73ab0acd9ULL, 0x0f9d37014bf60a10ULL}, /* 15 */
+    {0xe69594bec44de15bULL, 0x4c2ebe687989a9b3ULL}, /* 16 */
+    {0xb877aa3236a4b449ULL, 0x09befeb9fad487c2ULL}, /* 17 */
+    {0x9392ee8e921d5d07ULL, 0x3aff322e62439fcfULL}, /* 18 */
+    {0xec1e4a7db69561a5ULL, 0x2b31e9e3d06c32e5ULL}, /* 19 */
+    {0xbce5086492111aeaULL, 0x88f4bb1ca6bcf584ULL}, /* 20 */
+    {0x971da05074da7beeULL, 0xd3f6fc16ebca5e03ULL}, /* 21 */
+    {0xf1c90080baf72cb1ULL, 0x5324c68b12dd6338ULL}, /* 22 */
+    {0xc16d9a0095928a27ULL, 0x75b7053c0f178293ULL}, /* 23 */
+    {0x9abe14cd44753b52ULL, 0xc4926a9672793542ULL}, /* 24 */
+    {0xf79687aed3eec551ULL, 0x3a83ddbd83f52204ULL}, /* 25 */
+    {0xc612062576589ddaULL, 0x95364afe032a819dULL}, /* 26 */
+    {0x9e74d1b791e07e48ULL, 0x775ea264cf55347dULL}, /* 27 */
+};
+
+/* the bit length of x, which is not zero */
+static inline int bit_length(u128 x)
+{
+    const uint64_t high = (uint64_t)(x >> 64);
+    return high ? 128 - __builtin_clzll(high) : 64 - __builtin_clzll((uint64_t)x);
+}
+
+/* m * 2^e as a double, assembled from its bits, for m in [2^52, 2^53] and
+ * a normal result */
+static inline double assemble(uint64_t m, int e)
+{
+    if (m >> 53) { /* rounded up to 2^53 */
+        m >>= 1;
+        ++e;
+    }
+    const uint64_t bits = (uint64_t)(e + 52 + 1023) << 52 | (m & ((1ULL << 52) - 1));
+    double v;
+    memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+/* x, which is not zero, rounded to the nearest double, ties to even */
+static inline double nearest(u128 x)
+{
+    const int shift = bit_length(x) - 53;
+    if (shift <= 0)
+        return assemble((uint64_t)x << -shift, shift);
+    const u128 half = (u128)1 << (shift - 1), dropped = x & ((half << 1) - 1);
+    uint64_t m = (uint64_t)(x >> shift);
+    m += dropped > half || (dropped == half && (m & 1));
+    return assemble(m, shift);
+}
+
+/* The nonnegative w * 10^e, correctly rounded, into *out, when the token
+ * is in the window (w of digits significant digits) and integer arithmetic
+ * settles its rounding; 0 when not, and strtod converts it.  The results
+ * lie between 1e-27 and 1e38, all normal doubles.
+ *
+ * For e >= 0 the product w * 10^e is exact in 128 bits.  For e = -k < 0,
+ * w is shifted left by z until its top bit is set, and u, the high 128 bits
+ * of w 2^z * RECIP5[k - 1], lies less than 2 below the exact
+ * w 2^(z + 63 + L) / 5^k (one unit from the table's truncation, one from
+ * the product's).  u has its top bit at 127 or 126, so its high word holds
+ * the 53 bits kept and the rounding bit, and every halfway point or carry
+ * of the dropped bits is a multiple of 2^64.  Unless u's low word is
+ * within 2 of one, u rounds as the exact value does; otherwise (exact short
+ * values such as 0.5 among them, ties and near-ties) it returns 0. */
+static inline int exact_decimal(uint64_t w, int64_t digits, int64_t e, double *out)
+{
+    if (digits > MAX_DIGITS || e < MIN_EXP10 || e > MAX_EXP10)
+        return 0;
+    if (w == 0) {
+        *out = 0.0;
+        return 1;
+    }
+    if (e >= 0) {
+        *out = nearest((u128)w * (POW5[e] << e));
+        return 1;
+    }
+    const int k = (int)-e, z = __builtin_clzll(w);
+    const uint64_t *const r = RECIP5[k - 1], wn = w << z;
+    const u128 u = (u128)wn * r[0] + (uint64_t)(((u128)wn * r[1]) >> 64);
+    const uint64_t high = (uint64_t)(u >> 64), low = (uint64_t)u;
+    if (low + 2 < 4)
+        return 0;
+    /* the top 53 bits, rounded up when the bit below them is set */
+    const int shift = 10 + (int)(high >> 63);
+    const uint64_t m = (high >> shift) + ((high >> (shift - 1)) & 1);
+    *out = assemble(m, 1 + shift - bit_length(POW5[k]) - z - k);
+    return 1;
+}
+#else
+/* no 128-bit integers: strtod converts every number */
+static inline int exact_decimal(uint64_t w, int64_t digits, int64_t e, double *out)
+{
+    (void)w, (void)digits, (void)e, (void)out;
+    return 0;
+}
+#endif
 
 /* the number at *p into *out, and *p past it; 0 when there is none, or
  * when it is not finite */
@@ -479,31 +673,45 @@ static int read_number(const char **p, const char *end, double *out)
 {
     const char *const s = *p;
     const char *q = s;
+    const int negative = q < end && *q == '-';
     if (q < end && (*q == '+' || *q == '-'))
         ++q;
-    const char *const int_end = skip_digits(q, end);
-    int digits = int_end > q;
+    uint64_t w = 0;
+    int64_t digits = 0, e = 0, magnitude = 0;
+    const char *const int_end = scan_digits(q, end, &w, &digits);
+    int any = int_end > q;
     q = int_end;
     if (q < end && *q == '.') {
         const char *const frac = q + 1;
-        q = skip_digits(frac, end);
-        digits |= q > frac;
+        q = scan_digits(frac, end, &w, &digits);
+        any |= q > frac;
+        e = -(q - frac);
     }
-    if (!digits)
+    if (!any)
         return 0;
     if (q < end && (*q == 'e' || *q == 'E')) {
-        const char *e = q + 1;
-        if (e < end && (*e == '+' || *e == '-'))
-            ++e;
-        const char *const e_end = skip_digits(e, end);
-        if (e_end == e)
+        const char *x = q + 1;
+        const int exp_negative = x < end && *x == '-';
+        if (x < end && (*x == '+' || *x == '-'))
+            ++x;
+        const char *const exp_digits = x;
+        for (; x < end && is_digit(*x); ++x)
+            if (magnitude < EXP_CAP)
+                magnitude = 10 * magnitude + (*x - '0');
+        if (x == exp_digits)
             return 0;
-        q = e_end;
+        e += exp_negative ? -magnitude : magnitude;
+        q = x;
     }
-    char *stop;
-    const double v = strtod(s, &stop);
-    if (stop != q || !isfinite(v))
-        return 0;
+    double v;
+    if (magnitude < EXP_CAP && exact_decimal(w, digits, e, &v)) {
+        v = negative ? -v : v;
+    } else {
+        char *stop;
+        v = strtod(s, &stop);
+        if (stop != q || !isfinite(v))
+            return 0;
+    }
     *out = v;
     *p = q;
     return 1;

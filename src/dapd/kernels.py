@@ -17,9 +17,12 @@ return None for the rest of the process; callers then use their numpy or
 Python code.
 
 ``libsvm_parse`` reads LIBSVM text straight into CSR arrays.  It accepts a
-strict ASCII grammar and converts numbers with the C library's ``strtod``,
-correctly rounded like Python's ``float``; ``datasets.parse_libsvm`` hands
-any other text, and every error, to its Python body.
+strict ASCII grammar and rounds each number correctly, as Python's
+``float`` does: exactly, in integer arithmetic, when its significand has at
+most 19 digits and its decimal exponent lies in [-27, 19] (but for ties
+and near-ties when that exponent is negative), and with the C library's
+``strtod`` otherwise; ``datasets.parse_libsvm`` hands any other text, and
+every error, to its Python body.
 
 The row kernels (``lazy_iterate`` of the lazy engine, ``sdapd_dense_*`` of
 dense SDAPD, ``spdc_epoch`` of SPDC and ``dapd_step``, a whole DAPD
@@ -152,14 +155,16 @@ def bind(state, names, bodies, **fields) -> None:
     ``bodies`` instead, each called as body(state, ...) with a weak proxy
     of the state, when the library cannot be loaded (``matrix.backend()``
     is "numpy") or the regularizer has no compiled form.  Sets
-    ``state._kernel`` to (calls, what the compiled calls' addresses point
-    into, or None)."""
+    ``state._kernel`` to (calls, the problem's row count, which ``row_calls``
+    checks each row against, what the compiled calls' addresses point into,
+    or None)."""
     problem, matrix, loss = state.problem, state.problem.matrix, state.problem.loss
     if library() is None or problem.reg.kind not in REG_CODES:
         # a proxy: the state holding calls bound to itself would be a cycle,
         # which keeps it and its problem alive until a full collection
         owner = weakref.proxy(state)
-        state._kernel = (tuple(functools.partial(body, owner) for body in bodies), None)
+        state._kernel = (tuple(functools.partial(body, owner) for body in bodies),
+                         matrix.n_rows, None)
         return
     fields.update(targets=np.ascontiguousarray(loss.targets, dtype=np.float64),
                   loss=LOSS_CODES[loss.kind], d1=loss.dual_perturbation)
@@ -177,16 +182,16 @@ def bind(state, names, bodies, **fields) -> None:
     )
     lib, address = library(), ctypes.addressof(struct)
     calls = tuple(functools.partial(getattr(lib, name), address) for name in names)
-    state._kernel = (calls, (struct, fields))
+    state._kernel = (calls, matrix.n_rows, (struct, fields))
 
 
 def row_calls(state, i: int) -> tuple:
     """The calls ``bind`` gave ``state``, once ``i`` is checked to be one of
     its problem's rows: a row kernel indexes without bounds checks."""
-    n = state.problem.n
+    calls, n, _ = state._kernel
     if not 0 <= i < n:
         raise StructuralError(f"row index {i} out of range for {n} rows")
-    return state._kernel[0]
+    return calls
 
 
 def epoch_calls(state, rows) -> tuple:
@@ -194,7 +199,7 @@ def epoch_calls(state, rows) -> tuple:
     once every entry of ``rows``, a 1-d integer array, is checked to be one
     of its problem's rows: an epoch kernel indexes without bounds checks,
     so a bad row is refused before the first row runs."""
-    n = state.problem.n
+    calls, n, _ = state._kernel
     rows = np.asarray(rows)
     if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
         raise StructuralError("the rows of an epoch must be a 1-d integer array")
@@ -202,7 +207,7 @@ def epoch_calls(state, rows) -> tuple:
     if outside.any():
         bad = rows[outside.argmax()]
         raise StructuralError(f"row index {bad} out of range for {n} rows")
-    return state._kernel[0], np.ascontiguousarray(rows, dtype=np.int64)
+    return calls, np.ascontiguousarray(rows, dtype=np.int64)
 
 
 def fixed(name: str) -> property:

@@ -433,5 +433,5 @@ def built_on(path, make, *args, **kwargs):
     else:
         skip_unless_compiled()
         state = make(*args, **kwargs)
-    assert (state._kernel[1] is not None) == (path == "compiled")
+    assert (state._kernel[2] is not None) == (path == "compiled")
     return state

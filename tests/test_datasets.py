@@ -1,5 +1,7 @@
+import decimal
 import gzip
 import locale
+import math
 
 import numpy as np
 import pytest
@@ -192,17 +194,65 @@ _SPECIAL_NUMBERS = (
 )
 
 
+def _cut_midpoints(x: float) -> list:
+    """The midpoint of ``x`` and the next double up, cut to 19 significant
+    digits, and that cut one unit higher in its last digit: the two tokens
+    closest to the midpoint, one on each side, that the exact reader
+    converts."""
+    exact = decimal.Context(prec=800)
+    up = decimal.Decimal(math.nextafter(x, math.inf))
+    mid = exact.divide(exact.add(decimal.Decimal(x), up), 2)
+    below = decimal.Context(prec=19, rounding=decimal.ROUND_DOWN).plus(mid)
+    above = below.next_plus(decimal.Context(prec=19))
+    return [format(below, "e"), format(above, "e")]
+
+
+# the edges of the compiled reader's exact window: significand w of at most
+# 19 digits and decimal exponent e with -27 <= e <= 19; strtod takes the rest
+_WINDOW_EDGES = (
+    # e = -27 and -28
+    "1e-27", "9999999999999999999e-27", "0.000000000000000000000000001",
+    "7.450580596923828125e-09", "1e-28", "9999999999999999999e-28",
+    # e = 19 and 20
+    "1e19", "9999999999999999999e19", "1.5e20", "1e20", "9999999999999999999e20",
+    # 19 and 20 significant digits
+    "1234567890123456789", "9999999999999999999", "0.1234567890123456789",
+    "0000.0001234567890123456789", "12345678901234567890", "18446744073709551615",
+    "18446744073709551616", "0.12345678901234567891", "1.000000000000000000",
+    # ties: 2^53 + 1 on the positive path, halves and quarters on the negative
+    "9007199254740993", "-9007199254740993", "9007199254740995", "4503599627370496.5",
+    "4503599627370497.5", "2251799813685248.25", "2251799813685248.75",
+    # exact binary values
+    "0.5", "-0.5", "0.125", "0.75", "1.5", "9.5367431640625e-07", "0.0009765625",
+    "5e-1", "50e-2",
+    *(token for x in (1.0, 0.1, math.pi, 1e-5, 123456.789, 2.0**-60, 1.7e18)
+      for token in _cut_midpoints(x)),
+)
+# the lengths of digit run that cross the compiled reader's 8-digit chunks
+_RUNS = (7, 8, 9, 16, 17)
+
+
 @st.composite
 def _numbers(draw):
     """A number token: a formatted double (subnormals included), a 17- to
-    30-digit mantissa with an exponent that may underflow or overflow, or
-    one of ``_SPECIAL_NUMBERS``."""
-    kind = draw(st.sampled_from(("double", "long", "special")))
+    30-digit mantissa with an exponent that may underflow or overflow, a
+    short one (1 to 19 significant digits, leading zeros, runs of
+    ``_RUNS`` digits) around the compiled reader's exact window, or one of
+    ``_SPECIAL_NUMBERS``."""
+    kind = draw(st.sampled_from(("double", "long", "short", "special")))
     if kind == "double":
         x = draw(st.floats(allow_nan=False, allow_infinity=False))
         return format(x, draw(st.sampled_from(("", ".17g", ".6e", ".3g"))))
     if kind == "special":
         return draw(st.sampled_from(_SPECIAL_NUMBERS))
+    if kind == "short":
+        size = draw(st.one_of(st.integers(1, 19), st.sampled_from(_RUNS)))
+        run = "0" * draw(st.integers(0, 3)) + draw(st.text(_DIGITS, min_size=size, max_size=size))
+        point = draw(st.sampled_from((None, 0, len(run), draw(st.integers(0, len(run))))))
+        text = run if point is None else run[:point] + "." + run[point:]
+        if draw(st.booleans()):
+            text += draw(st.sampled_from("eE")) + str(draw(st.integers(-50, 40)))
+        return draw(st.sampled_from(("", "+", "-"))) + text
     mantissa = draw(st.text(_DIGITS, min_size=17, max_size=30))
     point = draw(st.integers(0, len(mantissa)))
     text = draw(st.sampled_from(("", "+", "-"))) + mantissa[:point] + "." + mantissa[point:]
@@ -243,6 +293,18 @@ class TestCompiledReader:
     @given(_libsvm_texts())
     def test_same_bits_as_python(self, text):
         _assert_same_as_python(text, "compiled")
+
+    @pytest.mark.parametrize("token", _WINDOW_EDGES)
+    def test_window_edges_have_the_same_bits_as_python(self, token):
+        _assert_same_as_python(f"{token} 1:{token} 2:-{token.lstrip('-')}\n", "compiled")
+
+    @pytest.mark.parametrize("exponent", ["1000000", "-1000000", "100001", "100000", "99999"])
+    @pytest.mark.parametrize("line", ["{} 1:1\n", "1 1:{}\n"], ids=["label", "value"])
+    def test_long_fraction_against_a_large_exponent(self, exponent, line):
+        """99,999 zeros after the point cancel all but a little of an
+        exponent the reader stops accumulating: 1e900000 (not finite, an
+        error), 0, 10, 1 and 0.1, never the exponent cut short."""
+        _assert_same_as_python(line.format("0." + "0" * 99_999 + "1e" + exponent), "compiled")
 
     @pytest.mark.parametrize(
         "text",

@@ -7,6 +7,7 @@ argument for argument."""
 import ast
 import ctypes
 import re
+import subprocess
 
 import numpy as np
 import pytest
@@ -122,3 +123,49 @@ def uses_in_package() -> set:
 
 def test_every_kernel_is_bound_or_called():
     assert set(kernels.SIGNATURES) - uses_in_package() == set()
+
+
+def c_table(name: str) -> list:
+    """The integer constants of the table ``name`` of kernels.c, in order."""
+    match = re.search(r"\b" + name + r"\[[^]]*\](?:\[\d+\])?\s*=\s*\{(.*?)\};", CODE, flags=re.S)
+    assert match is not None, f"no table {name} in kernels.c"
+    return [int(literal, 0) for literal in re.findall(r"(0x[0-9a-fA-F]+|\d+)ULL", match.group(1))]
+
+
+def test_exact_conversion_tables_hold_their_integers():
+    """``POW5[k]`` is 5^k, and ``RECIP5[k - 1]``, high word first, is
+    floor(2^(127 + L) / 5^k) with L the bit length of 5^k, for every k the
+    reader's window reaches (decimal exponents down to -27): a wrong word
+    would misround only the tokens with that exponent."""
+    pow5, recip5 = c_table("POW5"), c_table("RECIP5")
+    assert pow5 == [5**k for k in range(28)]
+    assert len(recip5) == 2 * 27
+    for k in range(1, 28):
+        want = 2 ** (127 + (5**k).bit_length()) // 5**k
+        assert (recip5[2 * k - 2] << 64) | recip5[2 * k - 1] == want, k
+
+
+def test_kernels_compile_without_warnings(tmp_path):
+    """``kernels.c`` builds cleanly with ``-Wall -Wextra -Werror`` under the
+    library's own compiler and flags (``kernels.FLAGS``, else without
+    ``ALIGN_LOOPS`` when the compiler rejects that, as the loader does): an
+    unused helper or a sign mix-up in the reader's integer arithmetic fails
+    here, not in a silent build."""
+    compiler = kernels._find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+
+    def build(flags, *extra):
+        return subprocess.run(
+            [compiler, *flags, *extra, "-o", str(tmp_path / "k.so"), str(kernels.SOURCE)],
+            capture_output=True, text=True, timeout=kernels.COMPILE_TIMEOUT_S,
+        )
+
+    strict = ("-Wall", "-Wextra", "-Werror")
+    result = build(kernels.FLAGS, *strict)
+    if result.returncode != 0 and build(kernels.FLAGS).returncode != 0:
+        plain = tuple(flag for flag in kernels.FLAGS if flag != kernels.ALIGN_LOOPS)
+        result = build(plain, *strict)
+    # a newer compiler may add warnings: its version tells that from a defect
+    version = subprocess.run([compiler, "--version"], capture_output=True, text=True).stdout
+    assert result.returncode == 0, f"{(version.splitlines() or [compiler])[0]}\n{result.stderr}"
